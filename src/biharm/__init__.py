@@ -39,6 +39,7 @@ from .energy import (
     critical_power,
     el_residual,
     energy,
+    energy_difference,
     gn_quotient,
     stationarity_residual,
 )
@@ -81,8 +82,9 @@ __all__ = [
     "Zero", "Harmonic", "GaussianWell", "PowerWell", "Sum",
     "sample", "ess_inf", "classify", "level_split", "sobolev_lower_bound",
     "potential_from_config", "potential_to_config",
-    "EnergyBreakdown", "critical_power", "energy", "constrained_gradient",
-    "gn_quotient", "el_residual", "chemical_potential", "stationarity_residual",
+    "EnergyBreakdown", "critical_power", "energy", "energy_difference",
+    "constrained_gradient", "gn_quotient", "el_residual", "chemical_potential",
+    "stationarity_residual",
     "InitSpec", "SolveConfig", "SolveResult", "SolveStatus",
     "initial_field", "solve", "trial_upper_bound", "write_iteration_log",
     "GNResult", "compute_gn", "normalize_gn", "normalize_to_el",

@@ -132,9 +132,7 @@ def sweep(g: Grid, V, schedule, cfg: SolveConfig, gn: GNResult) -> list:
     gap suggests (ell = (1 - a/a*)^(-1/6)), parked at the potential minimum.
     A record is appended for every coupling whatever the solver status -- a
     failure is data -- but a diverged state is not propagated as the next
-    warm start, and a warm solve that runs out of iterations is retried once
-    from the compressed-profile start, recording whichever state has the
-    smaller gradient residual.
+    warm start.
     """
     sched = _validate_schedule(schedule, gn.a_star)
     gq = gn.Q.grid
@@ -152,16 +150,6 @@ def sweep(g: Grid, V, schedule, cfg: SolveConfig, gn: GNResult) -> list:
         else:
             run_cfg = cfg
         result = solve(g, V, a, run_cfg, profile=gn.Q, start=prev)
-        if result.status is SolveStatus.MAX_ITERS and prev is not None:
-            # Warm continuation can park on a roundoff-flat shelf whose
-            # residual still fails the tolerance; a fresh start from the
-            # compressed reference profile walks in along a different path
-            # and usually certifies.  Keep whichever state scores better.
-            ell0 = (1.0 - a / gn.a_star) ** (-1.0 / 6.0)
-            fresh_cfg = replace(cfg, init=InitSpec(kind="dilated_Q", ell=ell0))
-            fresh = solve(g, V, a, fresh_cfg, profile=gn.Q)
-            if fresh.grad_residual < result.grad_residual:
-                result = fresh
         u = result.minimizer
         kin = result.breakdown.kinetic
         eps = float(kin) ** -0.25

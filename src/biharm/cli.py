@@ -330,6 +330,8 @@ def cmd_solve(cfg: RunConfig, out=sys.stdout) -> int:
         "mu": result.mu,
         "grad_residual": result.grad_residual,
         "iterations": result.iterations,
+        "backtracks": result.backtracks,
+        "cg_restarts": result.cg_restarts,
         "init": result.init_label,
     }
     report = cfg.output_dir / "solve.json"
@@ -339,6 +341,8 @@ def cmd_solve(cfg: RunConfig, out=sys.stdout) -> int:
     print(f"energy = {bd.total:.12g}", file=out)
     print(f"grad_residual = {result.grad_residual:.3e} "
           f"after {result.iterations} iterations", file=out)
+    print(f"line search: {result.backtracks} backtracks, "
+          f"{result.cg_restarts} CG restarts", file=out)
     _write_manifest(cfg, [snap, log, report])
     if result.status is SolveStatus.DIVERGED_BELOW_FLOOR:
         print("energy fell below the floor: no minimizer exists at this "

@@ -51,6 +51,39 @@ def energy(u: Field, V, a: float) -> EnergyBreakdown:
     return EnergyBreakdown(kin, pot, non, kin + pot - a * non, float(a), q)
 
 
+def energy_difference(u: Field, delta: np.ndarray, V, a: float,
+                      mu: float = 0.0) -> float:
+    """E(v) - E(u) - mu * (mass(v) - mass(u)) for v = u + delta, from delta.
+
+    delta must be the exact difference v - u of two nearby states (a floating
+    point subtraction of values within a factor two of each other is exact),
+    and every term is a sum of delta-weighted products:
+
+        kinetic     sum |k|^4 Re(conj(delta_hat) (delta_hat + 2 u_hat))
+        potential   sum V delta (v + u)
+        nonlinear   sum delta (v + u) sum_{j < q/2} v^{2j} u^{q-2-2j}
+        mass        sum delta (v + u)
+
+    so the result carries rounding relative to the step, not to the energy,
+    and stays exact where subtracting two energy() totals is pure roundoff.
+    mu subtracts the mass change, which for the multiplier of u removes the
+    first-order effect of renormalization roundoff.
+    """
+    g = u.grid
+    q = critical_power(g.d)
+    x = u.values
+    v = x + delta
+    uu, vv = x * x, v * v
+    poly, upow = np.ones_like(x), np.ones_like(x)
+    for _ in range(q // 2 - 1):
+        upow = upow * uu
+        poly = poly * vv + upow
+    dhat = g.forward(delta)
+    kin = np.sum(g.k_quad * np.real(np.conj(dhat) * (dhat + 2.0 * u.hat)))
+    rest = np.sum(delta * (v + x) * (sample(V, g).values - a * poly - mu))
+    return float(g.dx**g.d * (kin / g.n**g.d + rest))
+
+
 def scaled_energy_identity_check(u: Field, a: float, ell: float,
                                  refine: int = 2) -> float:
     """Absolute defect of the dilation identity at zero potential.

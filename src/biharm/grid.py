@@ -11,6 +11,7 @@ spectrally accurate for smooth decaying data.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,7 +69,11 @@ class Grid:
 
 
 def make_grid(d: int, n: int, half_width: float) -> Grid:
-    """Build a periodic grid.
+    """Build a periodic grid, shared per geometry.
+
+    Equal arguments return the same immutable Grid, so the per-grid caches
+    keyed on it (sampled potentials) hold one entry per geometry rather than
+    one per caller.
 
     Args:
         d: spatial dimension, 1 or 2.
@@ -89,8 +94,11 @@ def make_grid(d: int, n: int, half_width: float) -> Grid:
     if not half_width > 0:
         raise ValueError(f"half_width must be positive, got {half_width}")
 
-    n = int(n)
-    half_width = float(half_width)
+    return _shared_grid(int(d), int(n), float(half_width))
+
+
+@functools.lru_cache(maxsize=32)
+def _shared_grid(d: int, n: int, half_width: float) -> Grid:
     dx = 2.0 * half_width / n
     x = -half_width + dx * np.arange(n)
     k = 2.0 * np.pi * np.fft.fftfreq(n, d=dx)  # equals pi*j/half_width, FFT order

@@ -1,4 +1,13 @@
-"""Constrained minimization on the unit-mass sphere by projected gradient descent."""
+"""Constrained minimization on the unit-mass sphere by preconditioned nonlinear CG.
+
+solve runs Polak-Ribiere+ conjugate gradient on the sphere of unit-mass
+states, preconditioned by sigma / (sigma + |k|^4) with sigma = max(1, kinetic
+energy) so the conditioning does not degrade as minimizers concentrate.  Its
+Armijo line search tests energy_difference, an energy change assembled from
+the step itself, whose rounding scales with the step rather than with the
+energy; that keeps sufficient decrease decidable down to the gradient
+tolerance, with no roundoff slack, residual gate or stall retry.
+"""
 
 from __future__ import annotations
 
@@ -9,10 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import (EnergyBreakdown, chemical_potential, constrained_gradient,
-                     energy)
-from .field import (Field, dilate, h2_weight_apply, l2_norm_sq, read_snapshot,
-                    renormalize_mass, translate)
-from .grid import Grid, quadrature
+                     critical_power, energy, energy_difference)
+from .field import (Field, dilate, l2_norm_sq, read_snapshot, renormalize_mass,
+                    translate)
+from .grid import Grid
 from .potentials import classify, sample
 
 _ARMIJO = 1e-4
@@ -82,6 +91,8 @@ class SolveResult:
     status: SolveStatus
     history: tuple  # rows (iter, energy, grad_residual, step_size)
     init_label: str
+    backtracks: int  # line-search shrinks
+    cg_restarts: int  # resets of the conjugate direction to -P G
 
 
 def potential_argmin(V, g: Grid) -> np.ndarray:
@@ -113,24 +124,58 @@ def initial_field(g: Grid, V, spec: InitSpec, profile: Field | None = None) -> F
     return renormalize_mass(v)
 
 
-def _inner(g: Grid, u: Field, v: Field) -> float:
-    return quadrature(g, u.values * v.values)
+def _precondition(g: Grid, grad: Field, kinetic: float) -> np.ndarray:
+    """sigma / (sigma + |k|^4) applied to grad, with sigma = max(1, kinetic).
+
+    The Hessian's low modes scale with the kinetic energy of the state, so a
+    fixed shift would lose a factor of kinetic in conditioning as the state
+    concentrates; tying sigma to it keeps the spectrum of the preconditioned
+    Hessian of order sigma at every wavenumber.
+    """
+    sigma = max(1.0, kinetic)
+    return g.inverse(sigma / (sigma + g.k_quad) * grad.hat)
+
+
+def _armijo(u: Field, direction: np.ndarray, slope: float, step: float, V,
+            a: float, mu: float, cfg: SolveConfig):
+    """Backtrack from step until the unit-mass trial along direction passes
+    Armijo on energy_difference with multiplier mu.
+
+    Returns (trial values, step taken, shrinks); the trial is None when the
+    direction does not descend or the step falls below 1e-18 * cfg.step0.
+    """
+    x = u.values
+    w = u.grid.dx**u.grid.d
+    t, shrinks = step, 0
+    while slope < 0.0 and t > 1e-18 * cfg.step0:
+        trial = x + t * direction
+        trial *= np.sqrt(1.0 / (w * np.sum(trial * trial)))
+        if energy_difference(u, trial - x, V, a, mu) <= _ARMIJO * t * slope:
+            return trial, t, shrinks
+        t *= cfg.shrink
+        shrinks += 1
+    return None, t, shrinks
 
 
 def solve(g: Grid, V, a: float, cfg: SolveConfig = SolveConfig(),
           profile: Field | None = None, *, start: Field | None = None) -> SolveResult:
     """Minimize the energy at coupling a over unit-mass states on g.
 
-    Iterates u <- renormalize(u - step * D) where D is the projected gradient
-    (optionally rescaled by (1 + |k|^4)^{-1} when cfg.precondition is set, for
-    stiff high-resolution runs), with Armijo backtracking so the energy is
-    non-increasing across accepted steps (up to roundoff of the energy
-    evaluation itself, without which the line search thrashes once the
-    achievable decrease drops below machine noise).  Mass is renormalized
-    exactly after every step.  Termination is data, not an exception: Converged when the
-    projected-gradient L2 norm falls below cfg.tol_grad, DivergedBelowFloor
-    when the energy passes cfg.energy_floor (the finite witness for the
-    unbounded-below regime), MaxIters otherwise.
+    Polak-Ribiere+ nonlinear conjugate gradient on the unit-mass sphere.  The
+    search direction is -P G plus beta times the previous direction, projected
+    onto the tangent space at u, where G is the projected gradient and P is
+    sigma / (sigma + |k|^4) with sigma = max(1, kinetic energy) when
+    cfg.precondition is set (the identity otherwise).  Trial states are
+    u + t d renormalized to unit mass, and Armijo backtracking (start at the
+    last accepted step times cfg.grow, shrink by cfg.shrink) tests the exact
+    energy difference of energy_difference, less the multiplier times the mass
+    roundoff, so the test stays decisive down to the gradient tolerance.  The
+    method restarts from -P G when the conjugate direction is not a descent
+    direction or its line search fails.  Termination is data, not an
+    exception: Converged when the projected-gradient L2 norm falls below
+    cfg.tol_grad, DivergedBelowFloor when the energy passes cfg.energy_floor
+    (the finite witness for the unbounded-below regime), MaxIters after
+    cfg.max_iters steps or when no step along -P G lowers the energy.
 
     start, when given, overrides cfg.init: descent begins from the mass
     renormalization of that field (sweeps warm-start successive couplings
@@ -147,71 +192,60 @@ def solve(g: Grid, V, a: float, cfg: SolveConfig = SolveConfig(),
         u = renormalize_mass(start)
     else:
         u = initial_field(g, V, cfg.init, profile)
+    q = critical_power(g.d)
+    w = g.dx**g.d
+
+    def inner(x, y):
+        return w * float(np.sum(x * y))
+
+    def status_of(bd, res):
+        if bd.total < cfg.energy_floor:
+            return SolveStatus.DIVERGED_BELOW_FLOOR
+        if res <= cfg.tol_grad:
+            return SolveStatus.CONVERGED
+        return None
+
     bd = energy(u, V, a)
     grad = constrained_gradient(u, V, a)
     res = float(np.sqrt(l2_norm_sq(grad)))
     history = [(0, bd.total, res, 0.0)]
-
-    status = None
-    if bd.total < cfg.energy_floor:
-        status = SolveStatus.DIVERGED_BELOW_FLOOR
-    elif res <= cfg.tol_grad:
-        status = SolveStatus.CONVERGED
+    status = status_of(bd, res)
 
     step = cfg.step0
-    it = 0
-    retried_after_stall = False
+    it = backtracks = cg_restarts = 0
+    prev = None  # (direction, P G, <G, P G>) of the last accepted step
     while status is None and it < cfg.max_iters:
-        it += 1
-        direction = h2_weight_apply(grad, power=-1.0) if cfg.precondition else grad
-        slope = _inner(g, grad, direction)  # >= 0; zero only at stationarity
-        slack = 1e-14 * (1.0 + abs(bd.total))
-        accepted = False
-        while step > 1e-18 * cfg.step0:
-            trial = renormalize_mass(u - direction * step)
-            tb = energy(trial, V, a)
-            new_grad = None
-            need = _ARMIJO * step * slope
-            if need > slack:
-                if tb.total <= bd.total - need:
-                    accepted = True
-                    break
-            elif tb.total <= bd.total + slack:
-                # the resolvable decrease is below energy roundoff, so gate on
-                # the residual instead: otherwise marginally unstable steps
-                # oscillate inside the roundoff shell and never settle
-                new_grad = constrained_gradient(trial, V, a)
-                if np.sqrt(l2_norm_sq(new_grad)) <= res * (1.0 + 1e-9):
-                    accepted = True
-                    break
-            step *= cfg.shrink
-        if not accepted:
-            # Line search hit roundoff without sufficient decrease.  Near the
-            # tolerance this is usually a lattice artifact — backtracking only
-            # visits step sizes step0*grow^j*shrink^m, and in the roundoff
-            # shell acceptance depends on which exact trial points that set
-            # hits — so retry once from a fresh step0 lattice (with the mass
-            # renormalized, which redistributes last-ulp noise the same way a
-            # warm restart would) before giving up.
-            if not retried_after_stall:
-                retried_after_stall = True
-                u = renormalize_mass(u)
-                bd = energy(u, V, a)
-                grad = constrained_gradient(u, V, a)
-                res = float(np.sqrt(l2_norm_sq(grad)))
-                step = cfg.step0
-                continue
+        x = u.values
+        pg = _precondition(g, grad, bd.kinetic) if cfg.precondition else grad.values
+        gpg = inner(grad.values, pg)
+        candidates = [-pg + inner(pg, x) * x]
+        if prev is not None:
+            beta = max(0.0, (gpg - inner(grad.values, prev[1])) / prev[2])
+            if beta > 0.0:
+                cg = beta * prev[0] - pg
+                candidates.insert(0, cg - inner(cg, x) * x)
+        # the multiplier of u, half the coefficient that projects the raw
+        # gradient onto the tangent space, read off the breakdown in hand
+        mu = bd.kinetic + bd.potential - 0.5 * a * q * bd.nonlinear
+        for k, direction in enumerate(candidates):
+            cg_restarts += k  # the second candidate is the reset to -P G
+            trial, t, shrinks = _armijo(u, direction, inner(grad.values, direction),
+                                        step, V, a, mu, cfg)
+            backtracks += shrinks
+            if trial is not None:
+                break
+        else:
             status = SolveStatus.MAX_ITERS
             break
-        u, bd = trial, tb
-        grad = new_grad if new_grad is not None else constrained_gradient(u, V, a)
+        it += 1
+        u = Field(g, trial)
+        bd = energy(u, V, a)
+        grad = constrained_gradient(u, V, a)
         res = float(np.sqrt(l2_norm_sq(grad)))
-        history.append((it, bd.total, res, step))
-        step *= cfg.grow
-        if bd.total < cfg.energy_floor:
-            status = SolveStatus.DIVERGED_BELOW_FLOOR
-        elif res <= cfg.tol_grad:
-            status = SolveStatus.CONVERGED
+        history.append((it, bd.total, res, t))
+        prev = (direction, pg, gpg)
+        step = t * cfg.grow
+        status = status_of(bd, res)
     if status is None:
         status = SolveStatus.MAX_ITERS
 
@@ -219,7 +253,8 @@ def solve(g: Grid, V, a: float, cfg: SolveConfig = SolveConfig(),
                        mu=chemical_potential(u, V, a),
                        grad_residual=res, iterations=it, status=status,
                        history=tuple(history),
-                       init_label="warm" if start is not None else cfg.init.kind)
+                       init_label="warm" if start is not None else cfg.init.kind,
+                       backtracks=backtracks, cg_restarts=cg_restarts)
 
 
 def write_iteration_log(result: SolveResult, path) -> None:

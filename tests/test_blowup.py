@@ -1,5 +1,7 @@
 """Sweep diagnostics along couplings climbing toward the critical constant."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from biharm import (GaussianWell, Harmonic, SolveConfig, SweepRecord, Zero,
                     make_grid, read_snapshot, save_sweep, sweep,
                     sweep_plot_columns)
 from biharm.field import bilap_energy, l2_norm_sq
+from biharm.groundstate import solve
 
 
 @pytest.fixture(scope="module")
@@ -206,3 +209,24 @@ def test_plot_columns_track_records(well_records, gn256):
     gaps = [y for _, y in cols["energy_gap"]]
     assert all(y > 0 for y in gaps)
     assert all(b < a for a, b in zip(gaps, gaps[1:]))
+
+
+def test_offset_well_sweep_converges_every_point(solve_cfg, monkeypatch):
+    # a well a quarter node off the origin once left the 2^-8 point on a
+    # roundoff shelf of the line search, ending MaxIters after 40000 steps
+    g = make_grid(1, 512, 16.0)
+    gn = compute_gn(g, restarts=1, coarse_check=False)
+    iterations = []
+
+    def counted(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        iterations.append(result.iterations)
+        return result
+
+    monkeypatch.setattr(sys.modules["biharm.blowup"], "solve", counted)
+    schedule = [gn.a_star * (1.0 - 2.0**-k) for k in range(1, 9)]
+    records = sweep(g, GaussianWell(1.0, 1.0, (g.dx / 4.0,)), schedule,
+                    solve_cfg, gn)
+    assert [r.status for r in records] == ["Converged"] * 8
+    assert len(iterations) == 8
+    assert max(iterations) <= 500

@@ -8,6 +8,7 @@ import pytest
 
 from biharm import SolveConfig, compute_gn, make_grid, save_gn
 from biharm.cli import main
+from biharm.potentials import sample
 
 
 def run_cli(*argv):
@@ -104,6 +105,36 @@ def test_solve_literal_coupling_needs_no_artifact(tmp_path):
     code, text = run_cli("--config", str(cfg), "solve")
     assert code == 0
     assert "Converged" in text
+
+
+def test_solve_reports_line_search_counters(tmp_path):
+    cfg = write_config(tmp_path / "c.json",
+                       output_dir=str(tmp_path / "run"),
+                       solve={"a": 4.0})
+    code, text = run_cli("--config", str(cfg), "solve")
+    assert code == 0
+    report = json.loads((tmp_path / "run" / "solve.json").read_text())
+    for key in ("backtracks", "cg_restarts"):
+        assert isinstance(report[key], int) and report[key] >= 0
+    assert (f"{report['backtracks']} backtracks, "
+            f"{report['cg_restarts']} CG restarts") in text
+
+
+def test_repeated_solves_share_one_sampled_potential(tmp_path):
+    # every command parses its own grid; equal geometries must map to one
+    # cached potential sample rather than pinning a new one per command
+    cfg = write_config(tmp_path / "c.json",
+                       grid={"d": 2, "n": 32, "half_width": 8.0},
+                       potential={"family": "gaussian_well", "depth": 1.0,
+                                  "width": 1.0, "center": [0.25, 0.0]},
+                       output_dir=str(tmp_path / "run"),
+                       solve={"a": 4.0})
+    sample.cache_clear()
+    assert run_cli("--config", str(cfg), "solve")[0] == 0
+    size = sample.cache_info().currsize
+    for _ in range(3):
+        assert run_cli("--config", str(cfg), "solve")[0] == 0
+    assert sample.cache_info().currsize == size
 
 
 def test_solve_astar_fraction_without_artifact_points_at_gn(tmp_path):

@@ -9,12 +9,15 @@ from biharm.energy import (
     critical_power,
     el_residual,
     energy,
+    energy_difference,
     gn_quotient,
     scaled_energy_identity_check,
     stationarity_residual,
 )
-from biharm.field import gaussian_mixture_field, random_smooth_field
+from biharm.field import (gaussian_mixture_field, h2_weight_apply,
+                          random_smooth_field)
 from biharm.grid import quadrature
+from biharm.groundstate import SolveConfig, solve
 from biharm.potentials import GaussianWell, Harmonic, Zero
 
 
@@ -188,3 +191,40 @@ def test_stationarity_residual_for_cosine(gpi):
     x = gpi.axes[0]
     u = Field(gpi, np.sqrt(2) * (2 * np.pi) ** -0.5 * np.cos(x))
     assert stationarity_residual(u, Zero(), 0.0) < 1e-10
+
+
+# one case per critical power: q = 10 on a line, q = 6 in the plane
+DIFF_CASES = [((1, 256, 16.0), (0.0,), 12.0), ((2, 64, 12.0), (0.0, 0.0), 20.0)]
+
+
+@pytest.mark.parametrize("geom,center,a", DIFF_CASES)
+def test_energy_difference_matches_energy_totals(geom, center, a):
+    g = make_grid(*geom)
+    V = GaussianWell(1.0, 1.0, center)
+    r2 = sum(m**2 for m in g.meshes())
+    u = renormalize_mass(Field(g, np.exp(-r2 / (2.0 * 0.7**2))))
+    v = renormalize_mass(u - constrained_gradient(u, V, a) * 1e-2)
+    e_u = energy(u, V, a).total
+    de = energy_difference(u, v.values - u.values, V, a)
+    assert abs(de - (energy(v, V, a).total - e_u)) <= 1e-12 * abs(e_u)
+
+
+@pytest.mark.parametrize("geom,center,a", DIFF_CASES)
+def test_energy_difference_resolves_tiny_steps(geom, center, a):
+    # a near-stationary state and a unit preconditioned descent direction:
+    # at t = 1e-9 the difference of two energy() totals is dominated by
+    # their roundoff, while the kernel still recovers the slope
+    g = make_grid(*geom)
+    V = GaussianWell(1.0, 1.0, center)
+    u = solve(g, V, a, SolveConfig(tol_grad=3e-2, precondition=True)).minimizer
+    grad = constrained_gradient(u, V, a)
+    d = h2_weight_apply(grad)
+    d = d * (1.0 / np.sqrt(l2_norm_sq(d)))
+    slope = -quadrature(g, grad.values * d.values)
+    t = 1e-9
+    v = renormalize_mass(u - d * t)
+    delta = v.values - u.values
+    de = energy_difference(u, delta, V, a, chemical_potential(u, V, a))
+    naive = energy(v, V, a).total - energy(u, V, a).total
+    assert abs(de / t - slope) <= 1e-6 * abs(slope)
+    assert abs(naive / t - slope) > 1e-6 * abs(slope)

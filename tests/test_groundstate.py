@@ -91,6 +91,15 @@ def test_history_monotone_mass_exact_and_log_roundtrip(well_run, tmp_path):
     assert float(last[1]) == pytest.approx(res.breakdown.total, rel=1e-15)
 
 
+def test_line_search_counters(well_run):
+    g, V, res = well_run
+    assert isinstance(res.backtracks, int) and res.backtracks >= 0
+    assert isinstance(res.cg_restarts, int) and res.cg_restarts >= 0
+    # an accepted step restarts at most once, from the conjugate direction
+    # to -P G
+    assert res.cg_restarts <= res.iterations
+
+
 def test_converged_well_respects_sobolev_floor(well_run):
     g, V, res = well_run
     ceiling = sobolev_lower_bound(V, g, 0.25)
