@@ -176,9 +176,6 @@ class RunConfig:
         self.solver = _build_solver(raw)
         seed = overrides.get("seed")
         self.seed = _as_int(raw, "seed", 0) if seed is None else int(seed)
-        threads = overrides.get("threads")
-        self.threads = (_as_int(raw, "threads", 1, minimum=1)
-                        if threads is None else max(1, int(threads)))
         out = overrides.get("output") or raw.get("output_dir", "run")
         if not isinstance(out, (str, Path)):
             raise ConfigError("output_dir must be a path string")
@@ -249,7 +246,6 @@ def _write_manifest(cfg: RunConfig, outputs: list) -> None:
         "command": cfg.command,
         "version": __version__,
         "seed": cfg.seed,
-        "threads": cfg.threads,
         "config": cfg.raw,
         "outputs": [str(p) for p in outputs],
     }
@@ -283,7 +279,7 @@ def _load_gn_artifact(cfg: RunConfig, out):
 def cmd_gn(cfg: RunConfig, out=sys.stdout) -> int:
     try:
         result = compute_gn(cfg.grid, cfg=cfg.solver, restarts=cfg.gn_restarts,
-                            seed=cfg.seed, threads=cfg.threads)
+                            seed=cfg.seed)
     except RuntimeError as exc:
         print(f"error: {exc}", file=out)
         return EXIT_FAIL
@@ -292,6 +288,7 @@ def cmd_gn(cfg: RunConfig, out=sys.stdout) -> int:
     save_gn(result, base)
     print(f"a_star = {result.a_star:.12g}", file=out)
     print(f"quotient_residual = {result.quotient_residual:.3e}", file=out)
+    print(f"iterations = {result.iterations}", file=out)
     print(f"nonlinear_check = {result.nonlinear_check:.12g}", file=out)
     c1, c2 = result.el_constants
     print(f"el_constants = ({c1:.9g}, {c2:.9g})", file=out)
@@ -521,8 +518,7 @@ def cmd_check(cfg: RunConfig, out=sys.stdout, grad_fn=None) -> int:
     try:
         gn = load_gn(cfg.gn_artifact)
     except (OSError, ValueError, KeyError):
-        gn = compute_gn(cfg.grid, cfg=cfg.solver, restarts=2, seed=cfg.seed,
-                        threads=cfg.threads)
+        gn = compute_gn(cfg.grid, cfg=cfg.solver, restarts=2, seed=cfg.seed)
     rows = [
         ("parseval", *_battery_parseval(cfg, rng)),
         ("scaling_identity", *_battery_scaling(cfg, rng)),
@@ -553,7 +549,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--output", help="output directory "
                         "(overrides config output_dir)")
     parser.add_argument("--seed", type=int, help="override config seed")
-    parser.add_argument("--threads", type=int, help="override config threads")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, text in (
             ("gn", "compute the critical constant and its optimizer"),
@@ -584,8 +579,7 @@ def main(argv=None, out=sys.stdout, grad_fn=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
-    overrides = {"seed": args.seed, "threads": args.threads,
-                 "output": args.output}
+    overrides = {"seed": args.seed, "output": args.output}
     try:
         raw = load_config(args.config)
         cfg = RunConfig(raw, args.command, overrides)

@@ -161,7 +161,7 @@ def bilap_apply(u: Field) -> Field:
 
 
 def h2_weight_apply(u: Field, power: float = -1.0) -> Field:
-    """Apply (1 + |k|^4)^power spectrally (power=-1 is gn's descent preconditioner)."""
+    """Apply (1 + |k|^4)^power spectrally (power=-1 inverts the H^2 weight)."""
     g = u.grid
     return Field(g, g.inverse((1.0 + g.k_quad) ** power * u.hat))
 

@@ -1,23 +1,38 @@
-"""Optimal interpolation constant and its minimizing profile via quotient descent."""
+"""Sharp interpolation constant and its optimizer by a Petviashvili fixed point.
+
+The optimizer Q of the quotient J(u) = (int|Lap u|^2)(int|u|^2)^{(q-2)/2} /
+int|u|^q solves Lap^2 Q + c1 Q = c2 Q^{q-1} with positive constants.  With
+c1 = (q-2)/2 held fixed (4 in 1D, 2 in 2D) the Pohozaev identity forces
+int|Lap Q|^2 = int|Q|^2, the unit gauge (on the grid, to discretization
+error), so the iteration below produces the profile already normalized up to
+its amplitude and needs no dilation after the fact.  The iteration converges
+to a stationary point of the quotient; it does not prove a minimum.  The
+quotient batteries (random mixtures and smooth fields never beat a_star) and
+the Gaussian upper bound remain the certificate that it is the minimizer.
+"""
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import optimize
+# not called here; perfbench/tracer.py wraps gn.optimize.minimize on every run
+from scipy import optimize  # noqa: F401
 
 from .energy import critical_power, el_residual, gn_quotient
-from .field import (Field, bilap_apply, bilap_energy, dilate, h2_weight_apply,
-                    l2_norm_sq, lq_integral, read_snapshot, recenter,
-                    renormalize_mass, write_snapshot)
-from .grid import Grid, make_grid, quadrature
+from .field import (Field, bilap_energy, dilate, l2_norm_sq, lq_integral,
+                    read_snapshot, recenter, renormalize_mass, write_snapshot)
+from .grid import Grid, make_grid
 from .groundstate import SolveConfig
 
-_ARMIJO = 1e-4
+# Gaussian start widths, in units of cfg.init.width, for successive restarts
+START_WIDTHS = (1.0, 0.7, 1.5, 2.2, 0.5, 1.1)
+# |M - 1| at or below this is roundoff: the iterate no longer moves
+_M_ROUNDOFF = 1e-13
+# iterations |M - 1| must sit at roundoff before an unconverged run stops
+_SETTLED = 3
 
 
 @dataclass
@@ -28,161 +43,73 @@ class GNResult:
     el_constants: tuple
     resolutions: tuple  # ((n, a_star_at_n), ...) coarse-to-fine cross-check
     quotient_residual: float
-
-
-def _quotient_and_parts(u: Field, q: int):
-    kin = bilap_energy(u)
-    mass = l2_norm_sq(u)
-    non = lq_integral(u, q)
-    if non <= 0.0:
-        raise ValueError("quotient undefined for a field with no nonlinear mass")
-    s = 0.5 * (q - 2.0)
-    return kin * mass**s / non, kin, mass, non
-
-
-def _quotient_gradient(u: Field, q: int, kin, mass, non) -> Field:
-    g = u.grid
-    s = 0.5 * (q - 2.0)
-    vals = ((2.0 * mass**s / non) * bilap_apply(u).values
-            + (2.0 * s * kin * mass ** (s - 1.0) / non) * u.values
-            - (q * kin * mass**s / non**2)
-            * np.abs(u.values) ** (q - 2.0) * u.values)
-    grad = Field(g, vals)
-    # scale invariance makes <grad, u> = 0 analytically; enforce it exactly
-    coef = quadrature(g, grad.values * u.values) / l2_norm_sq(u)
-    return Field(g, grad.values - coef * u.values)
+    # fixed-point iterations over all runs, the n/2 check included; None for a
+    # sidecar written before the count was stored
+    iterations: int | None
 
 
 @dataclass
 class _Run:
-    u: Field
-    value: float
-    residual: float
+    u: Field  # unit mass
+    value: float  # quotient of u
+    residual: float  # quotient-gradient norm at u
     iterations: int
     converged: bool
 
 
-def _regauge(u: Field, q: int) -> tuple[Field, float]:
-    """Dilate to the slice kin == mass (and unit mass); returns the factor used.
+def _petviashvili(g: Grid, u0: Field, cfg: SolveConfig) -> _Run:
+    """Iterate u^ <- M^gamma N^(u) / L to the unit-gauge optimizer.
 
-    The quotient is exactly dilation- and amplitude-invariant, so descent can
-    wander along those flat directions toward states only a few nodes wide,
-    where grid aliasing pins a spurious stationary point.  Pulling the iterate
-    back to the canonical gauge keeps it resolved without touching its shape.
+    L = c1 + |k|^4 with c1 = (q-2)/2, N(u) = u^{q-1}, gamma = (q-1)/(q-2) and
+    M = <L u^, u^> / <N^(u), u^>, which is 1 exactly at a solution of
+    L u = N(u); the factor M^gamma removes the amplitude instability of the
+    plain iteration.  c1 stays fixed because it is what pins the dilation
+    gauge: recomputed from the iterate, it leaves the dilation direction
+    without a restoring force and the scale drifts (at n = 16, into a spike).
+
+    Converged once the quotient-gradient norm of the mass-normalized iterate
+    is at most cfg.tol_grad.  The run stops unconverged after cfg.max_iters
+    updates, or once |M - 1| has sat at roundoff for a few iterations: the
+    iterate then no longer moves, and the residual left over is the grid's
+    departure from the continuum Pohozaev balance, which no further iteration
+    removes.  Raises ValueError if the iterate collapses to zero.
     """
-    _, kin, mass, _ = _quotient_and_parts(u, q)
-    ell = (mass / kin) ** 0.25
-    if abs(ell - 1.0) < 1e-9:
-        return renormalize_mass(u), ell
-    return renormalize_mass(dilate(u, ell)), ell
-
-
-def _lbfgs_stage(g: Grid, u0: Field, cfg: SolveConfig) -> Field:
     q = critical_power(g.d)
-    weight = g.dx**g.d
-    u0 = renormalize_mass(u0)
-    val0, _, _, _ = _quotient_and_parts(u0, q)
-    # Gauge-fixing penalty: zero, with zero gradient, on the slice kin == mass,
-    # so stationary points there are untouched; away from it the penalty gives
-    # the two exact invariances (dilation, amplitude) real curvature and walls
-    # off both degenerate escapes, narrow (aliasing-pinned spikes) and wide
-    # (flattening toward the zero-curvature constant).
-    w = 4.0 * val0
-
-    def fun(x):
-        v = Field(g, x.reshape(g.shape).copy())
-        val, kin, mass, non = _quotient_and_parts(v, q)
-        grad = _quotient_gradient(v, q, kin, mass, non)
-        gauge = np.log(kin / mass)
-        gvals = grad.values + (4.0 * w * gauge) * (
-            bilap_apply(v).values / kin - v.values / mass)
-        return val + w * gauge * gauge, gvals.ravel() * weight
-
-    out = optimize.minimize(
-        fun, u0.values.ravel(), jac=True, method="L-BFGS-B",
-        options=dict(maxiter=max(cfg.max_iters, 4000), maxfun=60000,
-                     ftol=1e-22, gtol=1e-16, maxcor=30))
-    return renormalize_mass(Field(g, out.x.reshape(g.shape).copy()))
-
-
-def _polish_stage(g: Grid, u0: Field, cfg: SolveConfig, budget: int) -> _Run:
-    q = critical_power(g.d)
-    u = u0
-    val, kin, mass, non = _quotient_and_parts(u, q)
-    grad = _quotient_gradient(u, q, kin, mass, non)
-    res = float(np.sqrt(l2_norm_sq(grad)))
-    step = cfg.step0
+    c1 = 0.5 * (q - 2)
+    gamma = (q - 1.0) / (q - 2.0)
+    symbol = c1 + g.k_quad
+    parseval = g.dx**g.d / g.n**g.d
+    u = u0.values
+    u_hat = g.forward(u)
+    settled = 0
     it = 0
-    while it < budget and res > cfg.tol_grad:
+    while True:
+        nl = u ** (q - 1)
+        nl_hat = g.forward(nl)
+        power = np.abs(u_hat) ** 2
+        mass = parseval * float(power.sum())
+        kin = parseval * float((g.k_quad * power).sum())
+        non = g.dx**g.d * float((u * nl).sum())
+        if not (mass > 0.0 and non > 0.0 and np.isfinite(mass + kin + non)):
+            raise ValueError("fixed-point iterate collapsed")
+        # the quotient and its gradient at v = u / sqrt(mass), in spectral space
+        kin_v = kin / mass
+        non_v = non / mass ** (0.5 * q)
+        v_hat = u_hat / np.sqrt(mass)
+        grad = ((2.0 / non_v) * (g.k_quad * v_hat)
+                + ((q - 2.0) * kin_v / non_v) * v_hat
+                - (q * kin_v / non_v**2 / mass ** (0.5 * (q - 1))) * nl_hat)
+        residual = float(np.sqrt(parseval * (np.abs(grad) ** 2).sum()))
+        converged = residual <= cfg.tol_grad
+        if converged or it == cfg.max_iters or settled >= _SETTLED:
+            break
+        M = (c1 * mass + kin) / non
+        settled = settled + 1 if abs(M - 1.0) <= _M_ROUNDOFF else 0
+        u_hat = M**gamma * nl_hat / symbol
+        u = g.inverse(u_hat)
         it += 1
-        direction = h2_weight_apply(grad, power=-1.0) if cfg.precondition else grad
-        slope = quadrature(g, grad.values * direction.values)
-        slack = 1e-14 * (1.0 + abs(val))
-        accepted = False
-        while step > 1e-18 * cfg.step0:
-            trial = renormalize_mass(u - direction * step)
-            tval, tkin, tmass, tnon = _quotient_and_parts(trial, q)
-            new_grad = None
-            need = _ARMIJO * step * slope
-            if need > slack:
-                if tval <= val - need:
-                    accepted = True
-                    break
-            elif tval <= val + slack:
-                new_grad = _quotient_gradient(trial, q, tkin, tmass, tnon)
-                if np.sqrt(l2_norm_sq(new_grad)) <= res * (1.0 + 1e-9):
-                    accepted = True
-                    break
-            step *= cfg.shrink
-        if not accepted:
-            break
-        u, val, kin, mass, non = trial, tval, tkin, tmass, tnon
-        grad = (new_grad if new_grad is not None
-                else _quotient_gradient(u, q, kin, mass, non))
-        res = float(np.sqrt(l2_norm_sq(grad)))
-        step *= cfg.grow
-    return _Run(u, val, res, it, res <= cfg.tol_grad)
-
-
-def _descend_quotient(g: Grid, u0: Field, cfg: SolveConfig) -> _Run:
-    """Alternate L-BFGS transport with roundoff-gated polishing rounds.
-
-    L-BFGS (analytic gradient, quadrature-weighted) drops the quotient to its
-    value-resolution floor quickly but leaves the raw gradient norm orders of
-    magnitude above cfg.tol_grad; the backtracking polish — the same
-    roundoff-aware line search as the constrained energy solver — grinds the
-    residual the rest of the way.  Either stage can stall (the polish when
-    every trial step raises the residual, L-BFGS when its curvature model goes
-    stale), so the pair is repeated until the residual converges or stops
-    making headway.
-
-    Not every initial state lies in the basin of the localized minimizer: on a
-    periodic box the quotient degenerates along flattening profiles (a
-    constant has zero fourth-order energy but positive q-norm), so overly wide
-    initials drift toward that valley forever, lowering the quotient slightly
-    below the localized minimum without ever becoming stationary.  Such runs
-    end here with converged=False and are discarded by the caller.
-    """
-    q = critical_power(g.d)
-    u = renormalize_mass(u0)
-    budget = max(500, cfg.max_iters // 4)
-    total = 0
-    prev_res = np.inf
-    for _ in range(6):
-        u, _ = _regauge(recenter(_lbfgs_stage(g, u, cfg))[0], q)
-        run = _polish_stage(g, u, cfg, budget)
-        total += run.iterations
-        u, ell = _regauge(recenter(run.u)[0], q)
-        settled = abs(ell - 1.0) < 1e-6
-        if run.converged and settled:
-            break
-        if not run.converged and settled and run.residual > 0.5 * prev_res:
-            break  # stalled in place with the gauge already canonical
-        prev_res = run.residual
-    val, kin, mass, non = _quotient_and_parts(u, q)
-    grad = _quotient_gradient(u, q, kin, mass, non)
-    res = float(np.sqrt(l2_norm_sq(grad)))
-    return _Run(u, val, res, total, res <= cfg.tol_grad)
+    return _Run(Field(g, u / np.sqrt(mass)), kin_v / non_v, residual, it,
+                converged)
 
 
 def _mirror(vals: np.ndarray, ax: int) -> np.ndarray:
@@ -214,19 +141,21 @@ def _finalize(u: Field) -> Field:
 
 
 def compute_gn(g: Grid, cfg: SolveConfig | None = None, restarts: int = 4,
-               seed: int = 0, threads: int = 1, coarse_check: bool = True,
+               seed: int = 0, coarse_check: bool = True,
                center=None) -> GNResult:
-    """Minimize the quotient over the grid and return the sharp constant.
+    """Find the quotient's optimizer by the Petviashvili fixed point.
 
-    Runs several descents from gaussian initials of different widths (noisy
-    perturbations past the first few), keeps the smallest quotient among the
-    *converged* runs — non-stationary drifts toward the box's degenerate flat
-    valley are discarded, see _descend_quotient — applies even symmetrization
-    and a polishing descent, then normalizes the profile to unit mass and unit
-    fourth-order seminorm.  The constant is the quotient of the stored
-    profile, so the sharp-normalization identity a_star * lq_integral(Q, q) = 1
-    closes by construction; what is *not* automatic — and is checked by the
-    test batteries — is that no other localized state beats it.
+    Runs the fixed point (see _petviashvili) from Gaussian starts of the
+    widths START_WIDTHS (noisy perturbations past those), keeps the converged
+    run with the smallest quotient, symmetrizes it even and runs the fixed
+    point once more, then normalizes the profile to unit mass and unit
+    fourth-order seminorm; the iteration works in that gauge, so only the
+    amplitude changes.  The constant is the quotient of the stored profile,
+    so the sharp-normalization identity a_star * lq_integral(Q, q) = 1 closes
+    by construction.  A fixed point is stationary, not a proven minimum: that
+    no other localized state beats it is what the test batteries and the
+    Gaussian upper bound check.  Raises RuntimeError naming tol_grad when no
+    run converges.
     """
     if cfg is None:
         cfg = SolveConfig(tol_grad=3e-7, max_iters=8000, precondition=True)
@@ -236,43 +165,36 @@ def compute_gn(g: Grid, cfg: SolveConfig | None = None, restarts: int = 4,
     center = np.zeros(g.d) if center is None else np.asarray(center, dtype=np.float64)
     rng = np.random.default_rng(seed)
     base = cfg.init.width if cfg.init.kind == "gaussian" else 1.0
-    widths = (1.0, 0.7, 1.5, 2.2, 0.5, 1.1)
-    initials = []
-    for i in range(restarts):
-        u0 = _gaussian_state(g, base * widths[i % len(widths)], center)
-        if i >= len(widths):
-            bump = rng.standard_normal(g.shape)
-            bump = Field(g, g.inverse(g.forward(bump) * np.exp(-g.k_sq)).real)
-            u0 = renormalize_mass(u0 + bump * (0.05 / np.sqrt(l2_norm_sq(bump))))
-        initials.append(u0)
 
     def run(u0: Field) -> _Run:
         try:
-            return _descend_quotient(g, u0, cfg)
+            return _petviashvili(g, u0, cfg)
         except ValueError:
             # collapsed to zero along the way; report as a failed restart
             return _Run(u0, np.inf, np.inf, 0, False)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            runs = list(pool.map(run, initials))
-    else:
-        runs = [run(u0) for u0 in initials]
+    runs = []
+    for i in range(restarts):
+        u0 = _gaussian_state(g, base * START_WIDTHS[i % len(START_WIDTHS)], center)
+        if i >= len(START_WIDTHS):
+            bump = rng.standard_normal(g.shape)
+            bump = Field(g, g.inverse(g.forward(bump) * np.exp(-g.k_sq)).real)
+            u0 = renormalize_mass(u0 + bump * (0.05 / np.sqrt(l2_norm_sq(bump))))
+        runs.append(run(u0))
     converged_runs = [r for r in runs if r.converged]
     if converged_runs:
         best = min(converged_runs, key=lambda r: r.value)
     else:
-        # seed the final polish with the nearest-to-stationary run; selecting
-        # by value here would favor degenerate drifts (see _descend_quotient)
         best = min(runs, key=lambda r: r.residual)
 
-    polished = _descend_quotient(g, symmetrize_even(best.u), cfg)
-    if polished.converged and (not best.converged
-                               or polished.value <= best.value + 1e-9):
-        best = polished
+    even = run(symmetrize_even(best.u))
+    iterations = sum(r.iterations for r in runs) + even.iterations
+    if even.converged and (not best.converged
+                           or even.value <= best.value + 1e-9):
+        best = even
     if not best.converged:
         raise RuntimeError(
-            f"no quotient descent converged; smallest residual "
+            f"no fixed-point run converged; smallest quotient residual "
             f"{best.residual:.3e} above tol_grad {cfg.tol_grad:.3e}")
 
     Q = _finalize(best.u)
@@ -283,14 +205,15 @@ def compute_gn(g: Grid, cfg: SolveConfig | None = None, restarts: int = 4,
     if coarse_check and g.n >= 16:
         g2 = make_grid(g.d, g.n // 2, g.half_width)
         sub = Q.values[::2] if g.d == 1 else Q.values[::2, ::2]
-        run2 = _descend_quotient(g2, Field(g2, sub.copy()), cfg)
+        run2 = _petviashvili(g2, Field(g2, sub.copy()), cfg)
+        iterations += run2.iterations
         resolutions.append((g2.n, gn_quotient(_finalize(run2.u))))
     resolutions.append((g.n, a_star))
 
     return GNResult(a_star=a_star, Q=Q,
                     nonlinear_check=a_star * lq_integral(Q, q),
                     el_constants=(c1, c2), resolutions=tuple(resolutions),
-                    quotient_residual=best.residual)
+                    quotient_residual=best.residual, iterations=iterations)
 
 
 def normalize_gn(u: Field) -> Field:
@@ -345,6 +268,7 @@ def save_gn(result: GNResult, path) -> None:
             "nonlinear_check": result.nonlinear_check,
         },
         "resolutions": [list(pair) for pair in result.resolutions],
+        "iterations": result.iterations,
     }
     base.with_suffix(".json").write_text(json.dumps(sidecar, indent=2) + "\n")
 
@@ -360,10 +284,13 @@ def load_gn(path) -> GNResult:
             abs(sidecar["half_width"] - g.half_width) > 1e-12:
         raise ValueError("sidecar geometry disagrees with the stored snapshot")
     a_star = float(sidecar["a_star"])
+    iterations = sidecar.get("iterations")
     q = critical_power(g.d)
     return GNResult(a_star=a_star, Q=Q,
                     nonlinear_check=a_star * lq_integral(Q, q),
                     el_constants=tuple(sidecar["el_constants"]),
                     resolutions=tuple(tuple(p) for p in sidecar["resolutions"]),
                     quotient_residual=float(
-                        sidecar["residuals"]["quotient_grad"]))
+                        sidecar["residuals"]["quotient_grad"]),
+                    iterations=(None if iterations is None
+                                else int(iterations)))

@@ -51,6 +51,15 @@ def test_gn_writes_artifacts_and_reports(artifact_dir):
     assert manifest["config"]["grid"]["n"] == 256
 
 
+def test_gn_reports_iteration_count(tmp_path):
+    cfg = write_config(tmp_path / "c.json", output_dir=str(tmp_path / "run"))
+    code, text = run_cli("--config", str(cfg), "gn")
+    assert code == 0, text
+    sidecar = json.loads((tmp_path / "run" / "gn.json").read_text())
+    assert isinstance(sidecar["iterations"], int) and sidecar["iterations"] > 0
+    assert f"iterations = {sidecar['iterations']}" in text
+
+
 def test_invalid_grid_rejected_before_any_output(tmp_path):
     cfg = write_config(tmp_path / "c.json", output_dir=str(tmp_path / "out"))
     raw = json.loads(cfg.read_text())

@@ -25,6 +25,7 @@ from biharm import (
     symmetrize_even,
 )
 from biharm.field import gaussian_mixture_field, random_smooth_field
+from biharm.gn import START_WIDTHS, _gaussian_state, _petviashvili
 
 # closed forms for the centered Gaussian trial state e^{-|x|^2/2}
 GAUSSIAN_QUOTIENT_1D = 0.75 * np.sqrt(5.0) * np.pi**2
@@ -218,12 +219,58 @@ def test_unreachable_tolerance_raises():
         compute_gn(g, cfg, restarts=1, coarse_check=False)
 
 
-def test_threaded_restarts_match_serial():
+def test_repeated_runs_are_bit_identical():
     g = make_grid(1, 256, 16.0)
-    serial = compute_gn(g, coarse_check=False)
-    threaded = compute_gn(g, coarse_check=False, threads=2)
-    assert threaded.a_star == serial.a_star
-    assert np.array_equal(threaded.Q.values, serial.Q.values)
+    first = compute_gn(g, coarse_check=False)
+    second = compute_gn(g, coarse_check=False)
+    assert second.a_star == first.a_star
+    assert np.array_equal(second.Q.values, first.Q.values)
+
+
+def test_every_start_width_converges_to_one_constant():
+    g = make_grid(1, 512, 16.0)
+    cfg = SolveConfig(tol_grad=3e-7, max_iters=8000, precondition=True)
+    values = []
+    for width in START_WIDTHS:
+        run = _petviashvili(g, _gaussian_state(g, width, (0.0,)), cfg)
+        assert run.converged, width
+        assert run.iterations <= 30, (width, run.iterations)
+        values.append(run.value)
+    assert max(values) - min(values) <= 1e-12 * min(values)
+
+
+def test_default_2d_raises_naming_tol_grad():
+    # the 64^2 grid's quotient-residual floor (~2.5e-5) sits above the
+    # default tolerance: the run must stop and say so rather than stall
+    g = make_grid(2, 64, 12.0)
+    with pytest.raises(RuntimeError, match="tol_grad"):
+        compute_gn(g)
+    cfg = SolveConfig(tol_grad=3e-7, max_iters=8000, precondition=True)
+    run = _petviashvili(g, _gaussian_state(g, 1.0, (0.0, 0.0)), cfg)
+    assert not run.converged
+    assert run.iterations < 100  # stopped once M settled, not at max_iters
+
+
+def test_iterations_counted_and_saved(tmp_path, gn256):
+    assert isinstance(gn256.iterations, int) and gn256.iterations > 0
+    # the count includes the n/2 cross-check run
+    alone = compute_gn(gn256.Q.grid, coarse_check=False)
+    assert gn256.iterations > alone.iterations
+    save_gn(gn256, tmp_path / "profile")
+    sidecar = json.loads((tmp_path / "profile.json").read_text())
+    assert sidecar["iterations"] == gn256.iterations
+    assert isinstance(sidecar["iterations"], int)
+    assert load_gn(tmp_path / "profile").iterations == gn256.iterations
+
+
+def test_load_accepts_sidecar_without_iterations(tmp_path, gn256):
+    save_gn(gn256, tmp_path / "profile")
+    sidecar = json.loads((tmp_path / "profile.json").read_text())
+    del sidecar["iterations"]
+    (tmp_path / "profile.json").write_text(json.dumps(sidecar))
+    back = load_gn(tmp_path / "profile")
+    assert back.iterations is None
+    assert back.a_star == gn256.a_star
 
 
 def test_2d_smoke():
