@@ -46,7 +46,9 @@ class SweepRecord:
     rescaled profile.  resolved means the concentration scale still spans
     several grid nodes (eps > 4 dx); records with resolved=False are kept --
     their scalars are reported, but nothing quantitative should be trusted at
-    a scale the grid no longer separates.  The minimizer and its rescaled
+    a scale the grid no longer separates.  iterations, backtracks and
+    cg_restarts are the solver's counters for this coupling (None when read
+    back from a CSV written without them).  The minimizer and its rescaled
     profile ride along for snapshotting and the sequence checks; they are not
     part of the CSV serialization.
     """
@@ -59,57 +61,47 @@ class SweepRecord:
     h2_dist_to_Q: float
     status: str
     resolved: bool
+    iterations: int | None = None
+    backtracks: int | None = None
+    cg_restarts: int | None = None
     minimizer: Field | None = None
     rescaled: Field | None = None
 
 
 _CSV_COLUMNS = ("a", "energy", "kinetic", "eps", "center", "h2_dist_to_Q",
-                "status", "resolved")
+                "status", "resolved", "iterations", "backtracks",
+                "cg_restarts")
+_NEWTON_MAX_STEPS = 20
 
 
 def _h2_after_best_shift(w: Field, ref: Field) -> float:
     """H2 distance minimized over sub-grid translations of w.
 
-    Both fields arrive centered, so the optimum is within a couple of nodes of
-    zero; coordinate-wise golden-section search on the shift (two sweeps over
-    the axes) is enough, with each evaluation an exact spectral translation.
+    Translation preserves the H2 norm, so the distance is smallest where the
+    spectral cross-correlation C(s) = Re sum (1 + |k|^4) w^ conj(ref^)
+    exp(-i k.s) is largest.  Both fields arrive centered, so the optimum sits
+    near s = 0: Newton's method on C from s = 0, with steps clipped to half a
+    node per axis, costs O(n^d) per step on the two transforms in hand and no
+    FFT.  One exact translation then measures the distance at the optimum,
+    which is reported only if it beats the distance at s = 0.
     """
     g = w.grid
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    ks = np.stack(np.meshgrid(*g.wavenumbers, indexing="ij")).reshape(g.d, -1)
+    corr = ((1.0 + g.k_quad) * w.hat * np.conj(ref.hat)).ravel()
     shift = np.zeros(g.d)
-
-    def dist(s):
-        return h2_distance(translate(w, s), ref)
-
-    best = dist(shift)
-    for _ in range(2):
-        for ax in range(g.d):
-            lo, hi = -2.0 * g.dx, 2.0 * g.dx
-            c = hi - invphi * (hi - lo)
-            d_ = lo + invphi * (hi - lo)
-            sc, sd = shift.copy(), shift.copy()
-            sc[ax] += c
-            sd[ax] += d_
-            fc, fd = dist(sc), dist(sd)
-            while hi - lo > 1e-4 * g.dx:
-                if fc < fd:
-                    hi, d_, fd = d_, c, fc
-                    c = hi - invphi * (hi - lo)
-                    sc = shift.copy()
-                    sc[ax] += c
-                    fc = dist(sc)
-                else:
-                    lo, c, fc = c, d_, fd
-                    d_ = lo + invphi * (hi - lo)
-                    sd = shift.copy()
-                    sd[ax] += d_
-                    fd = dist(sd)
-            mid = shift.copy()
-            mid[ax] += 0.5 * (lo + hi)
-            fmid = dist(mid)
-            if fmid < best:
-                best, shift = fmid, mid
-    return float(best)
+    for _ in range(_NEWTON_MAX_STEPS):
+        z = corr * np.exp(-1j * (shift @ ks))
+        grad = ks @ z.imag
+        hess = -(ks * z.real) @ ks.T
+        try:
+            step = -np.linalg.solve(hess, grad)
+        except np.linalg.LinAlgError:
+            break
+        step = np.clip(step, -0.5 * g.dx, 0.5 * g.dx)
+        shift = shift + step
+        if np.max(np.abs(step)) < 1e-12 * g.dx:
+            break
+    return min(h2_distance(w, ref), h2_distance(translate(w, shift), ref))
 
 
 def _validate_schedule(schedule, a_star: float) -> list:
@@ -165,6 +157,9 @@ def sweep(g: Grid, V, schedule, cfg: SolveConfig, gn: GNResult) -> list:
             h2_dist_to_Q=_h2_after_best_shift(recenter(w)[0], gn.Q),
             status=result.status.value,
             resolved=resolved,
+            iterations=result.iterations,
+            backtracks=result.backtracks,
+            cg_restarts=result.cg_restarts,
             minimizer=u,
             rescaled=w,
         )
@@ -246,6 +241,7 @@ def save_sweep(records, run_dir) -> Path:
                 repr(rec.a), repr(rec.energy), repr(rec.kinetic),
                 repr(rec.eps), ";".join(repr(c) for c in rec.center),
                 repr(rec.h2_dist_to_Q), rec.status, rec.resolved,
+                rec.iterations, rec.backtracks, rec.cg_restarts,
             ])
     for i, rec in enumerate(records):
         if rec.minimizer is not None:

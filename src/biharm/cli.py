@@ -413,6 +413,9 @@ def cmd_sweep(cfg: RunConfig, out=sys.stdout) -> int:
     return EXIT_OK
 
 
+_SWEEP_COUNTERS = ("iterations", "backtracks", "cg_restarts")
+
+
 def _read_sweep_csv(path) -> list:
     rows = []
     with open(path, newline="") as fh:
@@ -426,6 +429,8 @@ def _read_sweep_csv(path) -> list:
                 h2_dist_to_Q=float(row["h2_dist_to_Q"]),
                 status=row["status"],
                 resolved=row["resolved"] == "True",
+                **{key: int(row[key]) for key in _SWEEP_COUNTERS
+                   if row.get(key)},
             ))
     return rows
 

@@ -9,7 +9,9 @@ from biharm import (GaussianWell, Harmonic, SolveConfig, SweepRecord, Zero,
                     compute_gn, energy_limit_check, gn_sequence_check,
                     make_grid, read_snapshot, save_sweep, sweep,
                     sweep_plot_columns)
-from biharm.field import bilap_energy, l2_norm_sq
+from biharm.blowup import _h2_after_best_shift
+from biharm.field import (bilap_energy, h2_distance, l2_norm_sq, recenter,
+                          translate)
 from biharm.groundstate import solve
 
 
@@ -188,11 +190,15 @@ def test_solver_failures_are_recorded_not_raised(g256, gn256):
 def test_save_sweep_writes_csv_and_snapshots(tmp_path, well_records, g256):
     csv_path = save_sweep(well_records, tmp_path / "run")
     lines = csv_path.read_text().splitlines()
-    assert lines[0] == "a,energy,kinetic,eps,center,h2_dist_to_Q,status,resolved"
+    assert lines[0] == ("a,energy,kinetic,eps,center,h2_dist_to_Q,status,"
+                        "resolved,iterations,backtracks,cg_restarts")
     assert len(lines) == len(well_records) + 1
     first = lines[1].split(",")
     assert float(first[0]) == well_records[0].a
     assert first[6] == "Converged"
+    assert [int(c) for c in first[8:]] == [well_records[0].iterations,
+                                          well_records[0].backtracks,
+                                          well_records[0].cg_restarts]
     for i, rec in enumerate(well_records):
         u = read_snapshot(tmp_path / "run" / f"u_{i:03d}.bhf", g256)
         w = read_snapshot(tmp_path / "run" / f"w_{i:03d}.bhf", g256)
@@ -209,6 +215,88 @@ def test_plot_columns_track_records(well_records, gn256):
     gaps = [y for _, y in cols["energy_gap"]]
     assert all(y > 0 for y in gaps)
     assert all(b < a for a, b in zip(gaps, gaps[1:]))
+
+
+def test_records_carry_the_solver_counters(g256, gn256, solve_cfg,
+                                          monkeypatch):
+    results = []
+
+    def counted(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        results.append(result)
+        return result
+
+    monkeypatch.setattr(sys.modules["biharm.blowup"], "solve", counted)
+    schedule = [gn256.a_star * (1.0 - 2.0**-k) for k in (1, 3)]
+    records = sweep(g256, GaussianWell(1.0), schedule, solve_cfg, gn256)
+    assert [(r.iterations, r.backtracks, r.cg_restarts) for r in records] == [
+        (s.iterations, s.backtracks, s.cg_restarts) for s in results]
+    assert all(r.iterations > 0 for r in records)
+
+
+def _golden_section_h2(w, ref):
+    """Reference shift search: coordinate-wise golden section, two sweeps."""
+    g = w.grid
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    shift = np.zeros(g.d)
+
+    def dist(s):
+        return h2_distance(translate(w, s), ref)
+
+    best = dist(shift)
+    for _ in range(2):
+        for ax in range(g.d):
+            lo, hi = -2.0 * g.dx, 2.0 * g.dx
+            while hi - lo > 1e-6 * g.dx:
+                c = hi - invphi * (hi - lo)
+                d = lo + invphi * (hi - lo)
+                sc, sd = shift.copy(), shift.copy()
+                sc[ax] += c
+                sd[ax] += d
+                if dist(sc) < dist(sd):
+                    hi = d
+                else:
+                    lo = c
+            mid = shift.copy()
+            mid[ax] += 0.5 * (lo + hi)
+            best, shift = min((best, shift), (dist(mid), mid),
+                              key=lambda pair: pair[0])
+    return best
+
+
+def test_shift_search_agrees_with_golden_section(well_records, gn256):
+    for r in well_records:
+        w = recenter(r.rescaled)[0]
+        ref = _golden_section_h2(w, gn256.Q)
+        assert _h2_after_best_shift(w, gn256.Q) == r.h2_dist_to_Q
+        assert abs(r.h2_dist_to_Q - ref) <= 1e-10 * ref
+
+
+def test_shift_search_recovers_a_1d_translation(g256, gn256):
+    moved = translate(gn256.Q, (0.3 * g256.dx,))
+    assert h2_distance(moved, gn256.Q) > 1e-2
+    assert _h2_after_best_shift(moved, gn256.Q) <= 1e-10
+
+
+def test_shift_search_recovers_a_2d_translation():
+    # 128^2: at 64^2 the profile's Nyquist content (1e-5) already caps how
+    # exactly a sub-grid translation can be undone
+    g = make_grid(2, 128, 12.0)
+    Q = compute_gn(g, SolveConfig(tol_grad=1e-4, max_iters=4000,
+                                  precondition=True),
+                   restarts=1, coarse_check=False).Q
+    moved = translate(Q, (0.3 * g.dx, -0.2 * g.dx))
+    assert h2_distance(moved, Q) > 1e-2
+    assert _h2_after_best_shift(moved, Q) <= 1e-10
+
+
+def test_shift_search_never_worse_than_no_shift(g256, gn256):
+    # against -Q the correlation's nearby stationary point is a distance
+    # maximum; Newton converges to it, and the unshifted distance is kept
+    w = -translate(gn256.Q, (0.1 * g256.dx,))
+    at_zero = h2_distance(w, gn256.Q)
+    assert h2_distance(translate(w, (-0.1 * g256.dx,)), gn256.Q) > at_zero
+    assert _h2_after_best_shift(w, gn256.Q) == at_zero
 
 
 def test_offset_well_sweep_converges_every_point(solve_cfg, monkeypatch):

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from biharm import SolveConfig, compute_gn, make_grid, save_gn
-from biharm.cli import main
+from biharm.cli import _read_sweep_csv, main
 from biharm.potentials import sample
 
 
@@ -276,6 +276,33 @@ def test_plotdata_emits_three_column_files(tmp_path, artifact_dir):
         assert len(lines) == 4
     first = (tmp_path / "run" / "plot_eps.csv").read_text().splitlines()[1]
     assert float(first.split(",")[0]) == pytest.approx(0.5)
+
+
+def test_sweep_csv_read_with_and_without_solver_counters(tmp_path,
+                                                        artifact_dir):
+    cfg = write_config(tmp_path / "c.json",
+                       output_dir=str(tmp_path / "run"),
+                       gn={"artifact": str(artifact_dir / "gn")},
+                       sweep={"start": 0.5, "count": 3, "ratio": 0.5})
+    code, _ = run_cli("--config", str(cfg), "sweep")
+    assert code == 0
+    path = tmp_path / "run" / "sweep.csv"
+    records = _read_sweep_csv(path)
+    assert all(isinstance(r.iterations, int) and r.iterations > 0
+               for r in records)
+    assert all(isinstance(r.backtracks, int) and isinstance(r.cg_restarts, int)
+               for r in records)
+    # a CSV written before the counter columns existed still reads, and
+    # plotdata still runs on it
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(",".join(line.split(",")[:-3])
+                              for line in lines) + "\n")
+    old = _read_sweep_csv(path)
+    assert [r.h2_dist_to_Q for r in old] == [r.h2_dist_to_Q for r in records]
+    assert all(r.iterations is None and r.backtracks is None
+               and r.cg_restarts is None for r in old)
+    code, text = run_cli("--config", str(cfg), "plotdata")
+    assert code == 0, text
 
 
 def test_same_seed_reproduces_scalars(tmp_path, artifact_dir):

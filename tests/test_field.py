@@ -12,6 +12,7 @@ from biharm import (
     h2_norm_sq,
     l2_norm_sq,
     lq_integral,
+    make_grid,
     read_snapshot,
     recenter,
     reflect,
@@ -106,6 +107,34 @@ def test_dilate_warns_when_under_resolved(gauss1):
 def test_dilate_rejects_nonpositive(gauss1):
     with pytest.raises(ValueError):
         dilate(gauss1, -1.0)
+
+
+def _dense_dilation(u, ell):
+    """Reference dilation: the interpolant summed at every scaled node."""
+    g = u.grid
+    x = g.axes[0]
+    ev = np.exp(1j * np.outer(ell * x + g.half_width, g.wavenumbers[0]))
+    if g.d == 1:
+        vals = (ev @ u.hat).real * (ell**0.5 / g.n)
+    else:
+        vals = (ev @ u.hat @ ev.T).real * (ell / g.n**2)
+    if (ell - 1.0) * g.half_width > 0.5 * g.dx:
+        t = np.clip((np.abs(ell * x) / g.half_width - 0.75) / 0.25, 0.0, 1.0)
+        taper = 1.0 - t**3 * (t * (6.0 * t - 15.0) + 10.0)
+        vals = vals * (taper if g.d == 1 else np.outer(taper, taper))
+    return vals
+
+
+@pytest.mark.filterwarnings("ignore::biharm.ResolutionWarning")
+@pytest.mark.parametrize("d,n,half_width", [(1, 512, 16.0), (1, 2048, 16.0),
+                                            (2, 128, 12.0)])
+def test_dilate_matches_dense_interpolant(d, n, half_width):
+    g = make_grid(d, n, half_width)
+    u = random_smooth_field(g, np.random.default_rng(7))
+    for ell in (0.37, 0.8, 1.3, 2.0, 4.0, 6.0):
+        ref = _dense_dilation(u, ell)
+        err = np.max(np.abs(dilate(u, ell).values - ref))
+        assert err <= 1e-12 * np.max(np.abs(ref)), (ell, err)
 
 
 # -- translation, recentering, reflection ------------------------------------
