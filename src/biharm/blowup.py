@@ -46,11 +46,11 @@ class SweepRecord:
     rescaled profile.  resolved means the concentration scale still spans
     several grid nodes (eps > 4 dx); records with resolved=False are kept --
     their scalars are reported, but nothing quantitative should be trusted at
-    a scale the grid no longer separates.  iterations, backtracks and
-    cg_restarts are the solver's counters for this coupling (None when read
-    back from a CSV written without them).  The minimizer and its rescaled
-    profile ride along for snapshotting and the sequence checks; they are not
-    part of the CSV serialization.
+    a scale the grid no longer separates.  iterations, backtracks,
+    cg_restarts and fft_calls are the solver's counters for this coupling
+    (None when read back from a CSV written without them).  The minimizer
+    and its rescaled profile ride along for snapshotting and the sequence
+    checks; they are not part of the CSV serialization.
     """
 
     a: float
@@ -64,13 +64,14 @@ class SweepRecord:
     iterations: int | None = None
     backtracks: int | None = None
     cg_restarts: int | None = None
+    fft_calls: int | None = None
     minimizer: Field | None = None
     rescaled: Field | None = None
 
 
 _CSV_COLUMNS = ("a", "energy", "kinetic", "eps", "center", "h2_dist_to_Q",
                 "status", "resolved", "iterations", "backtracks",
-                "cg_restarts")
+                "cg_restarts", "fft_calls")
 _NEWTON_MAX_STEPS = 20
 
 
@@ -160,6 +161,7 @@ def sweep(g: Grid, V, schedule, cfg: SolveConfig, gn: GNResult) -> list:
             iterations=result.iterations,
             backtracks=result.backtracks,
             cg_restarts=result.cg_restarts,
+            fft_calls=result.fft_calls,
             minimizer=u,
             rescaled=w,
         )
@@ -241,7 +243,7 @@ def save_sweep(records, run_dir) -> Path:
                 repr(rec.a), repr(rec.energy), repr(rec.kinetic),
                 repr(rec.eps), ";".join(repr(c) for c in rec.center),
                 repr(rec.h2_dist_to_Q), rec.status, rec.resolved,
-                rec.iterations, rec.backtracks, rec.cg_restarts,
+                rec.iterations, rec.backtracks, rec.cg_restarts, rec.fft_calls,
             ])
     for i, rec in enumerate(records):
         if rec.minimizer is not None:

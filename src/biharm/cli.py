@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import re
 import sys
 from pathlib import Path
@@ -48,11 +49,16 @@ class ConfigError(ValueError):
 # config loading & validation
 
 
+def _is_finite_number(val) -> bool:
+    return (not isinstance(val, bool) and isinstance(val, (int, float))
+            and math.isfinite(val))
+
+
 def _as_int(obj, key, default=None, minimum=None):
     val = obj.get(key, default)
     if val is None:
         raise ConfigError(f"missing integer field {key!r}")
-    if isinstance(val, bool) or not isinstance(val, (int, float)) or int(val) != val:
+    if not _is_finite_number(val) or int(val) != val:
         raise ConfigError(f"field {key!r} must be an integer, got {val!r}")
     val = int(val)
     if minimum is not None and val < minimum:
@@ -64,8 +70,8 @@ def _as_float(obj, key, default=None):
     val = obj.get(key, default)
     if val is None:
         raise ConfigError(f"missing numeric field {key!r}")
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"field {key!r} must be a number, got {val!r}")
+    if not _is_finite_number(val):
+        raise ConfigError(f"field {key!r} must be a finite number, got {val!r}")
     return float(val)
 
 
@@ -100,7 +106,7 @@ def _build_potential(cfg: dict, d: int):
     block = cfg.get("potential", {"family": "zero"})
     try:
         return potential_from_config(block, d)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid potential: {exc}") from exc
 
 
@@ -144,21 +150,27 @@ def _build_solver(cfg: dict) -> SolveConfig:
 def _parse_coupling(spec):
     """A literal number, or 'f*astar' to resolve against the GN artifact.
 
-    Returns (literal_value, astar_factor): exactly one is not None.
+    Returns (literal_value, astar_factor): exactly one is not None.  Either
+    must be finite and nonnegative.
     """
-    if isinstance(spec, bool):
-        raise ConfigError("coupling must be a number or 'f*astar' string")
-    if isinstance(spec, (int, float)):
-        if spec < 0:
-            raise ConfigError("coupling must be nonnegative")
-        return float(spec), None
     if isinstance(spec, str):
         m = _ASTAR_RE.match(spec)
-        if not m:
+        try:
+            literal, factor = None, float(m.group(1)) if m else None
+        except ValueError:  # the pattern admits strings such as "1.2.3"
+            factor = None
+        if factor is None:
             raise ConfigError(f"cannot parse coupling {spec!r}; "
                               "use a number or 'f*astar'")
-        return None, float(m.group(1))
-    raise ConfigError("coupling must be a number or 'f*astar' string")
+    elif _is_finite_number(spec):
+        literal, factor = float(spec), None
+    else:
+        raise ConfigError("coupling must be a finite number or 'f*astar' "
+                          f"string, got {spec!r}")
+    if not 0.0 <= (literal if factor is None else factor) < math.inf:
+        raise ConfigError(f"coupling must be finite and nonnegative, "
+                          f"got {spec!r}")
+    return literal, factor
 
 
 class RunConfig:
@@ -221,8 +233,7 @@ class RunConfig:
             self.check_energy_gap_tol = checks.get("energy_gap_tol")
             for key, val in (("h2_final", self.check_h2_final),
                              ("energy_gap_tol", self.check_energy_gap_tol)):
-                if val is not None and (isinstance(val, bool)
-                                        or not isinstance(val, (int, float))
+                if val is not None and (not _is_finite_number(val)
                                         or val <= 0):
                     raise ConfigError(f"sweep.checks.{key} must be a positive "
                                       "number or null")
@@ -329,6 +340,7 @@ def cmd_solve(cfg: RunConfig, out=sys.stdout) -> int:
         "iterations": result.iterations,
         "backtracks": result.backtracks,
         "cg_restarts": result.cg_restarts,
+        "fft_calls": result.fft_calls,
         "init": result.init_label,
     }
     report = cfg.output_dir / "solve.json"
@@ -340,6 +352,7 @@ def cmd_solve(cfg: RunConfig, out=sys.stdout) -> int:
           f"after {result.iterations} iterations", file=out)
     print(f"line search: {result.backtracks} backtracks, "
           f"{result.cg_restarts} CG restarts", file=out)
+    print(f"fft_calls = {result.fft_calls}", file=out)
     _write_manifest(cfg, [snap, log, report])
     if result.status is SolveStatus.DIVERGED_BELOW_FLOOR:
         print("energy fell below the floor: no minimizer exists at this "
@@ -413,7 +426,7 @@ def cmd_sweep(cfg: RunConfig, out=sys.stdout) -> int:
     return EXIT_OK
 
 
-_SWEEP_COUNTERS = ("iterations", "backtracks", "cg_restarts")
+_SWEEP_COUNTERS = ("iterations", "backtracks", "cg_restarts", "fft_calls")
 
 
 def _read_sweep_csv(path) -> list:

@@ -11,6 +11,12 @@ with q = 2(1 + 4/d) the mass-critical power of the fourth-order problem.
 The nonlinear term is the plain pointwise quadrature, and the gradient below
 is its exact discrete gradient — the pair is what makes finite-difference
 consistency and monotone line searches hold to rounding.
+
+The Field-level functions (energy, constrained_gradient, ...) are the
+reference evaluations.  The solver's inner loop uses the array-level
+spectral_energy_and_gradient and spectral_energy_difference instead, on the
+nodal values and real transform it carries; energy_difference is the
+Field-level wrapper of the latter.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import Field, bilap_apply, bilap_energy, l2_norm_sq, lq_integral
-from .grid import quadrature
+from .grid import Grid, quadrature
 from .potentials import sample
 
 
@@ -55,9 +61,26 @@ def energy_difference(u: Field, delta: np.ndarray, V, a: float,
                       mu: float = 0.0) -> float:
     """E(v) - E(u) - mu * (mass(v) - mass(u)) for v = u + delta, from delta.
 
-    delta must be the exact difference v - u of two nearby states (a floating
-    point subtraction of values within a factor two of each other is exact),
-    and every term is a sum of delta-weighted products:
+    The Field-level form of spectral_energy_difference: it transforms u and
+    delta and hands both states to that kernel.
+    """
+    g = u.grid
+    x = u.values
+    return spectral_energy_difference(g, x, g.rforward(x), delta,
+                                      g.rforward(delta), sample(V, g).values,
+                                      a, mu)
+
+
+def spectral_energy_difference(g: Grid, x: np.ndarray, X: np.ndarray,
+                               delta: np.ndarray, dhat: np.ndarray,
+                               vvals: np.ndarray, a: float, mu: float) -> float:
+    """E(v) - E(u) - mu * (mass(v) - mass(u)) for the state u with values x
+    and real transform X = g.rforward(x), and v = u + delta.
+
+    dhat is the real transform of delta (in the solver, the same linear
+    combination of X and the direction's transform that delta is of x and
+    the direction, so no FFT is needed), and v has the values x + delta and
+    the transform X + dhat.  Every term is a sum of delta-weighted products:
 
         kinetic     sum |k|^4 Re(conj(delta_hat) (delta_hat + 2 u_hat))
         potential   sum V delta (v + u)
@@ -69,19 +92,60 @@ def energy_difference(u: Field, delta: np.ndarray, V, a: float,
     mu subtracts the mass change, which for the multiplier of u removes the
     first-order effect of renormalization roundoff.
     """
-    g = u.grid
     q = critical_power(g.d)
-    x = u.values
-    v = x + delta
-    uu, vv = x * x, v * v
-    poly, upow = np.ones_like(x), np.ones_like(x)
-    for _ in range(q // 2 - 1):
-        upow = upow * uu
-        poly = poly * vv + upow
-    dhat = g.forward(delta)
-    kin = np.sum(g.k_quad * np.real(np.conj(dhat) * (dhat + 2.0 * u.hat)))
-    rest = np.sum(delta * (v + x) * (sample(V, g).values - a * poly - mu))
+    # in-place arithmetic keeps the number of temporary arrays small
+    vv = x + delta
+    s = vv + x
+    s *= delta  # delta (v + u)
+    vv *= vv
+    uu = x * x
+    poly = vv + uu
+    upow = uu.copy()
+    for _ in range(q // 2 - 2):
+        poly *= vv
+        upow *= uu
+        poly += upow
+    khat = X + X
+    khat += dhat
+    khat *= g.rk_quad_parseval  # |k|^4 (delta_hat + 2 u_hat), Parseval-weighted
+    kin = np.vdot(dhat, khat).real
+    rest = np.vdot(s, vvals) - a * np.vdot(s, poly) - mu * np.sum(s)
     return float(g.dx**g.d * (kin / g.n**g.d + rest))
+
+
+def spectral_energy_and_gradient(g: Grid, x: np.ndarray, X: np.ndarray,
+                                 vvals: np.ndarray, a: float):
+    """Breakdown, projected gradient and its L2 norm from one inverse
+    transform.
+
+    x are the nodal values of the state and X = g.rforward(x) its real
+    transform (carried alongside x by the solver rather than recomputed);
+    vvals is the sampled potential.  Returns (EnergyBreakdown, G, |G|) with
+    G the gradient of energy() projected as constrained_gradient projects
+    it.  The kinetic term is the Parseval sum over X, the rest are nodal
+    quadratures, and the only transform is g.rinverse(|k|^4 X).
+    """
+    q = critical_power(g.d)
+    w = g.dx**g.d
+    xq1 = x * x
+    mass = np.sum(xq1)
+    xq1 *= xq1
+    if q == 10:
+        xq1 *= xq1
+    xq1 *= x  # x^(q-1) by multiplication: x^5 in 2D, x^9 in 1D
+    vx = vvals * x
+    kin = w / g.n**g.d * np.vdot(X, g.rk_quad_parseval * X).real
+    pot = w * np.vdot(vx, x)
+    non = w * np.vdot(xq1, x)
+    grad = g.rinverse(g.rk_quad * X)
+    grad += vx
+    grad *= 2.0
+    xq1 *= a * q
+    grad -= xq1  # the raw gradient
+    grad -= (np.vdot(grad, x) / mass) * x
+    bd = EnergyBreakdown(float(kin), float(pot), float(non),
+                         float(kin + pot - a * non), float(a), q)
+    return bd, grad, float(np.sqrt(w * np.vdot(grad, grad)))
 
 
 def scaled_energy_identity_check(u: Field, a: float, ell: float,

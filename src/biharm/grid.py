@@ -6,7 +6,9 @@ Wavenumbers follow the standard FFT index ordering j in {0, 1, ..., n/2-1,
 -n/2, ..., -1} with k_j = pi*j/half_width, which is what the unnormalized
 numpy transforms expect.  Quadrature is the periodic trapezoid rule
 dx^d * sum(samples): exact for trigonometric polynomials below Nyquist and
-spectrally accurate for smooth decaying data.
+spectrally accurate for smooth decaying data.  Real fields also have a real
+transform onto the half spectrum (the last axis cut to n/2 + 1 columns),
+which the solver's inner loop uses at about half the cost of the complex one.
 """
 
 from __future__ import annotations
@@ -35,6 +37,12 @@ class Grid:
         k_sq: |k|^2 on the full d-dimensional spectral grid.
         k_quad: |k|^4 on the full d-dimensional spectral grid (the fourth-order
             symbol used by every bilaplacian evaluation).
+        rk_quad: |k|^4 on the half spectrum of rforward.
+        rk_quad_parseval: rk_quad times each half-spectrum coefficient's
+            multiplicity in the full spectrum (2 where rforward drops the
+            conjugate mirror, 1 on the zero and Nyquist columns), so
+            sum(rk_quad_parseval * |rforward(u)|^2) is the full-spectrum
+            sum of |k|^4 |fftn(u)|^2.
     """
 
     d: int
@@ -45,6 +53,8 @@ class Grid:
     wavenumbers: tuple = field(repr=False)
     k_sq: np.ndarray = field(repr=False)
     k_quad: np.ndarray = field(repr=False)
+    rk_quad: np.ndarray = field(repr=False)
+    rk_quad_parseval: np.ndarray = field(repr=False)
 
     @property
     def shape(self) -> tuple:
@@ -62,6 +72,18 @@ class Grid:
     def inverse(self, coeffs: np.ndarray) -> np.ndarray:
         """Inverse spectral transform back to real nodal values."""
         return np.fft.ifftn(coeffs).real
+
+    def rforward(self, values: np.ndarray) -> np.ndarray:
+        """Real forward transform onto the half spectrum (unnormalized)."""
+        if self.d == 1:
+            return np.fft.rfft(values, axis=0)
+        return np.fft.rfftn(values, axes=(0, 1))
+
+    def rinverse(self, coeffs: np.ndarray) -> np.ndarray:
+        """Inverse of rforward, back to real nodal values."""
+        if self.d == 1:
+            return np.fft.irfft(coeffs, n=self.n, axis=0)
+        return np.fft.irfftn(coeffs, s=self.shape, axes=(0, 1))
 
     def meshes(self) -> tuple:
         """Nodal coordinate arrays broadcast to the full grid shape."""
@@ -85,14 +107,19 @@ def make_grid(d: int, n: int, half_width: float) -> Grid:
 
     Raises:
         ValueError: on d outside {1, 2}, non-power-of-two or too-small n,
-            or nonpositive half_width.
+            or a half_width that is not positive or whose spacing is not
+            finite.
     """
     if d not in (1, 2):
         raise ValueError(f"dimension must be 1 or 2, got {d}")
     if not isinstance(n, (int, np.integer)) or n < 8 or not _is_power_of_two(int(n)):
         raise ValueError(f"n must be a power of two >= 8, got {n}")
-    if not half_width > 0:
-        raise ValueError(f"half_width must be positive, got {half_width}")
+    if not 0 < half_width < np.inf:
+        raise ValueError(
+            f"half_width must be positive and finite, got {half_width}")
+    if not np.isfinite(2.0 * half_width / n):
+        raise ValueError(
+            f"half_width {half_width} overflows the node spacing 2*half_width/n")
 
     return _shared_grid(int(d), int(n), float(half_width))
 
@@ -110,10 +137,16 @@ def _shared_grid(d: int, n: int, half_width: float) -> Grid:
     else:
         k_sq = k[:, None] ** 2 + k[None, :] ** 2
     k_quad = k_sq**2
-    for arr in (*axes, *tables, k_sq, k_quad):
+    half = n // 2 + 1
+    rk_quad = k_quad[..., :half].copy()  # |k| is even in every index
+    multiplicity = np.full(half, 2.0)
+    multiplicity[[0, -1]] = 1.0
+    rk_quad_parseval = rk_quad * multiplicity
+    for arr in (*axes, *tables, k_sq, k_quad, rk_quad, rk_quad_parseval):
         arr.setflags(write=False)
     return Grid(d=d, n=n, half_width=half_width, dx=dx, axes=axes,
-                wavenumbers=tables, k_sq=k_sq, k_quad=k_quad)
+                wavenumbers=tables, k_sq=k_sq, k_quad=k_quad, rk_quad=rk_quad,
+                rk_quad_parseval=rk_quad_parseval)
 
 
 def quadrature(g: Grid, samples: np.ndarray) -> float:

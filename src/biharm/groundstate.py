@@ -3,24 +3,32 @@
 solve runs Polak-Ribiere+ conjugate gradient on the sphere of unit-mass
 states, preconditioned by sigma / (sigma + |k|^4) with sigma = max(1, kinetic
 energy) so the conditioning does not degrade as minimizers concentrate.  Its
-Armijo line search tests energy_difference, an energy change assembled from
-the step itself, whose rounding scales with the step rather than with the
-energy; that keeps sufficient decrease decidable down to the gradient
-tolerance, with no roundoff slack, residual gate or stall retry.
+Armijo line search tests spectral_energy_difference, an energy change
+assembled from the step itself, whose rounding scales with the step rather
+than with the energy; that keeps sufficient decrease decidable down to the
+gradient tolerance, with no roundoff slack, residual gate or stall retry.
+
+The loop works on a spectral state: plain arrays of the nodal values x and
+their real transform X, with the search direction carried in both spaces
+too.  A trial state is a linear combination of x and the direction, so its
+transform is the same combination of X and the direction's transform, and
+line-search trials need no FFT.  One iteration costs three real transforms:
+the inverse in the fused energy-and-gradient evaluation, and the forward and
+inverse of the preconditioner.  Fields are built only on entry and return.
 """
 
 from __future__ import annotations
 
 import csv
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import (EnergyBreakdown, chemical_potential, constrained_gradient,
-                     critical_power, energy, energy_difference)
-from .field import (Field, dilate, l2_norm_sq, read_snapshot, renormalize_mass,
-                    translate)
+from .energy import (EnergyBreakdown, critical_power, energy,
+                     spectral_energy_and_gradient, spectral_energy_difference)
+from .field import Field, dilate, read_snapshot, renormalize_mass, translate
 from .grid import Grid
 from .potentials import classify, sample
 
@@ -93,6 +101,7 @@ class SolveResult:
     init_label: str
     backtracks: int  # line-search shrinks
     cg_restarts: int  # resets of the conjugate direction to -P G
+    fft_calls: int  # real transforms the solver ran, entry evaluation included
 
 
 def potential_argmin(V, g: Grid) -> np.ndarray:
@@ -124,37 +133,36 @@ def initial_field(g: Grid, V, spec: InitSpec, profile: Field | None = None) -> F
     return renormalize_mass(v)
 
 
-def _precondition(g: Grid, grad: Field, kinetic: float) -> np.ndarray:
-    """sigma / (sigma + |k|^4) applied to grad, with sigma = max(1, kinetic).
+def _armijo(g: Grid, x, X, d, D, slope: float, mass_defect: float,
+            step: float, vvals, a: float, mu: float, cfg: SolveConfig):
+    """Backtrack from step until the unit-mass trial c (x + t d) passes
+    Armijo on spectral_energy_difference with multiplier mu.
 
-    The Hessian's low modes scale with the kinetic energy of the state, so a
-    fixed shift would lose a factor of kinetic in conditioning as the state
-    concentrates; tying sigma to it keeps the spectrum of the preconditioned
-    Hessian of order sigma at every wavenumber.
+    c = (1 + s)^(-1/2), where s = mass(x + t d) - 1 follows from
+    mass_defect = mass(x) - 1 and the inner products of x and d, and c - 1 is
+    formed as expm1(-log1p(s) / 2) so it keeps its relative precision for
+    small steps.  The step delta = (c - 1) x + c t d and its transform, the
+    same combination of X and D, cost no FFT.  Returns (delta, delta
+    transform, step taken, shrinks); delta is None when the direction does
+    not descend or the step falls below 1e-18 * cfg.step0.
     """
-    sigma = max(1.0, kinetic)
-    return g.inverse(sigma / (sigma + g.k_quad) * grad.hat)
-
-
-def _armijo(u: Field, direction: np.ndarray, slope: float, step: float, V,
-            a: float, mu: float, cfg: SolveConfig):
-    """Backtrack from step until the unit-mass trial along direction passes
-    Armijo on energy_difference with multiplier mu.
-
-    Returns (trial values, step taken, shrinks); the trial is None when the
-    direction does not descend or the step falls below 1e-18 * cfg.step0.
-    """
-    x = u.values
-    w = u.grid.dx**u.grid.d
+    w = g.dx**g.d
+    xd2 = 2.0 * w * float(np.vdot(x, d))
+    dd = w * float(np.vdot(d, d))
     t, shrinks = step, 0
     while slope < 0.0 and t > 1e-18 * cfg.step0:
-        trial = x + t * direction
-        trial *= np.sqrt(1.0 / (w * np.sum(trial * trial)))
-        if energy_difference(u, trial - x, V, a, mu) <= _ARMIJO * t * slope:
-            return trial, t, shrinks
+        cm1 = math.expm1(-0.5 * math.log1p(mass_defect + t * (xd2 + t * dd)))
+        ct = (1.0 + cm1) * t
+        delta = cm1 * x
+        delta += ct * d
+        dhat = cm1 * X
+        dhat += ct * D
+        if (spectral_energy_difference(g, x, X, delta, dhat, vvals, a, mu)
+                <= _ARMIJO * t * slope):
+            return delta, dhat, t, shrinks
         t *= cfg.shrink
         shrinks += 1
-    return None, t, shrinks
+    return None, None, t, shrinks
 
 
 def solve(g: Grid, V, a: float, cfg: SolveConfig = SolveConfig(),
@@ -168,21 +176,31 @@ def solve(g: Grid, V, a: float, cfg: SolveConfig = SolveConfig(),
     cfg.precondition is set (the identity otherwise).  Trial states are
     u + t d renormalized to unit mass, and Armijo backtracking (start at the
     last accepted step times cfg.grow, shrink by cfg.shrink) tests the exact
-    energy difference of energy_difference, less the multiplier times the mass
-    roundoff, so the test stays decisive down to the gradient tolerance.  The
-    method restarts from -P G when the conjugate direction is not a descent
-    direction or its line search fails.  Termination is data, not an
-    exception: Converged when the projected-gradient L2 norm falls below
-    cfg.tol_grad, DivergedBelowFloor when the energy passes cfg.energy_floor
-    (the finite witness for the unbounded-below regime), MaxIters after
-    cfg.max_iters steps or when no step along -P G lowers the energy.
+    energy difference of spectral_energy_difference, less the multiplier
+    times the mass roundoff, so the test stays decisive down to the gradient
+    tolerance.  The method restarts from -P G when the conjugate direction is
+    not a descent direction or its line search fails.  Termination is data,
+    not an exception: Converged when the projected-gradient L2 norm falls
+    below cfg.tol_grad, DivergedBelowFloor when the energy passes
+    cfg.energy_floor (the finite witness for the unbounded-below regime),
+    MaxIters after cfg.max_iters steps or when no step along -P G lowers the
+    energy.
+
+    The iterate is the spectral state (x, X = real transform of x): the
+    direction is carried as the pair (d, D) of one linear combination taken
+    in both spaces, an accepted step adds delta to x and its transform to X,
+    and each iteration runs three real transforms (two without
+    preconditioning), counted in SolveResult.fft_calls.  The breakdown, the
+    gradient residual and the multiplier mu = kinetic + potential
+    - (a q / 2) nonlinear of the result are those of the final spectral
+    state.
 
     start, when given, overrides cfg.init: descent begins from the mass
     renormalization of that field (sweeps warm-start successive couplings
     from the previous minimizer this way).
     """
-    if a < 0:
-        raise ValueError("coupling must be nonnegative")
+    if not 0.0 <= a < math.inf:
+        raise ValueError(f"coupling must be finite and nonnegative, got {a}")
     if classify(V, g.d) == "neither":
         raise ValueError("potential is neither confining nor a relatively bounded well")
 
@@ -194,9 +212,15 @@ def solve(g: Grid, V, a: float, cfg: SolveConfig = SolveConfig(),
         u = initial_field(g, V, cfg.init, profile)
     q = critical_power(g.d)
     w = g.dx**g.d
+    vvals = sample(V, g).values
 
     def inner(x, y):
-        return w * float(np.sum(x * y))
+        return w * float(np.vdot(x, y))
+
+    def multiplier(bd):
+        # the multiplier of a unit-mass state, half the coefficient that
+        # projects the raw gradient onto the tangent space
+        return bd.kinetic + bd.potential - 0.5 * a * q * bd.nonlinear
 
     def status_of(bd, res):
         if bd.total < cfg.energy_floor:
@@ -205,56 +229,78 @@ def solve(g: Grid, V, a: float, cfg: SolveConfig = SolveConfig(),
             return SolveStatus.CONVERGED
         return None
 
-    bd = energy(u, V, a)
-    grad = constrained_gradient(u, V, a)
-    res = float(np.sqrt(l2_norm_sq(grad)))
+    x = u.values.copy()
+    X = g.rforward(x)
+    bd, grad, res = spectral_energy_and_gradient(g, x, X, vvals, a)
+    fft_calls = 2
     history = [(0, bd.total, res, 0.0)]
     status = status_of(bd, res)
 
     step = cfg.step0
     it = backtracks = cg_restarts = 0
-    prev = None  # (direction, P G, <G, P G>) of the last accepted step
+    prev = None  # (d, D, P G, <G, P G>) of the last accepted step
     while status is None and it < cfg.max_iters:
-        x = u.values
-        pg = _precondition(g, grad, bd.kinetic) if cfg.precondition else grad.values
-        gpg = inner(grad.values, pg)
-        candidates = [-pg + inner(pg, x) * x]
+        ghat = g.rforward(grad)
+        if cfg.precondition:
+            # sigma tied to the kinetic energy: the Hessian's low modes scale
+            # with it, so a fixed shift would lose a factor of kinetic in
+            # conditioning as the state concentrates
+            sigma = max(1.0, bd.kinetic)
+            PG = sigma / (sigma + g.rk_quad) * ghat
+            pg = g.rinverse(PG)
+            fft_calls += 2
+        else:
+            PG, pg = ghat, grad
+            fft_calls += 1
+        gpg = inner(grad, pg)
+        pgx = inner(pg, x)
+        # candidate directions beta d_prev - P G - c x, with c projecting
+        # onto the tangent space at x: the conjugate one first, if any, then
+        # the reset to -P G
+        candidates = [(0.0, -pgx)]
         if prev is not None:
-            beta = max(0.0, (gpg - inner(grad.values, prev[1])) / prev[2])
+            beta = max(0.0, (gpg - inner(grad, prev[2])) / prev[3])
             if beta > 0.0:
-                cg = beta * prev[0] - pg
-                candidates.insert(0, cg - inner(cg, x) * x)
-        # the multiplier of u, half the coefficient that projects the raw
-        # gradient onto the tangent space, read off the breakdown in hand
-        mu = bd.kinetic + bd.potential - 0.5 * a * q * bd.nonlinear
-        for k, direction in enumerate(candidates):
+                candidates.insert(0, (beta, beta * inner(prev[0], x) - pgx))
+        mu = multiplier(bd)
+        mass_defect = inner(x, x) - 1.0
+        for k, (beta, c) in enumerate(candidates):
             cg_restarts += k  # the second candidate is the reset to -P G
-            trial, t, shrinks = _armijo(u, direction, inner(grad.values, direction),
-                                        step, V, a, mu, cfg)
+            d = -c * x
+            d -= pg
+            D = -c * X
+            D -= PG
+            if beta:
+                d += beta * prev[0]
+                D += beta * prev[1]
+            delta, dhat, t, shrinks = _armijo(g, x, X, d, D, inner(grad, d),
+                                              mass_defect, step, vvals, a, mu,
+                                              cfg)
             backtracks += shrinks
-            if trial is not None:
+            if delta is not None:
                 break
         else:
             status = SolveStatus.MAX_ITERS
             break
         it += 1
-        u = Field(g, trial)
-        bd = energy(u, V, a)
-        grad = constrained_gradient(u, V, a)
-        res = float(np.sqrt(l2_norm_sq(grad)))
+        x += delta
+        X += dhat
+        bd, grad, res = spectral_energy_and_gradient(g, x, X, vvals, a)
+        fft_calls += 1
         history.append((it, bd.total, res, t))
-        prev = (direction, pg, gpg)
+        prev = (d, D, pg, gpg)
         step = t * cfg.grow
         status = status_of(bd, res)
     if status is None:
         status = SolveStatus.MAX_ITERS
 
-    return SolveResult(minimizer=u, breakdown=bd,
-                       mu=chemical_potential(u, V, a),
+    return SolveResult(minimizer=Field(g, x), breakdown=bd,
+                       mu=multiplier(bd),
                        grad_residual=res, iterations=it, status=status,
                        history=tuple(history),
                        init_label="warm" if start is not None else cfg.init.kind,
-                       backtracks=backtracks, cg_restarts=cg_restarts)
+                       backtracks=backtracks, cg_restarts=cg_restarts,
+                       fft_calls=fft_calls)
 
 
 def write_iteration_log(result: SolveResult, path) -> None:

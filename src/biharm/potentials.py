@@ -355,7 +355,7 @@ def potential_from_config(obj, d: int):
         return Zero()
     if fam == "harmonic":
         _require_keys(obj, {"strength"})
-        return Harmonic(strength=float(obj.get("strength", 1.0)))
+        return Harmonic(strength=_number(obj.get("strength", 1.0), "strength"))
     if fam == "gaussian_well":
         _require_keys(obj, {"depth", "width", "center"})
         center = obj.get("center", [0.0] * d)
@@ -363,13 +363,14 @@ def potential_from_config(obj, d: int):
             center = [center]
         if len(center) != d:
             raise ValueError(f"well center must have {d} components")
-        return GaussianWell(depth=float(obj.get("depth", 1.0)),
-                            width=float(obj.get("width", 1.0)),
-                            center=tuple(float(c) for c in center))
+        return GaussianWell(depth=_number(obj.get("depth", 1.0), "depth"),
+                            width=_number(obj.get("width", 1.0), "width"),
+                            center=tuple(_number(c, "well center component")
+                                         for c in center))
     if fam == "power_well":
         _require_keys(obj, {"depth", "exponent"})
-        return PowerWell(depth=float(obj.get("depth", 1.0)),
-                         exponent=float(obj.get("exponent", 0.5)))
+        return PowerWell(depth=_number(obj.get("depth", 1.0), "depth"),
+                         exponent=_number(obj.get("exponent", 0.5), "exponent"))
     if fam == "sum":
         _require_keys(obj, {"parts"})
         parts = obj.get("parts")
@@ -377,6 +378,14 @@ def potential_from_config(obj, d: int):
             raise ValueError("sum potential needs a non-empty parts list")
         return Sum(tuple(potential_from_config(p, d) for p in parts))
     raise ValueError(f"unknown potential family: {fam!r}")
+
+
+def _number(value, name: str) -> float:
+    """A finite JSON number (bools, strings and NaN/inf are rejected)."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not np.isfinite(value)):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def _require_keys(obj, allowed):

@@ -123,10 +123,12 @@ def test_solve_reports_line_search_counters(tmp_path):
     code, text = run_cli("--config", str(cfg), "solve")
     assert code == 0
     report = json.loads((tmp_path / "run" / "solve.json").read_text())
-    for key in ("backtracks", "cg_restarts"):
+    for key in ("backtracks", "cg_restarts", "fft_calls"):
         assert isinstance(report[key], int) and report[key] >= 0
     assert (f"{report['backtracks']} backtracks, "
             f"{report['cg_restarts']} CG restarts") in text
+    assert f"fft_calls = {report['fft_calls']}" in text
+    assert 0 < report["fft_calls"] <= 3 * report["iterations"] + 8
 
 
 def test_repeated_solves_share_one_sampled_potential(tmp_path):
@@ -291,18 +293,23 @@ def test_sweep_csv_read_with_and_without_solver_counters(tmp_path,
     assert all(isinstance(r.iterations, int) and r.iterations > 0
                for r in records)
     assert all(isinstance(r.backtracks, int) and isinstance(r.cg_restarts, int)
+               and isinstance(r.fft_calls, int) and r.fft_calls > 0
                for r in records)
-    # a CSV written before the counter columns existed still reads, and
-    # plotdata still runs on it
+    # CSVs written before the fft_calls column, and before any counter
+    # column, still read, and plotdata still runs on them
     lines = path.read_text().splitlines()
-    path.write_text("\n".join(",".join(line.split(",")[:-3])
-                              for line in lines) + "\n")
-    old = _read_sweep_csv(path)
-    assert [r.h2_dist_to_Q for r in old] == [r.h2_dist_to_Q for r in records]
-    assert all(r.iterations is None and r.backtracks is None
-               and r.cg_restarts is None for r in old)
-    code, text = run_cli("--config", str(cfg), "plotdata")
-    assert code == 0, text
+    for dropped, kept in ((1, ("iterations", "backtracks", "cg_restarts")),
+                          (4, ())):
+        path.write_text("\n".join(",".join(line.split(",")[:-dropped])
+                                  for line in lines) + "\n")
+        old = _read_sweep_csv(path)
+        assert ([r.h2_dist_to_Q for r in old]
+                == [r.h2_dist_to_Q for r in records])
+        for key in ("iterations", "backtracks", "cg_restarts", "fft_calls"):
+            assert [getattr(r, key) for r in old] == [
+                getattr(r, key) if key in kept else None for r in records]
+        code, text = run_cli("--config", str(cfg), "plotdata")
+        assert code == 0, text
 
 
 def test_same_seed_reproduces_scalars(tmp_path, artifact_dir):
@@ -333,3 +340,21 @@ def test_unknown_subcommand_is_config_error(tmp_path):
     cfg = write_config(tmp_path / "c.json")
     code = main(["--config", str(cfg), "frobnicate"], out=io.StringIO())
     assert code == 2
+
+
+@pytest.mark.parametrize("overrides", [
+    *({"solve": {"a": a}} for a in (float("nan"), float("inf"), float("-inf"),
+                                    "1e999*astar", "-0.5*astar",
+                                    "1.2.3*astar")),
+    {"potential": {"family": "gaussian_well", "center": None}},
+    {"grid": {"d": 1, "n": 256, "half_width": 1e308}}])
+def test_bad_coupling_center_or_box_is_config_error(tmp_path, overrides):
+    # what the README-config property test does not reach: the solve
+    # coupling, a null well centre, and a finite half_width whose node
+    # spacing overflows
+    cfg = write_config(tmp_path / "c.json", output_dir=str(tmp_path / "run"),
+                       **{"solve": {"a": 4.0}, **overrides})
+    code, text = run_cli("--config", str(cfg), "solve")
+    assert code == 2
+    assert text.startswith("config error: ")
+    assert not (tmp_path / "run").exists()

@@ -55,8 +55,11 @@ def test_transform_round_trip(g1, rng):
     assert_allclose(g1.inverse(g1.forward(u)), u, rtol=0, atol=1e-12)
 
 
+# 1e308 is finite, but its node spacing 2 * 1e308 / 64 overflows
 @pytest.mark.parametrize("d,n,hw", [(3, 64, 8.0), (1, 100, 8.0),
-                                    (1, 4, 8.0), (1, 64, 0.0)])
+                                    (1, 4, 8.0), (1, 64, 0.0),
+                                    (1, 64, np.nan), (1, 64, np.inf),
+                                    (1, 64, -np.inf), (1, 64, 1e308)])
 def test_make_grid_rejects_bad_config(d, n, hw):
     with pytest.raises(ValueError):
         make_grid(d, n, hw)
@@ -65,3 +68,19 @@ def test_make_grid_rejects_bad_config(d, n, hw):
 def test_arrays_read_only(g1):
     with pytest.raises(ValueError):
         g1.k_sq[0] = 1.0
+
+
+@pytest.mark.parametrize("shape", [(512,), (64, 64)])
+def test_real_transform_matches_complex_half_spectrum(shape, g1, g2_small, rng):
+    g = g1 if len(shape) == 1 else g2_small
+    u = rng.standard_normal(g.shape)
+    full = np.fft.fftn(u)
+    half = g.rforward(u)
+    assert half.shape == shape[:-1] + (shape[-1] // 2 + 1,)
+    assert_allclose(half, full[..., :shape[-1] // 2 + 1], rtol=0,
+                    atol=1e-12 * np.abs(full).max())
+    assert_allclose(g.rinverse(half), u, rtol=0, atol=1e-12)
+    assert_allclose(g.rk_quad, g.k_quad[..., :shape[-1] // 2 + 1])
+    # the multiplicity-weighted half sum is the full-spectrum Parseval sum
+    assert_allclose(np.sum(g.rk_quad_parseval * np.abs(half) ** 2),
+                    np.sum(g.k_quad * np.abs(full) ** 2), rtol=1e-12)

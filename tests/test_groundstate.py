@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh
 
-from biharm.energy import energy
+from biharm.energy import constrained_gradient, energy
 from biharm.field import (Field, l2_norm_sq, renormalize_mass,
                           write_snapshot)
 from biharm.grid import make_grid, quadrature
@@ -193,6 +193,9 @@ def test_solve_rejects_bad_problems():
     g = make_grid(1, 32, 8.0)
     with pytest.raises(ValueError, match="nonnegative"):
         solve(g, Zero(), -1.0)
+    for a in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            solve(g, Zero(), a)
     with pytest.raises(ValueError, match="neither"):
         solve(g, PowerWell(depth=1.0, exponent=2.0), 1.0)
 
@@ -228,3 +231,65 @@ def test_solve_2d_smoke():
     assert res.status is SolveStatus.CONVERGED
     assert abs(l2_norm_sq(res.minimizer) - 1.0) < 1e-12
     assert res.breakdown.total > 0.0
+
+
+_TRANSFORMS = ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft", "rfftn",
+               "irfftn", "fft2", "ifft2", "rfft2", "irfft2")
+
+
+def _count_transforms(monkeypatch):
+    calls = []
+    for name in _TRANSFORMS:
+        fn = getattr(np.fft, name)
+
+        def counted(*args, _fn=fn, **kwargs):
+            calls.append(_fn.__name__)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
+def _well_2d():
+    # the 2D benchmark problem: a quarter-node offset well, cold start
+    g = make_grid(2, 128, 12.0)
+    return g, GaussianWell(1.0, 1.0, (g.dx / 4.0, -g.dx / 4.0)), 56.0, None
+
+
+def _well_1d():
+    g = make_grid(1, 512, 16.0)
+    return g, GaussianWell(1.0), 14.0, None
+
+
+def _warm_sweep_point():
+    # the second point of a sweep: warm-started from the first minimizer
+    g, V, _, _ = _well_1d()
+    cfg = SolveConfig(tol_grad=1e-6, max_iters=40000, precondition=True)
+    return g, V, 15.0, solve(g, V, 14.0, cfg).minimizer
+
+
+@pytest.mark.parametrize("problem", [_well_1d, _well_2d, _warm_sweep_point])
+def test_spectral_state_matches_field_evaluation(problem, monkeypatch):
+    # the solver carries the values and their real transform side by side;
+    # its reported state must be that of the returned minimizer, and it
+    # must count every transform it runs, at most three per iteration
+    g, V, a, start = problem()
+    cfg = SolveConfig(tol_grad=1e-6, max_iters=40000, precondition=True)
+    calls = _count_transforms(monkeypatch)
+    res = solve(g, V, a, cfg, start=start)
+    monkeypatch.undo()
+    assert res.status is SolveStatus.CONVERGED
+    assert res.fft_calls == len(calls)
+    assert set(calls) <= {"rfft", "irfft", "rfftn", "irfftn"}
+    assert res.fft_calls <= 3 * res.iterations + 8
+
+    ref = energy(res.minimizer, V, a)
+    for key in ("kinetic", "potential", "nonlinear", "total"):
+        assert getattr(res.breakdown, key) == pytest.approx(
+            getattr(ref, key), rel=1e-12, abs=0.0)
+    # transform roundoff amplified by |k|^4 leaves a noise n of about 1e-9
+    # in any evaluation of G, whose norm sits near tol_grad; the norms then
+    # differ by about |n|^2 / (2 |G|^2), measured at 5e-6 relative at most
+    grad = constrained_gradient(res.minimizer, V, a)
+    assert res.grad_residual == pytest.approx(
+        np.sqrt(l2_norm_sq(grad)), rel=1e-4)
