@@ -15,8 +15,9 @@ consistency and monotone line searches hold to rounding.
 The Field-level functions (energy, constrained_gradient, ...) are the
 reference evaluations.  The solver's inner loop uses the array-level
 spectral_energy_and_gradient and spectral_energy_difference instead, on the
-nodal values and real transform it carries; energy_difference is the
-Field-level wrapper of the latter.
+nodal values and real transform it carries and with work arrays it owns
+(SpectralScratch); energy_difference is the Field-level wrapper of the
+latter.
 """
 
 from __future__ import annotations
@@ -71,9 +72,26 @@ def energy_difference(u: Field, delta: np.ndarray, V, a: float,
                                       a, mu)
 
 
+class SpectralScratch:
+    """Work arrays the spectral kernels overwrite: five real arrays of the
+    grid's shape and one complex array of its half spectrum.
+
+    The solver makes one per solve and hands it to every evaluation; a
+    kernel called without one allocates a fresh one.
+    """
+
+    __slots__ = ("real", "half")
+
+    def __init__(self, g: Grid):
+        self.real = tuple(np.empty(g.shape) for _ in range(5))
+        self.half = np.empty(g.rk_quad.shape, dtype=np.complex128)
+
+
 def spectral_energy_difference(g: Grid, x: np.ndarray, X: np.ndarray,
                                delta: np.ndarray, dhat: np.ndarray,
-                               vvals: np.ndarray, a: float, mu: float) -> float:
+                               vvals: np.ndarray, a: float, mu: float,
+                               scratch: SpectralScratch | None = None
+                               ) -> float:
     """E(v) - E(u) - mu * (mass(v) - mass(u)) for the state u with values x
     and real transform X = g.rforward(x), and v = u + delta.
 
@@ -90,22 +108,26 @@ def spectral_energy_difference(g: Grid, x: np.ndarray, X: np.ndarray,
     so the result carries rounding relative to the step, not to the energy,
     and stays exact where subtracting two energy() totals is pure roundoff.
     mu subtracts the mass change, which for the multiplier of u removes the
-    first-order effect of renormalization roundoff.
+    first-order effect of renormalization roundoff.  The work arrays come
+    from scratch, which is overwritten.
     """
     q = critical_power(g.d)
-    # in-place arithmetic keeps the number of temporary arrays small
-    vv = x + delta
-    s = vv + x
+    if scratch is None:
+        scratch = SpectralScratch(g)
+    vv, s, uu, poly, upow = scratch.real
+    khat = scratch.half
+    np.add(x, delta, out=vv)
+    np.add(vv, x, out=s)
     s *= delta  # delta (v + u)
     vv *= vv
-    uu = x * x
-    poly = vv + uu
-    upow = uu.copy()
+    np.multiply(x, x, out=uu)
+    np.add(vv, uu, out=poly)
+    np.copyto(upow, uu)
     for _ in range(q // 2 - 2):
         poly *= vv
         upow *= uu
         poly += upow
-    khat = X + X
+    np.add(X, X, out=khat)
     khat += dhat
     khat *= g.rk_quad_parseval  # |k|^4 (delta_hat + 2 u_hat), Parseval-weighted
     kin = np.vdot(dhat, khat).real
@@ -114,7 +136,9 @@ def spectral_energy_difference(g: Grid, x: np.ndarray, X: np.ndarray,
 
 
 def spectral_energy_and_gradient(g: Grid, x: np.ndarray, X: np.ndarray,
-                                 vvals: np.ndarray, a: float):
+                                 vvals: np.ndarray, a: float,
+                                 out: np.ndarray | None = None,
+                                 scratch: SpectralScratch | None = None):
     """Breakdown, projected gradient and its L2 norm from one inverse
     transform.
 
@@ -122,27 +146,34 @@ def spectral_energy_and_gradient(g: Grid, x: np.ndarray, X: np.ndarray,
     transform (carried alongside x by the solver rather than recomputed);
     vvals is the sampled potential.  Returns (EnergyBreakdown, G, |G|) with
     G the gradient of energy() projected as constrained_gradient projects
-    it.  The kinetic term is the Parseval sum over X, the rest are nodal
-    quadratures, and the only transform is g.rinverse(|k|^4 X).
+    it, written into out when given.  The kinetic term is the Parseval sum
+    over X, the rest are nodal quadratures, and the only transform is
+    g.rinverse(|k|^4 X).  The work arrays come from scratch, which is
+    overwritten.
     """
     q = critical_power(g.d)
     w = g.dx**g.d
-    xq1 = x * x
+    if scratch is None:
+        scratch = SpectralScratch(g)
+    xq1, vx = scratch.real[:2]
+    khat = scratch.half
+    np.multiply(x, x, out=xq1)
     mass = np.sum(xq1)
     xq1 *= xq1
     if q == 10:
         xq1 *= xq1
     xq1 *= x  # x^(q-1) by multiplication: x^5 in 2D, x^9 in 1D
-    vx = vvals * x
-    kin = w / g.n**g.d * np.vdot(X, g.rk_quad_parseval * X).real
+    np.multiply(vvals, x, out=vx)
+    np.multiply(g.rk_quad_parseval, X, out=khat)
+    kin = w / g.n**g.d * np.vdot(X, khat).real
     pot = w * np.vdot(vx, x)
     non = w * np.vdot(xq1, x)
-    grad = g.rinverse(g.rk_quad * X)
+    grad = g.rinverse(np.multiply(g.rk_quad, X, out=khat), out=out)
     grad += vx
     grad *= 2.0
     xq1 *= a * q
     grad -= xq1  # the raw gradient
-    grad -= (np.vdot(grad, x) / mass) * x
+    grad -= np.multiply(x, np.vdot(grad, x) / mass, out=vx)
     bd = EnergyBreakdown(float(kin), float(pot), float(non),
                          float(kin + pot - a * non), float(a), q)
     return bd, grad, float(np.sqrt(w * np.vdot(grad, grad)))

@@ -73,17 +73,21 @@ class Grid:
         """Inverse spectral transform back to real nodal values."""
         return np.fft.ifftn(coeffs).real
 
-    def rforward(self, values: np.ndarray) -> np.ndarray:
-        """Real forward transform onto the half spectrum (unnormalized)."""
+    def rforward(self, values: np.ndarray, out: np.ndarray | None = None
+                 ) -> np.ndarray:
+        """Real forward transform onto the half spectrum (unnormalized),
+        written into out when given."""
         if self.d == 1:
-            return np.fft.rfft(values, axis=0)
-        return np.fft.rfftn(values, axes=(0, 1))
+            return np.fft.rfft(values, axis=0, out=out)
+        return np.fft.rfftn(values, axes=(0, 1), out=out)
 
-    def rinverse(self, coeffs: np.ndarray) -> np.ndarray:
-        """Inverse of rforward, back to real nodal values."""
+    def rinverse(self, coeffs: np.ndarray, out: np.ndarray | None = None
+                 ) -> np.ndarray:
+        """Inverse of rforward, back to real nodal values, written into out
+        when given."""
         if self.d == 1:
-            return np.fft.irfft(coeffs, n=self.n, axis=0)
-        return np.fft.irfftn(coeffs, s=self.shape, axes=(0, 1))
+            return np.fft.irfft(coeffs, n=self.n, axis=0, out=out)
+        return np.fft.irfftn(coeffs, s=self.shape, axes=(0, 1), out=out)
 
     def meshes(self) -> tuple:
         """Nodal coordinate arrays broadcast to the full grid shape."""

@@ -14,7 +14,9 @@ too.  A trial state is a linear combination of x and the direction, so its
 transform is the same combination of X and the direction's transform, and
 line-search trials need no FFT.  One iteration costs three real transforms:
 the inverse in the fused energy-and-gradient evaluation, and the forward and
-inverse of the preconditioner.  Fields are built only on entry and return.
+inverse of the preconditioner.  Fields are built only on entry and return,
+and the arrays the loop writes are allocated once per call and reused, so
+the loop allocates no arrays of its own.
 """
 
 from __future__ import annotations
@@ -26,8 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import (EnergyBreakdown, critical_power, energy,
-                     spectral_energy_and_gradient, spectral_energy_difference)
+from .energy import (EnergyBreakdown, SpectralScratch, critical_power,
+                     energy, spectral_energy_and_gradient,
+                     spectral_energy_difference)
 from .field import Field, dilate, read_snapshot, renormalize_mass, translate
 from .grid import Grid
 from .potentials import classify, sample
@@ -133,8 +136,35 @@ def initial_field(g: Grid, V, spec: InitSpec, profile: Field | None = None) -> F
     return renormalize_mass(v)
 
 
+class _Workspace:
+    """The arrays one solve reuses on every iteration, so its loop allocates
+    none of its own.
+
+    The direction (d, D) and the preconditioned gradient pg come in pairs:
+    the last accepted step's enter the next beta, so each iteration writes
+    the member of the pair the previous one did not.  The line search's
+    trial step lives in delta and dhat, and the kernels' work arrays in
+    scratch, which also holds short-lived products between kernel calls.
+    """
+
+    def __init__(self, g: Grid):
+        def real():
+            return np.empty(g.shape)
+
+        def half():
+            return np.empty(g.rk_quad.shape, dtype=np.complex128)
+
+        self.grad, self.delta = real(), real()
+        self.ghat, self.PG, self.dhat = half(), half(), half()
+        self.symbol = np.empty(g.rk_quad.shape)
+        self.d, self.pg = (real(), real()), (real(), real())
+        self.D = (half(), half())
+        self.scratch = SpectralScratch(g)
+
+
 def _armijo(g: Grid, x, X, d, D, slope: float, mass_defect: float,
-            step: float, vvals, a: float, mu: float, cfg: SolveConfig):
+            step: float, vvals, a: float, mu: float, cfg: SolveConfig,
+            ws: _Workspace):
     """Backtrack from step until the unit-mass trial c (x + t d) passes
     Armijo on spectral_energy_difference with multiplier mu.
 
@@ -142,22 +172,26 @@ def _armijo(g: Grid, x, X, d, D, slope: float, mass_defect: float,
     mass_defect = mass(x) - 1 and the inner products of x and d, and c - 1 is
     formed as expm1(-log1p(s) / 2) so it keeps its relative precision for
     small steps.  The step delta = (c - 1) x + c t d and its transform, the
-    same combination of X and D, cost no FFT.  Returns (delta, delta
-    transform, step taken, shrinks); delta is None when the direction does
-    not descend or the step falls below 1e-18 * cfg.step0.
+    same combination of X and D, cost no FFT and are written into ws.delta
+    and ws.dhat.  Returns (delta, delta transform, step taken, shrinks);
+    delta is None when the direction does not descend or the step falls
+    below 1e-18 * cfg.step0.
     """
     w = g.dx**g.d
     xd2 = 2.0 * w * float(np.vdot(x, d))
     dd = w * float(np.vdot(d, d))
+    delta, dhat = ws.delta, ws.dhat
+    tmp, tmp_hat = ws.scratch.real[0], ws.scratch.half
     t, shrinks = step, 0
     while slope < 0.0 and t > 1e-18 * cfg.step0:
         cm1 = math.expm1(-0.5 * math.log1p(mass_defect + t * (xd2 + t * dd)))
         ct = (1.0 + cm1) * t
-        delta = cm1 * x
-        delta += ct * d
-        dhat = cm1 * X
-        dhat += ct * D
-        if (spectral_energy_difference(g, x, X, delta, dhat, vvals, a, mu)
+        np.multiply(x, cm1, out=delta)
+        delta += np.multiply(d, ct, out=tmp)
+        np.multiply(X, cm1, out=dhat)
+        dhat += np.multiply(D, ct, out=tmp_hat)
+        if (spectral_energy_difference(g, x, X, delta, dhat, vvals, a, mu,
+                                       ws.scratch)
                 <= _ARMIJO * t * slope):
             return delta, dhat, t, shrinks
         t *= cfg.shrink
@@ -190,7 +224,10 @@ def solve(g: Grid, V, a: float, cfg: SolveConfig = SolveConfig(),
     direction is carried as the pair (d, D) of one linear combination taken
     in both spaces, an accepted step adds delta to x and its transform to X,
     and each iteration runs three real transforms (two without
-    preconditioning), counted in SolveResult.fft_calls.  The breakdown, the
+    preconditioning), counted in SolveResult.fft_calls.  Every array the
+    loop writes comes from one workspace allocated per call, so calls share
+    no state and the loop allocates no arrays of its own (numpy's 2D
+    inverse transform still makes one intermediate).  The breakdown, the
     gradient residual and the multiplier mu = kinetic + potential
     - (a q / 2) nonlinear of the result are those of the final spectral
     state.
@@ -229,9 +266,11 @@ def solve(g: Grid, V, a: float, cfg: SolveConfig = SolveConfig(),
             return SolveStatus.CONVERGED
         return None
 
+    ws = _Workspace(g)
     x = u.values.copy()
     X = g.rforward(x)
-    bd, grad, res = spectral_energy_and_gradient(g, x, X, vvals, a)
+    bd, grad, res = spectral_energy_and_gradient(g, x, X, vvals, a, ws.grad,
+                                                 ws.scratch)
     fft_calls = 2
     history = [(0, bd.total, res, 0.0)]
     status = status_of(bd, res)
@@ -239,18 +278,25 @@ def solve(g: Grid, V, a: float, cfg: SolveConfig = SolveConfig(),
     step = cfg.step0
     it = backtracks = cg_restarts = 0
     prev = None  # (d, D, P G, <G, P G>) of the last accepted step
+    slot = 0  # the member of each workspace pair this iteration writes
     while status is None and it < cfg.max_iters:
-        ghat = g.rforward(grad)
+        ghat = g.rforward(grad, out=ws.ghat)
+        pg = ws.pg[slot]
         if cfg.precondition:
             # sigma tied to the kinetic energy: the Hessian's low modes scale
             # with it, so a fixed shift would lose a factor of kinetic in
             # conditioning as the state concentrates
             sigma = max(1.0, bd.kinetic)
-            PG = sigma / (sigma + g.rk_quad) * ghat
-            pg = g.rinverse(PG)
+            symbol = np.add(g.rk_quad, sigma, out=ws.symbol)
+            np.divide(sigma, symbol, out=symbol)
+            PG = np.multiply(symbol, ghat, out=ws.PG)
+            g.rinverse(PG, out=pg)
             fft_calls += 2
         else:
-            PG, pg = ghat, grad
+            # a copy, not grad itself: the next evaluation overwrites grad,
+            # and beta needs this gradient after it
+            PG = ghat
+            np.copyto(pg, grad)
             fft_calls += 1
         gpg = inner(grad, pg)
         pgx = inner(pg, x)
@@ -264,18 +310,19 @@ def solve(g: Grid, V, a: float, cfg: SolveConfig = SolveConfig(),
                 candidates.insert(0, (beta, beta * inner(prev[0], x) - pgx))
         mu = multiplier(bd)
         mass_defect = inner(x, x) - 1.0
+        d, D = ws.d[slot], ws.D[slot]
         for k, (beta, c) in enumerate(candidates):
             cg_restarts += k  # the second candidate is the reset to -P G
-            d = -c * x
+            np.multiply(x, -c, out=d)
             d -= pg
-            D = -c * X
+            np.multiply(X, -c, out=D)
             D -= PG
             if beta:
-                d += beta * prev[0]
-                D += beta * prev[1]
+                d += np.multiply(prev[0], beta, out=ws.scratch.real[0])
+                D += np.multiply(prev[1], beta, out=ws.scratch.half)
             delta, dhat, t, shrinks = _armijo(g, x, X, d, D, inner(grad, d),
                                               mass_defect, step, vvals, a, mu,
-                                              cfg)
+                                              cfg, ws)
             backtracks += shrinks
             if delta is not None:
                 break
@@ -285,10 +332,12 @@ def solve(g: Grid, V, a: float, cfg: SolveConfig = SolveConfig(),
         it += 1
         x += delta
         X += dhat
-        bd, grad, res = spectral_energy_and_gradient(g, x, X, vvals, a)
+        bd, grad, res = spectral_energy_and_gradient(g, x, X, vvals, a,
+                                                     ws.grad, ws.scratch)
         fft_calls += 1
         history.append((it, bd.total, res, t))
         prev = (d, D, pg, gpg)
+        slot = 1 - slot
         step = t * cfg.grow
         status = status_of(bd, res)
     if status is None:

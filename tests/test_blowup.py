@@ -1,14 +1,16 @@
 """Sweep diagnostics along couplings climbing toward the critical constant."""
 
+import dataclasses
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from biharm import (GaussianWell, Harmonic, SolveConfig, SweepRecord, Zero,
-                    compute_gn, energy_limit_check, gn_sequence_check,
-                    make_grid, read_snapshot, save_sweep, sweep,
-                    sweep_plot_columns)
+from biharm import (GaussianWell, Harmonic, ResolutionWarning, SolveConfig,
+                    SweepRecord, Zero, blowup, compute_gn, energy_limit_check,
+                    gn_sequence_check, make_grid, read_snapshot, save_sweep,
+                    sweep, sweep_plot_columns)
 from biharm.blowup import _h2_after_best_shift
 from biharm.field import (bilap_energy, h2_distance, l2_norm_sq, recenter,
                           translate)
@@ -141,15 +143,49 @@ def test_energy_check_needs_three_resolved(well_records):
         energy_limit_check(well_records[:2], GaussianWell(1.0))
 
 
-@pytest.mark.filterwarnings("ignore::biharm.ResolutionWarning")
 def test_energy_limit_without_potential(g256, gn256, solve_cfg):
     # with no well the box minimizers flatten out; energies hug zero from
-    # below at the 1e-5 scale of the near-constant state's nonlinear term
+    # below at the 1e-5 scale of the near-constant state's nonlinear term.
+    # Their eps stays put up to roundoff, which must not read as growth.
     schedule = [gn256.a_star * (1.0 - 2.0**-k) for k in (1, 4, 6, 8)]
-    records = sweep(g256, Zero(), schedule, solve_cfg, gn256)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # the flat states do not survive rescaling by eps ~ 254; each record
+        # flags that, and it is not what this test checks
+        warnings.simplefilter("ignore", ResolutionWarning)
+        records = sweep(g256, Zero(), schedule, solve_cfg, gn256)
     gaps = [abs(r.energy) for r in records]
     assert all(g < 0.05 for g in gaps)
     assert all(r.energy < 0.0 for r in records)
+
+
+@pytest.mark.parametrize("kinetic_factor, warns", [(0.9, True),
+                                                     (1.0 - 4e-12, False)])
+def test_concentration_growth_warning(g256, gn256, solve_cfg, monkeypatch,
+                                      kinetic_factor, warns):
+    # the second solve reports a kinetic energy below the first one's, so
+    # eps = kinetic^(-1/4) grows: by 2.7% it is flagged, by 1e-12 it is
+    # roundoff and is not
+    solves = []
+
+    def shrunk_kinetic(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        if solves:
+            kin = solves[0].breakdown.kinetic * kinetic_factor
+            res = dataclasses.replace(res, breakdown=dataclasses.replace(
+                res.breakdown, kinetic=kin))
+        solves.append(res)
+        return res
+
+    monkeypatch.setattr(blowup, "solve", shrunk_kinetic)
+    schedule = [gn256.a_star * (1.0 - 2.0**-k) for k in (1, 2)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        records = sweep(g256, GaussianWell(1.0), schedule, solve_cfg, gn256)
+    assert all(r.resolved and r.status == "Converged" for r in records)
+    assert records[1].eps > records[0].eps
+    grew = [w for w in caught if "concentration scale grew" in str(w.message)]
+    assert len(grew) == int(warns)
 
 
 def test_harmonic_gap_shrinks_toward_zero(g256, gn256, solve_cfg):

@@ -2,10 +2,13 @@
 
 import io
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import biharm
 from biharm import SolveConfig, compute_gn, make_grid, save_gn
 from biharm.cli import _read_sweep_csv, main
 from biharm.potentials import sample
@@ -358,3 +361,13 @@ def test_bad_coupling_center_or_box_is_config_error(tmp_path, overrides):
     assert code == 2
     assert text.startswith("config error: ")
     assert not (tmp_path / "run").exists()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is a test dependency only; the package must not import it
+    src = str(Path(biharm.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import biharm.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code, src], check=True,
+                          capture_output=True, text=True, timeout=60)
+    assert done.stdout.strip() == "[]"

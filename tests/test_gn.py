@@ -227,6 +227,18 @@ def test_repeated_runs_are_bit_identical():
     assert np.array_equal(second.Q.values, first.Q.values)
 
 
+def test_noisy_restarts_are_seeded():
+    # restarts past START_WIDTHS perturb their start with seeded noise
+    g = make_grid(1, 256, 16.0)
+    restarts = len(START_WIDTHS) + 2
+    first = compute_gn(g, restarts=restarts, seed=3, coarse_check=False)
+    second = compute_gn(g, restarts=restarts, seed=3, coarse_check=False)
+    assert second.a_star == first.a_star
+    assert np.array_equal(second.Q.values, first.Q.values)
+    assert first.a_star == pytest.approx(
+        compute_gn(g, coarse_check=False).a_star, rel=1e-12)
+
+
 def test_every_start_width_converges_to_one_constant():
     g = make_grid(1, 512, 16.0)
     cfg = SolveConfig(tol_grad=3e-7, max_iters=8000, precondition=True)

@@ -84,3 +84,15 @@ def test_real_transform_matches_complex_half_spectrum(shape, g1, g2_small, rng):
     # the multiplicity-weighted half sum is the full-spectrum Parseval sum
     assert_allclose(np.sum(g.rk_quad_parseval * np.abs(half) ** 2),
                     np.sum(g.k_quad * np.abs(full) ** 2), rtol=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_real_transforms_into_out_match_allocating_form(d, g1, g2_small, rng):
+    g = g1 if d == 1 else g2_small
+    u = rng.standard_normal(g.shape)
+    half = np.empty(g.rk_quad.shape, dtype=np.complex128)
+    back = np.empty(g.shape)
+    assert g.rforward(u, out=half) is half
+    assert g.rinverse(half, out=back) is back
+    assert half.tobytes() == g.rforward(u).tobytes()
+    assert back.tobytes() == g.rinverse(half).tobytes()

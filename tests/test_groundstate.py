@@ -233,6 +233,44 @@ def test_solve_2d_smoke():
     assert res.breakdown.total > 0.0
 
 
+def test_unpreconditioned_cg_keeps_its_previous_gradient():
+    # without the preconditioner P G is G itself; the Polak-Ribiere beta
+    # needs the previous step's gradient after the next evaluation has
+    # overwritten the current one, and a beta that reads the new gradient
+    # twice is 0: plain steepest descent, which runs out of iterations here
+    g = make_grid(2, 32, 8.0)
+    cfg = SolveConfig(tol_grad=1e-5, max_iters=2000, precondition=False)
+    res = solve(g, GaussianWell(1.0, 1.0, (0.0, 0.0)), 40.0, cfg)
+    assert res.status is SolveStatus.CONVERGED
+    assert 0 < res.cg_restarts < res.iterations
+    assert (res.iterations, res.backtracks, res.cg_restarts) == (1687, 652, 144)
+
+
+def _assert_same_result(r, s):
+    assert r.minimizer.values.tobytes() == s.minimizer.values.tobytes()
+    assert r.breakdown == s.breakdown
+    assert (r.mu, r.grad_residual, r.status, r.history) == (
+        s.mu, s.grad_residual, s.status, s.history)
+    assert (r.iterations, r.backtracks, r.cg_restarts, r.fft_calls) == (
+        s.iterations, s.backtracks, s.cg_restarts, s.fft_calls)
+
+
+@pytest.mark.parametrize("precondition", [True, False])
+def test_repeated_solves_share_no_state(precondition):
+    # every solve owns its work arrays: a second call, or one after a solve
+    # on another grid, reproduces the first bit for bit (150 iterations are
+    # plenty to compare, converged or not)
+    cfg = SolveConfig(tol_grad=1e-6, max_iters=150, precondition=precondition)
+    g2 = make_grid(2, 32, 8.0)
+    V2 = GaussianWell(1.0, 1.0, (0.1, -0.05))
+    g1 = make_grid(1, 128, 8.0)
+    first = solve(g2, V2, 30.0, cfg)
+    _assert_same_result(first, solve(g2, V2, 30.0, cfg))
+    other = solve(g1, GaussianWell(1.0), 8.0, cfg)
+    _assert_same_result(first, solve(g2, V2, 30.0, cfg))
+    _assert_same_result(other, solve(g1, GaussianWell(1.0), 8.0, cfg))
+
+
 _TRANSFORMS = ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft", "rfftn",
                "irfftn", "fft2", "ifft2", "rfft2", "irfft2")
 

@@ -65,6 +65,33 @@ def test_ess_inf_sum_matches_scalar_minimization(g1):
     assert_allclose(got, -1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_ess_inf_two_well_sum_matches_nelder_mead(d, g1, g2_small):
+    # a harmonic bowl with two off-centre wells of different depth: the
+    # scan's argmin is a node near the deeper well, and Newton from there
+    # must land where a derivative-free polish of the same start does
+    g = g1 if d == 1 else g2_small
+    c1, c2 = ((1.3,), (-2.1,)) if d == 1 else ((1.3, -0.7), (-1.9, 1.1))
+    V = Sum((Harmonic(0.1), GaussianWell(2.0, 0.8, c1),
+             GaussianWell(1.5, 1.2, c2)))
+    vals = sample(V, g).values
+    best = np.unravel_index(int(np.argmin(vals)), g.shape)
+    x0 = np.array([g.axes[ax][i] for ax, i in enumerate(best)])
+
+    def v(x):
+        wells = V.parts[1:]
+        return 0.1 * (x @ x) - sum(
+            w.depth * np.exp(-np.sum((x - w.center) ** 2) / w.width**2)
+            for w in wells)
+
+    oracle = optimize.minimize(v, x0, method="Nelder-Mead",
+                               options={"xatol": 1e-12, "fatol": 1e-14})
+    got = ess_inf(V, g)
+    assert got <= vals.min()
+    assert got < vals.min() - 1e-6  # the scan alone is off by O(dx^2)
+    assert_allclose(got, oracle.fun, rtol=0, atol=1e-12)
+
+
 def test_ess_inf_sum_needs_grid():
     V = Sum((Harmonic(1.0), GaussianWell(1.0, 1.0, (0.0,))))
     with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
-"""Property tests: the rescaling maps (dilation group law, translation) and
-the config parser (bad numbers always exit 2 with a message)."""
+"""Property tests: the rescaling maps (dilation group law, translation), the
+snapshot format (bit-exact round trip) and the config parser (bad numbers
+always exit 2 with a message)."""
 
 import copy
 import io
@@ -12,10 +13,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from biharm import dilate, make_grid, translate
+from biharm import Field, dilate, make_grid, translate
 from biharm.cli import main
-from biharm.field import random_smooth_field
+from biharm.field import random_smooth_field, read_snapshot, write_snapshot
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
                              database=None)
@@ -53,6 +55,36 @@ def test_translation_round_trip(grids, d, seed, shift):
     s = np.array(shift[:d])
     back = translate(translate(u, s), -s)
     assert _max_rel(back.values, u.values) <= 1e-12
+
+
+@st.composite
+def snapshot_fields(draw):
+    d = draw(st.sampled_from([1, 2]))
+    n = draw(st.sampled_from([8, 16, 32] if d == 1 else [8, 16]))
+    half_width = draw(st.floats(min_value=1e-3, max_value=1e3))
+    values = draw(arrays(np.float64, (n,) * d,
+                         elements=st.floats(allow_nan=False,
+                                            allow_infinity=False)))
+    return Field(make_grid(d, n, half_width), values)
+
+
+@pytest.fixture(scope="module")
+def snapshot_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("snapshots")
+
+
+@PROPERTY_SETTINGS
+@given(u=snapshot_fields())
+def test_snapshot_round_trip_is_bit_exact(snapshot_dir, u):
+    # any finite values, signed zeros and subnormals included, and any box
+    # size come back bit for bit, on the given grid or one rebuilt from the
+    # header
+    path = snapshot_dir / "u.bhf"
+    write_snapshot(u, path)
+    for grid in (u.grid, None):
+        back = read_snapshot(path, grid)
+        assert back.grid is u.grid
+        assert back.values.tobytes() == u.values.tobytes()
 
 
 def _readme_config() -> dict:
