@@ -123,24 +123,24 @@ def _build_solver(cfg: dict) -> SolveConfig:
     if extra:
         raise ConfigError(f"unknown solver.init fields {sorted(extra)}")
     di = InitSpec()
-    known = {"step0", "shrink", "grow", "tol_grad", "max_iters",
-             "energy_floor", "precondition", "init"}
+    # "precondition" is accepted, as true only, from configs written when the
+    # preconditioner was optional; solve always preconditions
+    known = {"tol_grad", "max_iters", "precondition", "init"}
     extra = set(block) - known
     if extra:
         raise ConfigError(f"unknown solver fields {sorted(extra)}")
+    if block.get("precondition", True) is not True:
+        raise ConfigError("field 'precondition' can only be true (solve "
+                          f"always preconditions), got "
+                          f"{block['precondition']!r}")
     try:
         init = InitSpec(kind=str(init_block.get("kind", di.kind)),
                         width=_as_float(init_block, "width", di.width),
                         path=str(init_block.get("path", di.path)),
                         ell=_as_float(init_block, "ell", di.ell))
         return SolveConfig(
-            step0=_as_float(block, "step0", defaults.step0),
-            shrink=_as_float(block, "shrink", defaults.shrink),
-            grow=_as_float(block, "grow", defaults.grow),
             tol_grad=_as_float(block, "tol_grad", defaults.tol_grad),
             max_iters=_as_int(block, "max_iters", defaults.max_iters),
-            energy_floor=_as_float(block, "energy_floor", defaults.energy_floor),
-            precondition=bool(block.get("precondition", defaults.precondition)),
             init=init,
         )
     except ValueError as exc:
@@ -196,7 +196,6 @@ class RunConfig:
         gn_block = raw.get("gn", {})
         if not isinstance(gn_block, dict):
             raise ConfigError("'gn' must be an object")
-        self.gn_restarts = _as_int(gn_block, "restarts", 4, minimum=1)
         artifact = gn_block.get("artifact")
         self.gn_artifact = Path(artifact) if artifact else self.output_dir / "gn"
 
@@ -227,9 +226,18 @@ class RunConfig:
             checks = block.get("checks", {})
             if not isinstance(checks, dict):
                 raise ConfigError("'sweep.checks' must be an object")
+            extra = set(checks) - {"h2_final", "gn_window", "monotone_gap",
+                                   "energy_gap_tol"}
+            if extra:
+                raise ConfigError(f"unknown sweep.checks fields "
+                                  f"{sorted(extra)}")
+            for key in ("gn_window", "monotone_gap"):
+                if not isinstance(checks.get(key, True), bool):
+                    raise ConfigError(f"sweep.checks.{key} must be true or "
+                                      f"false, got {checks[key]!r}")
             self.check_h2_final = checks.get("h2_final", 0.05)
-            self.check_gn_window = bool(checks.get("gn_window", True))
-            self.check_monotone_gap = bool(checks.get("monotone_gap", True))
+            self.check_gn_window = checks.get("gn_window", True)
+            self.check_monotone_gap = checks.get("monotone_gap", True)
             self.check_energy_gap_tol = checks.get("energy_gap_tol")
             for key, val in (("h2_final", self.check_h2_final),
                              ("energy_gap_tol", self.check_energy_gap_tol)):
@@ -289,8 +297,7 @@ def _load_gn_artifact(cfg: RunConfig, out):
 
 def cmd_gn(cfg: RunConfig, out=sys.stdout) -> int:
     try:
-        result = compute_gn(cfg.grid, cfg=cfg.solver, restarts=cfg.gn_restarts,
-                            seed=cfg.seed)
+        result = compute_gn(cfg.grid, cfg=cfg.solver)
     except RuntimeError as exc:
         print(f"error: {exc}", file=out)
         return EXIT_FAIL
@@ -536,7 +543,7 @@ def cmd_check(cfg: RunConfig, out=sys.stdout, grad_fn=None) -> int:
     try:
         gn = load_gn(cfg.gn_artifact)
     except (OSError, ValueError, KeyError):
-        gn = compute_gn(cfg.grid, cfg=cfg.solver, restarts=2, seed=cfg.seed)
+        gn = compute_gn(cfg.grid, cfg=cfg.solver)
     rows = [
         ("parseval", *_battery_parseval(cfg, rng)),
         ("scaling_identity", *_battery_scaling(cfg, rng)),

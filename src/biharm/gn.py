@@ -35,8 +35,6 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-# Gaussian start widths, in units of cfg.init.width, for successive restarts
-START_WIDTHS = (1.0, 0.7, 1.5, 2.2, 0.5, 1.1)
 # |M - 1| at or below this is roundoff: the iterate no longer moves
 _M_ROUNDOFF = 1e-13
 # iterations |M - 1| must sit at roundoff before an unconverged run stops
@@ -148,63 +146,48 @@ def _finalize(u: Field) -> Field:
     return normalize_gn(v)
 
 
-def compute_gn(g: Grid, cfg: SolveConfig | None = None, restarts: int = 4,
-               seed: int = 0, coarse_check: bool = True,
-               center=None) -> GNResult:
+def compute_gn(g: Grid, cfg: SolveConfig | None = None,
+               coarse_check: bool = True, center=None) -> GNResult:
     """Find the quotient's optimizer by the Petviashvili fixed point.
 
-    Runs the fixed point (see _petviashvili) from Gaussian starts of the
-    widths START_WIDTHS (noisy perturbations past those), keeps the converged
-    run with the smallest quotient, symmetrizes it even and runs the fixed
-    point once more, then normalizes the profile to unit mass and unit
-    fourth-order seminorm; the iteration works in that gauge, so only the
-    amplitude changes.  The constant is the quotient of the stored profile,
-    so the sharp-normalization identity a_star * lq_integral(Q, q) = 1 closes
-    by construction.  A fixed point is stationary, not a proven minimum: that
-    no other localized state beats it is what the test batteries and the
-    Gaussian upper bound check.  Raises RuntimeError naming tol_grad when no
-    run converges.
+    Runs the fixed point (see _petviashvili) from one Gaussian start, of
+    width cfg.init.width for a gaussian init and 1 otherwise, centered at
+    center (the origin by default); every start width tried converges to the
+    same constant, so one start suffices.  It then symmetrizes the result
+    even and runs the fixed point once more, keeping the rerun when it
+    converges to a quotient no larger, and normalizes the profile to unit
+    mass and unit fourth-order seminorm; the iteration works in that gauge,
+    so only the amplitude changes.  The constant is the quotient of the
+    stored profile, so the sharp-normalization identity
+    a_star * lq_integral(Q, q) = 1 closes by construction.  A fixed point is
+    stationary, not a proven minimum: that no other localized state beats it
+    is what the test batteries and the Gaussian upper bound check.  Raises
+    RuntimeError naming tol_grad when neither run converges.  With
+    coarse_check the fixed point also runs on the n/2 grid from the
+    subsampled profile, for the resolutions cross-check.
     """
     if cfg is None:
-        cfg = SolveConfig(tol_grad=3e-7, max_iters=8000, precondition=True)
-    if restarts < 1:
-        raise ValueError("need at least one restart")
+        cfg = SolveConfig(tol_grad=3e-7, max_iters=8000)
     q = critical_power(g.d)
     center = np.zeros(g.d) if center is None else np.asarray(center, dtype=np.float64)
-    # only noisy restarts draw, and numpy.random costs ~15 ms to load
-    rng = (np.random.default_rng(seed) if restarts > len(START_WIDTHS)
-           else None)
     base = cfg.init.width if cfg.init.kind == "gaussian" else 1.0
 
     def run(u0: Field) -> _Run:
         try:
             return _petviashvili(g, u0, cfg)
         except ValueError:
-            # collapsed to zero along the way; report as a failed restart
+            # collapsed to zero along the way; report as a failed run
             return _Run(u0, np.inf, np.inf, 0, False)
 
-    runs = []
-    for i in range(restarts):
-        u0 = _gaussian_state(g, base * START_WIDTHS[i % len(START_WIDTHS)], center)
-        if i >= len(START_WIDTHS):
-            bump = rng.standard_normal(g.shape)
-            bump = Field(g, g.inverse(g.forward(bump) * np.exp(-g.k_sq)).real)
-            u0 = renormalize_mass(u0 + bump * (0.05 / np.sqrt(l2_norm_sq(bump))))
-        runs.append(run(u0))
-    converged_runs = [r for r in runs if r.converged]
-    if converged_runs:
-        best = min(converged_runs, key=lambda r: r.value)
-    else:
-        best = min(runs, key=lambda r: r.residual)
-
+    best = run(_gaussian_state(g, base, center))
     even = run(symmetrize_even(best.u))
-    iterations = sum(r.iterations for r in runs) + even.iterations
+    iterations = best.iterations + even.iterations
     if even.converged and (not best.converged
                            or even.value <= best.value + 1e-9):
         best = even
     if not best.converged:
         raise RuntimeError(
-            f"no fixed-point run converged; smallest quotient residual "
+            f"no fixed-point run converged; quotient residual "
             f"{best.residual:.3e} above tol_grad {cfg.tol_grad:.3e}")
 
     Q = _finalize(best.u)

@@ -7,6 +7,9 @@ Armijo line search tests spectral_energy_difference, an energy change
 assembled from the step itself, whose rounding scales with the step rather
 than with the energy; that keeps sufficient decrease decidable down to the
 gradient tolerance, with no roundoff slack, residual gate or stall retry.
+The method has one configuration: the preconditioner is always on, the
+line-search constants and ENERGY_FLOOR are fixed, and a SolveConfig chooses
+only the gradient tolerance, the iteration budget and the starting state.
 
 The loop works on a spectral state: plain arrays of the nodal values x and
 their real transform X, with the search direction carried in both spaces
@@ -36,6 +39,13 @@ from .grid import Grid
 from .potentials import classify, sample
 
 _ARMIJO = 1e-4
+# line search: the first iteration's first trial step, the factor a failed
+# trial shrinks by, and the factor on the last accepted step that gives the
+# next iteration's first trial
+_STEP0, _SHRINK, _GROW = 1.0, 0.5, 1.3
+# a total energy below this is the finite witness of the unbounded-below
+# regime: solve stops with DivergedBelowFloor
+ENERGY_FLOOR = -1e3
 
 
 class SolveStatus(enum.Enum):
@@ -70,26 +80,19 @@ class InitSpec:
 
 @dataclass(frozen=True)
 class SolveConfig:
-    step0: float = 1.0
-    shrink: float = 0.5
-    grow: float = 1.3
+    """What a caller chooses about a solve: the gradient tolerance, the
+    iteration budget and the starting state.  compute_gn reads tol_grad,
+    max_iters and a gaussian init's width for its fixed point."""
+
     tol_grad: float = 1e-6
     max_iters: int = 2000
-    energy_floor: float = -1e3
     init: InitSpec = InitSpec()
-    precondition: bool = False
 
     def __post_init__(self):
-        if self.step0 <= 0:
-            raise ValueError("step0 must be positive")
-        if not (0.0 < self.shrink < 1.0 < self.grow):
-            raise ValueError("line-search factors need 0 < shrink < 1 < grow")
         if self.tol_grad <= 0:
             raise ValueError("tol_grad must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.energy_floor >= 0:
-            raise ValueError("energy_floor must be negative")
 
 
 @dataclass
@@ -163,8 +166,7 @@ class _Workspace:
 
 
 def _armijo(g: Grid, x, X, d, D, slope: float, mass_defect: float,
-            step: float, vvals, a: float, mu: float, cfg: SolveConfig,
-            ws: _Workspace):
+            step: float, vvals, a: float, mu: float, ws: _Workspace):
     """Backtrack from step until the unit-mass trial c (x + t d) passes
     Armijo on spectral_energy_difference with multiplier mu.
 
@@ -175,7 +177,7 @@ def _armijo(g: Grid, x, X, d, D, slope: float, mass_defect: float,
     same combination of X and D, cost no FFT and are written into ws.delta
     and ws.dhat.  Returns (delta, delta transform, step taken, shrinks);
     delta is None when the direction does not descend or the step falls
-    below 1e-18 * cfg.step0.
+    below 1e-18 * _STEP0.
     """
     w = g.dx**g.d
     xd2 = 2.0 * w * float(np.vdot(x, d))
@@ -183,7 +185,7 @@ def _armijo(g: Grid, x, X, d, D, slope: float, mass_defect: float,
     delta, dhat = ws.delta, ws.dhat
     tmp, tmp_hat = ws.scratch.real[0], ws.scratch.half
     t, shrinks = step, 0
-    while slope < 0.0 and t > 1e-18 * cfg.step0:
+    while slope < 0.0 and t > 1e-18 * _STEP0:
         cm1 = math.expm1(-0.5 * math.log1p(mass_defect + t * (xd2 + t * dd)))
         ct = (1.0 + cm1) * t
         np.multiply(x, cm1, out=delta)
@@ -194,7 +196,7 @@ def _armijo(g: Grid, x, X, d, D, slope: float, mass_defect: float,
                                        ws.scratch)
                 <= _ARMIJO * t * slope):
             return delta, dhat, t, shrinks
-        t *= cfg.shrink
+        t *= _SHRINK
         shrinks += 1
     return None, None, t, shrinks
 
@@ -206,28 +208,28 @@ def solve(g: Grid, V, a: float, cfg: SolveConfig = SolveConfig(),
     Polak-Ribiere+ nonlinear conjugate gradient on the unit-mass sphere.  The
     search direction is -P G plus beta times the previous direction, projected
     onto the tangent space at u, where G is the projected gradient and P is
-    sigma / (sigma + |k|^4) with sigma = max(1, kinetic energy) when
-    cfg.precondition is set (the identity otherwise).  Trial states are
-    u + t d renormalized to unit mass, and Armijo backtracking (start at the
-    last accepted step times cfg.grow, shrink by cfg.shrink) tests the exact
-    energy difference of spectral_energy_difference, less the multiplier
-    times the mass roundoff, so the test stays decisive down to the gradient
+    sigma / (sigma + |k|^4) with sigma = max(1, kinetic energy).  Trial
+    states are u + t d renormalized to unit mass, and Armijo backtracking
+    (the first trial step is 1, each later one starts at the last accepted
+    step times 1.3, and a failed trial halves it) tests the exact energy
+    difference of spectral_energy_difference, less the multiplier times the
+    mass roundoff, so the test stays decisive down to the gradient
     tolerance.  The method restarts from -P G when the conjugate direction is
     not a descent direction or its line search fails.  Termination is data,
     not an exception: Converged when the projected-gradient L2 norm falls
     below cfg.tol_grad, DivergedBelowFloor when the energy passes
-    cfg.energy_floor (the finite witness for the unbounded-below regime),
+    ENERGY_FLOOR (the finite witness for the unbounded-below regime),
     MaxIters after cfg.max_iters steps or when no step along -P G lowers the
     energy.
 
     The iterate is the spectral state (x, X = real transform of x): the
     direction is carried as the pair (d, D) of one linear combination taken
     in both spaces, an accepted step adds delta to x and its transform to X,
-    and each iteration runs three real transforms (two without
-    preconditioning), counted in SolveResult.fft_calls.  Every array the
-    loop writes comes from one workspace allocated per call, so calls share
-    no state and the loop allocates no arrays of its own (numpy's 2D
-    inverse transform still makes one intermediate).  The breakdown, the
+    and each iteration runs three real transforms, counted in
+    SolveResult.fft_calls.  Every array the loop writes comes from one
+    workspace allocated per call, so calls share no state and the loop
+    allocates no arrays of its own (numpy's 2D inverse transform still makes
+    one intermediate).  The breakdown, the
     gradient residual and the multiplier mu = kinetic + potential
     - (a q / 2) nonlinear of the result are those of the final spectral
     state.
@@ -260,7 +262,7 @@ def solve(g: Grid, V, a: float, cfg: SolveConfig = SolveConfig(),
         return bd.kinetic + bd.potential - 0.5 * a * q * bd.nonlinear
 
     def status_of(bd, res):
-        if bd.total < cfg.energy_floor:
+        if bd.total < ENERGY_FLOOR:
             return SolveStatus.DIVERGED_BELOW_FLOOR
         if res <= cfg.tol_grad:
             return SolveStatus.CONVERGED
@@ -275,29 +277,22 @@ def solve(g: Grid, V, a: float, cfg: SolveConfig = SolveConfig(),
     history = [(0, bd.total, res, 0.0)]
     status = status_of(bd, res)
 
-    step = cfg.step0
+    step = _STEP0
     it = backtracks = cg_restarts = 0
     prev = None  # (d, D, P G, <G, P G>) of the last accepted step
     slot = 0  # the member of each workspace pair this iteration writes
     while status is None and it < cfg.max_iters:
         ghat = g.rforward(grad, out=ws.ghat)
+        # sigma tied to the kinetic energy: the Hessian's low modes scale
+        # with it, so a fixed shift would lose a factor of kinetic in
+        # conditioning as the state concentrates
+        sigma = max(1.0, bd.kinetic)
+        symbol = np.add(g.rk_quad, sigma, out=ws.symbol)
+        np.divide(sigma, symbol, out=symbol)
+        PG = np.multiply(symbol, ghat, out=ws.PG)
         pg = ws.pg[slot]
-        if cfg.precondition:
-            # sigma tied to the kinetic energy: the Hessian's low modes scale
-            # with it, so a fixed shift would lose a factor of kinetic in
-            # conditioning as the state concentrates
-            sigma = max(1.0, bd.kinetic)
-            symbol = np.add(g.rk_quad, sigma, out=ws.symbol)
-            np.divide(sigma, symbol, out=symbol)
-            PG = np.multiply(symbol, ghat, out=ws.PG)
-            g.rinverse(PG, out=pg)
-            fft_calls += 2
-        else:
-            # a copy, not grad itself: the next evaluation overwrites grad,
-            # and beta needs this gradient after it
-            PG = ghat
-            np.copyto(pg, grad)
-            fft_calls += 1
+        g.rinverse(PG, out=pg)
+        fft_calls += 2
         gpg = inner(grad, pg)
         pgx = inner(pg, x)
         # candidate directions beta d_prev - P G - c x, with c projecting
@@ -322,7 +317,7 @@ def solve(g: Grid, V, a: float, cfg: SolveConfig = SolveConfig(),
                 D += np.multiply(prev[1], beta, out=ws.scratch.half)
             delta, dhat, t, shrinks = _armijo(g, x, X, d, D, inner(grad, d),
                                               mass_defect, step, vvals, a, mu,
-                                              cfg, ws)
+                                              ws)
             backtracks += shrinks
             if delta is not None:
                 break
@@ -338,7 +333,7 @@ def solve(g: Grid, V, a: float, cfg: SolveConfig = SolveConfig(),
         history.append((it, bd.total, res, t))
         prev = (d, D, pg, gpg)
         slot = 1 - slot
-        step = t * cfg.grow
+        step = t * _GROW
         status = status_of(bd, res)
     if status is None:
         status = SolveStatus.MAX_ITERS

@@ -53,9 +53,8 @@ from biharm.field import gaussian_mixture_field, l2_norm_sq_spectral, random_smo
 from biharm.potentials import sample
 
 # one solver configuration for every minimization in this file: tight enough
-# for the near-critical tail, preconditioned so the moderate couplings stay
-# cheap
-RUN_CFG = SolveConfig(tol_grad=1e-6, max_iters=40_000, precondition=True)
+# for the near-critical tail
+RUN_CFG = SolveConfig(tol_grad=1e-6, max_iters=40_000)
 
 _cache: dict = {}
 
@@ -70,7 +69,7 @@ def _gn(n: int, half_width: float = 16.0):
         g = make_grid(1, n, half_width)
         cfg = None
         if g.dx < 0.04:
-            cfg = SolveConfig(tol_grad=1e-6, max_iters=8000, precondition=True)
+            cfg = SolveConfig(tol_grad=1e-6, max_iters=8000)
         _cache[key] = compute_gn(g, cfg=cfg, coarse_check=False)
     return _cache[key]
 
@@ -348,7 +347,7 @@ def test_criterion_08_nonexistence_witness(tmp_path):
         "grid": {"d": 1, "n": 256, "half_width": 16.0},
         "potential": {"family": "gaussian_well", "depth": 1.0, "width": 1.0,
                       "center": [0.0]},
-        "solver": {"tol_grad": 1e-6, "max_iters": 40000, "precondition": True,
+        "solver": {"tol_grad": 1e-6, "max_iters": 40000,
                    "init": {"kind": "dilated_Q", "ell": 2.0}},
         "gn": {"artifact": str(art / "gn")},
         "solve": {"a": "1.05*astar"},

@@ -29,7 +29,7 @@ def gn256(g256):
 
 @pytest.fixture(scope="module")
 def solve_cfg():
-    return SolveConfig(tol_grad=1e-6, max_iters=40000, precondition=True)
+    return SolveConfig(tol_grad=1e-6, max_iters=40000)
 
 
 @pytest.fixture(scope="module")
@@ -202,9 +202,9 @@ def test_under_resolved_tail_is_flagged():
     # spacing; the record must say so rather than present spike numbers as
     # converged physics
     g = make_grid(1, 128, 16.0)
-    gn = compute_gn(g, cfg=SolveConfig(tol_grad=1e-4, max_iters=8000,
-                                       precondition=True), coarse_check=False)
-    cfg = SolveConfig(tol_grad=1e-6, max_iters=2000, precondition=True)
+    gn = compute_gn(g, cfg=SolveConfig(tol_grad=1e-4, max_iters=8000),
+                    coarse_check=False)
+    cfg = SolveConfig(tol_grad=1e-6, max_iters=2000)
     records = sweep(g, GaussianWell(1.0), [gn.a_star * (1.0 - 2.0**-6)], cfg,
                     gn)
     r = records[0]
@@ -216,7 +216,7 @@ def test_under_resolved_tail_is_flagged():
 
 
 def test_solver_failures_are_recorded_not_raised(g256, gn256):
-    starved = SolveConfig(tol_grad=1e-14, max_iters=3, precondition=True)
+    starved = SolveConfig(tol_grad=1e-14, max_iters=3)
     schedule = [gn256.a_star * (1.0 - 2.0**-k) for k in (1, 2)]
     records = sweep(g256, GaussianWell(1.0), schedule, starved, gn256)
     assert [r.status for r in records] == ["MaxIters", "MaxIters"]
@@ -322,9 +322,8 @@ def test_shift_search_recovers_a_2d_translation():
     # 128^2: at 64^2 the profile's Nyquist content (1e-5) already caps how
     # exactly a sub-grid translation can be undone
     g = make_grid(2, 128, 12.0)
-    Q = compute_gn(g, SolveConfig(tol_grad=1e-4, max_iters=4000,
-                                  precondition=True),
-                   restarts=1, coarse_check=False).Q
+    Q = compute_gn(g, SolveConfig(tol_grad=1e-4, max_iters=4000),
+                   coarse_check=False).Q
     moved = translate(Q, (0.3 * g.dx, -0.2 * g.dx))
     assert h2_distance(moved, Q) > 1e-2
     assert _h2_after_best_shift(moved, Q) <= 1e-10
@@ -343,7 +342,7 @@ def test_offset_well_sweep_converges_every_point(solve_cfg, monkeypatch):
     # a well a quarter node off the origin once left the 2^-8 point on a
     # roundoff shelf of the line search, ending MaxIters after 40000 steps
     g = make_grid(1, 512, 16.0)
-    gn = compute_gn(g, restarts=1, coarse_check=False)
+    gn = compute_gn(g, coarse_check=False)
     iterations = []
 
     def counted(*args, **kwargs):

@@ -89,17 +89,79 @@ def test_missing_config_exits_2(tmp_path):
 
 
 def test_unknown_solver_field_exits_2(tmp_path):
-    cfg = write_config(tmp_path / "c.json",
-                       solver={"tol_grad": 1e-6, "stepsize": 0.1})
+    # step0 is one of the line search's constants, not a setting
+    for key in ("stepsize", "step0"):
+        cfg = write_config(tmp_path / "c.json",
+                           output_dir=str(tmp_path / "run"),
+                           solver={"tol_grad": 1e-6, key: 0.1})
+        code, text = run_cli("--config", str(cfg), "gn")
+        assert code == 2
+        assert text.startswith(f"config error: unknown solver fields "
+                               f"['{key}']")
+        assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("value", [False, "yes", 0])
+def test_precondition_other_than_true_exits_2(tmp_path, value):
+    cfg = write_config(tmp_path / "c.json", output_dir=str(tmp_path / "run"),
+                       solver={"tol_grad": 1e-6, "precondition": value})
     code, text = run_cli("--config", str(cfg), "gn")
     assert code == 2
-    assert "stepsize" in text
+    assert text.startswith("config error: ")
+    assert "precondition" in text
+    assert not (tmp_path / "run").exists()
+
+
+def test_legacy_precondition_and_restarts_keys_still_run(tmp_path):
+    # configs written when both were settable carry them; they are accepted
+    # and change nothing
+    cfg = write_config(tmp_path / "c.json", output_dir=str(tmp_path / "run"),
+                       solve={"a": 4.0})
+    raw = json.loads(cfg.read_text())
+    assert raw["solver"]["precondition"] is True
+    assert raw["gn"] == {"restarts": 4}
+    for command in ("gn", "solve"):
+        code, text = run_cli("--config", str(cfg), command)
+        assert code == 0, text
+
+
+@pytest.mark.parametrize("checks, named", [
+    ({"gn_window": "false"}, "gn_window"),
+    ({"monotone_gap": "no"}, "monotone_gap"),
+    ({"gn_window": 0}, "gn_window"),
+    ({"h2_finall": 0.05}, "h2_finall")])
+def test_bad_sweep_checks_exit_2(tmp_path, artifact_dir, checks, named):
+    # a string flag must not switch a check on, and a misspelt key must not
+    # silently leave the default in force
+    cfg = write_config(tmp_path / "c.json", output_dir=str(tmp_path / "run"),
+                       gn={"artifact": str(artifact_dir / "gn")},
+                       sweep={"start": 0.5, "count": 2, "ratio": 0.5,
+                              "checks": checks})
+    code, text = run_cli("--config", str(cfg), "sweep")
+    assert code == 2
+    assert text.startswith("config error: ")
+    assert named in text
+    assert not (tmp_path / "run").exists()
+
+
+def test_sweep_checks_switched_off(tmp_path, artifact_dir):
+    cfg = write_config(tmp_path / "c.json", output_dir=str(tmp_path / "run"),
+                       gn={"artifact": str(artifact_dir / "gn")},
+                       sweep={"start": 0.5, "count": 2, "ratio": 0.5,
+                              "checks": {"gn_window": False,
+                                         "monotone_gap": False,
+                                         "h2_final": None}})
+    code, text = run_cli("--config", str(cfg), "sweep")
+    assert code == 0, text
+    for line in ("energy gap", "final H2 distance", "nonlinear mass"):
+        assert line not in text
+    assert "all enabled checks passed" in text
 
 
 def test_solve_fraction_of_astar(tmp_path, artifact_dir):
     cfg = write_config(tmp_path / "c.json",
                        output_dir=str(tmp_path / "run"),
-                       gn={"restarts": 4, "artifact": str(artifact_dir / "gn")},
+                       gn={"artifact": str(artifact_dir / "gn")},
                        solve={"a": "0.5*astar"})
     code, text = run_cli("--config", str(cfg), "solve")
     assert code == 0
@@ -163,9 +225,8 @@ def test_solve_astar_fraction_without_artifact_points_at_gn(tmp_path):
 def test_solve_supercritical_is_exit_3(tmp_path, artifact_dir):
     cfg = write_config(tmp_path / "c.json",
                        output_dir=str(tmp_path / "run"),
-                       gn={"restarts": 4, "artifact": str(artifact_dir / "gn")},
+                       gn={"artifact": str(artifact_dir / "gn")},
                        solver={"tol_grad": 1e-6, "max_iters": 40000,
-                               "precondition": True,
                                "init": {"kind": "dilated_Q", "ell": 2.0}},
                        solve={"a": "1.05*astar"})
     code, text = run_cli("--config", str(cfg), "solve")
@@ -179,7 +240,7 @@ def test_solve_supercritical_is_exit_3(tmp_path, artifact_dir):
 def test_sweep_summary_and_exit_0(tmp_path, artifact_dir):
     cfg = write_config(tmp_path / "c.json",
                        output_dir=str(tmp_path / "run"),
-                       gn={"restarts": 4, "artifact": str(artifact_dir / "gn")},
+                       gn={"artifact": str(artifact_dir / "gn")},
                        sweep={"start": 0.5, "count": 4, "ratio": 0.5})
     code, text = run_cli("--config", str(cfg), "sweep")
     assert code == 0, text
@@ -213,14 +274,13 @@ def test_sweep_grid_mismatch_exits_2(tmp_path, artifact_dir):
 def test_sweep_with_no_resolved_records_exits_4(tmp_path):
     # a coarse grid puts the whole schedule below the resolution guard
     g = make_grid(1, 128, 16.0)
-    gn = compute_gn(g, cfg=SolveConfig(tol_grad=1e-4, max_iters=8000,
-                                       precondition=True), coarse_check=False)
+    gn = compute_gn(g, cfg=SolveConfig(tol_grad=1e-4, max_iters=8000),
+                    coarse_check=False)
     save_gn(gn, tmp_path / "gn")
     cfg = write_config(tmp_path / "c.json",
                        grid={"d": 1, "n": 128, "half_width": 16.0},
                        output_dir=str(tmp_path / "run"),
-                       solver={"tol_grad": 1e-4, "max_iters": 2000,
-                               "precondition": True},
+                       solver={"tol_grad": 1e-4, "max_iters": 2000},
                        gn={"artifact": str(tmp_path / "gn")},
                        sweep={"start": 0.015625, "count": 1, "ratio": 0.5})
     code, text = run_cli("--config", str(cfg), "sweep")
@@ -269,7 +329,7 @@ def test_plotdata_needs_a_sweep_first(tmp_path, artifact_dir):
 def test_plotdata_emits_three_column_files(tmp_path, artifact_dir):
     cfg = write_config(tmp_path / "c.json",
                        output_dir=str(tmp_path / "run"),
-                       gn={"restarts": 4, "artifact": str(artifact_dir / "gn")},
+                       gn={"artifact": str(artifact_dir / "gn")},
                        sweep={"start": 0.5, "count": 3, "ratio": 0.5})
     code, _ = run_cli("--config", str(cfg), "sweep")
     assert code == 0

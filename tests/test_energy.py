@@ -216,7 +216,7 @@ def test_energy_difference_resolves_tiny_steps(geom, center, a):
     # their roundoff, while the kernel still recovers the slope
     g = make_grid(*geom)
     V = GaussianWell(1.0, 1.0, center)
-    u = solve(g, V, a, SolveConfig(tol_grad=3e-2, precondition=True)).minimizer
+    u = solve(g, V, a, SolveConfig(tol_grad=3e-2)).minimizer
     grad = constrained_gradient(u, V, a)
     d = h2_weight_apply(grad)
     d = d * (1.0 / np.sqrt(l2_norm_sq(d)))

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh
@@ -6,9 +8,9 @@ from biharm.energy import constrained_gradient, energy
 from biharm.field import (Field, l2_norm_sq, renormalize_mass,
                           write_snapshot)
 from biharm.grid import make_grid, quadrature
-from biharm.groundstate import (InitSpec, SolveConfig, SolveStatus,
-                                initial_field, potential_argmin, solve,
-                                trial_upper_bound, write_iteration_log)
+from biharm.groundstate import (ENERGY_FLOOR, InitSpec, SolveConfig,
+                                SolveStatus, initial_field, potential_argmin,
+                                solve, trial_upper_bound, write_iteration_log)
 from biharm.potentials import GaussianWell, Harmonic, PowerWell, Zero, sample
 from biharm.potentials import sobolev_lower_bound
 
@@ -21,7 +23,7 @@ def _unit_gaussian(g, width=1.0):
 @pytest.fixture(scope="module")
 def harmonic_128():
     g = make_grid(1, 128, 8.0)
-    cfg = SolveConfig(tol_grad=1e-8, max_iters=4000, precondition=True)
+    cfg = SolveConfig(tol_grad=1e-8, max_iters=4000)
     return g, solve(g, Harmonic(1.0), 0.0, cfg)
 
 
@@ -29,35 +31,41 @@ def harmonic_128():
 def well_run():
     g = make_grid(1, 256, 16.0)
     V = GaussianWell(depth=1.0, width=1.0)
-    cfg = SolveConfig(tol_grad=1e-8, max_iters=4000, precondition=True)
+    cfg = SolveConfig(tol_grad=1e-8, max_iters=4000)
     return g, V, solve(g, V, 8.0, cfg)
 
 
 def test_linear_ground_state_matches_eigensolver(harmonic_128):
-    g, res = harmonic_128
-    assert res.status is SolveStatus.CONVERGED
-    vpot = sample(Harmonic(1.0), g).values
+    # the dense eigensolver is the reference on the fixture's grid and on a
+    # coarse one (16 nodes on half-width 6)
+    coarse = make_grid(1, 16, 6.0)
+    for g, res in (harmonic_128,
+                   (coarse, solve(coarse, Harmonic(1.0), 0.0,
+                                  SolveConfig(tol_grad=1e-7, max_iters=4000)))):
+        assert res.status is SolveStatus.CONVERGED
+        vpot = sample(Harmonic(1.0), g).values
 
-    # dense operator matrix: fourth-order symbol applied columnwise + diag(V)
-    k4 = g.k_quad
-    kin = np.real(np.fft.ifft(k4[:, None] * np.fft.fft(np.eye(g.n), axis=0),
-                              axis=0))
-    mat = 0.5 * (kin + kin.T) + np.diag(vpot)
-    lams, vecs = eigh(mat)
-    lam = float(lams[0])
-    phi = vecs[:, 0]
-    phi = phi / np.sqrt(quadrature(g, phi * phi))
-    overlap = abs(quadrature(g, res.minimizer.values * phi))
-    assert abs(res.breakdown.total - lam) < 1e-9
-    assert overlap > 1.0 - 1e-6
-    # with no nonlinear term the multiplier is the eigenvalue itself
-    assert abs(res.mu - res.breakdown.total) < 1e-8
+        # dense operator matrix: fourth-order symbol applied columnwise
+        # + diag(V)
+        k4 = g.k_quad
+        kin = np.real(np.fft.ifft(k4[:, None] * np.fft.fft(np.eye(g.n), axis=0),
+                                  axis=0))
+        mat = 0.5 * (kin + kin.T) + np.diag(vpot)
+        lams, vecs = eigh(mat)
+        lam = float(lams[0])
+        phi = vecs[:, 0]
+        phi = phi / np.sqrt(quadrature(g, phi * phi))
+        overlap = abs(quadrature(g, res.minimizer.values * phi))
+        assert abs(res.breakdown.total - lam) < 1e-9, g.n
+        assert overlap > 1.0 - 1e-6, g.n
+        # with no nonlinear term the multiplier is the eigenvalue itself
+        assert abs(res.mu - res.breakdown.total) < 1e-8, g.n
 
 
 def test_resolution_doubling_energy_agreement(harmonic_128):
     g, res = harmonic_128
     g2 = make_grid(1, 256, 8.0)
-    cfg = SolveConfig(tol_grad=1e-8, max_iters=4000, precondition=True)
+    cfg = SolveConfig(tol_grad=1e-8, max_iters=4000)
     res2 = solve(g2, Harmonic(1.0), 0.0, cfg)
     assert res2.status is SolveStatus.CONVERGED
     assert abs(res.breakdown.total - res2.breakdown.total) < 1e-7
@@ -65,7 +73,7 @@ def test_resolution_doubling_energy_agreement(harmonic_128):
 
 def test_energy_strictly_decreases_with_coupling(harmonic_128):
     g, res0 = harmonic_128
-    cfg = SolveConfig(tol_grad=1e-8, max_iters=4000, precondition=True)
+    cfg = SolveConfig(tol_grad=1e-8, max_iters=4000)
     res8 = solve(g, Harmonic(1.0), 8.0, cfg)
     assert res8.status is SolveStatus.CONVERGED
     assert res8.breakdown.total < res0.breakdown.total
@@ -106,39 +114,24 @@ def test_converged_well_respects_sobolev_floor(well_run):
     assert res.breakdown.total >= -ceiling - 1e-9
 
 
-def test_preconditioning_reaches_same_state():
-    g = make_grid(1, 16, 6.0)
-    V = Harmonic(1.0)
-    plain = solve(g, V, 0.0, SolveConfig(tol_grad=1e-7, max_iters=60000))
-    fast = solve(g, V, 0.0, SolveConfig(tol_grad=1e-7, max_iters=4000,
-                                        precondition=True))
-    assert plain.status is SolveStatus.CONVERGED
-    assert fast.status is SolveStatus.CONVERGED
-    assert abs(plain.breakdown.total - fast.breakdown.total) < 1e-8
-    d2 = min(l2_norm_sq(plain.minimizer - fast.minimizer),
-             l2_norm_sq(plain.minimizer + fast.minimizer))
-    assert np.sqrt(d2) < 1e-4
-
-
 def test_supercritical_coupling_diverges_below_floor():
     # a = 20 exceeds the quotient of every state (the gaussian already gives
     # 16.56), so descent concentrates without bound; the floor is the witness.
     g = make_grid(1, 256, 16.0)
-    cfg = SolveConfig(tol_grad=1e-10, max_iters=20000, precondition=True)
+    cfg = SolveConfig(tol_grad=1e-10, max_iters=20000)
     res = solve(g, Zero(), 20.0, cfg)
     assert res.status is SolveStatus.DIVERGED_BELOW_FLOOR
-    assert res.breakdown.total < cfg.energy_floor
+    assert res.breakdown.total < ENERGY_FLOOR
 
 
 def test_floor_hit_at_initialization():
     g = make_grid(1, 512, 16.0)
     profile = _unit_gaussian(g)
-    cfg = SolveConfig(init=InitSpec(kind="dilated_Q", ell=12.0),
-                      precondition=True)
+    cfg = SolveConfig(init=InitSpec(kind="dilated_Q", ell=12.0))
     res = solve(g, Zero(), 20.0, cfg, profile=profile)
     assert res.status is SolveStatus.DIVERGED_BELOW_FLOOR
     assert res.iterations == 0
-    assert res.breakdown.total < cfg.energy_floor
+    assert res.breakdown.total < ENERGY_FLOOR
     assert res.init_label == "dilated_Q"
 
 
@@ -182,11 +175,11 @@ def test_init_and_config_validation():
     g = make_grid(1, 32, 8.0)
     with pytest.raises(ValueError, match="reference profile"):
         initial_field(g, Zero(), InitSpec(kind="dilated_Q", ell=2.0))
-    for bad in (dict(step0=0.0), dict(shrink=1.2), dict(grow=0.9),
-                dict(shrink=0.5, grow=0.4), dict(tol_grad=0.0),
-                dict(max_iters=0), dict(energy_floor=0.5)):
+    for bad in (dict(tol_grad=0.0), dict(max_iters=0)):
         with pytest.raises(ValueError):
             SolveConfig(**bad)
+    assert [f.name for f in fields(SolveConfig)] == [
+        "tol_grad", "max_iters", "init"]
 
 
 def test_solve_rejects_bad_problems():
@@ -226,24 +219,24 @@ def test_trial_bound_centering_and_errors():
 
 def test_solve_2d_smoke():
     g = make_grid(2, 32, 8.0)
-    cfg = SolveConfig(tol_grad=1e-6, max_iters=2000, precondition=True)
+    cfg = SolveConfig(tol_grad=1e-6, max_iters=2000)
     res = solve(g, Harmonic(1.0), 0.0, cfg)
     assert res.status is SolveStatus.CONVERGED
     assert abs(l2_norm_sq(res.minimizer) - 1.0) < 1e-12
     assert res.breakdown.total > 0.0
 
 
-def test_unpreconditioned_cg_keeps_its_previous_gradient():
-    # without the preconditioner P G is G itself; the Polak-Ribiere beta
-    # needs the previous step's gradient after the next evaluation has
-    # overwritten the current one, and a beta that reads the new gradient
-    # twice is 0: plain steepest descent, which runs out of iterations here
+def test_cg_counters_are_pinned():
+    # the Polak-Ribiere beta reads the previous step's preconditioned
+    # gradient, kept in the other workspace slot; a solver that wrote every
+    # iteration's P G into one slot would compute beta from the new one and
+    # take a different path, which these counters pin
     g = make_grid(2, 32, 8.0)
-    cfg = SolveConfig(tol_grad=1e-5, max_iters=2000, precondition=False)
+    cfg = SolveConfig(tol_grad=1e-5, max_iters=2000)
     res = solve(g, GaussianWell(1.0, 1.0, (0.0, 0.0)), 40.0, cfg)
     assert res.status is SolveStatus.CONVERGED
-    assert 0 < res.cg_restarts < res.iterations
-    assert (res.iterations, res.backtracks, res.cg_restarts) == (1687, 652, 144)
+    assert (res.iterations, res.backtracks, res.cg_restarts,
+            res.fft_calls) == (21, 9, 8, 65)
 
 
 def _assert_same_result(r, s):
@@ -255,12 +248,11 @@ def _assert_same_result(r, s):
         s.iterations, s.backtracks, s.cg_restarts, s.fft_calls)
 
 
-@pytest.mark.parametrize("precondition", [True, False])
-def test_repeated_solves_share_no_state(precondition):
+def test_repeated_solves_share_no_state():
     # every solve owns its work arrays: a second call, or one after a solve
     # on another grid, reproduces the first bit for bit (150 iterations are
     # plenty to compare, converged or not)
-    cfg = SolveConfig(tol_grad=1e-6, max_iters=150, precondition=precondition)
+    cfg = SolveConfig(tol_grad=1e-6, max_iters=150)
     g2 = make_grid(2, 32, 8.0)
     V2 = GaussianWell(1.0, 1.0, (0.1, -0.05))
     g1 = make_grid(1, 128, 8.0)
@@ -302,7 +294,7 @@ def _well_1d():
 def _warm_sweep_point():
     # the second point of a sweep: warm-started from the first minimizer
     g, V, _, _ = _well_1d()
-    cfg = SolveConfig(tol_grad=1e-6, max_iters=40000, precondition=True)
+    cfg = SolveConfig(tol_grad=1e-6, max_iters=40000)
     return g, V, 15.0, solve(g, V, 14.0, cfg).minimizer
 
 
@@ -312,7 +304,7 @@ def test_spectral_state_matches_field_evaluation(problem, monkeypatch):
     # its reported state must be that of the returned minimizer, and it
     # must count every transform it runs, at most three per iteration
     g, V, a, start = problem()
-    cfg = SolveConfig(tol_grad=1e-6, max_iters=40000, precondition=True)
+    cfg = SolveConfig(tol_grad=1e-6, max_iters=40000)
     calls = _count_transforms(monkeypatch)
     res = solve(g, V, a, cfg, start=start)
     monkeypatch.undo()
