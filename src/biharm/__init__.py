@@ -50,7 +50,6 @@ from .gn import (
     normalize_gn,
     normalize_to_el,
     save_gn,
-    symmetrize_even,
 )
 from .blowup import (
     SweepRecord,
@@ -88,7 +87,7 @@ __all__ = [
     "InitSpec", "SolveConfig", "SolveResult", "SolveStatus",
     "initial_field", "solve", "trial_upper_bound", "write_iteration_log",
     "GNResult", "compute_gn", "normalize_gn", "normalize_to_el",
-    "symmetrize_even", "save_gn", "load_gn",
+    "save_gn", "load_gn",
     "SweepRecord", "sweep", "energy_limit_check", "gn_sequence_check",
     "sweep_plot_columns", "save_sweep",
 ]

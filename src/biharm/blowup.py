@@ -80,15 +80,20 @@ def _h2_after_best_shift(w: Field, ref: Field) -> float:
 
     Translation preserves the H2 norm, so the distance is smallest where the
     spectral cross-correlation C(s) = Re sum (1 + |k|^4) w^ conj(ref^)
-    exp(-i k.s) is largest.  Both fields arrive centered, so the optimum sits
-    near s = 0: Newton's method on C from s = 0, with steps clipped to half a
-    node per axis, costs O(n^d) per step on the two transforms in hand and no
-    FFT.  One exact translation then measures the distance at the optimum,
-    which is reported only if it beats the distance at s = 0.
+    exp(-i k.s) is largest; over the half spectrum each term is weighted by
+    its column's multiplicity, the dropped mirror terms being conjugates.
+    Both fields arrive centered, so the optimum sits near s = 0: Newton's
+    method on C from s = 0, with steps clipped to half a node per axis,
+    costs O(n^d) per step on the two transforms in hand and no FFT.  One
+    exact translation then measures the distance at the optimum, which is
+    reported only if it beats the distance at s = 0.
     """
     g = w.grid
-    ks = np.stack(np.meshgrid(*g.wavenumbers, indexing="ij")).reshape(g.d, -1)
-    corr = ((1.0 + g.k_quad) * w.hat * np.conj(ref.hat)).ravel()
+    half = g.wavenumbers[-1][:g.n // 2 + 1]
+    ks = np.stack(np.meshgrid(*g.wavenumbers[:-1], half, indexing="ij")
+                  ).reshape(g.d, -1)
+    corr = ((1.0 + g.k_quad) * g.multiplicity * w.hat
+            * np.conj(ref.hat)).ravel()
     shift = np.zeros(g.d)
     for _ in range(_NEWTON_MAX_STEPS):
         z = corr * np.exp(-1j * (shift @ ks))

@@ -12,12 +12,15 @@ The nonlinear term is the plain pointwise quadrature, and the gradient below
 is its exact discrete gradient — the pair is what makes finite-difference
 consistency and monotone line searches hold to rounding.
 
-The Field-level functions (energy, constrained_gradient, ...) are the
-reference evaluations.  The solver's inner loop uses the array-level
-spectral_energy_and_gradient and spectral_energy_difference instead, on the
-nodal values and real transform it carries and with work arrays it owns
-(SpectralScratch); energy_difference is the Field-level wrapper of the
-latter.
+Every kinetic term is a multiplicity-weighted Parseval sum over the half
+spectrum of Grid.forward, the one spectral format.  The Field-level
+functions (energy, constrained_gradient, ...) are the reference
+evaluations, and those built from the Euler-Lagrange operator
+Lap^2 u + V u - (a q / 2) |u|^{q-2} u share one implementation of it.  The
+solver's inner loop uses the array-level spectral_energy_and_gradient and
+spectral_energy_difference instead, on the nodal values and transform it
+carries and with work arrays it owns (SpectralScratch); energy_difference
+is the Field-level wrapper of the latter.
 """
 
 from __future__ import annotations
@@ -62,13 +65,12 @@ def energy_difference(u: Field, delta: np.ndarray, V, a: float,
                       mu: float = 0.0) -> float:
     """E(v) - E(u) - mu * (mass(v) - mass(u)) for v = u + delta, from delta.
 
-    The Field-level form of spectral_energy_difference: it transforms u and
-    delta and hands both states to that kernel.
+    The Field-level form of spectral_energy_difference: it hands u's cached
+    transform and the transform of delta to that kernel.
     """
     g = u.grid
-    x = u.values
-    return spectral_energy_difference(g, x, g.rforward(x), delta,
-                                      g.rforward(delta), sample(V, g).values,
+    return spectral_energy_difference(g, u.values, u.hat, delta,
+                                      g.forward(delta), sample(V, g).values,
                                       a, mu)
 
 
@@ -84,7 +86,7 @@ class SpectralScratch:
 
     def __init__(self, g: Grid):
         self.real = tuple(np.empty(g.shape) for _ in range(5))
-        self.half = np.empty(g.rk_quad.shape, dtype=np.complex128)
+        self.half = np.empty(g.k_quad.shape, dtype=np.complex128)
 
 
 def spectral_energy_difference(g: Grid, x: np.ndarray, X: np.ndarray,
@@ -93,7 +95,7 @@ def spectral_energy_difference(g: Grid, x: np.ndarray, X: np.ndarray,
                                scratch: SpectralScratch | None = None
                                ) -> float:
     """E(v) - E(u) - mu * (mass(v) - mass(u)) for the state u with values x
-    and real transform X = g.rforward(x), and v = u + delta.
+    and transform X = g.forward(x), and v = u + delta.
 
     dhat is the real transform of delta (in the solver, the same linear
     combination of X and the direction's transform that delta is of x and
@@ -129,7 +131,7 @@ def spectral_energy_difference(g: Grid, x: np.ndarray, X: np.ndarray,
         poly += upow
     np.add(X, X, out=khat)
     khat += dhat
-    khat *= g.rk_quad_parseval  # |k|^4 (delta_hat + 2 u_hat), Parseval-weighted
+    khat *= g.k_quad_parseval  # |k|^4 (delta_hat + 2 u_hat), Parseval-weighted
     kin = np.vdot(dhat, khat).real
     rest = np.vdot(s, vvals) - a * np.vdot(s, poly) - mu * np.sum(s)
     return float(g.dx**g.d * (kin / g.n**g.d + rest))
@@ -142,13 +144,13 @@ def spectral_energy_and_gradient(g: Grid, x: np.ndarray, X: np.ndarray,
     """Breakdown, projected gradient and its L2 norm from one inverse
     transform.
 
-    x are the nodal values of the state and X = g.rforward(x) its real
+    x are the nodal values of the state and X = g.forward(x) its
     transform (carried alongside x by the solver rather than recomputed);
     vvals is the sampled potential.  Returns (EnergyBreakdown, G, |G|) with
     G the gradient of energy() projected as constrained_gradient projects
     it, written into out when given.  The kinetic term is the Parseval sum
     over X, the rest are nodal quadratures, and the only transform is
-    g.rinverse(|k|^4 X).  The work arrays come from scratch, which is
+    g.inverse(|k|^4 X).  The work arrays come from scratch, which is
     overwritten.
     """
     q = critical_power(g.d)
@@ -164,11 +166,11 @@ def spectral_energy_and_gradient(g: Grid, x: np.ndarray, X: np.ndarray,
         xq1 *= xq1
     xq1 *= x  # x^(q-1) by multiplication: x^5 in 2D, x^9 in 1D
     np.multiply(vvals, x, out=vx)
-    np.multiply(g.rk_quad_parseval, X, out=khat)
+    np.multiply(g.k_quad_parseval, X, out=khat)
     kin = w / g.n**g.d * np.vdot(X, khat).real
     pot = w * np.vdot(vx, x)
     non = w * np.vdot(xq1, x)
-    grad = g.rinverse(np.multiply(g.rk_quad, X, out=khat), out=out)
+    grad = g.inverse(np.multiply(g.k_quad, X, out=khat), out=out)
     grad += vx
     grad *= 2.0
     xq1 *= a * q
@@ -203,11 +205,17 @@ def scaled_energy_identity_check(u: Field, a: float, ell: float,
     return abs(lhs - rhs)
 
 
-def _unconstrained_gradient(u: Field, V, a: float) -> np.ndarray:
+def _el_operator(u: Field, V, a: float) -> np.ndarray:
+    """Nodal values of Lap^2 u + V u - (a q / 2) |u|^{q-2} u, half the
+    unconstrained gradient of the energy."""
     q = critical_power(u.grid.d)
     vvals = sample(V, u.grid).values
-    return (2.0 * bilap_apply(u).values + 2.0 * vvals * u.values
-            - a * q * np.abs(u.values) ** (q - 2) * u.values)
+    return (bilap_apply(u).values + vvals * u.values
+            - (a * q / 2.0) * np.abs(u.values) ** (q - 2) * u.values)
+
+
+def _unconstrained_gradient(u: Field, V, a: float) -> np.ndarray:
+    return 2.0 * _el_operator(u, V, a)
 
 
 def constrained_gradient(u: Field, V, a: float) -> Field:
@@ -259,22 +267,14 @@ def el_residual(u: Field):
 def chemical_potential(u: Field, V, a: float) -> float:
     """Lagrange multiplier of the mass constraint at u:
     mu = <u, Lap^2 u + V u - (a q / 2) |u|^{q-2} u>."""
-    g = u.grid
-    q = critical_power(g.d)
-    vvals = sample(V, g).values
-    op = (bilap_apply(u).values + vvals * u.values
-          - (a * q / 2.0) * np.abs(u.values) ** (q - 2) * u.values)
-    return float(quadrature(g, u.values * op))
+    return float(quadrature(u.grid, u.values * _el_operator(u, V, a)))
 
 
 def stationarity_residual(u: Field, V, a: float) -> float:
     """L2 norm of (Lap^2 + V - (aq/2)|u|^{q-2})u - mu*u at the constrained
     multiplier mu — the first-order optimality defect of a unit-mass state."""
     g = u.grid
-    q = critical_power(g.d)
-    vvals = sample(V, g).values
-    mu = chemical_potential(u, V, a)
-    r = (bilap_apply(u).values + vvals * u.values
-         - (a * q / 2.0) * np.abs(u.values) ** (q - 2) * u.values
-         - mu * u.values)
+    op = _el_operator(u, V, a)
+    mu = quadrature(g, u.values * op)
+    r = op - mu * u.values
     return float(np.sqrt(quadrature(g, r**2)))

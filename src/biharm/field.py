@@ -1,10 +1,13 @@
 """Real-valued grid functions: mass, spectral Sobolev norms, rescaling maps.
 
-A Field couples nodal values to its Grid and lazily caches the spectral
-coefficients, so repeated norm evaluations reuse one transform.  All
-operations are pure and return new Fields.  The fourth-order seminorm is
-evaluated through the spectral symbol |k|^4; the H^2 norm squared is the
-(1 + |k|^4)-weighted coefficient sum, equal to mass + fourth-order seminorm.
+A Field couples nodal values to its Grid and lazily caches the half-spectrum
+coefficients of Grid.forward, so repeated norm evaluations reuse one
+transform.  All operations are pure and return new Fields.  The
+fourth-order seminorm is evaluated through the spectral symbol |k|^4 as a
+multiplicity-weighted Parseval sum over the half spectrum; the H^2 norm
+squared is mass + fourth-order seminorm.  Spectral maps (bilap_apply,
+translate, refinement) act on the half spectrum and treat the Nyquist
+modes, which stand for both +k_max and -k_max, Hermitian-symmetrically.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import warnings
 
 import numpy as np
 
-from .grid import Grid, make_grid, quadrature
+from .grid import Grid, _shared_grid, make_grid, quadrature
 
 SNAPSHOT_SUFFIX = ".bhf"
 
@@ -43,7 +46,8 @@ class Field:
 
     @property
     def hat(self) -> np.ndarray:
-        """Cached unnormalized spectral coefficients (fftn of values)."""
+        """Cached unnormalized half-spectrum coefficients (Grid.forward of
+        values)."""
         if self._hat is None:
             self._hat = self.grid.forward(self.values)
             self._hat.setflags(write=False)
@@ -86,14 +90,14 @@ def l2_norm_sq_spectral(u: Field) -> float:
     """Mass evaluated from spectral coefficients (Parseval route)."""
     g = u.grid
     scale = g.dx**g.d / g.n**g.d
-    return float(scale * np.sum(np.abs(u.hat) ** 2))
+    return float(scale * np.sum(g.multiplicity * np.abs(u.hat) ** 2))
 
 
 def bilap_energy(u: Field) -> float:
     """Fourth-order seminorm: integral of |Laplacian u|^2 via the |k|^4 symbol."""
     g = u.grid
     scale = g.dx**g.d / g.n**g.d
-    return float(scale * np.sum(g.k_quad * np.abs(u.hat) ** 2))
+    return float(scale * np.sum(g.k_quad_parseval * np.abs(u.hat) ** 2))
 
 
 def h2_norm_sq(u: Field) -> float:
@@ -131,17 +135,28 @@ def lq_integral(u: Field, q: float, refine: int = 1) -> float:
 
 
 def _refined_values(u: Field, factor: int) -> np.ndarray:
-    """Values of the trigonometric interpolant on a factor-times-finer grid."""
+    """Values of the trigonometric interpolant on a factor-times-finer grid.
+
+    The half spectrum is zero-padded onto the fine grid's.  A coarse Nyquist
+    coefficient stands for the modes at both +n/2 and -n/2, which are
+    distinct on the fine grid, so it is split evenly between them: the
+    Nyquist row goes half to each of its two fine rows, and the Nyquist
+    column is halved, the fine inverse transform supplying its mirror.
+    """
     g = u.grid
-    m = g.n * factor
-    hat = np.fft.fftshift(u.hat)
-    pad = (m - g.n) // 2
+    # derived from a valid grid, so make_grid's checks (among them n a power
+    # of two) need not hold for any integer factor
+    fine = _shared_grid(g.d, g.n * factor, g.half_width)
+    h = g.n // 2
+    padded = np.zeros(fine.k_quad.shape, dtype=np.complex128)
     if g.d == 1:
-        padded = np.pad(hat, (pad, pad))
+        padded[:h + 1] = u.hat
     else:
-        padded = np.pad(hat, ((pad, pad), (pad, pad)))
-    padded = np.fft.ifftshift(padded)
-    return np.fft.ifftn(padded).real * (factor**g.d)
+        padded[:h, :h + 1] = u.hat[:h]
+        padded[-h:, :h + 1] = u.hat[h:]
+        padded[h] = padded[-h] = 0.5 * padded[-h]
+    padded[..., h] *= 0.5
+    return fine.inverse(padded) * (factor**g.d)
 
 
 def renormalize_mass(u: Field, m: float = 1.0) -> Field:
@@ -216,7 +231,7 @@ def dilate(u: Field, ell: float) -> Field:
     s = np.arange(2 * n)
     s = np.where(s < n, s, s - 2 * n)
     kernel_hat = np.fft.fft(np.exp(-1j * np.pi * ell * s**2 / n))
-    z = u.hat
+    z = np.fft.fftn(u.values)  # the chirp-z needs the full spectrum
     for _ in range(g.d):
         a = np.fft.fftshift(z, axes=-1) * pre
         z = np.fft.ifft(np.fft.fft(a, 2 * n) * kernel_hat)[..., :n] * post
@@ -234,17 +249,26 @@ def dilate(u: Field, ell: float) -> Field:
 
 
 def translate(u: Field, shift) -> Field:
-    """Periodic sub-grid translation v(x) = u(x - shift) by spectral phase."""
+    """Periodic sub-grid translation v(x) = u(x - shift) by spectral phase.
+
+    A Nyquist mode stands for both +k_max and -k_max, and a real field
+    carries it as the real combination of the two, so along each axis it
+    takes the phase cos(k_max * shift), the real part of exp(-i k shift).
+    In 2D the map is the product of the two 1D translations: the corner
+    mode (n/2, n/2) takes the product of the two cosines.
+    """
     g = u.grid
     shift = np.atleast_1d(np.asarray(shift, dtype=np.float64))
     if shift.shape != (g.d,):
         raise ValueError(f"shift must have {g.d} components")
+    h = g.n // 2
     hat = u.hat
     for ax in range(g.d):
         k = g.wavenumbers[ax]
         phase = np.exp(-1j * k * shift[ax])
-        hat = hat * (phase if g.d == 1 else
-                     phase.reshape([-1 if a == ax else 1 for a in range(g.d)]))
+        phase[h] = np.cos(k[h] * shift[ax])
+        # axis 0 of a 2D spectrum is full length; the last axis is halved
+        hat = hat * (phase[:h + 1] if ax == g.d - 1 else phase[:, None])
     return Field(g, g.inverse(hat))
 
 
@@ -307,7 +331,9 @@ def random_smooth_field(g: Grid, rng: np.random.Generator,
         envelope_width = min(1.0, g.half_width / 12.0)
     shape = g.shape
     coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    decay = np.exp(-(g.k_sq / k_cut**2))
+    k = g.wavenumbers[0]
+    k_sq = k**2 if g.d == 1 else k[:, None] ** 2 + k[None, :] ** 2
+    decay = np.exp(-(k_sq / k_cut**2))
     vals = np.fft.ifftn(coeffs * decay).real
     mesh = g.meshes()
     r_sq = sum(m**2 for m in mesh)

@@ -57,7 +57,6 @@ class GNResult:
 @dataclass
 class _Run:
     u: Field  # unit mass
-    value: float  # quotient of u
     residual: float  # quotient-gradient norm at u
     iterations: int
     converged: bool
@@ -93,8 +92,8 @@ def _petviashvili(g: Grid, u0: Field, cfg: SolveConfig) -> _Run:
         nl = u ** (q - 1)
         nl_hat = g.forward(nl)
         power = np.abs(u_hat) ** 2
-        mass = parseval * float(power.sum())
-        kin = parseval * float((g.k_quad * power).sum())
+        mass = parseval * float((g.multiplicity * power).sum())
+        kin = parseval * float((g.k_quad_parseval * power).sum())
         non = g.dx**g.d * float((u * nl).sum())
         if not (mass > 0.0 and non > 0.0 and np.isfinite(mass + kin + non)):
             raise ValueError("fixed-point iterate collapsed")
@@ -105,7 +104,8 @@ def _petviashvili(g: Grid, u0: Field, cfg: SolveConfig) -> _Run:
         grad = ((2.0 / non_v) * (g.k_quad * v_hat)
                 + ((q - 2.0) * kin_v / non_v) * v_hat
                 - (q * kin_v / non_v**2 / mass ** (0.5 * (q - 1))) * nl_hat)
-        residual = float(np.sqrt(parseval * (np.abs(grad) ** 2).sum()))
+        residual = float(np.sqrt(
+            parseval * (g.multiplicity * np.abs(grad) ** 2).sum()))
         converged = residual <= cfg.tol_grad
         if converged or it == cfg.max_iters or settled >= _SETTLED:
             break
@@ -114,27 +114,11 @@ def _petviashvili(g: Grid, u0: Field, cfg: SolveConfig) -> _Run:
         u_hat = M**gamma * nl_hat / symbol
         u = g.inverse(u_hat)
         it += 1
-    return _Run(Field(g, u / np.sqrt(mass)), kin_v / non_v, residual, it,
-                converged)
+    return _Run(Field(g, u / np.sqrt(mass)), residual, it, converged)
 
 
-def _mirror(vals: np.ndarray, ax: int) -> np.ndarray:
-    # node j -> node (n - j) mod n realizes x -> -x on nodes starting at -L
-    return np.roll(np.flip(vals, axis=ax), 1, axis=ax)
-
-
-def symmetrize_even(u: Field) -> Field:
-    """Recenter and average over the box isometries fixing the origin."""
-    v, _ = recenter(u)
-    group = [v.values, _mirror(v.values, 0)]
-    if u.grid.d == 2:
-        group += [_mirror(b, 1) for b in group]
-        group += [b.T.copy() for b in group]
-    return renormalize_mass(Field(u.grid, np.mean(group, axis=0)))
-
-
-def _gaussian_state(g: Grid, width: float, center) -> Field:
-    r2 = sum((m - c) ** 2 for m, c in zip(g.meshes(), center))
+def _gaussian_state(g: Grid, width: float) -> Field:
+    r2 = sum(m**2 for m in g.meshes())
     return renormalize_mass(Field(g, np.exp(-r2 / (2.0 * width**2))))
 
 
@@ -147,47 +131,38 @@ def _finalize(u: Field) -> Field:
 
 
 def compute_gn(g: Grid, cfg: SolveConfig | None = None,
-               coarse_check: bool = True, center=None) -> GNResult:
+               coarse_check: bool = True) -> GNResult:
     """Find the quotient's optimizer by the Petviashvili fixed point.
 
-    Runs the fixed point (see _petviashvili) from one Gaussian start, of
-    width cfg.init.width for a gaussian init and 1 otherwise, centered at
-    center (the origin by default); every start width tried converges to the
-    same constant, so one start suffices.  It then symmetrizes the result
-    even and runs the fixed point once more, keeping the rerun when it
-    converges to a quotient no larger, and normalizes the profile to unit
+    Runs the fixed point (see _petviashvili) once, from a Gaussian centered
+    at the origin, of width cfg.init.width for a gaussian init and 1
+    otherwise; every start width tried converges to the same constant, so
+    one start suffices, and the centered start is exactly even, so the
+    result needs no symmetrizing.  The profile is then normalized to unit
     mass and unit fourth-order seminorm; the iteration works in that gauge,
     so only the amplitude changes.  The constant is the quotient of the
     stored profile, so the sharp-normalization identity
     a_star * lq_integral(Q, q) = 1 closes by construction.  A fixed point is
     stationary, not a proven minimum: that no other localized state beats it
     is what the test batteries and the Gaussian upper bound check.  Raises
-    RuntimeError naming tol_grad when neither run converges.  With
+    RuntimeError naming tol_grad when the run does not converge.  With
     coarse_check the fixed point also runs on the n/2 grid from the
     subsampled profile, for the resolutions cross-check.
     """
     if cfg is None:
         cfg = SolveConfig(tol_grad=3e-7, max_iters=8000)
     q = critical_power(g.d)
-    center = np.zeros(g.d) if center is None else np.asarray(center, dtype=np.float64)
-    base = cfg.init.width if cfg.init.kind == "gaussian" else 1.0
-
-    def run(u0: Field) -> _Run:
-        try:
-            return _petviashvili(g, u0, cfg)
-        except ValueError:
-            # collapsed to zero along the way; report as a failed run
-            return _Run(u0, np.inf, np.inf, 0, False)
-
-    best = run(_gaussian_state(g, base, center))
-    even = run(symmetrize_even(best.u))
-    iterations = best.iterations + even.iterations
-    if even.converged and (not best.converged
-                           or even.value <= best.value + 1e-9):
-        best = even
+    width = cfg.init.width if cfg.init.kind == "gaussian" else 1.0
+    try:
+        best = _petviashvili(g, _gaussian_state(g, width), cfg)
+    except ValueError as exc:
+        raise RuntimeError(
+            f"the fixed point collapsed to zero; tol_grad {cfg.tol_grad:.3e} "
+            "was not reached") from exc
+    iterations = best.iterations
     if not best.converged:
         raise RuntimeError(
-            f"no fixed-point run converged; quotient residual "
+            f"the fixed point did not converge; quotient residual "
             f"{best.residual:.3e} above tol_grad {cfg.tol_grad:.3e}")
 
     Q = _finalize(best.u)

@@ -6,9 +6,14 @@ Wavenumbers follow the standard FFT index ordering j in {0, 1, ..., n/2-1,
 -n/2, ..., -1} with k_j = pi*j/half_width, which is what the unnormalized
 numpy transforms expect.  Quadrature is the periodic trapezoid rule
 dx^d * sum(samples): exact for trigonometric polynomials below Nyquist and
-spectrally accurate for smooth decaying data.  Real fields also have a real
-transform onto the half spectrum (the last axis cut to n/2 + 1 columns),
-which the solver's inner loop uses at about half the cost of the complex one.
+spectrally accurate for smooth decaying data.
+
+Fields are real, so their spectrum is Hermitian and the grid has one
+transform pair, forward/inverse, onto the half spectrum: the last axis is
+cut to its n/2 + 1 non-negative columns, the conjugate mirror of the rest
+being implied.  A sum over the full spectrum is a sum over the half one
+with each column weighted by its multiplicity (2 where the mirror was
+dropped, 1 on the zero and Nyquist columns, which are their own mirrors).
 """
 
 from __future__ import annotations
@@ -33,15 +38,17 @@ class Grid:
         half_width: box half-length, domain is [-half_width, half_width)^d.
         dx: node spacing, 2*half_width/n exactly.
         axes: per-axis node coordinates, each of shape (n,).
-        wavenumbers: per-axis spectral table k_j = pi*j/half_width in FFT order.
-        k_sq: |k|^2 on the full d-dimensional spectral grid.
-        k_quad: |k|^4 on the full d-dimensional spectral grid (the fourth-order
-            symbol used by every bilaplacian evaluation).
-        rk_quad: |k|^4 on the half spectrum of rforward.
-        rk_quad_parseval: rk_quad times each half-spectrum coefficient's
-            multiplicity in the full spectrum (2 where rforward drops the
-            conjugate mirror, 1 on the zero and Nyquist columns), so
-            sum(rk_quad_parseval * |rforward(u)|^2) is the full-spectrum
+        wavenumbers: per-axis spectral table k_j = pi*j/half_width in FFT
+            order, full length n (the half spectrum's last axis uses the
+            first n/2 + 1 entries).
+        k_quad: |k|^4 on the half spectrum (the fourth-order symbol used by
+            every bilaplacian evaluation).
+        multiplicity: each last-axis column's multiplicity in the full
+            spectrum, shape (n/2 + 1,): 2 where forward drops the conjugate
+            mirror, 1 on the zero and Nyquist columns, so
+            sum(multiplicity * |forward(u)|^2) is the full-spectrum sum of
+            |fftn(u)|^2.
+        k_quad_parseval: k_quad * multiplicity, the weight of the Parseval
             sum of |k|^4 |fftn(u)|^2.
     """
 
@@ -51,10 +58,9 @@ class Grid:
     dx: float
     axes: tuple = field(repr=False)
     wavenumbers: tuple = field(repr=False)
-    k_sq: np.ndarray = field(repr=False)
     k_quad: np.ndarray = field(repr=False)
-    rk_quad: np.ndarray = field(repr=False)
-    rk_quad_parseval: np.ndarray = field(repr=False)
+    multiplicity: np.ndarray = field(repr=False)
+    k_quad_parseval: np.ndarray = field(repr=False)
 
     @property
     def shape(self) -> tuple:
@@ -65,25 +71,17 @@ class Grid:
         """Magnitude of the per-axis Nyquist wavenumber."""
         return np.pi * (self.n // 2) / self.half_width
 
-    def forward(self, values: np.ndarray) -> np.ndarray:
-        """Forward spectral transform (unnormalized, complex output)."""
-        return np.fft.fftn(values)
-
-    def inverse(self, coeffs: np.ndarray) -> np.ndarray:
-        """Inverse spectral transform back to real nodal values."""
-        return np.fft.ifftn(coeffs).real
-
-    def rforward(self, values: np.ndarray, out: np.ndarray | None = None
-                 ) -> np.ndarray:
+    def forward(self, values: np.ndarray, out: np.ndarray | None = None
+                ) -> np.ndarray:
         """Real forward transform onto the half spectrum (unnormalized),
         written into out when given."""
         if self.d == 1:
             return np.fft.rfft(values, axis=0, out=out)
         return np.fft.rfftn(values, axes=(0, 1), out=out)
 
-    def rinverse(self, coeffs: np.ndarray, out: np.ndarray | None = None
-                 ) -> np.ndarray:
-        """Inverse of rforward, back to real nodal values, written into out
+    def inverse(self, coeffs: np.ndarray, out: np.ndarray | None = None
+                ) -> np.ndarray:
+        """Inverse of forward, back to real nodal values, written into out
         when given."""
         if self.d == 1:
             return np.fft.irfft(coeffs, n=self.n, axis=0, out=out)
@@ -136,21 +134,17 @@ def _shared_grid(d: int, n: int, half_width: float) -> Grid:
 
     axes = tuple(x.copy() for _ in range(d))
     tables = tuple(k.copy() for _ in range(d))
-    if d == 1:
-        k_sq = k**2
-    else:
-        k_sq = k[:, None] ** 2 + k[None, :] ** 2
-    k_quad = k_sq**2
     half = n // 2 + 1
-    rk_quad = k_quad[..., :half].copy()  # |k| is even in every index
+    k_sq = k**2
+    k_quad = (k_sq[:half] if d == 1 else k_sq[:, None] + k_sq[None, :half]) ** 2
     multiplicity = np.full(half, 2.0)
     multiplicity[[0, -1]] = 1.0
-    rk_quad_parseval = rk_quad * multiplicity
-    for arr in (*axes, *tables, k_sq, k_quad, rk_quad, rk_quad_parseval):
+    k_quad_parseval = k_quad * multiplicity
+    for arr in (*axes, *tables, k_quad, multiplicity, k_quad_parseval):
         arr.setflags(write=False)
     return Grid(d=d, n=n, half_width=half_width, dx=dx, axes=axes,
-                wavenumbers=tables, k_sq=k_sq, k_quad=k_quad, rk_quad=rk_quad,
-                rk_quad_parseval=rk_quad_parseval)
+                wavenumbers=tables, k_quad=k_quad, multiplicity=multiplicity,
+                k_quad_parseval=k_quad_parseval)
 
 
 def quadrature(g: Grid, samples: np.ndarray) -> float:

@@ -155,11 +155,11 @@ class _Workspace:
             return np.empty(g.shape)
 
         def half():
-            return np.empty(g.rk_quad.shape, dtype=np.complex128)
+            return np.empty(g.k_quad.shape, dtype=np.complex128)
 
         self.grad, self.delta = real(), real()
         self.ghat, self.PG, self.dhat = half(), half(), half()
-        self.symbol = np.empty(g.rk_quad.shape)
+        self.symbol = np.empty(g.k_quad.shape)
         self.d, self.pg = (real(), real()), (real(), real())
         self.D = (half(), half())
         self.scratch = SpectralScratch(g)
@@ -270,7 +270,7 @@ def solve(g: Grid, V, a: float, cfg: SolveConfig = SolveConfig(),
 
     ws = _Workspace(g)
     x = u.values.copy()
-    X = g.rforward(x)
+    X = g.forward(x)
     bd, grad, res = spectral_energy_and_gradient(g, x, X, vvals, a, ws.grad,
                                                  ws.scratch)
     fft_calls = 2
@@ -282,16 +282,16 @@ def solve(g: Grid, V, a: float, cfg: SolveConfig = SolveConfig(),
     prev = None  # (d, D, P G, <G, P G>) of the last accepted step
     slot = 0  # the member of each workspace pair this iteration writes
     while status is None and it < cfg.max_iters:
-        ghat = g.rforward(grad, out=ws.ghat)
+        ghat = g.forward(grad, out=ws.ghat)
         # sigma tied to the kinetic energy: the Hessian's low modes scale
         # with it, so a fixed shift would lose a factor of kinetic in
         # conditioning as the state concentrates
         sigma = max(1.0, bd.kinetic)
-        symbol = np.add(g.rk_quad, sigma, out=ws.symbol)
+        symbol = np.add(g.k_quad, sigma, out=ws.symbol)
         np.divide(sigma, symbol, out=symbol)
         PG = np.multiply(symbol, ghat, out=ws.PG)
         pg = ws.pg[slot]
-        g.rinverse(PG, out=pg)
+        g.inverse(PG, out=pg)
         fft_calls += 2
         gpg = inner(grad, pg)
         pgx = inner(pg, x)

@@ -329,9 +329,8 @@ def _weighted_multiplier_norm(g: Grid, m: np.ndarray, iters: int = 80) -> float:
     sym = (1.0 + g.k_quad) ** -0.5
 
     def apply(v):
-        v = np.fft.ifftn(sym * np.fft.fftn(v)).real
-        v = m * v
-        return np.fft.ifftn(sym * np.fft.fftn(v)).real
+        v = m * g.inverse(sym * g.forward(v))
+        return g.inverse(sym * g.forward(v))
 
     rng = np.random.default_rng(1)
     v = rng.standard_normal(g.shape)

@@ -138,7 +138,7 @@ def test_criterion_01_spectral_exactness():
     for g in (g1, make_grid(2, 128, 16.0)):
         for i in range(6):
             if i % 2:
-                u = Field(g, rng.standard_normal(g.k_sq.shape))
+                u = Field(g, rng.standard_normal(g.shape))
             else:
                 u = random_smooth_field(g, rng)
             a_, b_ = l2_norm_sq(u), l2_norm_sq_spectral(u)

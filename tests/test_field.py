@@ -20,7 +20,9 @@ from biharm import (
     translate,
     write_snapshot,
 )
-from biharm.field import l2_norm_sq_spectral, random_smooth_field
+from biharm.blowup import _h2_after_best_shift
+from biharm.field import (_refined_values, l2_norm_sq_spectral,
+                          random_smooth_field)
 
 SQRT_PI = np.sqrt(np.pi)
 
@@ -114,10 +116,11 @@ def _dense_dilation(u, ell):
     g = u.grid
     x = g.axes[0]
     ev = np.exp(1j * np.outer(ell * x + g.half_width, g.wavenumbers[0]))
+    hat = np.fft.fftn(u.values)
     if g.d == 1:
-        vals = (ev @ u.hat).real * (ell**0.5 / g.n)
+        vals = (ev @ hat).real * (ell**0.5 / g.n)
     else:
-        vals = (ev @ u.hat @ ev.T).real * (ell / g.n**2)
+        vals = (ev @ hat @ ev.T).real * (ell / g.n**2)
     if (ell - 1.0) * g.half_width > 0.5 * g.dx:
         t = np.clip((np.abs(ell * x) / g.half_width - 0.75) / 0.25, 0.0, 1.0)
         taper = 1.0 - t**3 * (t * (6.0 * t - 15.0) + 10.0)
@@ -237,6 +240,112 @@ def test_lq_refine_agrees_when_resolved(gauss1):
         lq_integral(gauss1, 10, refine=0)
     with pytest.raises(ValueError):
         lq_integral(gauss1, 1.5)
+
+
+# -- the half spectrum against full-spectrum oracles --------------------------
+#
+# The translation and refinement oracles act one axis at a time through the
+# complex 1D transform, so in 2D they are tensor products of 1D maps: a
+# corner coefficient at (n/2, n/2) stands for all four modes (+-n/2, +-n/2).
+
+def _full_k(g):
+    return np.stack(np.meshgrid(*g.wavenumbers, indexing="ij"))
+
+
+def _full_k4(g):
+    return (_full_k(g) ** 2).sum(axis=0) ** 2
+
+
+def _oracle_translate(u, shift):
+    g = u.grid
+    vals = u.values
+    for ax in range(g.d):
+        phase = np.exp(-1j * g.wavenumbers[ax] * shift[ax])
+        phase = phase.reshape([-1 if a == ax else 1 for a in range(g.d)])
+        vals = np.fft.ifft(np.fft.fft(vals, axis=ax) * phase, axis=ax).real
+    return vals
+
+
+def _oracle_h2_distance(u, v):
+    g = u.grid
+    hat = np.fft.fftn(u.values - v.values)
+    scale = g.dx**g.d / g.n**g.d
+    return np.sqrt(scale * np.sum((1.0 + _full_k4(g)) * np.abs(hat) ** 2))
+
+
+def _oracle_best_shift_distance(w, ref):
+    """The best-shift search run on complex full spectra throughout."""
+    g = w.grid
+    ks = _full_k(g).reshape(g.d, -1)
+    corr = ((1.0 + _full_k4(g)) * np.fft.fftn(w.values)
+            * np.conj(np.fft.fftn(ref.values))).ravel()
+    shift = np.zeros(g.d)
+    for _ in range(20):
+        z = corr * np.exp(-1j * (shift @ ks))
+        step = -np.linalg.solve(-(ks * z.real) @ ks.T, ks @ z.imag)
+        step = np.clip(step, -0.5 * g.dx, 0.5 * g.dx)
+        shift = shift + step
+        if np.max(np.abs(step)) < 1e-12 * g.dx:
+            break
+    moved = Field(g, _oracle_translate(w, shift))
+    return min(_oracle_h2_distance(w, ref), _oracle_h2_distance(moved, ref))
+
+
+def _oracle_refined(u, factor):
+    g = u.grid
+    pad = (g.n * factor - g.n) // 2
+    vals = u.values
+    for ax in range(g.d):
+        hat = np.fft.fftshift(np.fft.fft(vals, axis=ax), axes=ax)
+        width = [(pad, pad) if a == ax else (0, 0) for a in range(g.d)]
+        hat = np.fft.ifftshift(np.pad(hat, width), axes=ax)
+        vals = np.fft.ifft(hat, axis=ax).real * factor
+    return vals
+
+
+@pytest.mark.parametrize("d,n,half_width", [(1, 512, 16.0), (2, 128, 8.0)])
+def test_half_spectrum_matches_full_spectrum_oracles(d, n, half_width):
+    g = make_grid(d, n, half_width)
+    rng = np.random.default_rng(11)
+    u, v = random_smooth_field(g, rng), random_smooth_field(g, rng)
+    hat = np.fft.fftn(u.values)
+    k4 = _full_k4(g)
+    scale = g.dx**g.d / g.n**g.d
+
+    def close(value, oracle):
+        err = np.max(np.abs(np.asarray(value) - oracle))
+        assert err <= 1e-12 * np.max(np.abs(oracle)), err
+
+    close(bilap_energy(u), scale * np.sum(k4 * np.abs(hat) ** 2))
+    close(l2_norm_sq_spectral(u), scale * np.sum(np.abs(hat) ** 2))
+    close(bilap_apply(u).values, np.fft.ifftn(k4 * hat).real)
+    shift = np.array([0.3, -0.2][:d]) * g.dx + 0.7
+    close(translate(u, shift).values, _oracle_translate(u, shift))
+    q = 10 if d == 1 else 6
+    dxf = g.dx / 2
+    close(lq_integral(u, q, refine=2),
+          dxf**d * np.sum(np.abs(_oracle_refined(u, 2)) ** q))
+    # w is u moved off the grid plus a perturbation, so the search has an
+    # interior optimum and the distance there is far from zero
+    w = Field(g, _oracle_translate(u, 0.3 * g.dx * np.ones(d))) + 0.1 * v
+    close(_h2_after_best_shift(w, u), _oracle_best_shift_distance(w, u))
+
+
+@pytest.mark.parametrize("d,n,half_width", [(1, 64, 8.0), (2, 32, 8.0)])
+def test_nyquist_modes_of_white_noise(d, n, half_width):
+    # white noise fills the Nyquist modes, which stand for both +n/2 and
+    # -n/2: refinement must split them for the interpolant to pass through
+    # every node, and translation must give them the real phase
+    g = make_grid(d, n, half_width)
+    u = Field(g, np.random.default_rng(5).standard_normal(g.shape))
+    top = np.max(np.abs(u.values))
+    fine = _refined_values(u, 2)
+    coarse = fine[::2] if d == 1 else fine[::2, ::2]
+    assert np.max(np.abs(coarse - u.values)) <= 1e-13 * top
+    assert np.max(np.abs(fine - _oracle_refined(u, 2))) <= 1e-13 * top
+    shift = np.array([0.3, -0.2][:d]) * g.dx
+    moved = translate(u, shift).values
+    assert np.max(np.abs(moved - _oracle_translate(u, shift))) <= 1e-13 * top
 
 
 # -- random fields -----------------------------------------------------------

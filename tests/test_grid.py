@@ -22,15 +22,22 @@ def test_wavenumbers_fft_order(g1):
 
 
 def test_symbol_arrays(g1):
-    assert_allclose(g1.k_quad, g1.k_sq**2)
-    assert g1.k_sq.shape == (512,)
+    k = g1.wavenumbers[0][:257]
+    assert g1.k_quad.shape == (257,)
+    assert_allclose(g1.k_quad, k**4)
+    assert g1.multiplicity.shape == (257,)
+    assert g1.multiplicity[0] == g1.multiplicity[-1] == 1.0
+    assert np.all(g1.multiplicity[1:-1] == 2.0)
+    assert_allclose(g1.k_quad_parseval, g1.k_quad * g1.multiplicity)
 
 
 def test_symbol_arrays_2d(g2_small):
     kx, ky = g2_small.wavenumbers
-    assert g2_small.k_sq.shape == (64, 64)
-    assert_allclose(g2_small.k_sq, kx[:, None] ** 2 + ky[None, :] ** 2)
-    assert_allclose(g2_small.k_quad, g2_small.k_sq**2)
+    assert g2_small.k_quad.shape == (64, 33)
+    assert_allclose(g2_small.k_quad,
+                    (kx[:, None] ** 2 + ky[None, :33] ** 2) ** 2)
+    assert_allclose(g2_small.k_quad_parseval,
+                    g2_small.k_quad * g2_small.multiplicity)
 
 
 def test_meshes_shapes(g2_small):
@@ -66,8 +73,9 @@ def test_make_grid_rejects_bad_config(d, n, hw):
 
 
 def test_arrays_read_only(g1):
-    with pytest.raises(ValueError):
-        g1.k_sq[0] = 1.0
+    for table in (g1.k_quad, g1.multiplicity, g1.k_quad_parseval):
+        with pytest.raises(ValueError):
+            table[0] = 1.0
 
 
 @pytest.mark.parametrize("shape", [(512,), (64, 64)])
@@ -75,24 +83,27 @@ def test_real_transform_matches_complex_half_spectrum(shape, g1, g2_small, rng):
     g = g1 if len(shape) == 1 else g2_small
     u = rng.standard_normal(g.shape)
     full = np.fft.fftn(u)
-    half = g.rforward(u)
+    half = g.forward(u)
     assert half.shape == shape[:-1] + (shape[-1] // 2 + 1,)
+    assert half.shape == g.k_quad.shape
     assert_allclose(half, full[..., :shape[-1] // 2 + 1], rtol=0,
                     atol=1e-12 * np.abs(full).max())
-    assert_allclose(g.rinverse(half), u, rtol=0, atol=1e-12)
-    assert_allclose(g.rk_quad, g.k_quad[..., :shape[-1] // 2 + 1])
-    # the multiplicity-weighted half sum is the full-spectrum Parseval sum
-    assert_allclose(np.sum(g.rk_quad_parseval * np.abs(half) ** 2),
-                    np.sum(g.k_quad * np.abs(full) ** 2), rtol=1e-12)
+    assert_allclose(g.inverse(half), u, rtol=0, atol=1e-12)
+    # the multiplicity-weighted half sums are the full-spectrum Parseval sums
+    k_sq = sum(np.meshgrid(*(k**2 for k in g.wavenumbers), indexing="ij"))
+    assert_allclose(np.sum(g.multiplicity * np.abs(half) ** 2),
+                    np.sum(np.abs(full) ** 2), rtol=1e-12)
+    assert_allclose(np.sum(g.k_quad_parseval * np.abs(half) ** 2),
+                    np.sum(k_sq**2 * np.abs(full) ** 2), rtol=1e-12)
 
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_real_transforms_into_out_match_allocating_form(d, g1, g2_small, rng):
     g = g1 if d == 1 else g2_small
     u = rng.standard_normal(g.shape)
-    half = np.empty(g.rk_quad.shape, dtype=np.complex128)
+    half = np.empty(g.k_quad.shape, dtype=np.complex128)
     back = np.empty(g.shape)
-    assert g.rforward(u, out=half) is half
-    assert g.rinverse(half, out=back) is back
-    assert half.tobytes() == g.rforward(u).tobytes()
-    assert back.tobytes() == g.rinverse(half).tobytes()
+    assert g.forward(u, out=half) is half
+    assert g.inverse(half, out=back) is back
+    assert half.tobytes() == g.forward(u).tobytes()
+    assert back.tobytes() == g.inverse(half).tobytes()
