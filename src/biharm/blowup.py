@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +23,8 @@ from .field import (Field, dilate, h2_distance, lq_integral, recenter,
                     translate, write_snapshot)
 from .gn import GNResult, normalize_gn
 from .grid import Grid
-from .groundstate import InitSpec, SolveConfig, SolveStatus, solve
+from .groundstate import (InitSpec, SolveConfig, SolveStatus, initial_field,
+                          solve)
 from .potentials import ess_inf
 
 __all__ = [
@@ -48,7 +49,7 @@ class SweepRecord:
     their scalars are reported, but nothing quantitative should be trusted at
     a scale the grid no longer separates.  iterations, backtracks,
     cg_restarts and fft_calls are the solver's counters for this coupling
-    (None when read back from a CSV written without them).  The minimizer
+    (None only on a record built by hand).  The minimizer
     and its rescaled profile ride along for snapshotting and the sequence
     checks; they are not part of the CSV serialization.
     """
@@ -125,29 +126,28 @@ def _validate_schedule(schedule, a_star: float) -> list:
 def sweep(g: Grid, V, schedule, cfg: SolveConfig, gn: GNResult) -> list:
     """Solve along a strictly increasing schedule of couplings below a*.
 
-    Each solve warm-starts from the previous record's minimizer; the first
-    starts from the reference profile compressed to the scale the coupling
-    gap suggests (ell = (1 - a/a*)^(-1/6)), parked at the potential minimum.
-    A record is appended for every coupling whatever the solver status -- a
-    failure is data -- but a diverged state is not propagated as the next
-    warm start.
+    Until a solve has ended without diverging, each starts from the
+    reference profile compressed to the scale the coupling gap suggests
+    (ell = (1 - a/a*)^(-1/6)) and parked at the potential minimum; after
+    that each warm-starts from the last minimizer that did not diverge.
+    cfg is only the stop rule.  A record is appended for every coupling
+    whatever the solver status -- a failure is data -- but a diverged state
+    is not propagated as the next warm start.
     """
     sched = _validate_schedule(schedule, gn.a_star)
     gq = gn.Q.grid
     if (gq.d, gq.n, gq.half_width) != (g.d, g.n, g.half_width):
         raise ValueError("reference profile lives on an incompatible grid")
-    q = critical_power(g.d)
 
     records: list = []
     prev: Field | None = None
     prev_eps = None
     for a in sched:
-        if prev is None and cfg.init.kind != "dilated_Q":
-            ell0 = (1.0 - a / gn.a_star) ** (-1.0 / 6.0)
-            run_cfg = replace(cfg, init=InitSpec(kind="dilated_Q", ell=ell0))
-        else:
-            run_cfg = cfg
-        result = solve(g, V, a, run_cfg, profile=gn.Q, start=prev)
+        start = prev
+        if start is None:
+            ell = (1.0 - a / gn.a_star) ** (-1.0 / 6.0)
+            start = initial_field(g, V, InitSpec("dilated_Q", ell=ell), gn.Q)
+        result = solve(g, V, a, cfg, start=start)
         u = result.minimizer
         kin = result.breakdown.kinetic
         eps = float(kin) ** -0.25

@@ -20,16 +20,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .blowup import (SweepRecord, energy_limit_check, gn_sequence_check,
-                     save_sweep, sweep, sweep_plot_columns)
+from .blowup import (_CSV_COLUMNS, SweepRecord, energy_limit_check,
+                     gn_sequence_check, save_sweep, sweep, sweep_plot_columns)
 from .energy import (_unconstrained_gradient, energy, gn_quotient,
                      scaled_energy_identity_check)
 from .field import (Field, bilap_energy, gaussian_mixture_field, l2_norm_sq,
                     l2_norm_sq_spectral, random_smooth_field, write_snapshot)
 from .gn import compute_gn, load_gn, save_gn
 from .grid import Grid, make_grid, quadrature
-from .groundstate import (InitSpec, SolveConfig, SolveStatus, solve,
-                          write_iteration_log)
+from .groundstate import (InitSpec, SolveConfig, SolveStatus, initial_field,
+                          solve, write_iteration_log)
 from .potentials import ess_inf, potential_from_config
 
 EXIT_OK = 0
@@ -110,7 +110,8 @@ def _build_potential(cfg: dict, d: int):
         raise ConfigError(f"invalid potential: {exc}") from exc
 
 
-def _build_solver(cfg: dict) -> SolveConfig:
+def _build_solver(cfg: dict) -> tuple[SolveConfig, InitSpec]:
+    """The solver block: the stop rule, and the start that 'solve' uses."""
     block = cfg.get("solver", {})
     if not isinstance(block, dict):
         raise ConfigError("'solver' must be an object")
@@ -141,8 +142,7 @@ def _build_solver(cfg: dict) -> SolveConfig:
         return SolveConfig(
             tol_grad=_as_float(block, "tol_grad", defaults.tol_grad),
             max_iters=_as_int(block, "max_iters", defaults.max_iters),
-            init=init,
-        )
+        ), init
     except ValueError as exc:
         raise ConfigError(f"invalid solver config: {exc}") from exc
 
@@ -185,7 +185,7 @@ class RunConfig:
         self.command = command
         self.grid = _build_grid(raw)
         self.potential = _build_potential(raw, self.grid.d)
-        self.solver = _build_solver(raw)
+        self.solver, self.init = _build_solver(raw)
         seed = overrides.get("seed")
         self.seed = _as_int(raw, "seed", 0) if seed is None else int(seed)
         out = overrides.get("output") or raw.get("output_dir", "run")
@@ -319,7 +319,7 @@ def cmd_gn(cfg: RunConfig, out=sys.stdout) -> int:
 
 def cmd_solve(cfg: RunConfig, out=sys.stdout) -> int:
     profile = None
-    if cfg.coupling_factor is not None or cfg.solver.init.kind == "dilated_Q":
+    if cfg.coupling_factor is not None or cfg.init.kind == "dilated_Q":
         gn = _load_gn_artifact(cfg, out)
         if gn is None:
             return EXIT_CONFIG
@@ -328,7 +328,8 @@ def cmd_solve(cfg: RunConfig, out=sys.stdout) -> int:
              else cfg.coupling_factor * gn.a_star)
     else:
         a = cfg.coupling_literal
-    result = solve(cfg.grid, cfg.potential, a, cfg.solver, profile=profile)
+    start = initial_field(cfg.grid, cfg.potential, cfg.init, profile)
+    result = solve(cfg.grid, cfg.potential, a, cfg.solver, start=start)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     snap = cfg.output_dir / "solve.bhf"
     write_snapshot(result.minimizer, snap)
@@ -348,7 +349,7 @@ def cmd_solve(cfg: RunConfig, out=sys.stdout) -> int:
         "backtracks": result.backtracks,
         "cg_restarts": result.cg_restarts,
         "fft_calls": result.fft_calls,
-        "init": result.init_label,
+        "init": cfg.init.kind,
     }
     report = cfg.output_dir / "solve.json"
     report.write_text(json.dumps(summary, indent=2) + "\n")
@@ -433,26 +434,25 @@ def cmd_sweep(cfg: RunConfig, out=sys.stdout) -> int:
     return EXIT_OK
 
 
-_SWEEP_COUNTERS = ("iterations", "backtracks", "cg_restarts", "fft_calls")
-
-
 def _read_sweep_csv(path) -> list:
-    rows = []
+    """Read sweep.csv back; a ValueError names the columns it lacks."""
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            rows.append(SweepRecord(
-                a=float(row["a"]),
-                energy=float(row["energy"]),
-                kinetic=float(row["kinetic"]),
-                eps=float(row["eps"]),
-                center=tuple(float(c) for c in row["center"].split(";")),
-                h2_dist_to_Q=float(row["h2_dist_to_Q"]),
-                status=row["status"],
-                resolved=row["resolved"] == "True",
-                **{key: int(row[key]) for key in _SWEEP_COUNTERS
-                   if row.get(key)},
-            ))
-    return rows
+        reader = csv.DictReader(fh)
+        missing = [c for c in _CSV_COLUMNS
+                   if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path} lacks the columns {missing}")
+        return [SweepRecord(
+            a=float(row["a"]),
+            energy=float(row["energy"]),
+            kinetic=float(row["kinetic"]),
+            eps=float(row["eps"]),
+            center=tuple(float(c) for c in row["center"].split(";")),
+            h2_dist_to_Q=float(row["h2_dist_to_Q"]),
+            status=row["status"],
+            resolved=row["resolved"] == "True",
+            **{key: int(row[key]) for key in _CSV_COLUMNS[-4:]},  # counters
+        ) for row in reader]
 
 
 def cmd_plotdata(cfg: RunConfig, out=sys.stdout) -> int:
@@ -464,7 +464,11 @@ def cmd_plotdata(cfg: RunConfig, out=sys.stdout) -> int:
     gn = _load_gn_artifact(cfg, out)
     if gn is None:
         return EXIT_CONFIG
-    records = _read_sweep_csv(csv_path)
+    try:
+        records = _read_sweep_csv(csv_path)
+    except ValueError as exc:
+        print(f"error: {exc}; rerun the 'sweep' command", file=out)
+        return EXIT_CONFIG
     floor = ess_inf(cfg.potential, cfg.grid)
     cols = sweep_plot_columns(records, gn.a_star, floor)
     names = {"eps": "eps", "energy_gap": "energy_gap", "h2_dist": "h2_dist"}

@@ -175,12 +175,6 @@ def bilap_apply(u: Field) -> Field:
     return Field(g, g.inverse(g.k_quad * u.hat))
 
 
-def h2_weight_apply(u: Field, power: float = -1.0) -> Field:
-    """Apply (1 + |k|^4)^power spectrally (power=-1 inverts the H^2 weight)."""
-    g = u.grid
-    return Field(g, g.inverse((1.0 + g.k_quad) ** power * u.hat))
-
-
 def dilate(u: Field, ell: float) -> Field:
     """Mass-preserving dilation v(x) = ell^{d/2} u(ell x) on the same grid.
 

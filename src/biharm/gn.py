@@ -134,11 +134,11 @@ def compute_gn(g: Grid, cfg: SolveConfig | None = None,
                coarse_check: bool = True) -> GNResult:
     """Find the quotient's optimizer by the Petviashvili fixed point.
 
-    Runs the fixed point (see _petviashvili) once, from a Gaussian centered
-    at the origin, of width cfg.init.width for a gaussian init and 1
-    otherwise; every start width tried converges to the same constant, so
-    one start suffices, and the centered start is exactly even, so the
-    result needs no symmetrizing.  The profile is then normalized to unit
+    Runs the fixed point (see _petviashvili) once, from the unit-mass
+    Gaussian of width 1 centered at the origin; every start width tried
+    converges to the same constant, so one start suffices, and the centered
+    start is exactly even, so the result needs no symmetrizing.  cfg is only
+    the stop rule.  The profile is then normalized to unit
     mass and unit fourth-order seminorm; the iteration works in that gauge,
     so only the amplitude changes.  The constant is the quotient of the
     stored profile, so the sharp-normalization identity
@@ -152,9 +152,8 @@ def compute_gn(g: Grid, cfg: SolveConfig | None = None,
     if cfg is None:
         cfg = SolveConfig(tol_grad=3e-7, max_iters=8000)
     q = critical_power(g.d)
-    width = cfg.init.width if cfg.init.kind == "gaussian" else 1.0
     try:
-        best = _petviashvili(g, _gaussian_state(g, width), cfg)
+        best = _petviashvili(g, _gaussian_state(g, 1.0), cfg)
     except ValueError as exc:
         raise RuntimeError(
             f"the fixed point collapsed to zero; tol_grad {cfg.tol_grad:.3e} "

@@ -8,8 +8,8 @@ assembled from the step itself, whose rounding scales with the step rather
 than with the energy; that keeps sufficient decrease decidable down to the
 gradient tolerance, with no roundoff slack, residual gate or stall retry.
 The method has one configuration: the preconditioner is always on, the
-line-search constants and ENERGY_FLOOR are fixed, and a SolveConfig chooses
-only the gradient tolerance, the iteration budget and the starting state.
+line-search constants and ENERGY_FLOOR are fixed, a SolveConfig is only the
+stop rule, and solve puts the Field it starts from on the unit-mass sphere.
 
 The loop works on a spectral state: plain arrays of the nodal values x and
 their real transform X, with the search direction carried in both spaces
@@ -56,12 +56,12 @@ class SolveStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class InitSpec:
-    """Initializer for the descent.
+    """The shape of a starting state, as initial_field builds it.
 
-    kind is one of "gaussian" (unit-mass bump of the given width at the
-    potential minimum; the default), "constant", "file" (load a snapshot from
-    path), or "dilated_Q" (compress a reference profile by ell and park it at
-    the potential minimum -- the warm start the concentration sweep uses).
+    kind is one of "gaussian" (a bump of the given width at the potential
+    minimum; the default), "constant", "file" (load a snapshot from path), or
+    "dilated_Q" (compress a reference profile by ell and park it at the
+    potential minimum -- the start of the concentration sweep).
     """
 
     kind: str = "gaussian"
@@ -80,13 +80,11 @@ class InitSpec:
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """What a caller chooses about a solve: the gradient tolerance, the
-    iteration budget and the starting state.  compute_gn reads tol_grad,
-    max_iters and a gaussian init's width for its fixed point."""
+    """The stop rule of a solve, and of compute_gn's fixed point: the
+    gradient tolerance and the iteration budget."""
 
     tol_grad: float = 1e-6
     max_iters: int = 2000
-    init: InitSpec = InitSpec()
 
     def __post_init__(self):
         if self.tol_grad <= 0:
@@ -104,7 +102,6 @@ class SolveResult:
     iterations: int
     status: SolveStatus
     history: tuple  # rows (iter, energy, grad_residual, step_size)
-    init_label: str
     backtracks: int  # line-search shrinks
     cg_restarts: int  # resets of the conjugate direction to -P G
     fft_calls: int  # real transforms the solver ran, entry evaluation included
@@ -120,15 +117,15 @@ def potential_argmin(V, g: Grid) -> np.ndarray:
 
 
 def initial_field(g: Grid, V, spec: InitSpec, profile: Field | None = None) -> Field:
-    """Build the unit-mass starting state described by spec."""
+    """Build the start's shape described by spec; solve normalizes its mass."""
     if spec.kind == "gaussian":
         center = potential_argmin(V, g)
         r2 = sum((m - c) ** 2 for m, c in zip(g.meshes(), center))
-        return renormalize_mass(Field(g, np.exp(-r2 / (2.0 * spec.width**2))))
+        return Field(g, np.exp(-r2 / (2.0 * spec.width**2)))
     if spec.kind == "constant":
-        return renormalize_mass(Field(g, np.ones(g.shape)))
+        return Field(g, np.ones(g.shape))
     if spec.kind == "file":
-        return renormalize_mass(read_snapshot(spec.path, g))
+        return read_snapshot(spec.path, g)
     # dilated_Q
     if profile is None:
         raise ValueError("dilated_Q initialization needs a reference profile")
@@ -136,7 +133,7 @@ def initial_field(g: Grid, V, spec: InitSpec, profile: Field | None = None) -> F
     center = potential_argmin(V, g)
     if np.any(center != 0.0):
         v = translate(v, center)
-    return renormalize_mass(v)
+    return v
 
 
 class _Workspace:
@@ -201,8 +198,8 @@ def _armijo(g: Grid, x, X, d, D, slope: float, mass_defect: float,
     return None, None, t, shrinks
 
 
-def solve(g: Grid, V, a: float, cfg: SolveConfig = SolveConfig(),
-          profile: Field | None = None, *, start: Field | None = None) -> SolveResult:
+def solve(g: Grid, V, a: float, cfg: SolveConfig = SolveConfig(), *,
+          start: Field | None = None) -> SolveResult:
     """Minimize the energy at coupling a over unit-mass states on g.
 
     Polak-Ribiere+ nonlinear conjugate gradient on the unit-mass sphere.  The
@@ -234,21 +231,22 @@ def solve(g: Grid, V, a: float, cfg: SolveConfig = SolveConfig(),
     - (a q / 2) nonlinear of the result are those of the final spectral
     state.
 
-    start, when given, overrides cfg.init: descent begins from the mass
-    renormalization of that field (sweeps warm-start successive couplings
-    from the previous minimizer this way).
+    Descent begins from the mass renormalization of start, a Field on g, and
+    this is the one place a start is normalized; start=None means
+    initial_field(g, V, InitSpec()), the unit-width Gaussian at the
+    potential minimum.
     """
     if not 0.0 <= a < math.inf:
         raise ValueError(f"coupling must be finite and nonnegative, got {a}")
     if classify(V, g.d) == "neither":
         raise ValueError("potential is neither confining nor a relatively bounded well")
 
-    if start is not None:
-        if start.grid is not g and (start.grid.d, start.grid.n, start.grid.half_width) != (g.d, g.n, g.half_width):
-            raise ValueError("warm-start field lives on a different grid")
-        u = renormalize_mass(start)
-    else:
-        u = initial_field(g, V, cfg.init, profile)
+    if start is None:
+        start = initial_field(g, V, InitSpec())
+    gs = start.grid
+    if (gs.d, gs.n, gs.half_width) != (g.d, g.n, g.half_width):
+        raise ValueError("start field lives on a different grid")
+    u = renormalize_mass(start)
     q = critical_power(g.d)
     w = g.dx**g.d
     vvals = sample(V, g).values
@@ -342,7 +340,6 @@ def solve(g: Grid, V, a: float, cfg: SolveConfig = SolveConfig(),
                        mu=multiplier(bd),
                        grad_residual=res, iterations=it, status=status,
                        history=tuple(history),
-                       init_label="warm" if start is not None else cfg.init.kind,
                        backtracks=backtracks, cg_restarts=cg_restarts,
                        fft_calls=fft_calls)
 

@@ -196,6 +196,21 @@ def test_solve_reports_line_search_counters(tmp_path):
     assert 0 < report["fft_calls"] <= 3 * report["iterations"] + 8
 
 
+@pytest.mark.parametrize("init,kind", [(None, "gaussian"),
+                                       ({"kind": "constant"}, "constant")])
+def test_solve_json_reports_the_configured_init(tmp_path, init, kind):
+    solver = {"tol_grad": 1e-6, "max_iters": 40000}
+    if init is not None:
+        solver["init"] = init
+    cfg = write_config(tmp_path / "c.json", output_dir=str(tmp_path / "run"),
+                       solver=solver, solve={"a": 4.0})
+    code, text = run_cli("--config", str(cfg), "solve")
+    assert code == 0, text
+    report = json.loads((tmp_path / "run" / "solve.json").read_text())
+    assert report["init"] == kind
+    assert report["status"] == "Converged"
+
+
 def test_repeated_solves_share_one_sampled_potential(tmp_path):
     # every command parses its own grid; equal geometries must map to one
     # cached potential sample rather than pinning a new one per command
@@ -249,6 +264,27 @@ def test_sweep_summary_and_exit_0(tmp_path, artifact_dir):
     rows = (tmp_path / "run" / "sweep.csv").read_text().splitlines()
     assert len(rows) == 5
     assert (tmp_path / "run" / "w_003.bhf").exists()
+
+
+def test_sweep_ignores_the_solver_init(tmp_path, artifact_dir):
+    # solver.init chooses the start of 'solve' only: every sweep starts from
+    # the compressed reference profile, so the CSV is the same byte for byte
+    outputs = []
+    for i, init in enumerate((None, {"kind": "constant"},
+                              {"kind": "dilated_Q", "ell": 2.0})):
+        solver = {"tol_grad": 1e-6, "max_iters": 40000}
+        if init is not None:
+            solver["init"] = init
+        cfg = write_config(tmp_path / f"c{i}.json",
+                           output_dir=str(tmp_path / f"run{i}"),
+                           solver=solver,
+                           gn={"artifact": str(artifact_dir / "gn")},
+                           sweep={"start": 0.5, "count": 3, "ratio": 0.5})
+        code, text = run_cli("--config", str(cfg), "sweep")
+        assert code == 0, text
+        outputs.append((tmp_path / f"run{i}" / "sweep.csv").read_bytes())
+    assert outputs[1] == outputs[0]
+    assert outputs[2] == outputs[0]
 
 
 def test_sweep_schedule_at_or_above_astar_rejected(tmp_path, artifact_dir):
@@ -358,21 +394,15 @@ def test_sweep_csv_read_with_and_without_solver_counters(tmp_path,
     assert all(isinstance(r.backtracks, int) and isinstance(r.cg_restarts, int)
                and isinstance(r.fft_calls, int) and r.fft_calls > 0
                for r in records)
-    # CSVs written before the fft_calls column, and before any counter
-    # column, still read, and plotdata still runs on them
+    # a CSV without the counter columns is a config error that names them
     lines = path.read_text().splitlines()
-    for dropped, kept in ((1, ("iterations", "backtracks", "cg_restarts")),
-                          (4, ())):
-        path.write_text("\n".join(",".join(line.split(",")[:-dropped])
-                                  for line in lines) + "\n")
-        old = _read_sweep_csv(path)
-        assert ([r.h2_dist_to_Q for r in old]
-                == [r.h2_dist_to_Q for r in records])
-        for key in ("iterations", "backtracks", "cg_restarts", "fft_calls"):
-            assert [getattr(r, key) for r in old] == [
-                getattr(r, key) if key in kept else None for r in records]
-        code, text = run_cli("--config", str(cfg), "plotdata")
-        assert code == 0, text
+    path.write_text("\n".join(",".join(line.split(",")[:-2])
+                              for line in lines) + "\n")
+    code, text = run_cli("--config", str(cfg), "plotdata")
+    assert code == 2
+    assert "['cg_restarts', 'fft_calls']" in text
+    assert "rerun the 'sweep' command" in text
+    assert not (tmp_path / "run" / "plot_eps.csv").exists()
 
 
 def test_same_seed_reproduces_scalars(tmp_path, artifact_dir):

@@ -126,13 +126,13 @@ def test_supercritical_coupling_diverges_below_floor():
 
 def test_floor_hit_at_initialization():
     g = make_grid(1, 512, 16.0)
-    profile = _unit_gaussian(g)
-    cfg = SolveConfig(init=InitSpec(kind="dilated_Q", ell=12.0))
-    res = solve(g, Zero(), 20.0, cfg, profile=profile)
+    start = initial_field(g, Zero(), InitSpec(kind="dilated_Q", ell=12.0),
+                          _unit_gaussian(g))
+    assert abs(l2_norm_sq(renormalize_mass(start)) - 1.0) < 1e-12
+    res = solve(g, Zero(), 20.0, start=start)
     assert res.status is SolveStatus.DIVERGED_BELOW_FLOOR
     assert res.iterations == 0
     assert res.breakdown.total < ENERGY_FLOOR
-    assert res.init_label == "dilated_Q"
 
 
 def test_gaussian_init_sits_at_potential_minimum():
@@ -141,7 +141,7 @@ def test_gaussian_init_sits_at_potential_minimum():
     assert potential_argmin(V, g)[0] == pytest.approx(3.0, abs=1e-12)
     u = initial_field(g, V, InitSpec())
     assert g.axes[0][int(np.argmax(u.values))] == pytest.approx(3.0)
-    assert abs(l2_norm_sq(u) - 1.0) < 1e-12
+    assert abs(l2_norm_sq(renormalize_mass(u)) - 1.0) < 1e-12
     # constant potential: centered at the origin, not at the first node
     assert np.all(potential_argmin(Zero(), g) == 0.0)
 
@@ -150,12 +150,13 @@ def test_constant_and_file_inits(tmp_path):
     g = make_grid(1, 64, 8.0)
     u = initial_field(g, Zero(), InitSpec(kind="constant"))
     assert np.ptp(u.values) == 0.0
-    assert abs(l2_norm_sq(u) - 1.0) < 1e-12
+    assert abs(l2_norm_sq(renormalize_mass(u)) - 1.0) < 1e-12
 
     v = _unit_gaussian(g) * 3.0
     path = tmp_path / "seed.bhf"
     write_snapshot(v, path)
-    w = initial_field(g, Zero(), InitSpec(kind="file", path=str(path)))
+    w = renormalize_mass(
+        initial_field(g, Zero(), InitSpec(kind="file", path=str(path))))
     assert abs(l2_norm_sq(w) - 1.0) < 1e-12
     corr = quadrature(g, w.values * v.values) / np.sqrt(l2_norm_sq(v))
     assert corr == pytest.approx(1.0, rel=1e-12)
@@ -163,6 +164,23 @@ def test_constant_and_file_inits(tmp_path):
     other = make_grid(1, 32, 8.0)
     with pytest.raises(ValueError):
         initial_field(other, Zero(), InitSpec(kind="file", path=str(path)))
+
+
+@pytest.mark.parametrize("geom,V", [
+    ((1, 256, 16.0), GaussianWell(1.0, 1.0, (0.5,))),
+    ((2, 32, 8.0), GaussianWell(1.0, 1.0, (0.25, -0.5))),
+])
+def test_default_start_is_the_gaussian_init(geom, V):
+    # start=None and an explicit initial_field(InitSpec()) start are the same
+    # solve: one normalization, inside solve, either way
+    g = make_grid(*geom)
+    cfg = SolveConfig(tol_grad=1e-6, max_iters=400)
+    a = solve(g, V, 5.0, cfg)
+    b = solve(g, V, 5.0, cfg, start=initial_field(g, V, InitSpec()))
+    assert a.minimizer.values.tobytes() == b.minimizer.values.tobytes()
+    for key in ("iterations", "backtracks", "cg_restarts", "fft_calls"):
+        assert getattr(a, key) == getattr(b, key)
+    assert a.status is b.status is SolveStatus.CONVERGED
 
 
 def test_init_and_config_validation():
@@ -178,8 +196,7 @@ def test_init_and_config_validation():
     for bad in (dict(tol_grad=0.0), dict(max_iters=0)):
         with pytest.raises(ValueError):
             SolveConfig(**bad)
-    assert [f.name for f in fields(SolveConfig)] == [
-        "tol_grad", "max_iters", "init"]
+    assert [f.name for f in fields(SolveConfig)] == ["tol_grad", "max_iters"]
 
 
 def test_solve_rejects_bad_problems():

@@ -1,0 +1,60 @@
+"""The benchmark's entry points into the package, run without the harness.
+
+perfbench/run.py builds a cli.RunConfig from each workload's config, warms
+up with initial_field, energy and constrained_gradient, and loads the stored
+gn artifact.  These tests make the same calls, so a change to those
+signatures fails here rather than in a benchmark run.  workloads.py is
+executed from its path by runpy, which writes no bytecode cache, and every
+output goes to a temporary directory: nothing is written under perfbench/.
+"""
+
+import json
+import runpy
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from biharm import cli
+from biharm.energy import constrained_gradient, energy
+from biharm.gn import load_gn
+from biharm.groundstate import InitSpec, initial_field
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))
+
+
+def test_workloads_match_the_benchmark_declaration(workloads):
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    assert sorted(workloads["WORKLOADS"]) == sorted(
+        w["name"] for w in spec["workloads"])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_workload_configs_build_and_warm_up(workloads, tmp_path, seed):
+    for name, workload in workloads["WORKLOADS"].items():
+        # run.py writes the config as JSON and reads it back
+        raw = json.loads(json.dumps(workload.config(seed)))
+        run_cfg = cli.RunConfig(raw, workload.command,
+                                {"seed": seed, "output": str(tmp_path / name)})
+        assert run_cfg.seed == seed
+        u = initial_field(run_cfg.grid, run_cfg.potential, InitSpec())
+        total = energy(u, run_cfg.potential, 1.0).total
+        grad = constrained_gradient(u, run_cfg.potential, 1.0)
+        assert np.isfinite(total)
+        assert np.all(np.isfinite(grad.values))
+    assert not any(tmp_path.iterdir())
+
+
+def test_stored_artifact_loads_and_matches_the_fixture(workloads):
+    gn = load_gn(workloads["ARTIFACT"])
+    ref = json.loads((ROOT / workloads["FIXTURE"]).read_text())["a_star"]
+    assert workloads["rel_err"](gn.a_star, ref) <= 1e-8
+    grid = workloads["GRID_1D"]
+    g = gn.Q.grid
+    assert (g.d, g.n, g.half_width) == (grid["d"], grid["n"],
+                                        grid["half_width"])
