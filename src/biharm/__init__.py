@@ -28,7 +28,6 @@ from .potentials import (
     ess_inf,
     level_split,
     potential_from_config,
-    potential_to_config,
     sample,
     sobolev_lower_bound,
 )
@@ -55,6 +54,7 @@ from .blowup import (
     SweepRecord,
     energy_limit_check,
     gn_sequence_check,
+    load_sweep,
     save_sweep,
     sweep,
     sweep_plot_columns,
@@ -80,7 +80,7 @@ __all__ = [
     "reflect", "read_snapshot", "write_snapshot",
     "Zero", "Harmonic", "GaussianWell", "PowerWell", "Sum",
     "sample", "ess_inf", "classify", "level_split", "sobolev_lower_bound",
-    "potential_from_config", "potential_to_config",
+    "potential_from_config",
     "EnergyBreakdown", "critical_power", "energy", "energy_difference",
     "constrained_gradient", "gn_quotient", "el_residual", "chemical_potential",
     "stationarity_residual",
@@ -89,5 +89,5 @@ __all__ = [
     "GNResult", "compute_gn", "normalize_gn", "normalize_to_el",
     "save_gn", "load_gn",
     "SweepRecord", "sweep", "energy_limit_check", "gn_sequence_check",
-    "sweep_plot_columns", "save_sweep",
+    "sweep_plot_columns", "save_sweep", "load_sweep",
 ]

@@ -34,6 +34,7 @@ __all__ = [
     "gn_sequence_check",
     "sweep_plot_columns",
     "save_sweep",
+    "load_sweep",
 ]
 
 
@@ -135,8 +136,7 @@ def sweep(g: Grid, V, schedule, cfg: SolveConfig, gn: GNResult) -> list:
     is not propagated as the next warm start.
     """
     sched = _validate_schedule(schedule, gn.a_star)
-    gq = gn.Q.grid
-    if (gq.d, gq.n, gq.half_width) != (g.d, g.n, g.half_width):
+    if gn.Q.grid != g:
         raise ValueError("reference profile lives on an incompatible grid")
 
     records: list = []
@@ -259,3 +259,28 @@ def save_sweep(records, run_dir) -> Path:
         if rec.rescaled is not None:
             write_snapshot(rec.rescaled, run / f"w_{i:03d}.bhf")
     return path
+
+
+def load_sweep(path) -> list:
+    """Read a sweep.csv written by save_sweep back into records, without
+    their fields; a ValueError names the columns the file lacks."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        missing = [c for c in _CSV_COLUMNS
+                   if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path} lacks the columns {missing}")
+        return [SweepRecord(
+            a=float(row["a"]),
+            energy=float(row["energy"]),
+            kinetic=float(row["kinetic"]),
+            eps=float(row["eps"]),
+            center=tuple(float(c) for c in row["center"].split(";")),
+            h2_dist_to_Q=float(row["h2_dist_to_Q"]),
+            status=row["status"],
+            resolved=row["resolved"] == "True",
+            iterations=int(row["iterations"]),
+            backtracks=int(row["backtracks"]),
+            cg_restarts=int(row["cg_restarts"]),
+            fft_calls=int(row["fft_calls"]),
+        ) for row in reader]

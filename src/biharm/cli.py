@@ -10,7 +10,6 @@ check failed on otherwise valid output.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import re
@@ -20,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .blowup import (_CSV_COLUMNS, SweepRecord, energy_limit_check,
-                     gn_sequence_check, save_sweep, sweep, sweep_plot_columns)
+from .blowup import (energy_limit_check, gn_sequence_check, load_sweep,
+                     save_sweep, sweep, sweep_plot_columns)
 from .energy import (_unconstrained_gradient, energy, gn_quotient,
                      scaled_energy_identity_check)
 from .field import (Field, bilap_energy, gaussian_mixture_field, l2_norm_sq,
@@ -282,7 +281,7 @@ def _load_gn_artifact(cfg: RunConfig, out):
         return None
     gq = result.Q.grid
     g = cfg.grid
-    if (gq.d, gq.n, gq.half_width) != (g.d, g.n, g.half_width):
+    if gq != g:
         print(f"error: GN artifact grid (d={gq.d} n={gq.n} "
               f"half_width={gq.half_width}) does not match the config grid "
               f"(d={g.d} n={g.n} half_width={g.half_width}); regenerate with "
@@ -328,7 +327,13 @@ def cmd_solve(cfg: RunConfig, out=sys.stdout) -> int:
              else cfg.coupling_factor * gn.a_star)
     else:
         a = cfg.coupling_literal
-    start = initial_field(cfg.grid, cfg.potential, cfg.init, profile)
+    try:
+        start = initial_field(cfg.grid, cfg.potential, cfg.init, profile)
+    except (OSError, ValueError) as exc:
+        # only a file start can fail: missing, unreadable or on another grid
+        print(f"config error: cannot start from {cfg.init.path}: {exc}",
+              file=out)
+        return EXIT_CONFIG
     result = solve(cfg.grid, cfg.potential, a, cfg.solver, start=start)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     snap = cfg.output_dir / "solve.bhf"
@@ -391,7 +396,6 @@ def cmd_sweep(cfg: RunConfig, out=sys.stdout) -> int:
         return EXIT_CHECK
 
     floor = ess_inf(cfg.potential, cfg.grid)
-    gaps = [abs(r.energy - floor) for r in resolved]
     print("  1-a/a*      energy        gap     eps      h2_dist  status",
           file=out)
     for r in resolved:
@@ -434,27 +438,6 @@ def cmd_sweep(cfg: RunConfig, out=sys.stdout) -> int:
     return EXIT_OK
 
 
-def _read_sweep_csv(path) -> list:
-    """Read sweep.csv back; a ValueError names the columns it lacks."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in _CSV_COLUMNS
-                   if c not in (reader.fieldnames or ())]
-        if missing:
-            raise ValueError(f"{path} lacks the columns {missing}")
-        return [SweepRecord(
-            a=float(row["a"]),
-            energy=float(row["energy"]),
-            kinetic=float(row["kinetic"]),
-            eps=float(row["eps"]),
-            center=tuple(float(c) for c in row["center"].split(";")),
-            h2_dist_to_Q=float(row["h2_dist_to_Q"]),
-            status=row["status"],
-            resolved=row["resolved"] == "True",
-            **{key: int(row[key]) for key in _CSV_COLUMNS[-4:]},  # counters
-        ) for row in reader]
-
-
 def cmd_plotdata(cfg: RunConfig, out=sys.stdout) -> int:
     csv_path = cfg.output_dir / "sweep.csv"
     if not csv_path.exists():
@@ -465,21 +448,20 @@ def cmd_plotdata(cfg: RunConfig, out=sys.stdout) -> int:
     if gn is None:
         return EXIT_CONFIG
     try:
-        records = _read_sweep_csv(csv_path)
+        records = load_sweep(csv_path)
     except ValueError as exc:
         print(f"error: {exc}; rerun the 'sweep' command", file=out)
         return EXIT_CONFIG
     floor = ess_inf(cfg.potential, cfg.grid)
     cols = sweep_plot_columns(records, gn.a_star, floor)
-    names = {"eps": "eps", "energy_gap": "energy_gap", "h2_dist": "h2_dist"}
     outputs = []
-    for key, stem in names.items():
-        path = cfg.output_dir / f"plot_{stem}.csv"
-        lines = ["one_minus_a_over_astar," + stem]
-        lines += [f"{x!r},{y!r}" for x, y in cols[key]]
+    for name, points in cols.items():
+        path = cfg.output_dir / f"plot_{name}.csv"
+        lines = ["one_minus_a_over_astar," + name]
+        lines += [f"{x!r},{y!r}" for x, y in points]
         path.write_text("\n".join(lines) + "\n")
         outputs.append(path)
-        print(f"wrote {path} ({len(cols[key])} points)", file=out)
+        print(f"wrote {path} ({len(points)} points)", file=out)
     _write_manifest(cfg, outputs)
     return EXIT_OK
 
@@ -519,11 +501,11 @@ def _battery_gn(cfg: RunConfig, rng, gn) -> tuple:
     return worst >= floor, f"min quotient {worst:.9g} vs a* {gn.a_star:.9g}"
 
 
-def _battery_fd(cfg: RunConfig, rng, grad_fn) -> tuple:
+def _battery_fd(cfg: RunConfig, rng) -> tuple:
     V = cfg.potential
     a = 2.0
     u = random_smooth_field(cfg.grid, rng)
-    raw = grad_fn(u, V, a)
+    raw = _unconstrained_gradient(u, V, a)
     min_order = np.inf
     for _ in range(cfg.check_directions):
         phi = random_smooth_field(cfg.grid, rng).values
@@ -540,19 +522,24 @@ def _battery_fd(cfg: RunConfig, rng, grad_fn) -> tuple:
     return min_order >= 1.9, f"min convergence order {min_order:.3f}"
 
 
-def cmd_check(cfg: RunConfig, out=sys.stdout, grad_fn=None) -> int:
+def cmd_check(cfg: RunConfig, out=sys.stdout) -> int:
+    # an artifact whose sidecar exists must load; only a missing one is computed
+    if cfg.gn_artifact.with_suffix(".json").exists():
+        gn = _load_gn_artifact(cfg, out)
+        if gn is None:
+            return EXIT_CONFIG
+    else:
+        try:
+            gn = compute_gn(cfg.grid, cfg=cfg.solver)
+        except RuntimeError as exc:
+            print(f"error: {exc}", file=out)
+            return EXIT_FAIL
     rng = np.random.default_rng(cfg.seed)
-    if grad_fn is None:
-        grad_fn = lambda u, V, a: _unconstrained_gradient(u, V, a)
-    try:
-        gn = load_gn(cfg.gn_artifact)
-    except (OSError, ValueError, KeyError):
-        gn = compute_gn(cfg.grid, cfg=cfg.solver)
     rows = [
         ("parseval", *_battery_parseval(cfg, rng)),
         ("scaling_identity", *_battery_scaling(cfg, rng)),
         ("gn_inequality", *_battery_gn(cfg, rng, gn)),
-        ("gradient_fd", *_battery_fd(cfg, rng, grad_fn)),
+        ("gradient_fd", *_battery_fd(cfg, rng)),
     ]
     width = max(len(r[0]) for r in rows)
     ok_all = True
@@ -598,12 +585,9 @@ _COMMANDS = {
 }
 
 
-def main(argv=None, out=sys.stdout, grad_fn=None) -> int:
-    """Parse argv, validate config, dispatch; returns the exit code.
-
-    grad_fn is a test hook for the finite-difference battery (mutation
-    testing of the check command itself).
-    """
+def main(argv=None, out=sys.stdout) -> int:
+    """Parse argv, validate config, dispatch to the subcommand; returns the
+    exit code.  Reports go to out."""
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
@@ -615,8 +599,6 @@ def main(argv=None, out=sys.stdout, grad_fn=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=out)
         return EXIT_CONFIG
-    if args.command == "check":
-        return cmd_check(cfg, out=out, grad_fn=grad_fn)
     return _COMMANDS[args.command](cfg, out=out)
 
 

@@ -19,8 +19,9 @@ evaluations, and those built from the Euler-Lagrange operator
 Lap^2 u + V u - (a q / 2) |u|^{q-2} u share one implementation of it.  The
 solver's inner loop uses the array-level spectral_energy_and_gradient and
 spectral_energy_difference instead, on the nodal values and transform it
-carries and with work arrays it owns (SpectralScratch); energy_difference
-is the Field-level wrapper of the latter.
+carries; both kernels write into work arrays their caller passes in (a
+SpectralScratch, and for the gradient its output array).
+energy_difference is the Field-level wrapper of the latter.
 """
 
 from __future__ import annotations
@@ -66,20 +67,19 @@ def energy_difference(u: Field, delta: np.ndarray, V, a: float,
     """E(v) - E(u) - mu * (mass(v) - mass(u)) for v = u + delta, from delta.
 
     The Field-level form of spectral_energy_difference: it hands u's cached
-    transform and the transform of delta to that kernel.
+    transform, the transform of delta and fresh work arrays to that kernel.
     """
     g = u.grid
     return spectral_energy_difference(g, u.values, u.hat, delta,
                                       g.forward(delta), sample(V, g).values,
-                                      a, mu)
+                                      a, mu, SpectralScratch(g))
 
 
 class SpectralScratch:
     """Work arrays the spectral kernels overwrite: five real arrays of the
     grid's shape and one complex array of its half spectrum.
 
-    The solver makes one per solve and hands it to every evaluation; a
-    kernel called without one allocates a fresh one.
+    The solver makes one per solve and hands it to every evaluation.
     """
 
     __slots__ = ("real", "half")
@@ -92,8 +92,7 @@ class SpectralScratch:
 def spectral_energy_difference(g: Grid, x: np.ndarray, X: np.ndarray,
                                delta: np.ndarray, dhat: np.ndarray,
                                vvals: np.ndarray, a: float, mu: float,
-                               scratch: SpectralScratch | None = None
-                               ) -> float:
+                               scratch: SpectralScratch) -> float:
     """E(v) - E(u) - mu * (mass(v) - mass(u)) for the state u with values x
     and transform X = g.forward(x), and v = u + delta.
 
@@ -114,8 +113,6 @@ def spectral_energy_difference(g: Grid, x: np.ndarray, X: np.ndarray,
     from scratch, which is overwritten.
     """
     q = critical_power(g.d)
-    if scratch is None:
-        scratch = SpectralScratch(g)
     vv, s, uu, poly, upow = scratch.real
     khat = scratch.half
     np.add(x, delta, out=vv)
@@ -139,8 +136,7 @@ def spectral_energy_difference(g: Grid, x: np.ndarray, X: np.ndarray,
 
 def spectral_energy_and_gradient(g: Grid, x: np.ndarray, X: np.ndarray,
                                  vvals: np.ndarray, a: float,
-                                 out: np.ndarray | None = None,
-                                 scratch: SpectralScratch | None = None):
+                                 out: np.ndarray, scratch: SpectralScratch):
     """Breakdown, projected gradient and its L2 norm from one inverse
     transform.
 
@@ -148,15 +144,13 @@ def spectral_energy_and_gradient(g: Grid, x: np.ndarray, X: np.ndarray,
     transform (carried alongside x by the solver rather than recomputed);
     vvals is the sampled potential.  Returns (EnergyBreakdown, G, |G|) with
     G the gradient of energy() projected as constrained_gradient projects
-    it, written into out when given.  The kinetic term is the Parseval sum
+    it, written into out.  The kinetic term is the Parseval sum
     over X, the rest are nodal quadratures, and the only transform is
     g.inverse(|k|^4 X).  The work arrays come from scratch, which is
     overwritten.
     """
     q = critical_power(g.d)
     w = g.dx**g.d
-    if scratch is None:
-        scratch = SpectralScratch(g)
     xq1, vx = scratch.real[:2]
     khat = scratch.half
     np.multiply(x, x, out=xq1)

@@ -75,9 +75,7 @@ class Field:
 
 
 def _check_same_grid(u: Field, v: Field) -> None:
-    if u.grid is not v.grid and (
-            u.grid.d != v.grid.d or u.grid.n != v.grid.n
-            or u.grid.half_width != v.grid.half_width):
+    if u.grid != v.grid:
         raise ValueError("fields live on different grids")
 
 
@@ -159,14 +157,12 @@ def _refined_values(u: Field, factor: int) -> np.ndarray:
     return fine.inverse(padded) * (factor**g.d)
 
 
-def renormalize_mass(u: Field, m: float = 1.0) -> Field:
-    """Rescale so the mass equals m exactly (direction unchanged)."""
-    if m <= 0:
-        raise ValueError(f"target mass must be positive, got {m}")
+def renormalize_mass(u: Field) -> Field:
+    """Rescale onto the unit-mass sphere (direction unchanged)."""
     cur = l2_norm_sq(u)
     if cur <= 0.0:
         raise ValueError("cannot renormalize the zero field")
-    return u * float(np.sqrt(m / cur))
+    return u * float(np.sqrt(1.0 / cur))
 
 
 def bilap_apply(u: Field) -> Field:
@@ -266,17 +262,14 @@ def translate(u: Field, shift) -> Field:
     return Field(g, g.inverse(hat))
 
 
-def recenter(u: Field, mode: str = "centroid"):
+def recenter(u: Field):
     """Translate u so its density center sits at the origin.
 
     The center is the |u|^2 centroid computed with periodic unwrapping around
-    the density maximum (mode="centroid", default), or the argmax node itself
-    (mode="argmax", the cross-checking alternative).  Returns (field, shift)
-    where shift is the translation that was applied, so a feature at position
-    c reports shift = -c.
+    the density maximum.  Returns (field, shift) where shift is the
+    translation that was applied, so a feature at position c reports
+    shift = -c.
     """
-    if mode not in ("centroid", "argmax"):
-        raise ValueError(f"unknown recenter mode {mode!r}")
     g = u.grid
     dens = u.values**2
     total = dens.sum()
@@ -288,9 +281,6 @@ def recenter(u: Field, mode: str = "centroid"):
     for ax in range(g.d):
         x = g.axes[ax]
         x_peak = x[peak[ax]]
-        if mode == "argmax":
-            center[ax] = x_peak
-            continue
         disp = np.mod(x - x_peak + g.half_width, span) - g.half_width
         if g.d == 2:
             disp = disp.reshape([-1 if a == ax else 1 for a in range(2)])
@@ -308,21 +298,17 @@ def reflect(u: Field) -> Field:
     return Field(u.grid, vals)
 
 
-def random_smooth_field(g: Grid, rng: np.random.Generator,
-                        k_cut: float | None = None,
-                        envelope_width: float | None = None) -> Field:
+def random_smooth_field(g: Grid, rng: np.random.Generator) -> Field:
     """Random unit-mass field: band-limited noise under a Gaussian envelope.
 
-    The defaults keep spectral content below half the Nyquist wavenumber (so
+    The cutoff keeps spectral content below half the Nyquist wavenumber (so
     high powers of the field still quadrature exactly after compression by 2)
     and the envelope well inside the box (so dilation by 1/2 leaves no
     periodic seam) — the regime the scaling-identity and quotient batteries
     live in.
     """
-    if k_cut is None:
-        k_cut = max(2.5, min(5.0, g.k_max / 10.0))
-    if envelope_width is None:
-        envelope_width = min(1.0, g.half_width / 12.0)
+    k_cut = max(2.5, min(5.0, g.k_max / 10.0))
+    envelope_width = min(1.0, g.half_width / 12.0)
     shape = g.shape
     coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     k = g.wavenumbers[0]
@@ -332,12 +318,11 @@ def random_smooth_field(g: Grid, rng: np.random.Generator,
     mesh = g.meshes()
     r_sq = sum(m**2 for m in mesh)
     vals = vals * np.exp(-r_sq / (2.0 * envelope_width**2))
-    return renormalize_mass(Field(g, vals), 1.0)
+    return renormalize_mass(Field(g, vals))
 
 
-def gaussian_mixture_field(g: Grid, rng: np.random.Generator,
-                           parts: int = 4) -> Field:
-    """Random unit-mass superposition of a few signed Gaussian bumps.
+def gaussian_mixture_field(g: Grid, rng: np.random.Generator) -> Field:
+    """Random unit-mass superposition of four signed Gaussian bumps.
 
     Bump-shaped trial fields with order-one amplitude probe the quotient and
     inequality batteries near minimizer-like profiles, where band-limited
@@ -345,12 +330,12 @@ def gaussian_mixture_field(g: Grid, rng: np.random.Generator,
     """
     mesh = g.meshes()
     vals = np.zeros(g.shape)
-    for _ in range(parts):
+    for _ in range(4):
         width = rng.uniform(0.6, 1.0)
         amp = rng.uniform(0.3, 1.0) * rng.choice([-1.0, 1.0])
         r_sq = sum((m - rng.uniform(-1.0, 1.0)) ** 2 for m in mesh)
         vals += amp * np.exp(-r_sq / (2.0 * width**2))
-    return renormalize_mass(Field(g, vals), 1.0)
+    return renormalize_mass(Field(g, vals))
 
 
 def write_snapshot(u: Field, path) -> None:

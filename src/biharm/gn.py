@@ -23,7 +23,8 @@ from .energy import critical_power, el_residual, gn_quotient
 from .field import (Field, bilap_energy, dilate, l2_norm_sq, lq_integral,
                     read_snapshot, recenter, renormalize_mass, write_snapshot)
 from .grid import Grid, make_grid
-from .groundstate import SolveConfig
+from .groundstate import InitSpec, SolveConfig, initial_field
+from .potentials import Zero
 
 
 def __getattr__(name):
@@ -117,11 +118,6 @@ def _petviashvili(g: Grid, u0: Field, cfg: SolveConfig) -> _Run:
     return _Run(Field(g, u / np.sqrt(mass)), residual, it, converged)
 
 
-def _gaussian_state(g: Grid, width: float) -> Field:
-    r2 = sum(m**2 for m in g.meshes())
-    return renormalize_mass(Field(g, np.exp(-r2 / (2.0 * width**2))))
-
-
 def _finalize(u: Field) -> Field:
     v, _ = recenter(u)
     peak = v.values.flat[int(np.argmax(np.abs(v.values)))]
@@ -130,12 +126,12 @@ def _finalize(u: Field) -> Field:
     return normalize_gn(v)
 
 
-def compute_gn(g: Grid, cfg: SolveConfig | None = None,
-               coarse_check: bool = True) -> GNResult:
+def compute_gn(g: Grid, cfg: SolveConfig | None = None) -> GNResult:
     """Find the quotient's optimizer by the Petviashvili fixed point.
 
     Runs the fixed point (see _petviashvili) once, from the unit-mass
-    Gaussian of width 1 centered at the origin; every start width tried
+    Gaussian of width 1 centered at the origin (the default start of a
+    solve at zero potential); every start width tried
     converges to the same constant, so one start suffices, and the centered
     start is exactly even, so the result needs no symmetrizing.  cfg is only
     the stop rule.  The profile is then normalized to unit
@@ -144,16 +140,17 @@ def compute_gn(g: Grid, cfg: SolveConfig | None = None,
     stored profile, so the sharp-normalization identity
     a_star * lq_integral(Q, q) = 1 closes by construction.  A fixed point is
     stationary, not a proven minimum: that no other localized state beats it
-    is what the test batteries and the Gaussian upper bound check.  Raises
-    RuntimeError naming tol_grad when the run does not converge.  With
-    coarse_check the fixed point also runs on the n/2 grid from the
-    subsampled profile, for the resolutions cross-check.
+    is what the test batteries and the Gaussian upper bound check.  The
+    fixed point then runs again on the n/2 grid from the subsampled profile,
+    for the resolutions cross-check.  Raises RuntimeError naming tol_grad
+    when the first run does not converge.
     """
     if cfg is None:
         cfg = SolveConfig(tol_grad=3e-7, max_iters=8000)
     q = critical_power(g.d)
+    start = renormalize_mass(initial_field(g, Zero(), InitSpec()))
     try:
-        best = _petviashvili(g, _gaussian_state(g, 1.0), cfg)
+        best = _petviashvili(g, start, cfg)
     except ValueError as exc:
         raise RuntimeError(
             f"the fixed point collapsed to zero; tol_grad {cfg.tol_grad:.3e} "
@@ -169,7 +166,7 @@ def compute_gn(g: Grid, cfg: SolveConfig | None = None,
     c1, c2, _fit = el_residual(Q)
 
     resolutions = []
-    if coarse_check and g.n >= 16:
+    if g.n >= 16:
         g2 = make_grid(g.d, g.n // 2, g.half_width)
         sub = Q.values[::2] if g.d == 1 else Q.values[::2, ::2]
         run2 = _petviashvili(g2, Field(g2, sub.copy()), cfg)
@@ -218,10 +215,9 @@ def normalize_to_el(u: Field) -> Field:
 
 
 def save_gn(result: GNResult, path) -> None:
-    """Persist the profile as a snapshot plus a JSON sidecar."""
+    """Persist the profile as a snapshot plus a JSON sidecar, at path with
+    its suffix replaced by .bhf and by .json."""
     base = Path(path)
-    if base.suffix in (".bhf", ".json"):
-        base = base.with_suffix("")
     write_snapshot(result.Q, base.with_suffix(".bhf"))
     g = result.Q.grid
     sidecar = {
@@ -241,9 +237,8 @@ def save_gn(result: GNResult, path) -> None:
 
 
 def load_gn(path) -> GNResult:
+    """Read the artifact save_gn wrote at path."""
     base = Path(path)
-    if base.suffix in (".bhf", ".json"):
-        base = base.with_suffix("")
     sidecar = json.loads(base.with_suffix(".json").read_text())
     Q = read_snapshot(base.with_suffix(".bhf"))
     g = Q.grid

@@ -28,9 +28,12 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Grid:
     """Immutable periodic grid in dimension d in {1, 2}.
+
+    Grids compare and hash by their geometry (d, n, half_width); every
+    other attribute is derived from it.
 
     Attributes:
         d: spatial dimension.
@@ -55,12 +58,12 @@ class Grid:
     d: int
     n: int
     half_width: float
-    dx: float
-    axes: tuple = field(repr=False)
-    wavenumbers: tuple = field(repr=False)
-    k_quad: np.ndarray = field(repr=False)
-    multiplicity: np.ndarray = field(repr=False)
-    k_quad_parseval: np.ndarray = field(repr=False)
+    dx: float = field(compare=False)
+    axes: tuple = field(repr=False, compare=False)
+    wavenumbers: tuple = field(repr=False, compare=False)
+    k_quad: np.ndarray = field(repr=False, compare=False)
+    multiplicity: np.ndarray = field(repr=False, compare=False)
+    k_quad_parseval: np.ndarray = field(repr=False, compare=False)
 
     @property
     def shape(self) -> tuple:
@@ -95,9 +98,8 @@ class Grid:
 def make_grid(d: int, n: int, half_width: float) -> Grid:
     """Build a periodic grid, shared per geometry.
 
-    Equal arguments return the same immutable Grid, so the per-grid caches
-    keyed on it (sampled potentials) hold one entry per geometry rather than
-    one per caller.
+    Equal arguments return the same immutable Grid, so the per-grid tables
+    are built once per geometry.
 
     Args:
         d: spatial dimension, 1 or 2.

@@ -243,8 +243,7 @@ def solve(g: Grid, V, a: float, cfg: SolveConfig = SolveConfig(), *,
 
     if start is None:
         start = initial_field(g, V, InitSpec())
-    gs = start.grid
-    if (gs.d, gs.n, gs.half_width) != (g.d, g.n, g.half_width):
+    if start.grid != g:
         raise ValueError("start field lives on a different grid")
     u = renormalize_mass(start)
     q = critical_power(g.d)

@@ -84,10 +84,6 @@ class Sum:
         object.__setattr__(self, "parts", tuple(self.parts))
 
 
-# everything the rest of the package accepts as a potential
-FAMILIES = (Zero, Harmonic, GaussianWell, PowerWell, Sum)
-
-
 def _evaluate(V, meshes, clamp: float):
     """Pointwise values on coordinate meshes; clamp is the radial floor for
     singular families (half a node spacing when sampling a grid)."""
@@ -433,21 +429,3 @@ def _require_keys(obj, allowed):
     extra = set(obj) - allowed - {"family"}
     if extra:
         raise ValueError(f"unknown potential config keys: {sorted(extra)}")
-
-
-def potential_to_config(V) -> dict:
-    """Inverse of potential_from_config, for run manifests."""
-    if isinstance(V, Zero):
-        return {"family": "zero"}
-    if isinstance(V, Harmonic):
-        return {"family": "harmonic", "strength": V.strength}
-    if isinstance(V, GaussianWell):
-        return {"family": "gaussian_well", "depth": V.depth,
-                "width": V.width, "center": list(V.center)}
-    if isinstance(V, PowerWell):
-        return {"family": "power_well", "depth": V.depth,
-                "exponent": V.exponent}
-    if isinstance(V, Sum):
-        return {"family": "sum",
-                "parts": [potential_to_config(p) for p in V.parts]}
-    raise TypeError(f"not a potential family: {type(V).__name__}")

@@ -70,7 +70,7 @@ def _gn(n: int, half_width: float = 16.0):
         cfg = None
         if g.dx < 0.04:
             cfg = SolveConfig(tol_grad=1e-6, max_iters=8000)
-        _cache[key] = compute_gn(g, cfg=cfg, coarse_check=False)
+        _cache[key] = compute_gn(g, cfg=cfg)
     return _cache[key]
 
 

@@ -6,11 +6,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import biharm
-from biharm import SolveConfig, compute_gn, make_grid, save_gn
-from biharm.cli import _read_sweep_csv, main
+from biharm import (Field, SolveConfig, cli, compute_gn, make_grid, save_gn,
+                    write_snapshot)
+from biharm.blowup import load_sweep
+from biharm.cli import main
 from biharm.potentials import sample
 
 
@@ -237,6 +240,30 @@ def test_solve_astar_fraction_without_artifact_points_at_gn(tmp_path):
     assert "'gn' command" in text
 
 
+def test_solve_from_a_missing_file_is_config_error(tmp_path):
+    path = tmp_path / "missing.bhf"
+    cfg = write_config(tmp_path / "c.json", output_dir=str(tmp_path / "run"),
+                       solver={"init": {"kind": "file", "path": str(path)}},
+                       solve={"a": 2.0})
+    code, text = run_cli("--config", str(cfg), "solve")
+    assert code == 2
+    assert text.startswith(f"config error: cannot start from {path}")
+    assert not (tmp_path / "run").exists()
+
+
+def test_solve_from_a_snapshot_on_another_grid_is_config_error(tmp_path):
+    path = tmp_path / "coarse.bhf"
+    write_snapshot(Field(make_grid(1, 128, 16.0), np.ones(128)), path)
+    cfg = write_config(tmp_path / "c.json", output_dir=str(tmp_path / "run"),
+                       solver={"init": {"kind": "file", "path": str(path)}},
+                       solve={"a": 2.0})
+    code, text = run_cli("--config", str(cfg), "solve")
+    assert code == 2
+    assert text.startswith(f"config error: cannot start from {path}")
+    assert "does not match" in text
+    assert not (tmp_path / "run").exists()
+
+
 def test_solve_supercritical_is_exit_3(tmp_path, artifact_dir):
     cfg = write_config(tmp_path / "c.json",
                        output_dir=str(tmp_path / "run"),
@@ -310,8 +337,7 @@ def test_sweep_grid_mismatch_exits_2(tmp_path, artifact_dir):
 def test_sweep_with_no_resolved_records_exits_4(tmp_path):
     # a coarse grid puts the whole schedule below the resolution guard
     g = make_grid(1, 128, 16.0)
-    gn = compute_gn(g, cfg=SolveConfig(tol_grad=1e-4, max_iters=8000),
-                    coarse_check=False)
+    gn = compute_gn(g, cfg=SolveConfig(tol_grad=1e-4, max_iters=8000))
     save_gn(gn, tmp_path / "gn")
     cfg = write_config(tmp_path / "c.json",
                        grid={"d": 1, "n": 128, "half_width": 16.0},
@@ -337,20 +363,59 @@ def test_check_batteries_pass_across_seeds(tmp_path, artifact_dir):
         assert text.count("pass") == 4
 
 
-def test_check_flags_a_broken_gradient(tmp_path, artifact_dir):
+def test_check_flags_a_broken_gradient(tmp_path, artifact_dir, monkeypatch):
     cfg = write_config(tmp_path / "c.json",
                        output_dir=str(tmp_path / "run"),
                        gn={"artifact": str(artifact_dir / "gn")},
                        check={"fields": 4, "directions": 4, "battery": 10})
-    out = io.StringIO()
     from biharm.energy import _unconstrained_gradient
 
-    code = main(["--config", str(cfg), "check"], out=out,
-                grad_fn=lambda u, V, a: -_unconstrained_gradient(u, V, a))
-    text = out.getvalue()
+    monkeypatch.setattr(cli, "_unconstrained_gradient",
+                        lambda u, V, a: -_unconstrained_gradient(u, V, a))
+    code, text = run_cli("--config", str(cfg), "check")
     assert code == 4
     assert "gradient_fd" in text and "FAIL" in text
     assert "parseval" in text and "pass" in text
+
+
+def test_check_rejects_an_artifact_for_another_grid(tmp_path, artifact_dir):
+    cfg = write_config(tmp_path / "c.json",
+                       grid={"d": 1, "n": 128, "half_width": 16.0},
+                       output_dir=str(tmp_path / "run"),
+                       gn={"artifact": str(artifact_dir / "gn")},
+                       check={"fields": 2, "directions": 2, "battery": 2})
+    code, text = run_cli("--config", str(cfg), "check")
+    assert code == 2
+    assert "does not match the config grid" in text
+    assert "n=256" in text and "n=128" in text
+    assert "gn_inequality" not in text
+
+
+def test_check_rejects_an_unreadable_artifact(tmp_path):
+    (tmp_path / "gn.json").write_text("{not json")
+    cfg = write_config(tmp_path / "c.json",
+                       output_dir=str(tmp_path / "run"),
+                       gn={"artifact": str(tmp_path / "gn")},
+                       check={"fields": 2, "directions": 2, "battery": 2})
+    code, text = run_cli("--config", str(cfg), "check")
+    assert code == 2
+    assert text.startswith(f"error: cannot load GN artifact at "
+                           f"{tmp_path / 'gn'}")
+
+
+def test_check_reports_a_gn_fallback_that_does_not_converge(tmp_path):
+    # with no artifact, check computes one; on 64^2 the fixed point's
+    # residual floor sits above tol_grad 1e-6, so that computation fails
+    cfg = write_config(tmp_path / "c.json",
+                       grid={"d": 2, "n": 64, "half_width": 12.0},
+                       potential={"family": "zero"},
+                       output_dir=str(tmp_path / "run"),
+                       gn={"artifact": str(tmp_path / "absent")},
+                       check={"fields": 2, "directions": 2, "battery": 2})
+    code, text = run_cli("--config", str(cfg), "check")
+    assert code == 1
+    assert text.startswith("error: the fixed point did not converge")
+    assert "tol_grad" in text
 
 
 def test_plotdata_needs_a_sweep_first(tmp_path, artifact_dir):
@@ -388,7 +453,7 @@ def test_sweep_csv_read_with_and_without_solver_counters(tmp_path,
     code, _ = run_cli("--config", str(cfg), "sweep")
     assert code == 0
     path = tmp_path / "run" / "sweep.csv"
-    records = _read_sweep_csv(path)
+    records = load_sweep(path)
     assert all(isinstance(r.iterations, int) and r.iterations > 0
                for r in records)
     assert all(isinstance(r.backtracks, int) and isinstance(r.cg_restarts, int)
@@ -461,3 +526,22 @@ def test_cli_import_leaves_scipy_unloaded():
     done = subprocess.run([sys.executable, "-c", code, src], check=True,
                           capture_output=True, text=True, timeout=60)
     assert done.stdout.strip() == "[]"
+
+
+def test_settings_nobody_sets_are_gone():
+    # one unit-mass normalization, one centring rule, one GN computation:
+    # each function takes only what its callers pass
+    import inspect
+
+    from biharm.field import (gaussian_mixture_field, random_smooth_field,
+                              recenter, renormalize_mass)
+
+    def params(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert params(renormalize_mass) == ["u"]
+    assert params(recenter) == ["u"]
+    assert params(random_smooth_field) == ["g", "rng"]
+    assert params(gaussian_mixture_field) == ["g", "rng"]
+    assert params(compute_gn) == ["g", "cfg"]
+    assert params(main) == ["argv", "out"]

@@ -24,13 +24,21 @@ from biharm import (
     save_gn,
 )
 from biharm.field import gaussian_mixture_field, random_smooth_field
-from biharm.gn import _gaussian_state, _petviashvili
+from biharm.gn import _petviashvili
+from biharm.groundstate import InitSpec, initial_field
+from biharm.potentials import Zero
 
 # closed forms for the centered Gaussian trial state e^{-|x|^2/2}
 GAUSSIAN_QUOTIENT_1D = 0.75 * np.sqrt(5.0) * np.pi**2
 GAUSSIAN_QUOTIENT_2D = 6.0 * np.pi**2
 
 FIXTURE = Path(__file__).parent / "fixtures" / "reference_d1.json"
+
+
+def gaussian_start(g, width):
+    """The unit-mass centered Gaussian of the given width; width 1 is
+    compute_gn's start."""
+    return renormalize_mass(initial_field(g, Zero(), InitSpec(width=width)))
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +52,7 @@ def gn_wide():
     # boundary tail on half_width 16 is ~4e-5 and the fourth-order symbol
     # amplifies the periodic seam mismatch into the fit residual.  A wide box
     # keeps that tail at roundoff and lets the dilation algebra be measured.
-    return compute_gn(make_grid(1, 2048, 48.0), coarse_check=False)
+    return compute_gn(make_grid(1, 2048, 48.0))
 
 
 @pytest.fixture(scope="module")
@@ -190,18 +198,28 @@ def test_save_load_roundtrip(tmp_path, gn256):
         load_gn(base)
 
 
+def test_artifact_paths_replace_the_suffix(tmp_path, gn256):
+    # the sidecar check of `biharm check` looks for path.with_suffix(".json"),
+    # the file load_gn reads
+    save_gn(gn256, tmp_path / "profile.v2.json")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "profile.v2.bhf", "profile.v2.json"]
+    back = load_gn(tmp_path / "profile.v2.bhf")
+    assert np.array_equal(back.Q.values, gn256.Q.values)
+
+
 @pytest.mark.filterwarnings("ignore::biharm.ResolutionWarning")
 def test_unreachable_tolerance_raises():
     g = make_grid(1, 16, 6.0)
     cfg = SolveConfig(tol_grad=1e-16, max_iters=200)
     with pytest.raises(RuntimeError, match="residual"):
-        compute_gn(g, cfg, coarse_check=False)
+        compute_gn(g, cfg)
 
 
 def test_repeated_runs_are_bit_identical():
     g = make_grid(1, 256, 16.0)
-    first = compute_gn(g, coarse_check=False)
-    second = compute_gn(g, coarse_check=False)
+    first = compute_gn(g)
+    second = compute_gn(g)
     assert second.a_star == first.a_star
     assert np.array_equal(second.Q.values, first.Q.values)
 
@@ -213,7 +231,7 @@ def test_every_start_width_converges_to_one_constant():
     cfg = SolveConfig(tol_grad=3e-7, max_iters=8000)
     values = []
     for width in (1.0, 0.7, 1.5, 2.2, 0.5, 1.1):
-        run = _petviashvili(g, _gaussian_state(g, width), cfg)
+        run = _petviashvili(g, gaussian_start(g, width), cfg)
         assert run.converged, width
         assert run.iterations <= 30, (width, run.iterations)
         values.append(gn_quotient(run.u))
@@ -227,7 +245,7 @@ def test_fixed_point_residual_is_the_quotient_gradient_norm(d, n, half_width):
     # returned unit-mass state, from full complex spectra
     g = make_grid(d, n, half_width)
     q = 10 if d == 1 else 6
-    run = _petviashvili(g, _gaussian_state(g, 1.0),
+    run = _petviashvili(g, gaussian_start(g, 1.0),
                         SolveConfig(tol_grad=3e-7, max_iters=8000))
     v = run.u.values
     k4 = sum(np.meshgrid(*(k**2 for k in g.wavenumbers), indexing="ij")) ** 2
@@ -250,15 +268,19 @@ def test_default_2d_raises_naming_tol_grad():
     with pytest.raises(RuntimeError, match="tol_grad"):
         compute_gn(g)
     cfg = SolveConfig(tol_grad=3e-7, max_iters=8000)
-    run = _petviashvili(g, _gaussian_state(g, 1.0), cfg)
+    run = _petviashvili(g, gaussian_start(g, 1.0), cfg)
     assert not run.converged
     assert run.iterations < 100  # stopped once M settled, not at max_iters
 
 
 def test_iterations_counted_and_saved(tmp_path, gn256):
     assert isinstance(gn256.iterations, int) and gn256.iterations > 0
-    # the count includes the n/2 cross-check run
-    alone = compute_gn(gn256.Q.grid, coarse_check=False)
+    # the count includes the n/2 cross-check run: it exceeds that of the
+    # fixed point alone from compute_gn's start
+    g = gn256.Q.grid
+    alone = _petviashvili(g, gaussian_start(g, 1.0),
+                          SolveConfig(tol_grad=3e-7, max_iters=8000))
+    assert alone.converged
     assert gn256.iterations > alone.iterations
     save_gn(gn256, tmp_path / "profile")
     sidecar = json.loads((tmp_path / "profile.json").read_text())
@@ -280,7 +302,7 @@ def test_load_accepts_sidecar_without_iterations(tmp_path, gn256):
 def test_2d_smoke():
     g = make_grid(2, 64, 12.0)
     cfg = SolveConfig(tol_grad=1e-4, max_iters=4000)
-    r = compute_gn(g, cfg, coarse_check=False)
+    r = compute_gn(g, cfg)
     assert 0 < r.a_star <= GAUSSIAN_QUOTIENT_2D + 1e-9
     assert abs(r.nonlinear_check - 1.0) < 1e-6
     assert abs(np.sqrt(l2_norm_sq(r.Q)) - 1.0) < 1e-10

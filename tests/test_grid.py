@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from biharm import make_grid, quadrature
+from biharm.potentials import GaussianWell, sample
 
 
 def test_nodes_span_box(g1):
@@ -70,6 +73,22 @@ def test_transform_round_trip(g1, rng):
 def test_make_grid_rejects_bad_config(d, n, hw):
     with pytest.raises(ValueError):
         make_grid(d, n, hw)
+
+
+def test_grids_compare_by_geometry():
+    g = make_grid(1, 64, 8.0)
+    twin = dataclasses.replace(g)  # built separately, not the shared grid
+    assert twin is not g
+    assert twin == g and hash(twin) == hash(g)
+    for other in (make_grid(1, 128, 8.0), make_grid(1, 64, 4.0),
+                  make_grid(2, 64, 8.0)):
+        assert other != g
+    # a per-grid cache keyed on the grid hits for the equal twin
+    V = GaussianWell(0.5, 1.5, (0.25,))
+    first = sample(V, g)
+    hits = sample.cache_info().hits
+    assert sample(V, twin) is first
+    assert sample.cache_info().hits == hits + 1
 
 
 def test_arrays_read_only(g1):
