@@ -12,6 +12,7 @@ rescaled profile to the reference state.
 from __future__ import annotations
 
 import csv
+import time
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -50,9 +51,12 @@ class SweepRecord:
     their scalars are reported, but nothing quantitative should be trusted at
     a scale the grid no longer separates.  iterations, backtracks,
     cg_restarts and fft_calls are the solver's counters for this coupling
-    (None only on a record built by hand).  The minimizer
-    and its rescaled profile ride along for snapshotting and the sequence
-    checks; they are not part of the CSV serialization.
+    (None only on a record built by hand), and seconds is the solve's wall
+    time (None on a record built by hand or read back from CSV).  seconds,
+    the minimizer and its rescaled profile are not part of the CSV
+    serialization: the minimizer and profile ride along for snapshotting and
+    the sequence checks, and a wall time would break the byte-for-byte
+    reproducibility of sweep.csv.
     """
 
     a: float
@@ -67,6 +71,7 @@ class SweepRecord:
     backtracks: int | None = None
     cg_restarts: int | None = None
     fft_calls: int | None = None
+    seconds: float | None = None
     minimizer: Field | None = None
     rescaled: Field | None = None
 
@@ -129,11 +134,16 @@ def sweep(g: Grid, V, schedule, cfg: SolveConfig, gn: GNResult) -> list:
 
     Until a solve has ended without diverging, each starts from the
     reference profile compressed to the scale the coupling gap suggests
-    (ell = (1 - a/a*)^(-1/6)) and parked at the potential minimum; after
+    (ell = (1 - a/a*)^(-1/6)) and parked at the potential minimum.  After
     that each warm-starts from the last minimizer that did not diverge.
-    cfg is only the stop rule.  A record is appended for every coupling
-    whatever the solver status -- a failure is data -- but a diverged state
-    is not propagated as the next warm start.
+    When that minimizer is the newer of the two latest resolved converged
+    records, the start is predicted from it instead: recentered, dilated
+    about its own center by the secant ratio eps_older / eps_newer of the
+    two records (a guess that the scale shrinks by the same factor again),
+    and translated back to where it was.  cfg is only the stop rule.  A
+    record is appended for every coupling whatever the solver status -- a
+    failure is data -- but a diverged state is not propagated as the next
+    warm start.
     """
     sched = _validate_schedule(schedule, gn.a_star)
     if gn.Q.grid != g:
@@ -142,12 +152,21 @@ def sweep(g: Grid, V, schedule, cfg: SolveConfig, gn: GNResult) -> list:
     records: list = []
     prev: Field | None = None
     prev_eps = None
+    # (centered minimizer, its recentering shift, secant ratio) while the
+    # warm start is the newer of two resolved converged records
+    predictor = None
     for a in sched:
-        start = prev
-        if start is None:
+        if predictor is not None:
+            centered, applied, ratio = predictor
+            start = translate(dilate(centered, ratio), -applied)
+        elif prev is not None:
+            start = prev
+        else:
             ell = (1.0 - a / gn.a_star) ** (-1.0 / 6.0)
             start = initial_field(g, V, InitSpec("dilated_Q", ell=ell), gn.Q)
+        t0 = time.perf_counter()
         result = solve(g, V, a, cfg, start=start)
+        seconds = time.perf_counter() - t0
         u = result.minimizer
         kin = result.breakdown.kinetic
         eps = float(kin) ** -0.25
@@ -167,22 +186,25 @@ def sweep(g: Grid, V, schedule, cfg: SolveConfig, gn: GNResult) -> list:
             backtracks=result.backtracks,
             cg_restarts=result.cg_restarts,
             fft_calls=result.fft_calls,
+            seconds=seconds,
             minimizer=u,
             rescaled=w,
         )
         records.append(rec)
-        if result.status is not SolveStatus.DIVERGED_BELOW_FLOOR:
-            prev = u
+        trusted = resolved and rec.status == SolveStatus.CONVERGED.value
         # relative margin far above roundoff: the breakdown carried by one
         # solve and the fresh one of the next, warm-started, solve differ at
         # about 1e-12 relative even when the minimizer does not move
-        if (resolved and rec.status == SolveStatus.CONVERGED.value
-                and prev_eps is not None and eps > prev_eps * (1.0 + 1e-9)):
+        if trusted and prev_eps is not None and eps > prev_eps * (1.0 + 1e-9):
             warnings.warn(
                 f"concentration scale grew ({prev_eps:.4g} -> {eps:.4g}) "
                 f"between resolved converged records at a={a}; recorded as "
                 "data", RuntimeWarning, stacklevel=2)
-        if resolved and rec.status == SolveStatus.CONVERGED.value:
+        if result.status is not SolveStatus.DIVERGED_BELOW_FLOOR:
+            prev = u
+            predictor = ((centered, applied, prev_eps / eps)
+                         if trusted and prev_eps is not None else None)
+        if trusted:
             prev_eps = eps
     return records
 

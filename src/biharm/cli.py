@@ -14,6 +14,7 @@ import json
 import math
 import re
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -258,7 +259,7 @@ class RunConfig:
 # manifests and small report helpers
 
 
-def _write_manifest(cfg: RunConfig, outputs: list) -> None:
+def _write_manifest(cfg: RunConfig, outputs: list, timings=None) -> None:
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     manifest = {
         "command": cfg.command,
@@ -267,6 +268,8 @@ def _write_manifest(cfg: RunConfig, outputs: list) -> None:
         "config": cfg.raw,
         "outputs": [str(p) for p in outputs],
     }
+    if timings is not None:
+        manifest["timings"] = timings
     (cfg.output_dir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
@@ -374,7 +377,15 @@ def cmd_solve(cfg: RunConfig, out=sys.stdout) -> int:
     return EXIT_OK
 
 
+def _sweep_timings(records, t0: float) -> dict:
+    """Wall seconds of the sweep command and of each point's solve, for the
+    manifest only: sweep.csv stays byte-for-byte reproducible."""
+    return {"command_s": time.perf_counter() - t0,
+            "points_s": [r.seconds for r in records]}
+
+
 def cmd_sweep(cfg: RunConfig, out=sys.stdout) -> int:
+    t0 = time.perf_counter()
     gn = _load_gn_artifact(cfg, out)
     if gn is None:
         return EXIT_CONFIG
@@ -392,7 +403,7 @@ def cmd_sweep(cfg: RunConfig, out=sys.stdout) -> int:
         print("check FAIL: no resolved records -- the concentration scale "
               "fell below 4 grid nodes everywhere; increase grid.n (or widen "
               "the schedule away from astar)", file=out)
-        _write_manifest(cfg, outputs)
+        _write_manifest(cfg, outputs, _sweep_timings(records, t0))
         return EXIT_CHECK
 
     floor = ess_inf(cfg.potential, cfg.grid)
@@ -430,7 +441,7 @@ def cmd_sweep(cfg: RunConfig, out=sys.stdout) -> int:
               file=out)
         if not ok:
             failures.append("gn_window")
-    _write_manifest(cfg, outputs)
+    _write_manifest(cfg, outputs, _sweep_timings(records, t0))
     if failures:
         print("check FAIL: " + ", ".join(failures), file=out)
         return EXIT_CHECK

@@ -354,7 +354,8 @@ def read_snapshot(path, grid: Grid | None = None) -> Field:
     """Read a snapshot written by write_snapshot.
 
     If grid is given it must match the header; otherwise the grid is rebuilt
-    from the header.
+    from the header.  A payload that is not exactly the header's count of
+    values -- short, or with bytes after them -- raises ValueError.
     """
     with open(path, "rb") as fh:
         header_line = fh.readline()
@@ -367,7 +368,10 @@ def read_snapshot(path, grid: Grid | None = None) -> Field:
         raise ValueError(f"malformed snapshot header in {path}") from exc
     if count != n**d:
         raise ValueError(f"snapshot count {count} does not equal n^d = {n**d}")
-    values = np.frombuffer(raw, dtype="<f8", count=count).reshape((n,) * d)
+    if len(raw) != 8 * count:
+        raise ValueError(f"snapshot {path} holds {len(raw)} payload bytes, "
+                         f"not the {8 * count} its header declares")
+    values = np.frombuffer(raw, dtype="<f8").reshape((n,) * d)
     if grid is None:
         grid = make_grid(d, n, half_width)
     elif (grid.d, grid.n, grid.half_width) != (d, n, half_width):

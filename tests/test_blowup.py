@@ -14,7 +14,7 @@ from biharm import (GaussianWell, Harmonic, ResolutionWarning, SolveConfig,
 from biharm.blowup import _h2_after_best_shift
 from biharm.field import (bilap_energy, h2_distance, l2_norm_sq, recenter,
                           translate)
-from biharm.groundstate import solve
+from biharm.groundstate import InitSpec, SolveStatus, initial_field, solve
 
 
 @pytest.fixture(scope="module")
@@ -271,6 +271,7 @@ def test_records_carry_the_solver_counters(g256, gn256, solve_cfg,
         (s.iterations, s.backtracks, s.cg_restarts, s.fft_calls)
         for s in results]
     assert all(r.iterations > 0 for r in records)
+    assert all(r.seconds > 0.0 for r in records)
 
 
 def _golden_section_h2(w, ref):
@@ -355,3 +356,55 @@ def test_offset_well_sweep_converges_every_point(solve_cfg, monkeypatch):
     assert [r.status for r in records] == ["Converged"] * 8
     assert len(iterations) == 8
     assert max(iterations) <= 500
+
+
+def _plain_chain(g, V, schedule, cfg, gn):
+    """Each coupling warm-started from the previous minimizer as it stands."""
+    ell = (1.0 - schedule[0] / gn.a_star) ** (-1.0 / 6.0)
+    start = initial_field(g, V, InitSpec("dilated_Q", ell=ell), gn.Q)
+    results = []
+    for a in schedule:
+        results.append(solve(g, V, a, cfg, start=start))
+        start = results[-1].minimizer
+    return results
+
+
+def test_scale_predictor_saves_iterations_at_the_same_energies(
+        g256, gn256, solve_cfg):
+    V = GaussianWell(1.0)
+    schedule = [gn256.a_star * (1.0 - 2.0**-k) for k in range(1, 7)]
+    chain = _plain_chain(g256, V, schedule, solve_cfg, gn256)
+    records = sweep(g256, V, schedule, solve_cfg, gn256)
+    assert all(r.status is SolveStatus.CONVERGED for r in chain)
+    assert all(r.status == "Converged" and r.resolved for r in records)
+    assert (sum(r.iterations for r in records)
+            < sum(r.iterations for r in chain))
+    for rec, res in zip(records, chain):
+        ref = res.breakdown.total
+        assert abs(rec.energy - ref) <= 1e-10 * abs(ref)
+
+
+def test_scale_predictor_dilates_about_the_minimizer(g256, gn256, solve_cfg,
+                                                     monkeypatch):
+    # off the origin, a dilation about x = 0 would pull the predicted bubble
+    # toward the origin; about the minimizer's own center it stays on the well
+    starts = []
+
+    def recorded(*args, **kwargs):
+        starts.append(kwargs["start"])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(sys.modules["biharm.blowup"], "solve", recorded)
+    well = 0.3
+    schedule = [gn256.a_star * (1.0 - 2.0**-k) for k in range(1, 7)]
+    records = sweep(g256, GaussianWell(1.0, 1.0, (well,)), schedule,
+                    solve_cfg, gn256)
+    assert [r.status for r in records] == ["Converged"] * len(schedule)
+    assert all(abs(r.center[0] - well) < 1e-5 for r in records)
+    for k in range(2, len(records)):
+        prev = records[k - 1]
+        # the start is predicted, not the last minimizer as it stands ...
+        assert not np.array_equal(starts[k].values, prev.minimizer.values)
+        # ... and sits where that minimizer sits
+        _, applied = recenter(starts[k])
+        assert abs(-applied[0] - prev.center[0]) < 1e-3 * g256.dx

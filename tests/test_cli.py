@@ -314,6 +314,28 @@ def test_sweep_ignores_the_solver_init(tmp_path, artifact_dir):
     assert outputs[2] == outputs[0]
 
 
+def test_sweep_timings_go_to_the_manifest_only(tmp_path, artifact_dir):
+    # wall times differ between runs, so they stay out of sweep.csv, which
+    # a rerun reproduces byte for byte
+    outputs = []
+    for i in range(2):
+        run = tmp_path / f"run{i}"
+        cfg = write_config(tmp_path / f"c{i}.json", output_dir=str(run),
+                           gn={"artifact": str(artifact_dir / "gn")},
+                           sweep={"start": 0.5, "count": 3, "ratio": 0.5})
+        code, text = run_cli("--config", str(cfg), "sweep")
+        assert code == 0, text
+        timings = json.loads((run / "manifest.json").read_text())["timings"]
+        assert sorted(timings) == ["command_s", "points_s"]
+        points = timings["points_s"]
+        assert len(points) == 3 and all(s > 0.0 for s in points)
+        assert sum(points) < timings["command_s"]
+        outputs.append((run / "sweep.csv").read_bytes())
+    assert outputs[1] == outputs[0]
+    header = outputs[0].decode().splitlines()[0]
+    assert "seconds" not in header and "timings" not in header
+
+
 def test_sweep_schedule_at_or_above_astar_rejected(tmp_path, artifact_dir):
     cfg = write_config(tmp_path / "c.json",
                        gn={"artifact": str(artifact_dir / "gn")},

@@ -386,6 +386,21 @@ def test_snapshot_2d_round_trip(g2_small, rng, tmp_path):
     assert np.array_equal(v.values, u.values)
 
 
+def test_snapshot_payload_must_match_the_header_count(gauss1, tmp_path):
+    path = tmp_path / "u.bhf"
+    write_snapshot(gauss1, path)
+    raw = path.read_bytes()
+    with open(path, "ab") as fh:
+        fh.write(bytes(8))
+    with pytest.raises(ValueError, match="payload bytes"):
+        read_snapshot(path)
+    path.write_bytes(raw[:-8])
+    with pytest.raises(ValueError, match="payload bytes"):
+        read_snapshot(path)
+    path.write_bytes(raw)
+    assert np.array_equal(read_snapshot(path).values, gauss1.values)
+
+
 def test_snapshot_grid_mismatch(gauss1, g1_coarse, tmp_path):
     path = tmp_path / "u.bhf"
     write_snapshot(gauss1, path)
