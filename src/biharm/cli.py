@@ -259,7 +259,7 @@ class RunConfig:
 # manifests and small report helpers
 
 
-def _write_manifest(cfg: RunConfig, outputs: list, timings=None) -> None:
+def _write_manifest(cfg: RunConfig, outputs: list, timings: dict) -> None:
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     manifest = {
         "command": cfg.command,
@@ -267,9 +267,8 @@ def _write_manifest(cfg: RunConfig, outputs: list, timings=None) -> None:
         "seed": cfg.seed,
         "config": cfg.raw,
         "outputs": [str(p) for p in outputs],
+        "timings": timings,
     }
-    if timings is not None:
-        manifest["timings"] = timings
     (cfg.output_dir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
@@ -298,6 +297,7 @@ def _load_gn_artifact(cfg: RunConfig, out):
 
 
 def cmd_gn(cfg: RunConfig, out=sys.stdout) -> int:
+    t0 = time.perf_counter()
     try:
         result = compute_gn(cfg.grid, cfg=cfg.solver)
     except RuntimeError as exc:
@@ -315,11 +315,13 @@ def cmd_gn(cfg: RunConfig, out=sys.stdout) -> int:
     print("resolution cross-check:", file=out)
     for n, val in result.resolutions:
         print(f"  n={n:6d}  quotient={val:.12g}", file=out)
-    _write_manifest(cfg, [base.with_suffix(".bhf"), base.with_suffix(".json")])
+    _write_manifest(cfg, [base.with_suffix(".bhf"), base.with_suffix(".json")],
+                    _timings(t0))
     return EXIT_OK
 
 
 def cmd_solve(cfg: RunConfig, out=sys.stdout) -> int:
+    t0 = time.perf_counter()
     profile = None
     if cfg.coupling_factor is not None or cfg.init.kind == "dilated_Q":
         gn = _load_gn_artifact(cfg, out)
@@ -355,6 +357,7 @@ def cmd_solve(cfg: RunConfig, out=sys.stdout) -> int:
         "grad_residual": result.grad_residual,
         "iterations": result.iterations,
         "backtracks": result.backtracks,
+        "trials": result.trials,
         "cg_restarts": result.cg_restarts,
         "fft_calls": result.fft_calls,
         "init": cfg.init.kind,
@@ -366,10 +369,10 @@ def cmd_solve(cfg: RunConfig, out=sys.stdout) -> int:
     print(f"energy = {bd.total:.12g}", file=out)
     print(f"grad_residual = {result.grad_residual:.3e} "
           f"after {result.iterations} iterations", file=out)
-    print(f"line search: {result.backtracks} backtracks, "
-          f"{result.cg_restarts} CG restarts", file=out)
+    print(f"line search: {result.trials} trials, {result.backtracks} "
+          f"backtracks, {result.cg_restarts} CG restarts", file=out)
     print(f"fft_calls = {result.fft_calls}", file=out)
-    _write_manifest(cfg, [snap, log, report])
+    _write_manifest(cfg, [snap, log, report], _timings(t0))
     if result.status is SolveStatus.DIVERGED_BELOW_FLOOR:
         print("energy fell below the floor: no minimizer exists at this "
               "coupling", file=out)
@@ -377,11 +380,14 @@ def cmd_solve(cfg: RunConfig, out=sys.stdout) -> int:
     return EXIT_OK
 
 
-def _sweep_timings(records, t0: float) -> dict:
-    """Wall seconds of the sweep command and of each point's solve, for the
-    manifest only: sweep.csv stays byte-for-byte reproducible."""
-    return {"command_s": time.perf_counter() - t0,
-            "points_s": [r.seconds for r in records]}
+def _timings(t0: float, records=None) -> dict:
+    """Wall seconds of the command since t0 and, for a sweep, of each
+    point's solve, for the manifest only: the command's other outputs stay
+    byte-for-byte reproducible."""
+    timings = {"command_s": time.perf_counter() - t0}
+    if records is not None:
+        timings["points_s"] = [r.seconds for r in records]
+    return timings
 
 
 def cmd_sweep(cfg: RunConfig, out=sys.stdout) -> int:
@@ -403,7 +409,7 @@ def cmd_sweep(cfg: RunConfig, out=sys.stdout) -> int:
         print("check FAIL: no resolved records -- the concentration scale "
               "fell below 4 grid nodes everywhere; increase grid.n (or widen "
               "the schedule away from astar)", file=out)
-        _write_manifest(cfg, outputs, _sweep_timings(records, t0))
+        _write_manifest(cfg, outputs, _timings(t0, records))
         return EXIT_CHECK
 
     floor = ess_inf(cfg.potential, cfg.grid)
@@ -441,7 +447,7 @@ def cmd_sweep(cfg: RunConfig, out=sys.stdout) -> int:
               file=out)
         if not ok:
             failures.append("gn_window")
-    _write_manifest(cfg, outputs, _sweep_timings(records, t0))
+    _write_manifest(cfg, outputs, _timings(t0, records))
     if failures:
         print("check FAIL: " + ", ".join(failures), file=out)
         return EXIT_CHECK
@@ -450,6 +456,7 @@ def cmd_sweep(cfg: RunConfig, out=sys.stdout) -> int:
 
 
 def cmd_plotdata(cfg: RunConfig, out=sys.stdout) -> int:
+    t0 = time.perf_counter()
     csv_path = cfg.output_dir / "sweep.csv"
     if not csv_path.exists():
         print(f"error: {csv_path} not found; run the 'sweep' command first",
@@ -473,7 +480,7 @@ def cmd_plotdata(cfg: RunConfig, out=sys.stdout) -> int:
         path.write_text("\n".join(lines) + "\n")
         outputs.append(path)
         print(f"wrote {path} ({len(points)} points)", file=out)
-    _write_manifest(cfg, outputs)
+    _write_manifest(cfg, outputs, _timings(t0))
     return EXIT_OK
 
 
@@ -534,6 +541,7 @@ def _battery_fd(cfg: RunConfig, rng) -> tuple:
 
 
 def cmd_check(cfg: RunConfig, out=sys.stdout) -> int:
+    t0 = time.perf_counter()
     # an artifact whose sidecar exists must load; only a missing one is computed
     if cfg.gn_artifact.with_suffix(".json").exists():
         gn = _load_gn_artifact(cfg, out)
@@ -558,7 +566,7 @@ def cmd_check(cfg: RunConfig, out=sys.stdout) -> int:
         ok_all &= ok
         print(f"{name:<{width}}  {'pass' if ok else 'FAIL'}  {detail}",
               file=out)
-    _write_manifest(cfg, [])
+    _write_manifest(cfg, [], _timings(t0))
     return EXIT_OK if ok_all else EXIT_CHECK
 
 

@@ -3,7 +3,11 @@
 solve runs Polak-Ribiere+ conjugate gradient on the sphere of unit-mass
 states, preconditioned by sigma / (sigma + |k|^4) with sigma = max(1, kinetic
 energy) so the conditioning does not degrade as minimizers concentrate.  Its
-Armijo line search tests spectral_energy_difference, an energy change
+line search fits a quadratic to each trial's energy change and the slope at
+zero, and steps to the quadratic's minimizer: after a failed trial, and once
+more after a passing one, so each step roughly minimizes the energy along
+its direction, as conjugacy needs.  Every trial is tested for Armijo
+sufficient decrease on spectral_energy_difference, an energy change
 assembled from the step itself, whose rounding scales with the step rather
 than with the energy; that keeps sufficient decrease decidable down to the
 gradient tolerance, with no roundoff slack, residual gate or stall retry.
@@ -39,10 +43,9 @@ from .grid import Grid
 from .potentials import classify, sample
 
 _ARMIJO = 1e-4
-# line search: the first iteration's first trial step, the factor a failed
-# trial shrinks by, and the factor on the last accepted step that gives the
-# next iteration's first trial
-_STEP0, _SHRINK, _GROW = 1.0, 0.5, 1.3
+# line search: the first iteration's first trial step, and the factor on the
+# last accepted step that gives the next iteration's first trial
+_STEP0, _GROW = 1.0, 1.3
 # a total energy below this is the finite witness of the unbounded-below
 # regime: solve stops with DivergedBelowFloor
 ENERGY_FLOOR = -1e3
@@ -102,7 +105,8 @@ class SolveResult:
     iterations: int
     status: SolveStatus
     history: tuple  # rows (iter, energy, grad_residual, step_size)
-    backtracks: int  # line-search shrinks
+    backtracks: int  # line-search trials that failed Armijo
+    trials: int  # line-search trials: spectral_energy_difference evaluations
     cg_restarts: int  # resets of the conjugate direction to -P G
     fft_calls: int  # real transforms the solver ran, entry evaluation included
 
@@ -164,38 +168,68 @@ class _Workspace:
 
 def _armijo(g: Grid, x, X, d, D, slope: float, mass_defect: float,
             step: float, vvals, a: float, mu: float, ws: _Workspace):
-    """Backtrack from step until the unit-mass trial c (x + t d) passes
-    Armijo on spectral_energy_difference with multiplier mu.
+    """Find a step t along d whose unit-mass trial c (x + t d) passes Armijo
+    on spectral_energy_difference with multiplier mu, and that roughly
+    minimizes the energy along d.
 
     c = (1 + s)^(-1/2), where s = mass(x + t d) - 1 follows from
     mass_defect = mass(x) - 1 and the inner products of x and d, and c - 1 is
     formed as expm1(-log1p(s) / 2) so it keeps its relative precision for
     small steps.  The step delta = (c - 1) x + c t d and its transform, the
     same combination of X and D, cost no FFT and are written into ws.delta
-    and ws.dhat.  Returns (delta, delta transform, step taken, shrinks);
-    delta is None when the direction does not descend or the step falls
-    below 1e-18 * _STEP0.
+    and ws.dhat.
+
+    Each trial's energy change phi(t), with phi(0) = 0 and phi'(0) = slope,
+    fits the quadratic slope t + curv t^2.  A failed trial is followed by
+    the quadratic's minimizer clamped to [0.1 t, 0.5 t] (0.1 t when phi(t)
+    is not finite).  A passing trial is followed by one more at the
+    minimizer when curv > 0 and it lies more than 0.1 t from t, and the
+    lower of the two steps that pass is kept; the kept step is rebuilt in
+    ws.delta and ws.dhat when it is not the last one tried, which costs a
+    few array operations and no second pair of arrays.  Returns (step
+    taken, failed trials, trials); the step is None when the direction does
+    not descend or the step falls below 1e-18 * _STEP0.
     """
     w = g.dx**g.d
     xd2 = 2.0 * w * float(np.vdot(x, d))
     dd = w * float(np.vdot(d, d))
     delta, dhat = ws.delta, ws.dhat
     tmp, tmp_hat = ws.scratch.real[0], ws.scratch.half
-    t, shrinks = step, 0
-    while slope < 0.0 and t > 1e-18 * _STEP0:
+
+    def build(t):
         cm1 = math.expm1(-0.5 * math.log1p(mass_defect + t * (xd2 + t * dd)))
         ct = (1.0 + cm1) * t
         np.multiply(x, cm1, out=delta)
-        delta += np.multiply(d, ct, out=tmp)
+        np.add(delta, np.multiply(d, ct, out=tmp), out=delta)
         np.multiply(X, cm1, out=dhat)
-        dhat += np.multiply(D, ct, out=tmp_hat)
-        if (spectral_energy_difference(g, x, X, delta, dhat, vvals, a, mu,
-                                       ws.scratch)
-                <= _ARMIJO * t * slope):
-            return delta, dhat, t, shrinks
-        t *= _SHRINK
-        shrinks += 1
-    return None, None, t, shrinks
+        np.add(dhat, np.multiply(D, ct, out=tmp_hat), out=dhat)
+
+    def phi(t):
+        build(t)
+        return spectral_energy_difference(g, x, X, delta, dhat, vvals, a, mu,
+                                          ws.scratch)
+
+    t, fails = step, 0
+    while slope < 0.0 and t > 1e-18 * _STEP0:
+        e = phi(t)
+        # the minimizer of slope t + curv t^2, curv = excess / t^2; 0 when
+        # the fit is not convex (or e is not finite)
+        excess = e - slope * t
+        t_min = -0.5 * slope * t * t / excess if excess > 0.0 else 0.0
+        if e <= _ARMIJO * t * slope:
+            break
+        fails += 1
+        t = min(0.5 * t, max(0.1 * t, t_min))
+    else:
+        return None, fails, fails
+    trials = fails + 1
+    if t_min > 0.0 and abs(t_min - t) > 0.1 * t:
+        trials += 1
+        e_min = phi(t_min)
+        if e_min <= _ARMIJO * t_min * slope and e_min < e:
+            return t_min, fails, trials
+        build(t)  # the refinement is not kept: rebuild the passing step
+    return t, fails, trials
 
 
 def solve(g: Grid, V, a: float, cfg: SolveConfig = SolveConfig(), *,
@@ -206,12 +240,16 @@ def solve(g: Grid, V, a: float, cfg: SolveConfig = SolveConfig(), *,
     search direction is -P G plus beta times the previous direction, projected
     onto the tangent space at u, where G is the projected gradient and P is
     sigma / (sigma + |k|^4) with sigma = max(1, kinetic energy).  Trial
-    states are u + t d renormalized to unit mass, and Armijo backtracking
-    (the first trial step is 1, each later one starts at the last accepted
-    step times 1.3, and a failed trial halves it) tests the exact energy
-    difference of spectral_energy_difference, less the multiplier times the
-    mass roundoff, so the test stays decisive down to the gradient
-    tolerance.  The method restarts from -P G when the conjugate direction is
+    states are u + t d renormalized to unit mass.  The line search (the
+    first trial step is 1, each later one starts at the last accepted step
+    times 1.3) steps to the minimizer of the quadratic through each trial's
+    energy change and the slope at zero: within [0.1 t, 0.5 t] after a
+    failed trial, and once past a passing one, keeping the lower step that
+    passes (see _armijo).  Its Armijo test reads the exact energy difference
+    of spectral_energy_difference, less the multiplier times the mass
+    roundoff, so the test stays decisive down to the gradient tolerance.
+    SolveResult.trials counts those tests and backtracks the failed ones.
+    The method restarts from -P G when the conjugate direction is
     not a descent direction or its line search fails.  Termination is data,
     not an exception: Converged when the projected-gradient L2 norm falls
     below cfg.tol_grad, DivergedBelowFloor when the energy passes
@@ -275,7 +313,7 @@ def solve(g: Grid, V, a: float, cfg: SolveConfig = SolveConfig(), *,
     status = status_of(bd, res)
 
     step = _STEP0
-    it = backtracks = cg_restarts = 0
+    it = backtracks = trials = cg_restarts = 0
     prev = None  # (d, D, P G, <G, P G>) of the last accepted step
     slot = 0  # the member of each workspace pair this iteration writes
     while status is None and it < cfg.max_iters:
@@ -312,18 +350,18 @@ def solve(g: Grid, V, a: float, cfg: SolveConfig = SolveConfig(), *,
             if beta:
                 d += np.multiply(prev[0], beta, out=ws.scratch.real[0])
                 D += np.multiply(prev[1], beta, out=ws.scratch.half)
-            delta, dhat, t, shrinks = _armijo(g, x, X, d, D, inner(grad, d),
-                                              mass_defect, step, vvals, a, mu,
-                                              ws)
-            backtracks += shrinks
-            if delta is not None:
+            t, fails, tried = _armijo(g, x, X, d, D, inner(grad, d),
+                                      mass_defect, step, vvals, a, mu, ws)
+            backtracks += fails
+            trials += tried
+            if t is not None:
                 break
         else:
             status = SolveStatus.MAX_ITERS
             break
         it += 1
-        x += delta
-        X += dhat
+        x += ws.delta
+        X += ws.dhat
         bd, grad, res = spectral_energy_and_gradient(g, x, X, vvals, a,
                                                      ws.grad, ws.scratch)
         fft_calls += 1
@@ -339,7 +377,8 @@ def solve(g: Grid, V, a: float, cfg: SolveConfig = SolveConfig(), *,
                        mu=multiplier(bd),
                        grad_residual=res, iterations=it, status=status,
                        history=tuple(history),
-                       backtracks=backtracks, cg_restarts=cg_restarts,
+                       backtracks=backtracks, trials=trials,
+                       cg_restarts=cg_restarts,
                        fft_calls=fft_calls)
 
 

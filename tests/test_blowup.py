@@ -408,3 +408,36 @@ def test_scale_predictor_dilates_about_the_minimizer(g256, gn256, solve_cfg,
         # ... and sits where that minimizer sits
         _, applied = recenter(starts[k])
         assert abs(-applied[0] - prev.center[0]) < 1e-3 * g256.dx
+
+
+@pytest.fixture(scope="module")
+def gn512(g1):
+    return compute_gn(g1)
+
+
+def test_sweep_iterations_are_stable_under_roundoff(g1, gn512, solve_cfg):
+    # the benchmark's sweep schedule, 2^-1 ... 2^-8: scaling Q by a few
+    # ulps (the warm starts move by as much) keeps the total iterations
+    # within 10%; with a first-passing Armijo step and halving, -8e-15
+    # moved 534 iterations to 607
+    V = GaussianWell(1.0)
+    schedule = [gn512.a_star * (1.0 - 2.0**-k) for k in range(1, 9)]
+
+    def total(gn):
+        return sum(r.iterations
+                   for r in sweep(g1, V, schedule, solve_cfg, gn))
+
+    base = total(gn512)
+    for k in (1, -1, 2, -2, 4, -4, 8, -8):
+        scaled = dataclasses.replace(gn512, Q=gn512.Q * (1.0 + k * 1e-15))
+        assert abs(total(scaled) - base) <= 0.1 * base
+
+
+def test_sweep_to_two_to_the_minus_twelve(g1, gn512, solve_cfg):
+    # twelve halvings of 1 - a/a*: every point converges on a resolved
+    # bubble, in fewer than 300 iterations each
+    schedule = [gn512.a_star * (1.0 - 2.0**-k) for k in range(1, 13)]
+    records = sweep(g1, GaussianWell(1.0), schedule, solve_cfg, gn512)
+    assert len(records) == 12
+    assert all(r.status == "Converged" and r.resolved for r in records)
+    assert max(r.iterations for r in records) < 300

@@ -191,9 +191,12 @@ def test_solve_reports_line_search_counters(tmp_path):
     code, text = run_cli("--config", str(cfg), "solve")
     assert code == 0
     report = json.loads((tmp_path / "run" / "solve.json").read_text())
-    for key in ("backtracks", "cg_restarts", "fft_calls"):
+    for key in ("backtracks", "trials", "cg_restarts", "fft_calls"):
         assert isinstance(report[key], int) and report[key] >= 0
-    assert (f"{report['backtracks']} backtracks, "
+    # every accepted step took at least one trial, and every backtrack is one
+    assert report["trials"] >= report["iterations"] + report["backtracks"]
+    assert (f"line search: {report['trials']} trials, "
+            f"{report['backtracks']} backtracks, "
             f"{report['cg_restarts']} CG restarts") in text
     assert f"fft_calls = {report['fft_calls']}" in text
     assert 0 < report["fft_calls"] <= 3 * report["iterations"] + 8
@@ -490,6 +493,32 @@ def test_sweep_csv_read_with_and_without_solver_counters(tmp_path,
     assert "['cg_restarts', 'fft_calls']" in text
     assert "rerun the 'sweep' command" in text
     assert not (tmp_path / "run" / "plot_eps.csv").exists()
+
+
+def test_command_timings_go_to_the_manifest_only(tmp_path, artifact_dir):
+    # gn, solve and check report their wall time in manifest.json, never in
+    # gn.json or solve.json, which a rerun reproduces byte for byte
+    artifact = {"artifact": str(artifact_dir / "gn")}
+    runs = [("gn", {}, "gn.json"), ("solve", {"solve": {"a": 4.0}},
+                                    "solve.json"),
+            ("check", {"gn": artifact, "check": {
+                "fields": 2, "directions": 2, "battery": 5}}, None)]
+    for command, extra, scalars in runs:
+        outputs = []
+        for i in range(2):
+            run = tmp_path / f"{command}{i}"
+            cfg = write_config(tmp_path / f"{command}{i}.json",
+                               output_dir=str(run), **extra)
+            code, text = run_cli("--config", str(cfg), command)
+            assert code == 0, text
+            manifest = json.loads((run / "manifest.json").read_text())
+            assert list(manifest["timings"]) == ["command_s"]
+            assert manifest["timings"]["command_s"] > 0.0
+            if scalars is not None:
+                outputs.append((run / scalars).read_bytes())
+        if scalars is not None:
+            assert outputs[1] == outputs[0]
+            assert b"command_s" not in outputs[0]
 
 
 def test_same_seed_reproduces_scalars(tmp_path, artifact_dir):

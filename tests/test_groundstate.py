@@ -103,6 +103,8 @@ def test_line_search_counters(well_run):
     g, V, res = well_run
     assert isinstance(res.backtracks, int) and res.backtracks >= 0
     assert isinstance(res.cg_restarts, int) and res.cg_restarts >= 0
+    # each accepted step passed one trial, and each backtrack failed one
+    assert res.trials >= res.iterations + res.backtracks
     # an accepted step restarts at most once, from the conjugate direction
     # to -P G
     assert res.cg_restarts <= res.iterations
@@ -178,7 +180,8 @@ def test_default_start_is_the_gaussian_init(geom, V):
     a = solve(g, V, 5.0, cfg)
     b = solve(g, V, 5.0, cfg, start=initial_field(g, V, InitSpec()))
     assert a.minimizer.values.tobytes() == b.minimizer.values.tobytes()
-    for key in ("iterations", "backtracks", "cg_restarts", "fft_calls"):
+    for key in ("iterations", "backtracks", "trials", "cg_restarts",
+                "fft_calls"):
         assert getattr(a, key) == getattr(b, key)
     assert a.status is b.status is SolveStatus.CONVERGED
 
@@ -252,8 +255,8 @@ def test_cg_counters_are_pinned():
     cfg = SolveConfig(tol_grad=1e-5, max_iters=2000)
     res = solve(g, GaussianWell(1.0, 1.0, (0.0, 0.0)), 40.0, cfg)
     assert res.status is SolveStatus.CONVERGED
-    assert (res.iterations, res.backtracks, res.cg_restarts,
-            res.fft_calls) == (21, 9, 8, 65)
+    assert (res.iterations, res.backtracks, res.trials, res.cg_restarts,
+            res.fft_calls) == (10, 3, 21, 0, 32)
 
 
 def _assert_same_result(r, s):
@@ -261,8 +264,9 @@ def _assert_same_result(r, s):
     assert r.breakdown == s.breakdown
     assert (r.mu, r.grad_residual, r.status, r.history) == (
         s.mu, s.grad_residual, s.status, s.history)
-    assert (r.iterations, r.backtracks, r.cg_restarts, r.fft_calls) == (
-        s.iterations, s.backtracks, s.cg_restarts, s.fft_calls)
+    assert (r.iterations, r.backtracks, r.trials, r.cg_restarts,
+            r.fft_calls) == (s.iterations, s.backtracks, s.trials,
+                             s.cg_restarts, s.fft_calls)
 
 
 def test_repeated_solves_share_no_state():
