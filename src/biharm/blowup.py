@@ -49,7 +49,7 @@ class SweepRecord:
     rescaled profile.  resolved means the concentration scale still spans
     several grid nodes (eps > 4 dx); records with resolved=False are kept --
     their scalars are reported, but nothing quantitative should be trusted at
-    a scale the grid no longer separates.  iterations, backtracks,
+    a scale the grid no longer separates.  iterations, trials, backtracks,
     cg_restarts and fft_calls are the solver's counters for this coupling
     (None only on a record built by hand), and seconds is the solve's wall
     time (None on a record built by hand or read back from CSV).  seconds,
@@ -68,6 +68,7 @@ class SweepRecord:
     status: str
     resolved: bool
     iterations: int | None = None
+    trials: int | None = None
     backtracks: int | None = None
     cg_restarts: int | None = None
     fft_calls: int | None = None
@@ -77,7 +78,7 @@ class SweepRecord:
 
 
 _CSV_COLUMNS = ("a", "energy", "kinetic", "eps", "center", "h2_dist_to_Q",
-                "status", "resolved", "iterations", "backtracks",
+                "status", "resolved", "iterations", "trials", "backtracks",
                 "cg_restarts", "fft_calls")
 _NEWTON_MAX_STEPS = 20
 
@@ -183,6 +184,7 @@ def sweep(g: Grid, V, schedule, cfg: SolveConfig, gn: GNResult) -> list:
             status=result.status.value,
             resolved=resolved,
             iterations=result.iterations,
+            trials=result.trials,
             backtracks=result.backtracks,
             cg_restarts=result.cg_restarts,
             fft_calls=result.fft_calls,
@@ -273,7 +275,8 @@ def save_sweep(records, run_dir) -> Path:
                 repr(rec.a), repr(rec.energy), repr(rec.kinetic),
                 repr(rec.eps), ";".join(repr(c) for c in rec.center),
                 repr(rec.h2_dist_to_Q), rec.status, rec.resolved,
-                rec.iterations, rec.backtracks, rec.cg_restarts, rec.fft_calls,
+                rec.iterations, rec.trials, rec.backtracks, rec.cg_restarts,
+                rec.fft_calls,
             ])
     for i, rec in enumerate(records):
         if rec.minimizer is not None:
@@ -302,6 +305,7 @@ def load_sweep(path) -> list:
             status=row["status"],
             resolved=row["resolved"] == "True",
             iterations=int(row["iterations"]),
+            trials=int(row["trials"]),
             backtracks=int(row["backtracks"]),
             cg_restarts=int(row["cg_restarts"]),
             fft_calls=int(row["fft_calls"]),

@@ -14,14 +14,14 @@ consistency and monotone line searches hold to rounding.
 
 Every kinetic term is a multiplicity-weighted Parseval sum over the half
 spectrum of Grid.forward, the one spectral format.  The Field-level
-functions (energy, constrained_gradient, ...) are the reference
-evaluations, and those built from the Euler-Lagrange operator
+functions (energy, energy_difference, constrained_gradient, ...) are the
+reference evaluations, and those built from the Euler-Lagrange operator
 Lap^2 u + V u - (a q / 2) |u|^{q-2} u share one implementation of it.  The
-solver's inner loop uses the array-level spectral_energy_and_gradient and
-spectral_energy_difference instead, on the nodal values and transform it
-carries; both kernels write into work arrays their caller passes in (a
-SpectralScratch, and for the gradient its output array).
-energy_difference is the Field-level wrapper of the latter.
+solver's inner loop uses the array-level spectral_energy_and_gradient
+instead, on the nodal values and transform it carries: it returns the
+projected gradient as a half spectrum, from one forward transform, and
+writes into work arrays its caller passes in (a SpectralScratch, and the
+output array).
 """
 
 from __future__ import annotations
@@ -66,40 +66,8 @@ def energy_difference(u: Field, delta: np.ndarray, V, a: float,
                       mu: float = 0.0) -> float:
     """E(v) - E(u) - mu * (mass(v) - mass(u)) for v = u + delta, from delta.
 
-    The Field-level form of spectral_energy_difference: it hands u's cached
-    transform, the transform of delta and fresh work arrays to that kernel.
-    """
-    g = u.grid
-    return spectral_energy_difference(g, u.values, u.hat, delta,
-                                      g.forward(delta), sample(V, g).values,
-                                      a, mu, SpectralScratch(g))
-
-
-class SpectralScratch:
-    """Work arrays the spectral kernels overwrite: five real arrays of the
-    grid's shape and one complex array of its half spectrum.
-
-    The solver makes one per solve and hands it to every evaluation.
-    """
-
-    __slots__ = ("real", "half")
-
-    def __init__(self, g: Grid):
-        self.real = tuple(np.empty(g.shape) for _ in range(5))
-        self.half = np.empty(g.k_quad.shape, dtype=np.complex128)
-
-
-def spectral_energy_difference(g: Grid, x: np.ndarray, X: np.ndarray,
-                               delta: np.ndarray, dhat: np.ndarray,
-                               vvals: np.ndarray, a: float, mu: float,
-                               scratch: SpectralScratch) -> float:
-    """E(v) - E(u) - mu * (mass(v) - mass(u)) for the state u with values x
-    and transform X = g.forward(x), and v = u + delta.
-
-    dhat is the real transform of delta (in the solver, the same linear
-    combination of X and the direction's transform that delta is of x and
-    the direction, so no FFT is needed), and v has the values x + delta and
-    the transform X + dhat.  Every term is a sum of delta-weighted products:
+    v has the values u + delta and the transform u.hat + forward(delta).
+    Every term is a sum of delta-weighted products:
 
         kinetic     sum |k|^4 Re(conj(delta_hat) (delta_hat + 2 u_hat))
         potential   sum V delta (v + u)
@@ -109,48 +77,71 @@ def spectral_energy_difference(g: Grid, x: np.ndarray, X: np.ndarray,
     so the result carries rounding relative to the step, not to the energy,
     and stays exact where subtracting two energy() totals is pure roundoff.
     mu subtracts the mass change, which for the multiplier of u removes the
-    first-order effect of renormalization roundoff.  The work arrays come
-    from scratch, which is overwritten.
+    first-order effect of renormalization roundoff.  It is the reference for
+    the solver's closed-form line energy.
     """
+    g = u.grid
     q = critical_power(g.d)
-    vv, s, uu, poly, upow = scratch.real
-    khat = scratch.half
-    np.add(x, delta, out=vv)
-    np.add(vv, x, out=s)
-    s *= delta  # delta (v + u)
+    x = u.values
+    dhat = g.forward(delta)
+    vv = x + delta
+    s = delta * (vv + x)  # delta (v + u)
     vv *= vv
-    np.multiply(x, x, out=uu)
-    np.add(vv, uu, out=poly)
-    np.copyto(upow, uu)
+    uu = x * x
+    poly = vv + uu
+    upow = uu.copy()
     for _ in range(q // 2 - 2):
         poly *= vv
         upow *= uu
         poly += upow
-    np.add(X, X, out=khat)
-    khat += dhat
-    khat *= g.k_quad_parseval  # |k|^4 (delta_hat + 2 u_hat), Parseval-weighted
+    # |k|^4 (delta_hat + 2 u_hat), Parseval-weighted
+    khat = g.k_quad_parseval * (dhat + 2.0 * u.hat)
     kin = np.vdot(dhat, khat).real
-    rest = np.vdot(s, vvals) - a * np.vdot(s, poly) - mu * np.sum(s)
+    rest = (np.vdot(s, sample(V, g).values) - a * np.vdot(s, poly)
+            - mu * np.sum(s))
     return float(g.dx**g.d * (kin / g.n**g.d + rest))
+
+
+class SpectralScratch:
+    """Work arrays the solver's kernels overwrite: q/2 + 1 real arrays of
+    the grid's shape and one complex array of its half spectrum.
+
+    spectral_energy_and_gradient uses two of the real arrays; the solver's
+    line moments use all of them, one per product x^(q/2-k) d^k.  The
+    solver makes one per solve and hands it to every evaluation.
+    """
+
+    __slots__ = ("real", "half")
+
+    def __init__(self, g: Grid):
+        rows = critical_power(g.d) // 2 + 1
+        self.real = tuple(np.empty(g.shape) for _ in range(rows))
+        self.half = np.empty(g.k_quad.shape, dtype=np.complex128)
 
 
 def spectral_energy_and_gradient(g: Grid, x: np.ndarray, X: np.ndarray,
                                  vvals: np.ndarray, a: float,
                                  out: np.ndarray, scratch: SpectralScratch):
-    """Breakdown, projected gradient and its L2 norm from one inverse
-    transform.
+    """Breakdown, projected gradient spectrum and the gradient's L2 norm
+    from one forward transform.
 
     x are the nodal values of the state and X = g.forward(x) its
     transform (carried alongside x by the solver rather than recomputed);
-    vvals is the sampled potential.  Returns (EnergyBreakdown, G, |G|) with
-    G the gradient of energy() projected as constrained_gradient projects
-    it, written into out.  The kinetic term is the Parseval sum
-    over X, the rest are nodal quadratures, and the only transform is
-    g.inverse(|k|^4 X).  The work arrays come from scratch, which is
+    vvals is the sampled potential.  Returns (EnergyBreakdown, G_hat, |G|)
+    with G_hat the half spectrum of the gradient of energy() projected as
+    constrained_gradient projects it, written into out:
+
+        G_hat = 2 |k|^4 X + forward(2 V x - a q x^(q-1)) - c X,
+        c = (2 kinetic + 2 potential - a q nonlinear) / (dx^d sum x^2).
+
+    The kinetic term and |G| are Parseval sums over the half spectrum, the
+    rest are nodal quadratures, and the only transform is the forward one
+    of the nodal part.  The work arrays come from scratch, which is
     overwritten.
     """
     q = critical_power(g.d)
     w = g.dx**g.d
+    scale = w / g.n**g.d
     xq1, vx = scratch.real[:2]
     khat = scratch.half
     np.multiply(x, x, out=xq1)
@@ -160,19 +151,20 @@ def spectral_energy_and_gradient(g: Grid, x: np.ndarray, X: np.ndarray,
         xq1 *= xq1
     xq1 *= x  # x^(q-1) by multiplication: x^5 in 2D, x^9 in 1D
     np.multiply(vvals, x, out=vx)
-    np.multiply(g.k_quad_parseval, X, out=khat)
-    kin = w / g.n**g.d * np.vdot(X, khat).real
-    pot = w * np.vdot(vx, x)
-    non = w * np.vdot(xq1, x)
-    grad = g.inverse(np.multiply(g.k_quad, X, out=khat), out=out)
-    grad += vx
-    grad *= 2.0
+    np.multiply(g.k_quad, X, out=khat)
+    kin = scale * g.parseval(X, khat)
+    pot = w * float(np.vdot(vx, x))
+    non = w * float(np.vdot(xq1, x))
+    vx *= 2.0
     xq1 *= a * q
-    grad -= xq1  # the raw gradient
-    grad -= np.multiply(x, np.vdot(grad, x) / mass, out=vx)
-    bd = EnergyBreakdown(float(kin), float(pot), float(non),
-                         float(kin + pot - a * non), float(a), q)
-    return bd, grad, float(np.sqrt(w * np.vdot(grad, grad)))
+    vx -= xq1  # the nodal part of the raw gradient
+    ghat = g.forward(vx, out=out)
+    khat *= 2.0
+    ghat += khat
+    ghat -= np.multiply(X, (2.0 * (kin + pot) - a * q * non) / (w * mass),
+                        out=khat)
+    bd = EnergyBreakdown(kin, pot, non, kin + pot - a * non, float(a), q)
+    return bd, ghat, float(np.sqrt(scale * g.parseval(ghat, ghat)))
 
 
 def scaled_energy_identity_check(u: Field, a: float, ell: float,

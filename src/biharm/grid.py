@@ -90,6 +90,15 @@ class Grid:
             return np.fft.irfft(coeffs, n=self.n, axis=0, out=out)
         return np.fft.irfftn(coeffs, s=self.shape, axes=(0, 1), out=out)
 
+    def parseval(self, a: np.ndarray, b: np.ndarray) -> float:
+        """Full-spectrum sum Re sum(conj(a) b) from two half spectra: twice
+        the half-spectrum sum, less the zero and Nyquist columns (every
+        (n/2)-th), which are their own mirrors.  For the transforms of real
+        f and g it is n^d times sum(f g)."""
+        edge = self.n // 2
+        return float(2.0 * np.vdot(a, b).real
+                     - np.vdot(a[..., ::edge], b[..., ::edge]).real)
+
     def meshes(self) -> tuple:
         """Nodal coordinate arrays broadcast to the full grid shape."""
         return np.meshgrid(*self.axes, indexing="ij")

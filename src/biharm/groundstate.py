@@ -7,23 +7,28 @@ line search fits a quadratic to each trial's energy change and the slope at
 zero, and steps to the quadratic's minimizer: after a failed trial, and once
 more after a passing one, so each step roughly minimizes the energy along
 its direction, as conjugacy needs.  Every trial is tested for Armijo
-sufficient decrease on spectral_energy_difference, an energy change
-assembled from the step itself, whose rounding scales with the step rather
-than with the energy; that keeps sufficient decrease decidable down to the
-gradient tolerance, with no roundoff slack, residual gate or stall retry.
+sufficient decrease on the energy change along the line in closed form:
+the kinetic and potential energies are quadratic in the step and the
+nonlinear one is a polynomial of degree q, so a few moments of the state
+and the direction, taken once per iteration, give the change at any step
+as a scalar expression (see _line).  Its rounding scales with the step
+rather than with the energy, which keeps sufficient decrease decidable down
+to the gradient tolerance, with no roundoff slack, residual gate or stall
+retry.
 The method has one configuration: the preconditioner is always on, the
 line-search constants and ENERGY_FLOOR are fixed, a SolveConfig is only the
 stop rule, and solve puts the Field it starts from on the unit-mass sphere.
 
 The loop works on a spectral state: plain arrays of the nodal values x and
 their real transform X, with the search direction carried in both spaces
-too.  A trial state is a linear combination of x and the direction, so its
-transform is the same combination of X and the direction's transform, and
-line-search trials need no FFT.  One iteration costs three real transforms:
-the inverse in the fused energy-and-gradient evaluation, and the forward and
-inverse of the preconditioner.  Fields are built only on entry and return,
-and the arrays the loop writes are allocated once per call and reused, so
-the loop allocates no arrays of its own.
+too, and the gradient kept as a half spectrum.  A trial costs no array
+pass, and only the accepted step is built, as the same linear combination
+of x and the direction and of their transforms, with no FFT.  One
+iteration costs two real transforms: the forward one in the fused
+energy-and-gradient evaluation and the inverse of the preconditioned
+gradient.  Fields are built only on entry and return, and the arrays the
+loop writes are allocated once per call and reused, so the loop allocates
+no arrays of its own.
 """
 
 from __future__ import annotations
@@ -36,8 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import (EnergyBreakdown, SpectralScratch, critical_power,
-                     energy, spectral_energy_and_gradient,
-                     spectral_energy_difference)
+                     energy, spectral_energy_and_gradient)
 from .field import Field, dilate, read_snapshot, renormalize_mass, translate
 from .grid import Grid
 from .potentials import classify, sample
@@ -106,9 +110,9 @@ class SolveResult:
     status: SolveStatus
     history: tuple  # rows (iter, energy, grad_residual, step_size)
     backtracks: int  # line-search trials that failed Armijo
-    trials: int  # line-search trials: spectral_energy_difference evaluations
+    trials: int  # line-search trials: closed-form energy changes evaluated
     cg_restarts: int  # resets of the conjugate direction to -P G
-    fft_calls: int  # real transforms the solver ran, entry evaluation included
+    fft_calls: int  # real transforms the solver ran: 2 on entry, 2 per iteration
 
 
 def potential_argmin(V, g: Grid) -> np.ndarray:
@@ -144,11 +148,13 @@ class _Workspace:
     """The arrays one solve reuses on every iteration, so its loop allocates
     none of its own.
 
-    The direction (d, D) and the preconditioned gradient pg come in pairs:
-    the last accepted step's enter the next beta, so each iteration writes
-    the member of the pair the previous one did not.  The line search's
-    trial step lives in delta and dhat, and the kernels' work arrays in
-    scratch, which also holds short-lived products between kernel calls.
+    The direction (d, D) and the preconditioned gradient spectrum PG come in
+    pairs: the last accepted step's enter the next beta, so each iteration
+    writes the member of the pair the previous one did not.  ghat holds the
+    gradient spectrum, pg the nodal values of this iteration's P G, and
+    delta and dhat the accepted step.  scratch holds the kernels' work
+    arrays, the line moments' rows and short-lived products between kernel
+    calls.
     """
 
     def __init__(self, g: Grid):
@@ -158,57 +164,113 @@ class _Workspace:
         def half():
             return np.empty(g.k_quad.shape, dtype=np.complex128)
 
-        self.grad, self.delta = real(), real()
-        self.ghat, self.PG, self.dhat = half(), half(), half()
+        self.delta, self.pg = real(), real()
+        self.ghat, self.dhat = half(), half()
         self.symbol = np.empty(g.k_quad.shape)
-        self.d, self.pg = (real(), real()), (real(), real())
-        self.D = (half(), half())
+        self.d = (real(), real())
+        self.D, self.PG = (half(), half()), (half(), half())
         self.scratch = SpectralScratch(g)
 
 
-def _armijo(g: Grid, x, X, d, D, slope: float, mass_defect: float,
-            step: float, vvals, a: float, mu: float, ws: _Workspace):
-    """Find a step t along d whose unit-mass trial c (x + t d) passes Armijo
-    on spectral_energy_difference with multiplier mu, and that roughly
-    minimizes the energy along d.
+def _monomials(x, d, rows) -> None:
+    """Write x^(h-k) d^k into rows[k] for k = 0..h, h = len(rows) - 1 >= 3,
+    by 3 (h - 1) products and no other array."""
+    h = len(rows) - 1
+    np.multiply(x, x, out=rows[h - 2])
+    for k in range(h - 3, -1, -1):
+        np.multiply(rows[k + 1], x, out=rows[k])  # x^(h-k)
+    np.multiply(rows[1], d, out=rows[1])
+    dk = np.multiply(d, d, out=rows[h])
+    for k in range(2, h - 1):
+        np.multiply(rows[k], dk, out=rows[k])
+        dk *= d  # d^(k+1)
+    np.multiply(x, dk, out=rows[h - 1])
+    dk *= d
 
-    c = (1 + s)^(-1/2), where s = mass(x + t d) - 1 follows from
-    mass_defect = mass(x) - 1 and the inner products of x and d, and c - 1 is
-    formed as expm1(-log1p(s) / 2) so it keeps its relative precision for
-    small steps.  The step delta = (c - 1) x + c t d and its transform, the
-    same combination of X and D, cost no FFT and are written into ws.delta
-    and ws.dhat.
 
-    Each trial's energy change phi(t), with phi(0) = 0 and phi'(0) = slope,
-    fits the quadratic slope t + curv t^2.  A failed trial is followed by
-    the quadratic's minimizer clamped to [0.1 t, 0.5 t] (0.1 t when phi(t)
-    is not finite).  A passing trial is followed by one more at the
-    minimizer when curv > 0 and it lies more than 0.1 t from t, and the
-    lower of the two steps that pass is kept; the kept step is rebuilt in
-    ws.delta and ws.dhat when it is not the last one tried, which costs a
-    few array operations and no second pair of arrays.  Returns (step
-    taken, failed trials, trials); the step is None when the direction does
-    not descend or the step falls below 1e-18 * _STEP0.
+def _line(g: Grid, x, X, d, D, vvals, bd: EnergyBreakdown, mu: float,
+          mass_defect: float, ws: _Workspace):
+    """The energy change along the search line, and the step that makes it.
+
+    Returns (phi, build).  phi(t) = E(v) - E(u) - mu (mass(v) - mass(u)) for
+    the unit-mass trial v = c (x + t d), c = (1 + s)^(-1/2), where
+    s = mass(x + t d) - 1 = mass_defect + t (2 <x,d> + t <d,d>).  The kinetic
+    and potential energies are quadratic and the nonlinear one is
+    homogeneous of degree q, so
+
+        phi(t) = (c^2 - 1) (K0 + P0 - mu m0)
+                 + c^2 t (2 (K1 + P1) + t (K2 + P2) - mu (2 <x,d> + t <d,d>))
+                 - a ((c^q - 1) S0 + c^q sum_{j=1..q} C(q, j) t^j S_j),
+
+    with m0 = mass(x), K1, K2 and P1, P2 the kinetic and potential forms of
+    (x, d) and (d, d), and S_j = int x^(q-j) d^j.  K0, P0 and S0 are the
+    breakdown bd of x; the other moments are taken here, once per direction,
+    S_j as <H_k, H_(j-k)> over the rows H_k = x^(q/2-k) d^k in ws.scratch.
+    A trial is then a scalar expression with no array pass.  With
+    ell = log1p(s), c^2 - 1 = expm1(-ell) and c^q - 1 = expm1(-q ell / 2)
+    keep their relative precision for small steps, and a trial whose
+    polynomial overflows gives a non-finite phi rather than an exception.
+
+    build(t) writes the step delta = (c - 1) x + c t d into ws.delta and its
+    transform, the same combination of X and D, into ws.dhat: no FFT.
     """
     w = g.dx**g.d
+    scale = w / g.n**g.d
+    q, a = bd.q, bd.a
     xd2 = 2.0 * w * float(np.vdot(x, d))
     dd = w * float(np.vdot(d, d))
-    delta, dhat = ws.delta, ws.dhat
-    tmp, tmp_hat = ws.scratch.real[0], ws.scratch.half
+    kd = np.multiply(g.k_quad_parseval, D, out=ws.scratch.half)
+    k1 = scale * float(np.vdot(X, kd).real)
+    k2 = scale * float(np.vdot(D, kd).real)
+    rows = ws.scratch.real
+    vd = np.multiply(vvals, d, out=rows[0])
+    p1 = w * float(np.vdot(vd, x))
+    p2 = w * float(np.vdot(vd, d))
+    _monomials(x, d, rows)
+    # C(q, j) S_j from j = q down to 1, in Horner order
+    coef = [math.comb(q, j) * w * float(np.vdot(rows[j // 2],
+                                                rows[j - j // 2]))
+            for j in range(q, 0, -1)]
+    c0 = bd.kinetic + bd.potential - mu * (1.0 + mass_defect)
+    c1 = 2.0 * (k1 + p1) - mu * xd2
+    c2 = k2 + p2 - mu * dd
+    s0, hq = bd.nonlinear, 0.5 * q
+
+    def phi(t):
+        ell = math.log1p(mass_defect + t * (xd2 + t * dd))
+        poly = 0.0
+        for b in coef:
+            poly = (poly + b) * t
+        return (math.expm1(-ell) * c0 + math.exp(-ell) * t * (c1 + t * c2)
+                - a * (math.expm1(-hq * ell) * s0 + math.exp(-hq * ell) * poly))
 
     def build(t):
         cm1 = math.expm1(-0.5 * math.log1p(mass_defect + t * (xd2 + t * dd)))
         ct = (1.0 + cm1) * t
+        delta, dhat = ws.delta, ws.dhat
         np.multiply(x, cm1, out=delta)
-        np.add(delta, np.multiply(d, ct, out=tmp), out=delta)
+        delta += np.multiply(d, ct, out=ws.scratch.real[0])
         np.multiply(X, cm1, out=dhat)
-        np.add(dhat, np.multiply(D, ct, out=tmp_hat), out=dhat)
+        dhat += np.multiply(D, ct, out=ws.scratch.half)
 
-    def phi(t):
-        build(t)
-        return spectral_energy_difference(g, x, X, delta, dhat, vvals, a, mu,
-                                          ws.scratch)
+    return phi, build
 
+
+def _armijo(phi, slope: float, step: float):
+    """Find a step t along a line whose energy change phi(t) passes Armijo
+    with phi(0) = 0 and phi'(0) = slope, and that roughly minimizes phi.
+
+    Each trial's phi(t) fits the quadratic slope t + curv t^2.  A failed
+    trial is followed by the quadratic's minimizer clamped to [0.1 t, 0.5 t];
+    a trial whose phi(t) is not finite fails and is followed by 0.1 t.  A
+    passing trial is followed by one more at the minimizer when curv > 0
+    and it lies more than 0.1 t from t, and the lower of the two steps that
+    pass is kept.  phi is a scalar
+    expression (see _line), so trials cost no array work and the caller
+    builds only the step it takes.  Returns (step taken, failed trials,
+    trials); the step is None when the direction does not descend or the
+    step falls below 1e-18 * _STEP0.
+    """
     t, fails = step, 0
     while slope < 0.0 and t > 1e-18 * _STEP0:
         e = phi(t)
@@ -216,7 +278,7 @@ def _armijo(g: Grid, x, X, d, D, slope: float, mass_defect: float,
         # the fit is not convex (or e is not finite)
         excess = e - slope * t
         t_min = -0.5 * slope * t * t / excess if excess > 0.0 else 0.0
-        if e <= _ARMIJO * t * slope:
+        if -math.inf < e <= _ARMIJO * t * slope:
             break
         fails += 1
         t = min(0.5 * t, max(0.1 * t, t_min))
@@ -228,7 +290,6 @@ def _armijo(g: Grid, x, X, d, D, slope: float, mass_defect: float,
         e_min = phi(t_min)
         if e_min <= _ARMIJO * t_min * slope and e_min < e:
             return t_min, fails, trials
-        build(t)  # the refinement is not kept: rebuild the passing step
     return t, fails, trials
 
 
@@ -245,9 +306,10 @@ def solve(g: Grid, V, a: float, cfg: SolveConfig = SolveConfig(), *,
     times 1.3) steps to the minimizer of the quadratic through each trial's
     energy change and the slope at zero: within [0.1 t, 0.5 t] after a
     failed trial, and once past a passing one, keeping the lower step that
-    passes (see _armijo).  Its Armijo test reads the exact energy difference
-    of spectral_energy_difference, less the multiplier times the mass
-    roundoff, so the test stays decisive down to the gradient tolerance.
+    passes (see _armijo).  Its Armijo test reads the energy change in closed
+    form from moments of u and the direction taken once per iteration (see
+    _line), less the multiplier times the mass change, so a trial costs no
+    array pass and the test stays decisive down to the gradient tolerance.
     SolveResult.trials counts those tests and backtracks the failed ones.
     The method restarts from -P G when the conjugate direction is
     not a descent direction or its line search fails.  Termination is data,
@@ -260,11 +322,13 @@ def solve(g: Grid, V, a: float, cfg: SolveConfig = SolveConfig(), *,
     The iterate is the spectral state (x, X = real transform of x): the
     direction is carried as the pair (d, D) of one linear combination taken
     in both spaces, an accepted step adds delta to x and its transform to X,
-    and each iteration runs three real transforms, counted in
-    SolveResult.fft_calls.  Every array the loop writes comes from one
+    and the gradient is kept as a half spectrum, so its norm, beta and the
+    slope are Parseval sums.  Each iteration runs two real transforms, the
+    inverse of P G and the forward one in the gradient evaluation, counted
+    in SolveResult.fft_calls.  Every array the loop writes comes from one
     workspace allocated per call, so calls share no state and the loop
-    allocates no arrays of its own (numpy's 2D inverse transform still makes
-    one intermediate).  The breakdown, the
+    allocates no arrays of its own (numpy's 2D inverse transform still
+    makes one intermediate).  The breakdown, the
     gradient residual and the multiplier mu = kinetic + potential
     - (a q / 2) nonlinear of the result are those of the final spectral
     state.
@@ -306,36 +370,38 @@ def solve(g: Grid, V, a: float, cfg: SolveConfig = SolveConfig(), *,
     ws = _Workspace(g)
     x = u.values.copy()
     X = g.forward(x)
-    bd, grad, res = spectral_energy_and_gradient(g, x, X, vvals, a, ws.grad,
+    bd, ghat, res = spectral_energy_and_gradient(g, x, X, vvals, a, ws.ghat,
                                                  ws.scratch)
     fft_calls = 2
     history = [(0, bd.total, res, 0.0)]
     status = status_of(bd, res)
 
+    def spectral_inner(A, B):
+        # the L2 inner product of two real fields, from their half spectra
+        return w / g.n**g.d * g.parseval(A, B)
+
     step = _STEP0
     it = backtracks = trials = cg_restarts = 0
-    prev = None  # (d, D, P G, <G, P G>) of the last accepted step
+    prev = None  # (d, D, P G spectrum, <G, P G>) of the last accepted step
     slot = 0  # the member of each workspace pair this iteration writes
     while status is None and it < cfg.max_iters:
-        ghat = g.forward(grad, out=ws.ghat)
         # sigma tied to the kinetic energy: the Hessian's low modes scale
         # with it, so a fixed shift would lose a factor of kinetic in
         # conditioning as the state concentrates
         sigma = max(1.0, bd.kinetic)
         symbol = np.add(g.k_quad, sigma, out=ws.symbol)
         np.divide(sigma, symbol, out=symbol)
-        PG = np.multiply(symbol, ghat, out=ws.PG)
-        pg = ws.pg[slot]
-        g.inverse(PG, out=pg)
-        fft_calls += 2
-        gpg = inner(grad, pg)
+        PG = np.multiply(symbol, ghat, out=ws.PG[slot])
+        pg = g.inverse(PG, out=ws.pg)
+        fft_calls += 1
+        gpg = spectral_inner(ghat, PG)
         pgx = inner(pg, x)
         # candidate directions beta d_prev - P G - c x, with c projecting
         # onto the tangent space at x: the conjugate one first, if any, then
         # the reset to -P G
         candidates = [(0.0, -pgx)]
         if prev is not None:
-            beta = max(0.0, (gpg - inner(grad, prev[2])) / prev[3])
+            beta = max(0.0, (gpg - spectral_inner(ghat, prev[2])) / prev[3])
             if beta > 0.0:
                 candidates.insert(0, (beta, beta * inner(prev[0], x) - pgx))
         mu = multiplier(bd)
@@ -350,8 +416,8 @@ def solve(g: Grid, V, a: float, cfg: SolveConfig = SolveConfig(), *,
             if beta:
                 d += np.multiply(prev[0], beta, out=ws.scratch.real[0])
                 D += np.multiply(prev[1], beta, out=ws.scratch.half)
-            t, fails, tried = _armijo(g, x, X, d, D, inner(grad, d),
-                                      mass_defect, step, vvals, a, mu, ws)
+            phi, build = _line(g, x, X, d, D, vvals, bd, mu, mass_defect, ws)
+            t, fails, tried = _armijo(phi, spectral_inner(ghat, D), step)
             backtracks += fails
             trials += tried
             if t is not None:
@@ -360,13 +426,14 @@ def solve(g: Grid, V, a: float, cfg: SolveConfig = SolveConfig(), *,
             status = SolveStatus.MAX_ITERS
             break
         it += 1
+        build(t)
         x += ws.delta
         X += ws.dhat
-        bd, grad, res = spectral_energy_and_gradient(g, x, X, vvals, a,
-                                                     ws.grad, ws.scratch)
+        bd, ghat, res = spectral_energy_and_gradient(g, x, X, vvals, a,
+                                                     ws.ghat, ws.scratch)
         fft_calls += 1
         history.append((it, bd.total, res, t))
-        prev = (d, D, pg, gpg)
+        prev = (d, D, PG, gpg)
         slot = 1 - slot
         step = t * _GROW
         status = status_of(bd, res)

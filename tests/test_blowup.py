@@ -226,13 +226,14 @@ def test_save_sweep_writes_csv_and_snapshots(tmp_path, well_records, g256):
     csv_path = save_sweep(well_records, tmp_path / "run")
     lines = csv_path.read_text().splitlines()
     assert lines[0] == ("a,energy,kinetic,eps,center,h2_dist_to_Q,status,"
-                        "resolved,iterations,backtracks,cg_restarts,"
-                        "fft_calls")
+                        "resolved,iterations,trials,backtracks,"
+                        "cg_restarts,fft_calls")
     assert len(lines) == len(well_records) + 1
     first = lines[1].split(",")
     assert float(first[0]) == well_records[0].a
     assert first[6] == "Converged"
     assert [int(c) for c in first[8:]] == [well_records[0].iterations,
+                                          well_records[0].trials,
                                           well_records[0].backtracks,
                                           well_records[0].cg_restarts,
                                           well_records[0].fft_calls]
@@ -266,9 +267,9 @@ def test_records_carry_the_solver_counters(g256, gn256, solve_cfg,
     monkeypatch.setattr(sys.modules["biharm.blowup"], "solve", counted)
     schedule = [gn256.a_star * (1.0 - 2.0**-k) for k in (1, 3)]
     records = sweep(g256, GaussianWell(1.0), schedule, solve_cfg, gn256)
-    assert [(r.iterations, r.backtracks, r.cg_restarts, r.fft_calls)
+    assert [(r.iterations, r.trials, r.backtracks, r.cg_restarts, r.fft_calls)
             for r in records] == [
-        (s.iterations, s.backtracks, s.cg_restarts, s.fft_calls)
+        (s.iterations, s.trials, s.backtracks, s.cg_restarts, s.fft_calls)
         for s in results]
     assert all(r.iterations > 0 for r in records)
     assert all(r.seconds > 0.0 for r in records)

@@ -199,7 +199,8 @@ def test_solve_reports_line_search_counters(tmp_path):
             f"{report['backtracks']} backtracks, "
             f"{report['cg_restarts']} CG restarts") in text
     assert f"fft_calls = {report['fft_calls']}" in text
-    assert 0 < report["fft_calls"] <= 3 * report["iterations"] + 8
+    assert report["status"] == "Converged"
+    assert report["fft_calls"] == 2 + 2 * report["iterations"]
 
 
 @pytest.mark.parametrize("init,kind", [(None, "gaussian"),
@@ -483,9 +484,19 @@ def test_sweep_csv_read_with_and_without_solver_counters(tmp_path,
                for r in records)
     assert all(isinstance(r.backtracks, int) and isinstance(r.cg_restarts, int)
                and isinstance(r.fft_calls, int) and r.fft_calls > 0
+               and r.trials >= r.iterations + r.backtracks
                for r in records)
-    # a CSV without the counter columns is a config error that names them
+    # a CSV without the counter columns is a config error that names them:
+    # one written before the trials column, then one without the last two
     lines = path.read_text().splitlines()
+    column = lines[0].split(",").index("trials")
+    path.write_text("\n".join(",".join(c for i, c in enumerate(line.split(","))
+                                      if i != column)
+                              for line in lines) + "\n")
+    code, text = run_cli("--config", str(cfg), "plotdata")
+    assert code == 2
+    assert "['trials']" in text
+    assert "rerun the 'sweep' command" in text
     path.write_text("\n".join(",".join(line.split(",")[:-2])
                               for line in lines) + "\n")
     code, text = run_cli("--config", str(cfg), "plotdata")

@@ -114,6 +114,14 @@ def test_real_transform_matches_complex_half_spectrum(shape, g1, g2_small, rng):
                     np.sum(np.abs(full) ** 2), rtol=1e-12)
     assert_allclose(np.sum(g.k_quad_parseval * np.abs(half) ** 2),
                     np.sum(k_sq**2 * np.abs(full) ** 2), rtol=1e-12)
+    # and Grid.parseval is the full-spectrum sum Re sum(conj(U) W), which
+    # is n^d times the nodal sum of u w
+    w = rng.standard_normal(g.shape)
+    full_w = np.fft.fftn(w)
+    expected = np.vdot(full, full_w).real
+    scale = np.linalg.norm(full) * np.linalg.norm(full_w)
+    assert abs(g.parseval(half, g.forward(w)) - expected) <= 1e-12 * scale
+    assert abs(expected - g.n**g.d * np.sum(u * w)) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("d", [1, 2])
