@@ -309,6 +309,9 @@ def cmd_gn(cfg: RunConfig, out=sys.stdout) -> int:
     print(f"a_star = {result.a_star:.12g}", file=out)
     print(f"quotient_residual = {result.quotient_residual:.3e}", file=out)
     print(f"iterations = {result.iterations}", file=out)
+    print(f"residual path = {result.history[0]:.3e} -> "
+          f"{result.history[-1]:.3e} over {len(result.history) - 1} "
+          f"iterations, in {result.seconds:.3f} s", file=out)
     print(f"nonlinear_check = {result.nonlinear_check:.12g}", file=out)
     c1, c2 = result.el_constants
     print(f"el_constants = ({c1:.9g}, {c2:.9g})", file=out)

@@ -42,6 +42,18 @@ def critical_power(d: int) -> int:
     return 10 if d == 1 else 6
 
 
+def critical_shift(d: int) -> float:
+    """c1 = (q - 2)/2 = 4/d at the mass-critical power q.
+
+    For a unit-mass state the multiplier kinetic + potential - (a q / 2)
+    nonlinear equals -c1 (kinetic + potential) + (q/2) total, so near the
+    threshold, where the energy stays bounded while the kinetic one grows,
+    it tends to -c1 kinetic: the shift of the fixed point's operator
+    Lap^2 + c1 at the state's own scale.
+    """
+    return 0.5 * (critical_power(d) - 2)
+
+
 @dataclass(frozen=True)
 class EnergyBreakdown:
     kinetic: float

@@ -14,12 +14,13 @@ the Gaussian upper bound remain the certificate that it is the minimizer.
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .energy import critical_power, el_residual, gn_quotient
+from .energy import critical_power, critical_shift, el_residual, gn_quotient
 from .field import (Field, bilap_energy, dilate, l2_norm_sq, lq_integral,
                     read_snapshot, recenter, renormalize_mass, write_snapshot)
 from .grid import Grid, make_grid
@@ -53,6 +54,12 @@ class GNResult:
     # fixed-point iterations over all runs, the n/2 check included; None for a
     # sidecar written before the count was stored
     iterations: int | None
+    # the main run's quotient residual at each iterate, first to last; None
+    # for a sidecar written before the path was stored
+    history: tuple | None
+    # compute_gn's wall time; never written to the sidecar, which a rerun
+    # reproduces byte for byte, so None on a loaded result
+    seconds: float | None
 
 
 @dataclass
@@ -61,6 +68,7 @@ class _Run:
     residual: float  # quotient-gradient norm at u
     iterations: int
     converged: bool
+    history: tuple  # the residual at each iterate, first to last
 
 
 def _petviashvili(g: Grid, u0: Field, cfg: SolveConfig) -> _Run:
@@ -74,14 +82,15 @@ def _petviashvili(g: Grid, u0: Field, cfg: SolveConfig) -> _Run:
     without a restoring force and the scale drifts (at n = 16, into a spike).
 
     Converged once the quotient-gradient norm of the mass-normalized iterate
-    is at most cfg.tol_grad.  The run stops unconverged after cfg.max_iters
+    is at most cfg.tol_grad; the run keeps that norm at every iterate as its
+    history, at no extra cost.  The run stops unconverged after cfg.max_iters
     updates, or once |M - 1| has sat at roundoff for a few iterations: the
     iterate then no longer moves, and the residual left over is the grid's
     departure from the continuum Pohozaev balance, which no further iteration
     removes.  Raises ValueError if the iterate collapses to zero.
     """
     q = critical_power(g.d)
-    c1 = 0.5 * (q - 2)
+    c1 = critical_shift(g.d)
     gamma = (q - 1.0) / (q - 2.0)
     symbol = c1 + g.k_quad
     parseval = g.dx**g.d / g.n**g.d
@@ -89,6 +98,7 @@ def _petviashvili(g: Grid, u0: Field, cfg: SolveConfig) -> _Run:
     u_hat = g.forward(u)
     settled = 0
     it = 0
+    history = []
     while True:
         nl = u ** (q - 1)
         nl_hat = g.forward(nl)
@@ -107,6 +117,7 @@ def _petviashvili(g: Grid, u0: Field, cfg: SolveConfig) -> _Run:
                 - (q * kin_v / non_v**2 / mass ** (0.5 * (q - 1))) * nl_hat)
         residual = float(np.sqrt(
             parseval * (g.multiplicity * np.abs(grad) ** 2).sum()))
+        history.append(residual)
         converged = residual <= cfg.tol_grad
         if converged or it == cfg.max_iters or settled >= _SETTLED:
             break
@@ -115,7 +126,8 @@ def _petviashvili(g: Grid, u0: Field, cfg: SolveConfig) -> _Run:
         u_hat = M**gamma * nl_hat / symbol
         u = g.inverse(u_hat)
         it += 1
-    return _Run(Field(g, u / np.sqrt(mass)), residual, it, converged)
+    return _Run(Field(g, u / np.sqrt(mass)), residual, it, converged,
+                tuple(history))
 
 
 def _finalize(u: Field) -> Field:
@@ -142,9 +154,12 @@ def compute_gn(g: Grid, cfg: SolveConfig | None = None) -> GNResult:
     stationary, not a proven minimum: that no other localized state beats it
     is what the test batteries and the Gaussian upper bound check.  The
     fixed point then runs again on the n/2 grid from the subsampled profile,
-    for the resolutions cross-check.  Raises RuntimeError naming tol_grad
-    when the first run does not converge.
+    for the resolutions cross-check.  The result carries the first run's
+    residual path (history) and the wall time of the whole call (seconds).
+    Raises RuntimeError naming tol_grad when the first run does not
+    converge.
     """
+    t0 = time.perf_counter()
     if cfg is None:
         cfg = SolveConfig(tol_grad=3e-7, max_iters=8000)
     q = critical_power(g.d)
@@ -177,7 +192,9 @@ def compute_gn(g: Grid, cfg: SolveConfig | None = None) -> GNResult:
     return GNResult(a_star=a_star, Q=Q,
                     nonlinear_check=a_star * lq_integral(Q, q),
                     el_constants=(c1, c2), resolutions=tuple(resolutions),
-                    quotient_residual=best.residual, iterations=iterations)
+                    quotient_residual=best.residual, iterations=iterations,
+                    history=best.history,
+                    seconds=time.perf_counter() - t0)
 
 
 def normalize_gn(u: Field) -> Field:
@@ -232,6 +249,8 @@ def save_gn(result: GNResult, path) -> None:
         },
         "resolutions": [list(pair) for pair in result.resolutions],
         "iterations": result.iterations,
+        "history": (None if result.history is None
+                    else list(result.history)),
     }
     base.with_suffix(".json").write_text(json.dumps(sidecar, indent=2) + "\n")
 
@@ -247,6 +266,7 @@ def load_gn(path) -> GNResult:
         raise ValueError("sidecar geometry disagrees with the stored snapshot")
     a_star = float(sidecar["a_star"])
     iterations = sidecar.get("iterations")
+    history = sidecar.get("history")
     q = critical_power(g.d)
     return GNResult(a_star=a_star, Q=Q,
                     nonlinear_check=a_star * lq_integral(Q, q),
@@ -255,4 +275,7 @@ def load_gn(path) -> GNResult:
                     quotient_residual=float(
                         sidecar["residuals"]["quotient_grad"]),
                     iterations=(None if iterations is None
-                                else int(iterations)))
+                                else int(iterations)),
+                    history=(None if history is None
+                             else tuple(float(r) for r in history)),
+                    seconds=None)

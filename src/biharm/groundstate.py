@@ -1,20 +1,21 @@
 """Constrained minimization on the unit-mass sphere by preconditioned nonlinear CG.
 
 solve runs Polak-Ribiere+ conjugate gradient on the sphere of unit-mass
-states, preconditioned by sigma / (sigma + |k|^4) with sigma = max(1, kinetic
-energy) so the conditioning does not degrade as minimizers concentrate.  Its
-line search fits a quadratic to each trial's energy change and the slope at
-zero, and steps to the quadratic's minimizer: after a failed trial, and once
-more after a passing one, so each step roughly minimizes the energy along
-its direction, as conjugacy needs.  Every trial is tested for Armijo
-sufficient decrease on the energy change along the line in closed form:
-the kinetic and potential energies are quadratic in the step and the
-nonlinear one is a polynomial of degree q, so a few moments of the state
-and the direction, taken once per iteration, give the change at any step
-as a scalar expression (see _line).  Its rounding scales with the step
-rather than with the energy, which keeps sufficient decrease decidable down
-to the gradient tolerance, with no roundoff slack, residual gate or stall
-retry.
+states, preconditioned by sigma / (sigma + |k|^4) with sigma = max(1, c1
+kinetic energy), c1 = (q - 2)/2: the fixed point's operator c1 + |k|^4 (see
+gn) at the iterate's scale, so the conditioning does not degrade as
+minimizers concentrate.  Its line search fits a quadratic to each trial's
+energy change and the slope at zero, and steps to the quadratic's minimizer:
+after a failed trial, and once more after a passing one, so each step
+roughly minimizes the energy along its direction, as conjugacy needs.  Every
+trial is tested for Armijo sufficient decrease on the energy change along
+the line in closed form: the kinetic and potential energies are quadratic in
+the step and the nonlinear one is a polynomial of degree q, so a few moments
+of the state and the direction, taken once per iteration, give the change at
+any step as a scalar expression (see _line).  Its rounding scales with the
+step rather than with the energy, which keeps sufficient decrease decidable
+down to the gradient tolerance, with no roundoff slack, residual gate or
+stall retry.
 The method has one configuration: the preconditioner is always on, the
 line-search constants and ENERGY_FLOOR are fixed, a SolveConfig is only the
 stop rule, and solve puts the Field it starts from on the unit-mass sphere.
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import (EnergyBreakdown, SpectralScratch, critical_power,
-                     energy, spectral_energy_and_gradient)
+                     critical_shift, energy, spectral_energy_and_gradient)
 from .field import Field, dilate, read_snapshot, renormalize_mass, translate
 from .grid import Grid
 from .potentials import classify, sample
@@ -300,7 +301,8 @@ def solve(g: Grid, V, a: float, cfg: SolveConfig = SolveConfig(), *,
     Polak-Ribiere+ nonlinear conjugate gradient on the unit-mass sphere.  The
     search direction is -P G plus beta times the previous direction, projected
     onto the tangent space at u, where G is the projected gradient and P is
-    sigma / (sigma + |k|^4) with sigma = max(1, kinetic energy).  Trial
+    sigma / (sigma + |k|^4) with sigma = max(1, c1 kinetic energy) and
+    c1 = critical_shift(d), the leading term of -mu near a*.  Trial
     states are u + t d renormalized to unit mass.  The line search (the
     first trial step is 1, each later one starts at the last accepted step
     times 1.3) steps to the minimizer of the quadratic through each trial's
@@ -349,6 +351,7 @@ def solve(g: Grid, V, a: float, cfg: SolveConfig = SolveConfig(), *,
         raise ValueError("start field lives on a different grid")
     u = renormalize_mass(start)
     q = critical_power(g.d)
+    c1 = critical_shift(g.d)
     w = g.dx**g.d
     vvals = sample(V, g).values
 
@@ -385,10 +388,11 @@ def solve(g: Grid, V, a: float, cfg: SolveConfig = SolveConfig(), *,
     prev = None  # (d, D, P G spectrum, <G, P G>) of the last accepted step
     slot = 0  # the member of each workspace pair this iteration writes
     while status is None and it < cfg.max_iters:
-        # sigma tied to the kinetic energy: the Hessian's low modes scale
-        # with it, so a fixed shift would lose a factor of kinetic in
-        # conditioning as the state concentrates
-        sigma = max(1.0, bd.kinetic)
+        # sigma = c1 kinetic: the multiplier is -c1 (kinetic + potential)
+        # + (q/2) energy, so as the state concentrates -mu tends to c1
+        # kinetic, and sigma + |k|^4 is the fixed point's c1 + |k|^4 at the
+        # iterate's scale, the constrained Hessian's principal part
+        sigma = max(1.0, c1 * bd.kinetic)
         symbol = np.add(g.k_quad, sigma, out=ws.symbol)
         np.divide(sigma, symbol, out=symbol)
         PG = np.multiply(symbol, ghat, out=ws.PG[slot])

@@ -12,6 +12,7 @@ from biharm import (GaussianWell, Harmonic, ResolutionWarning, SolveConfig,
                     gn_sequence_check, make_grid, read_snapshot, save_sweep,
                     sweep, sweep_plot_columns)
 from biharm.blowup import _h2_after_best_shift
+from biharm.energy import critical_power, critical_shift
 from biharm.field import (bilap_energy, h2_distance, l2_norm_sq, recenter,
                           translate)
 from biharm.groundstate import InitSpec, SolveStatus, initial_field, solve
@@ -442,3 +443,48 @@ def test_sweep_to_two_to_the_minus_twelve(g1, gn512, solve_cfg):
     assert len(records) == 12
     assert all(r.status == "Converged" and r.resolved for r in records)
     assert max(r.iterations for r in records) < 300
+
+
+def _halving_sweep(g, V, gn, cfg, depth):
+    schedule = [gn.a_star * (1.0 - 2.0**-k) for k in range(1, depth + 1)]
+    return sweep(g, V, schedule, cfg, gn)
+
+
+@pytest.fixture(scope="module")
+def deep_sweeps(g1, gn512, solve_cfg):
+    # warm sweeps on 1D 512/16: the Gaussian well to 2^-14, the Harmonic
+    # trap to 2^-12
+    return {"well": _halving_sweep(g1, GaussianWell(1.0), gn512, solve_cfg,
+                                   14),
+            "harmonic": _halving_sweep(g1, Harmonic(1.0), gn512, solve_cfg,
+                                       12)}
+
+
+def test_well_sweep_to_two_to_the_minus_fourteen(deep_sweeps):
+    # with the preconditioner shifted by c1 * kinetic, the multiplier's
+    # leading term, every point takes a handful of iterations: 14 at most,
+    # where the shift kinetic alone took up to 60
+    records = deep_sweeps["well"]
+    assert len(records) == 14
+    assert all(r.status == "Converged" and r.resolved for r in records)
+    assert max(r.iterations for r in records) <= 25
+
+
+@pytest.mark.parametrize("family", ["well", "harmonic"])
+def test_multiplier_tends_to_minus_c1_kinetic(g1, deep_sweeps, solve_cfg,
+                                              family):
+    # the premise of the preconditioner's shift: the multiplier of a unit-
+    # mass state is -c1 (kinetic + potential) + (q/2) energy, and near a*,
+    # where the energy stays bounded and the kinetic energy grows, it tends
+    # to -c1 kinetic
+    V = GaussianWell(1.0) if family == "well" else Harmonic(1.0)
+    q, c1 = critical_power(1), critical_shift(1)
+    records = deep_sweeps[family]
+    for k, tol in ((8, 0.02), (12, 0.005)):
+        rec = records[k - 1]
+        res = solve(g1, V, rec.a, solve_cfg, start=rec.minimizer)
+        assert res.status is SolveStatus.CONVERGED
+        bd = res.breakdown
+        identity = -c1 * (bd.kinetic + bd.potential) + 0.5 * q * bd.total
+        assert abs(res.mu - identity) <= 1e-13 * abs(res.mu)
+        assert abs(-res.mu / (c1 * bd.kinetic) - 1.0) <= tol, (k, res.mu)

@@ -299,6 +299,38 @@ def test_load_accepts_sidecar_without_iterations(tmp_path, gn256):
     assert back.a_star == gn256.a_star
 
 
+def test_residual_path_saved_and_time_kept_out_of_the_sidecar(tmp_path,
+                                                              gn256):
+    # the first run's residual at every iterate, ending at the reported
+    # residual; the wall time stays off the sidecar, which a rerun
+    # reproduces byte for byte
+    g = gn256.Q.grid
+    alone = _petviashvili(g, gaussian_start(g, 1.0),
+                          SolveConfig(tol_grad=3e-7, max_iters=8000))
+    assert gn256.history == alone.history
+    assert len(gn256.history) == alone.iterations + 1
+    assert gn256.history[-1] == gn256.quotient_residual
+    assert gn256.history[0] > 1e6 * gn256.history[-1]
+    assert gn256.seconds > 0.0
+    save_gn(gn256, tmp_path / "profile")
+    sidecar = json.loads((tmp_path / "profile.json").read_text())
+    assert sidecar["history"] == list(gn256.history)
+    assert "seconds" not in json.dumps(sidecar)
+    back = load_gn(tmp_path / "profile")
+    assert back.history == gn256.history
+    assert back.seconds is None
+
+
+def test_load_accepts_sidecar_without_history(tmp_path, gn256):
+    save_gn(gn256, tmp_path / "profile")
+    sidecar = json.loads((tmp_path / "profile.json").read_text())
+    del sidecar["history"]
+    (tmp_path / "profile.json").write_text(json.dumps(sidecar))
+    back = load_gn(tmp_path / "profile")
+    assert back.history is None
+    assert back.a_star == gn256.a_star
+
+
 def test_2d_smoke():
     g = make_grid(2, 64, 12.0)
     cfg = SolveConfig(tol_grad=1e-4, max_iters=4000)
