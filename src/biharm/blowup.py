@@ -87,26 +87,34 @@ def _h2_after_best_shift(w: Field, ref: Field) -> float:
     """H2 distance minimized over sub-grid translations of w.
 
     Translation preserves the H2 norm, so the distance is smallest where the
-    spectral cross-correlation C(s) = Re sum (1 + |k|^4) w^ conj(ref^)
-    exp(-i k.s) is largest; over the half spectrum each term is weighted by
-    its column's multiplicity, the dropped mirror terms being conjugates.
-    Both fields arrive centered, so the optimum sits near s = 0: Newton's
-    method on C from s = 0, with steps clipped to half a node per axis,
-    costs O(n^d) per step on the two transforms in hand and no FFT.  One
-    exact translation then measures the distance at the optimum, which is
-    reported only if it beats the distance at s = 0.
+    cross-correlation C(s) = <ref, (1 + Lap^2) w(. - s)> is largest, a
+    Parseval sum of ref^ against z = (1 + |k|^4) w^ exp(-i k.s).  Its
+    gradient and Hessian are the same sums of i k_i ref^ and -k_i k_j ref^
+    against z, so those rows are formed once.  Both fields arrive centered,
+    so the optimum sits near s = 0: Newton's method on C from s = 0, with
+    steps clipped to half a node per axis, costs O(n^d) per step on the two
+    transforms in hand and no FFT.  One exact translation then measures the
+    distance at the optimum, which is reported only if it beats the distance
+    at s = 0.
     """
     g = w.grid
-    half = g.wavenumbers[-1][:g.n // 2 + 1]
-    ks = np.stack(np.meshgrid(*g.wavenumbers[:-1], half, indexing="ij")
-                  ).reshape(g.d, -1)
-    corr = ((1.0 + g.k_quad) * g.multiplicity * w.hat
-            * np.conj(ref.hat)).ravel()
+    h = g.n // 2 + 1
+    # 1j k_i per axis, shaped to broadcast over the half spectrum
+    ik = [1j * (k[:h] if ax == g.d - 1 else k[:, None])
+          for ax, k in enumerate(g.wavenumbers)]
+    pairs = [(i, j) for i in range(g.d) for j in range(i, g.d)]
+    grad_rows = [iki * ref.hat for iki in ik]
+    hess_rows = [ik[i] * grad_rows[j] for i, j in pairs]
+    wk = (1.0 + g.k_quad) * w.hat
+    hess = np.empty((g.d, g.d))
     shift = np.zeros(g.d)
     for _ in range(_NEWTON_MAX_STEPS):
-        z = corr * np.exp(-1j * (shift @ ks))
-        grad = ks @ z.imag
-        hess = -(ks * z.real) @ ks.T
+        z = wk
+        for iki, si in zip(ik, shift):
+            z = z * np.exp(-si * iki)
+        grad = np.array([g.parseval(r, z) for r in grad_rows])
+        for (i, j), r in zip(pairs, hess_rows):
+            hess[i, j] = hess[j, i] = g.parseval(r, z)
         try:
             step = -np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:

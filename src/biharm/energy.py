@@ -12,7 +12,7 @@ The nonlinear term is the plain pointwise quadrature, and the gradient below
 is its exact discrete gradient — the pair is what makes finite-difference
 consistency and monotone line searches hold to rounding.
 
-Every kinetic term is a multiplicity-weighted Parseval sum over the half
+Every kinetic term is a Parseval sum (Grid.parseval) over the half
 spectrum of Grid.forward, the one spectral format.  The Field-level
 functions (energy, energy_difference, constrained_gradient, ...) are the
 reference evaluations, and those built from the Euler-Lagrange operator
@@ -106,12 +106,10 @@ def energy_difference(u: Field, delta: np.ndarray, V, a: float,
         poly *= vv
         upow *= uu
         poly += upow
-    # |k|^4 (delta_hat + 2 u_hat), Parseval-weighted
-    khat = g.k_quad_parseval * (dhat + 2.0 * u.hat)
-    kin = np.vdot(dhat, khat).real
+    kin = g.parseval(dhat, g.k_quad * (dhat + 2.0 * u.hat))
     rest = (np.vdot(s, sample(V, g).values) - a * np.vdot(s, poly)
             - mu * np.sum(s))
-    return float(g.dx**g.d * (kin / g.n**g.d + rest))
+    return float(kin + g.dx**g.d * rest)
 
 
 class SpectralScratch:
@@ -153,7 +151,6 @@ def spectral_energy_and_gradient(g: Grid, x: np.ndarray, X: np.ndarray,
     """
     q = critical_power(g.d)
     w = g.dx**g.d
-    scale = w / g.n**g.d
     xq1, vx = scratch.real[:2]
     khat = scratch.half
     np.multiply(x, x, out=xq1)
@@ -164,7 +161,7 @@ def spectral_energy_and_gradient(g: Grid, x: np.ndarray, X: np.ndarray,
     xq1 *= x  # x^(q-1) by multiplication: x^5 in 2D, x^9 in 1D
     np.multiply(vvals, x, out=vx)
     np.multiply(g.k_quad, X, out=khat)
-    kin = scale * g.parseval(X, khat)
+    kin = g.parseval(X, khat)
     pot = w * float(np.vdot(vx, x))
     non = w * float(np.vdot(xq1, x))
     vx *= 2.0
@@ -176,7 +173,7 @@ def spectral_energy_and_gradient(g: Grid, x: np.ndarray, X: np.ndarray,
     ghat -= np.multiply(X, (2.0 * (kin + pot) - a * q * non) / (w * mass),
                         out=khat)
     bd = EnergyBreakdown(kin, pot, non, kin + pot - a * non, float(a), q)
-    return bd, ghat, float(np.sqrt(scale * g.parseval(ghat, ghat)))
+    return bd, ghat, float(np.sqrt(g.parseval(ghat, ghat)))
 
 
 def scaled_energy_identity_check(u: Field, a: float, ell: float,

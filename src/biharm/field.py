@@ -4,8 +4,8 @@ A Field couples nodal values to its Grid and lazily caches the half-spectrum
 coefficients of Grid.forward, so repeated norm evaluations reuse one
 transform.  All operations are pure and return new Fields.  The
 fourth-order seminorm is evaluated through the spectral symbol |k|^4 as a
-multiplicity-weighted Parseval sum over the half spectrum; the H^2 norm
-squared is mass + fourth-order seminorm.  Spectral maps (bilap_apply,
+Parseval sum over the half spectrum (Grid.parseval); the H^2 norm squared
+is mass + fourth-order seminorm.  Spectral maps (bilap_apply,
 translate, refinement) act on the half spectrum and treat the Nyquist
 modes, which stand for both +k_max and -k_max, Hermitian-symmetrically.
 """
@@ -86,16 +86,13 @@ def l2_norm_sq(u: Field) -> float:
 
 def l2_norm_sq_spectral(u: Field) -> float:
     """Mass evaluated from spectral coefficients (Parseval route)."""
-    g = u.grid
-    scale = g.dx**g.d / g.n**g.d
-    return float(scale * np.sum(g.multiplicity * np.abs(u.hat) ** 2))
+    return u.grid.parseval(u.hat, u.hat)
 
 
 def bilap_energy(u: Field) -> float:
     """Fourth-order seminorm: integral of |Laplacian u|^2 via the |k|^4 symbol."""
     g = u.grid
-    scale = g.dx**g.d / g.n**g.d
-    return float(scale * np.sum(g.k_quad_parseval * np.abs(u.hat) ** 2))
+    return g.parseval(u.hat, g.k_quad * u.hat)
 
 
 def h2_norm_sq(u: Field) -> float:

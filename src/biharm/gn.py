@@ -93,7 +93,6 @@ def _petviashvili(g: Grid, u0: Field, cfg: SolveConfig) -> _Run:
     c1 = critical_shift(g.d)
     gamma = (q - 1.0) / (q - 2.0)
     symbol = c1 + g.k_quad
-    parseval = g.dx**g.d / g.n**g.d
     u = u0.values
     u_hat = g.forward(u)
     settled = 0
@@ -102,9 +101,8 @@ def _petviashvili(g: Grid, u0: Field, cfg: SolveConfig) -> _Run:
     while True:
         nl = u ** (q - 1)
         nl_hat = g.forward(nl)
-        power = np.abs(u_hat) ** 2
-        mass = parseval * float((g.multiplicity * power).sum())
-        kin = parseval * float((g.k_quad_parseval * power).sum())
+        mass = g.parseval(u_hat, u_hat)
+        kin = g.parseval(u_hat, g.k_quad * u_hat)
         non = g.dx**g.d * float((u * nl).sum())
         if not (mass > 0.0 and non > 0.0 and np.isfinite(mass + kin + non)):
             raise ValueError("fixed-point iterate collapsed")
@@ -115,8 +113,7 @@ def _petviashvili(g: Grid, u0: Field, cfg: SolveConfig) -> _Run:
         grad = ((2.0 / non_v) * (g.k_quad * v_hat)
                 + ((q - 2.0) * kin_v / non_v) * v_hat
                 - (q * kin_v / non_v**2 / mass ** (0.5 * (q - 1))) * nl_hat)
-        residual = float(np.sqrt(
-            parseval * (g.multiplicity * np.abs(grad) ** 2).sum()))
+        residual = float(np.sqrt(g.parseval(grad, grad)))
         history.append(residual)
         converged = residual <= cfg.tol_grad
         if converged or it == cfg.max_iters or settled >= _SETTLED:
@@ -264,7 +261,11 @@ def load_gn(path) -> GNResult:
     if (sidecar["d"], sidecar["n"]) != (g.d, g.n) or \
             abs(sidecar["half_width"] - g.half_width) > 1e-12:
         raise ValueError("sidecar geometry disagrees with the stored snapshot")
-    a_star = float(sidecar["a_star"])
+    a_star = sidecar["a_star"]
+    if type(a_star) not in (int, float) or not 0.0 < a_star < np.inf:
+        raise ValueError(f"a_star must be a finite positive number, "
+                         f"got {a_star!r}")
+    a_star = float(a_star)
     iterations = sidecar.get("iterations")
     history = sidecar.get("history")
     q = critical_power(g.d)

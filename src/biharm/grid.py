@@ -11,9 +11,10 @@ spectrally accurate for smooth decaying data.
 Fields are real, so their spectrum is Hermitian and the grid has one
 transform pair, forward/inverse, onto the half spectrum: the last axis is
 cut to its n/2 + 1 non-negative columns, the conjugate mirror of the rest
-being implied.  A sum over the full spectrum is a sum over the half one
-with each column weighted by its multiplicity (2 where the mirror was
-dropped, 1 on the zero and Nyquist columns, which are their own mirrors).
+being implied.  Grid.parseval is the one place that turns two half spectra
+back into a full-spectrum sum, the L2 inner product of the two fields: the
+zero and Nyquist columns are their own mirrors, every other column stands
+for itself and its dropped conjugate.
 """
 
 from __future__ import annotations
@@ -46,13 +47,6 @@ class Grid:
             first n/2 + 1 entries).
         k_quad: |k|^4 on the half spectrum (the fourth-order symbol used by
             every bilaplacian evaluation).
-        multiplicity: each last-axis column's multiplicity in the full
-            spectrum, shape (n/2 + 1,): 2 where forward drops the conjugate
-            mirror, 1 on the zero and Nyquist columns, so
-            sum(multiplicity * |forward(u)|^2) is the full-spectrum sum of
-            |fftn(u)|^2.
-        k_quad_parseval: k_quad * multiplicity, the weight of the Parseval
-            sum of |k|^4 |fftn(u)|^2.
     """
 
     d: int
@@ -62,8 +56,6 @@ class Grid:
     axes: tuple = field(repr=False, compare=False)
     wavenumbers: tuple = field(repr=False, compare=False)
     k_quad: np.ndarray = field(repr=False, compare=False)
-    multiplicity: np.ndarray = field(repr=False, compare=False)
-    k_quad_parseval: np.ndarray = field(repr=False, compare=False)
 
     @property
     def shape(self) -> tuple:
@@ -91,13 +83,15 @@ class Grid:
         return np.fft.irfftn(coeffs, s=self.shape, axes=(0, 1), out=out)
 
     def parseval(self, a: np.ndarray, b: np.ndarray) -> float:
-        """Full-spectrum sum Re sum(conj(a) b) from two half spectra: twice
-        the half-spectrum sum, less the zero and Nyquist columns (every
-        (n/2)-th), which are their own mirrors.  For the transforms of real
-        f and g it is n^d times sum(f g)."""
+        """L2 inner product int f g of the real fields whose half spectra
+        are a and b: dx^d / n^d times the full-spectrum sum
+        Re sum(conj(a) b), which is twice the half-spectrum sum less the
+        zero and Nyquist columns (every (n/2)-th), their own mirrors.  With
+        b = k_quad * a it is int |Lap f|^2."""
         edge = self.n // 2
-        return float(2.0 * np.vdot(a, b).real
-                     - np.vdot(a[..., ::edge], b[..., ::edge]).real)
+        return float(self.dx**self.d / self.n**self.d
+                     * (2.0 * np.vdot(a, b).real
+                        - np.vdot(a[..., ::edge], b[..., ::edge]).real))
 
     def meshes(self) -> tuple:
         """Nodal coordinate arrays broadcast to the full grid shape."""
@@ -148,14 +142,10 @@ def _shared_grid(d: int, n: int, half_width: float) -> Grid:
     half = n // 2 + 1
     k_sq = k**2
     k_quad = (k_sq[:half] if d == 1 else k_sq[:, None] + k_sq[None, :half]) ** 2
-    multiplicity = np.full(half, 2.0)
-    multiplicity[[0, -1]] = 1.0
-    k_quad_parseval = k_quad * multiplicity
-    for arr in (*axes, *tables, k_quad, multiplicity, k_quad_parseval):
+    for arr in (*axes, *tables, k_quad):
         arr.setflags(write=False)
     return Grid(d=d, n=n, half_width=half_width, dx=dx, axes=axes,
-                wavenumbers=tables, k_quad=k_quad, multiplicity=multiplicity,
-                k_quad_parseval=k_quad_parseval)
+                wavenumbers=tables, k_quad=k_quad)
 
 
 def quadrature(g: Grid, samples: np.ndarray) -> float:

@@ -216,13 +216,12 @@ def _line(g: Grid, x, X, d, D, vvals, bd: EnergyBreakdown, mu: float,
     transform, the same combination of X and D, into ws.dhat: no FFT.
     """
     w = g.dx**g.d
-    scale = w / g.n**g.d
     q, a = bd.q, bd.a
     xd2 = 2.0 * w * float(np.vdot(x, d))
     dd = w * float(np.vdot(d, d))
-    kd = np.multiply(g.k_quad_parseval, D, out=ws.scratch.half)
-    k1 = scale * float(np.vdot(X, kd).real)
-    k2 = scale * float(np.vdot(D, kd).real)
+    kd = np.multiply(g.k_quad, D, out=ws.scratch.half)
+    k1 = g.parseval(X, kd)
+    k2 = g.parseval(D, kd)
     rows = ws.scratch.real
     vd = np.multiply(vvals, d, out=rows[0])
     p1 = w * float(np.vdot(vd, x))
@@ -379,10 +378,6 @@ def solve(g: Grid, V, a: float, cfg: SolveConfig = SolveConfig(), *,
     history = [(0, bd.total, res, 0.0)]
     status = status_of(bd, res)
 
-    def spectral_inner(A, B):
-        # the L2 inner product of two real fields, from their half spectra
-        return w / g.n**g.d * g.parseval(A, B)
-
     step = _STEP0
     it = backtracks = trials = cg_restarts = 0
     prev = None  # (d, D, P G spectrum, <G, P G>) of the last accepted step
@@ -398,14 +393,14 @@ def solve(g: Grid, V, a: float, cfg: SolveConfig = SolveConfig(), *,
         PG = np.multiply(symbol, ghat, out=ws.PG[slot])
         pg = g.inverse(PG, out=ws.pg)
         fft_calls += 1
-        gpg = spectral_inner(ghat, PG)
+        gpg = g.parseval(ghat, PG)
         pgx = inner(pg, x)
         # candidate directions beta d_prev - P G - c x, with c projecting
         # onto the tangent space at x: the conjugate one first, if any, then
         # the reset to -P G
         candidates = [(0.0, -pgx)]
         if prev is not None:
-            beta = max(0.0, (gpg - spectral_inner(ghat, prev[2])) / prev[3])
+            beta = max(0.0, (gpg - g.parseval(ghat, prev[2])) / prev[3])
             if beta > 0.0:
                 candidates.insert(0, (beta, beta * inner(prev[0], x) - pgx))
         mu = multiplier(bd)
@@ -421,7 +416,7 @@ def solve(g: Grid, V, a: float, cfg: SolveConfig = SolveConfig(), *,
                 d += np.multiply(prev[0], beta, out=ws.scratch.real[0])
                 D += np.multiply(prev[1], beta, out=ws.scratch.half)
             phi, build = _line(g, x, X, d, D, vvals, bd, mu, mass_defect, ws)
-            t, fails, tried = _armijo(phi, spectral_inner(ghat, D), step)
+            t, fails, tried = _armijo(phi, g.parseval(ghat, D), step)
             backtracks += fails
             trials += tried
             if t is not None:

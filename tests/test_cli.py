@@ -429,6 +429,28 @@ def test_check_rejects_an_unreadable_artifact(tmp_path):
                            f"{tmp_path / 'gn'}")
 
 
+@pytest.mark.parametrize("command", ["solve", "sweep", "plotdata", "check"])
+@pytest.mark.parametrize("a_star", [float("nan"), -3.0, 0.0, "15.9", True])
+def test_corrupt_a_star_is_a_config_error(tmp_path, artifact_dir, command,
+                                          a_star):
+    sidecar = json.loads((artifact_dir / "gn.json").read_text())
+    sidecar["a_star"] = a_star
+    (tmp_path / "gn.json").write_text(json.dumps(sidecar))
+    (tmp_path / "gn.bhf").write_bytes((artifact_dir / "gn.bhf").read_bytes())
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "sweep.csv").write_text("")  # plotdata wants a sweep first
+    cfg = write_config(tmp_path / "c.json", output_dir=str(run),
+                       gn={"artifact": str(tmp_path / "gn")},
+                       solve={"a": "0.5*astar"}, sweep={"count": 1},
+                       check={"fields": 2, "directions": 2, "battery": 2})
+    code, text = run_cli("--config", str(cfg), command)
+    assert code == 2, text
+    assert text.startswith(f"error: cannot load GN artifact at "
+                           f"{tmp_path / 'gn'}")
+    assert "a_star must be a finite positive number" in text
+
+
 def test_check_reports_a_gn_fallback_that_does_not_converge(tmp_path):
     # with no artifact, check computes one; on 64^2 the fixed point's
     # residual floor sits above tol_grad 1e-6, so that computation fails

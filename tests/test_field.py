@@ -337,6 +337,22 @@ def test_nyquist_modes_of_white_noise(d, n, half_width):
     shift = np.array([0.3, -0.2][:d]) * g.dx
     moved = translate(u, shift).values
     assert np.max(np.abs(moved - _oracle_translate(u, shift))) <= 1e-13 * top
+    # the Parseval sums weigh the Nyquist column once, as the full spectrum
+    # holds it; smooth fields carry too little there to tell
+    hat = np.fft.fftn(u.values)
+    scale = g.dx**g.d / g.n**g.d
+    mass = scale * np.sum(np.abs(hat) ** 2)
+    kin = scale * np.sum(_full_k4(g) * np.abs(hat) ** 2)
+    assert abs(l2_norm_sq_spectral(u) - mass) <= 1e-12 * mass
+    assert abs(bilap_energy(u) - kin) <= 1e-12 * kin
+    if d == 1:
+        # in 2D the search's phase exp(-i k.s) on the Nyquist row is not the
+        # conjugate of the one its dropped mirror takes in the full
+        # spectrum, so on white noise it leaves the oracle's path
+        v = Field(g, np.random.default_rng(6).standard_normal(g.shape))
+        w = Field(g, moved) + 0.1 * v
+        best = _oracle_best_shift_distance(w, u)
+        assert abs(_h2_after_best_shift(w, u) - best) <= 1e-12 * best
 
 
 # -- random fields -----------------------------------------------------------

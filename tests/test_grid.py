@@ -24,14 +24,25 @@ def test_wavenumbers_fft_order(g1):
     assert_allclose(g1.k_max, np.pi * 256 / 16.0)
 
 
+def _unit_weights(g, index):
+    # parseval(e, e) and parseval(e, k_quad e) for the half spectrum e with
+    # a single 1 at index, in units of dx^d / n^d: the multiplicity of that
+    # column in the full spectrum, and that times |k|^4
+    e = np.zeros(g.k_quad.shape, dtype=complex)
+    e[index] = 1.0
+    scale = g.dx**g.d / g.n**g.d
+    return g.parseval(e, e) / scale, g.parseval(e, g.k_quad * e) / scale
+
+
 def test_symbol_arrays(g1):
     k = g1.wavenumbers[0][:257]
     assert g1.k_quad.shape == (257,)
     assert_allclose(g1.k_quad, k**4)
-    assert g1.multiplicity.shape == (257,)
-    assert g1.multiplicity[0] == g1.multiplicity[-1] == 1.0
-    assert np.all(g1.multiplicity[1:-1] == 2.0)
-    assert_allclose(g1.k_quad_parseval, g1.k_quad * g1.multiplicity)
+    mass, kin = np.array([_unit_weights(g1, j) for j in range(257)]).T
+    # the zero and Nyquist columns are their own mirrors
+    assert mass[0] == mass[-1] == 1.0
+    assert np.all(mass[1:-1] == 2.0)
+    assert_allclose(kin, g1.k_quad * mass)
 
 
 def test_symbol_arrays_2d(g2_small):
@@ -39,8 +50,13 @@ def test_symbol_arrays_2d(g2_small):
     assert g2_small.k_quad.shape == (64, 33)
     assert_allclose(g2_small.k_quad,
                     (kx[:, None] ** 2 + ky[None, :33] ** 2) ** 2)
-    assert_allclose(g2_small.k_quad_parseval,
-                    g2_small.k_quad * g2_small.multiplicity)
+    rows = [0, 1, 32, 63]
+    mass, kin = np.array([[_unit_weights(g2_small, (r, j)) for j in range(33)]
+                          for r in rows]).transpose(2, 0, 1)
+    # the weight is the last-axis column's multiplicity, on every row
+    assert np.all(mass[:, [0, -1]] == 1.0)
+    assert np.all(mass[:, 1:-1] == 2.0)
+    assert_allclose(kin, g2_small.k_quad[rows] * mass)
 
 
 def test_meshes_shapes(g2_small):
@@ -92,7 +108,7 @@ def test_grids_compare_by_geometry():
 
 
 def test_arrays_read_only(g1):
-    for table in (g1.k_quad, g1.multiplicity, g1.k_quad_parseval):
+    for table in (g1.k_quad, g1.axes[0], g1.wavenumbers[0]):
         with pytest.raises(ValueError):
             table[0] = 1.0
 
@@ -108,20 +124,22 @@ def test_real_transform_matches_complex_half_spectrum(shape, g1, g2_small, rng):
     assert_allclose(half, full[..., :shape[-1] // 2 + 1], rtol=0,
                     atol=1e-12 * np.abs(full).max())
     assert_allclose(g.inverse(half), u, rtol=0, atol=1e-12)
-    # the multiplicity-weighted half sums are the full-spectrum Parseval sums
+    # Grid.parseval on half spectra is dx^d / n^d times the full-spectrum
+    # Parseval sum: the mass and the |k|^4-weighted sum
     k_sq = sum(np.meshgrid(*(k**2 for k in g.wavenumbers), indexing="ij"))
-    assert_allclose(np.sum(g.multiplicity * np.abs(half) ** 2),
-                    np.sum(np.abs(full) ** 2), rtol=1e-12)
-    assert_allclose(np.sum(g.k_quad_parseval * np.abs(half) ** 2),
-                    np.sum(k_sq**2 * np.abs(full) ** 2), rtol=1e-12)
-    # and Grid.parseval is the full-spectrum sum Re sum(conj(U) W), which
-    # is n^d times the nodal sum of u w
+    scale = g.dx**g.d / g.n**g.d
+    assert_allclose(g.parseval(half, half),
+                    scale * np.sum(np.abs(full) ** 2), rtol=1e-12)
+    assert_allclose(g.parseval(half, g.k_quad * half),
+                    scale * np.sum(k_sq**2 * np.abs(full) ** 2), rtol=1e-12)
+    # and of two fields, scale * Re sum(conj(U) W), which is the quadrature
+    # of u w
     w = rng.standard_normal(g.shape)
     full_w = np.fft.fftn(w)
-    expected = np.vdot(full, full_w).real
-    scale = np.linalg.norm(full) * np.linalg.norm(full_w)
-    assert abs(g.parseval(half, g.forward(w)) - expected) <= 1e-12 * scale
-    assert abs(expected - g.n**g.d * np.sum(u * w)) <= 1e-12 * scale
+    expected = scale * np.vdot(full, full_w).real
+    bound = scale * np.linalg.norm(full) * np.linalg.norm(full_w)
+    assert abs(g.parseval(half, g.forward(w)) - expected) <= 1e-12 * bound
+    assert abs(expected - quadrature(g, u * w)) <= 1e-12 * bound
 
 
 @pytest.mark.parametrize("d", [1, 2])

@@ -387,7 +387,7 @@ def _search_line(problem, state):
     pg = g.inverse(PG)
     c = w * np.vdot(pg, x)
     d, D = c * x - pg, c * X - PG
-    slope = w / g.n**g.d * g.parseval(ghat, D)
+    slope = g.parseval(ghat, D)
     mu = bd.kinetic + bd.potential - 0.5 * a * bd.q * bd.nonlinear
     phi, build = _line(g, x, X, d, D, vvals, bd, mu,
                        w * np.vdot(x, x) - 1.0, ws)
