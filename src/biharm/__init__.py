@@ -33,14 +33,12 @@ from .potentials import (
 )
 from .energy import (
     EnergyBreakdown,
-    chemical_potential,
     constrained_gradient,
     critical_power,
     el_residual,
     energy,
     energy_difference,
     gn_quotient,
-    stationarity_residual,
 )
 from .gn import (
     GNResult,
@@ -82,8 +80,7 @@ __all__ = [
     "sample", "ess_inf", "classify", "level_split", "sobolev_lower_bound",
     "potential_from_config",
     "EnergyBreakdown", "critical_power", "energy", "energy_difference",
-    "constrained_gradient", "gn_quotient", "el_residual", "chemical_potential",
-    "stationarity_residual",
+    "constrained_gradient", "gn_quotient", "el_residual",
     "InitSpec", "SolveConfig", "SolveResult", "SolveStatus",
     "initial_field", "solve", "trial_upper_bound", "write_iteration_log",
     "GNResult", "compute_gn", "normalize_gn", "normalize_to_el",

@@ -181,14 +181,14 @@ def sweep(g: Grid, V, schedule, cfg: SolveConfig, gn: GNResult) -> list:
         eps = float(kin) ** -0.25
         resolved = bool(eps > 4.0 * g.dx)
         centered, applied = recenter(u)
-        w = normalize_gn(dilate(centered, eps))
+        w = normalize_gn(centered)  # dilates by eps: the state has unit mass
         rec = SweepRecord(
             a=float(a),
             energy=float(result.breakdown.total),
             kinetic=float(kin),
             eps=eps,
             center=tuple(float(-s) for s in applied),
-            h2_dist_to_Q=_h2_after_best_shift(recenter(w)[0], gn.Q),
+            h2_dist_to_Q=_h2_after_best_shift(w, gn.Q),
             status=result.status.value,
             resolved=resolved,
             iterations=result.iterations,

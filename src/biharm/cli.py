@@ -356,7 +356,7 @@ def cmd_solve(cfg: RunConfig, out=sys.stdout) -> int:
         "kinetic": bd.kinetic,
         "potential": bd.potential,
         "nonlinear": bd.nonlinear,
-        "mu": result.mu,
+        "mu": bd.mu,
         "grad_residual": result.grad_residual,
         "iterations": result.iterations,
         "backtracks": result.backtracks,

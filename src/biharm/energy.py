@@ -1,5 +1,5 @@
-"""The constrained energy, its gradient, the sharp-constant quotient, and
-stationarity diagnostics.
+"""The constrained energy, its gradient, its multiplier and the sharp-constant
+quotient.
 
 For a field u of unit mass on a d-dimensional grid the energy at coupling a
 is
@@ -10,18 +10,19 @@ is
 with q = 2(1 + 4/d) the mass-critical power of the fourth-order problem.
 The nonlinear term is the plain pointwise quadrature, and the gradient below
 is its exact discrete gradient — the pair is what makes finite-difference
-consistency and monotone line searches hold to rounding.
+consistency and monotone line searches hold to rounding.  The multiplier of
+the mass constraint, mu = kinetic + potential - (a q / 2) nonlinear, is
+EnergyBreakdown.mu.
 
 Every kinetic term is a Parseval sum (Grid.parseval) over the half
 spectrum of Grid.forward, the one spectral format.  The Field-level
 functions (energy, energy_difference, constrained_gradient, ...) are the
-reference evaluations, and those built from the Euler-Lagrange operator
-Lap^2 u + V u - (a q / 2) |u|^{q-2} u share one implementation of it.  The
+reference evaluations, and the gradient is built on one implementation of
+the Euler-Lagrange operator Lap^2 u + V u - (a q / 2) |u|^{q-2} u.  The
 solver's inner loop uses the array-level spectral_energy_and_gradient
 instead, on the nodal values and transform it carries: it returns the
 projected gradient as a half spectrum, from one forward transform, and
-writes into work arrays its caller passes in (a SpectralScratch, and the
-output array).
+writes only into the arrays its caller passes in.
 """
 
 from __future__ import annotations
@@ -62,6 +63,13 @@ class EnergyBreakdown:
     total: float
     a: float
     q: int
+
+    @property
+    def mu(self) -> float:
+        """Lagrange multiplier of the mass constraint,
+        <u, Lap^2 u + V u - (a q / 2) |u|^{q-2} u>."""
+        return (self.kinetic + self.potential
+                - 0.5 * self.a * self.q * self.nonlinear)
 
 
 def energy(u: Field, V, a: float) -> EnergyBreakdown:
@@ -112,26 +120,9 @@ def energy_difference(u: Field, delta: np.ndarray, V, a: float,
     return float(kin + g.dx**g.d * rest)
 
 
-class SpectralScratch:
-    """Work arrays the solver's kernels overwrite: q/2 + 1 real arrays of
-    the grid's shape and one complex array of its half spectrum.
-
-    spectral_energy_and_gradient uses two of the real arrays; the solver's
-    line moments use all of them, one per product x^(q/2-k) d^k.  The
-    solver makes one per solve and hands it to every evaluation.
-    """
-
-    __slots__ = ("real", "half")
-
-    def __init__(self, g: Grid):
-        rows = critical_power(g.d) // 2 + 1
-        self.real = tuple(np.empty(g.shape) for _ in range(rows))
-        self.half = np.empty(g.k_quad.shape, dtype=np.complex128)
-
-
 def spectral_energy_and_gradient(g: Grid, x: np.ndarray, X: np.ndarray,
                                  vvals: np.ndarray, a: float,
-                                 out: np.ndarray, scratch: SpectralScratch):
+                                 out: np.ndarray, work: tuple):
     """Breakdown, projected gradient spectrum and the gradient's L2 norm
     from one forward transform.
 
@@ -146,13 +137,12 @@ def spectral_energy_and_gradient(g: Grid, x: np.ndarray, X: np.ndarray,
 
     The kinetic term and |G| are Parseval sums over the half spectrum, the
     rest are nodal quadratures, and the only transform is the forward one
-    of the nodal part.  The work arrays come from scratch, which is
-    overwritten.
+    of the nodal part.  work is two real arrays of the grid's shape and one
+    complex array of its half spectrum, all overwritten.
     """
     q = critical_power(g.d)
     w = g.dx**g.d
-    xq1, vx = scratch.real[:2]
-    khat = scratch.half
+    xq1, vx, khat = work
     np.multiply(x, x, out=xq1)
     mass = np.sum(xq1)
     xq1 *= xq1
@@ -200,17 +190,13 @@ def scaled_energy_identity_check(u: Field, a: float, ell: float,
     return abs(lhs - rhs)
 
 
-def _el_operator(u: Field, V, a: float) -> np.ndarray:
-    """Nodal values of Lap^2 u + V u - (a q / 2) |u|^{q-2} u, half the
-    unconstrained gradient of the energy."""
+def _unconstrained_gradient(u: Field, V, a: float) -> np.ndarray:
+    """Nodal values of the L2 gradient of the energy, twice the
+    Euler-Lagrange operator Lap^2 u + V u - (a q / 2) |u|^{q-2} u."""
     q = critical_power(u.grid.d)
     vvals = sample(V, u.grid).values
-    return (bilap_apply(u).values + vvals * u.values
-            - (a * q / 2.0) * np.abs(u.values) ** (q - 2) * u.values)
-
-
-def _unconstrained_gradient(u: Field, V, a: float) -> np.ndarray:
-    return 2.0 * _el_operator(u, V, a)
+    return 2.0 * (bilap_apply(u).values + vvals * u.values
+                  - (a * q / 2.0) * np.abs(u.values) ** (q - 2) * u.values)
 
 
 def constrained_gradient(u: Field, V, a: float) -> Field:
@@ -257,19 +243,3 @@ def el_residual(u: Field):
     res = np.linalg.norm(bi + c1 * base - c2 * pw)
     scale = np.linalg.norm(bi)
     return float(c1), float(c2), float(res / scale)
-
-
-def chemical_potential(u: Field, V, a: float) -> float:
-    """Lagrange multiplier of the mass constraint at u:
-    mu = <u, Lap^2 u + V u - (a q / 2) |u|^{q-2} u>."""
-    return float(quadrature(u.grid, u.values * _el_operator(u, V, a)))
-
-
-def stationarity_residual(u: Field, V, a: float) -> float:
-    """L2 norm of (Lap^2 + V - (aq/2)|u|^{q-2})u - mu*u at the constrained
-    multiplier mu — the first-order optimality defect of a unit-mass state."""
-    g = u.grid
-    op = _el_operator(u, V, a)
-    mu = quadrature(g, u.values * op)
-    r = op - mu * u.values
-    return float(np.sqrt(quadrature(g, r**2)))

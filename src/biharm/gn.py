@@ -183,7 +183,7 @@ def compute_gn(g: Grid, cfg: SolveConfig | None = None) -> GNResult:
         sub = Q.values[::2] if g.d == 1 else Q.values[::2, ::2]
         run2 = _petviashvili(g2, Field(g2, sub.copy()), cfg)
         iterations += run2.iterations
-        resolutions.append((g2.n, gn_quotient(_finalize(run2.u))))
+        resolutions.append((g2.n, gn_quotient(run2.u)))
     resolutions.append((g.n, a_star))
 
     return GNResult(a_star=a_star, Q=Q,

@@ -41,8 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import (EnergyBreakdown, SpectralScratch, critical_power,
-                     critical_shift, energy, spectral_energy_and_gradient)
+from .energy import (EnergyBreakdown, critical_power, critical_shift, energy,
+                     spectral_energy_and_gradient)
 from .field import Field, dilate, read_snapshot, renormalize_mass, translate
 from .grid import Grid
 from .potentials import classify, sample
@@ -105,7 +105,6 @@ class SolveConfig:
 class SolveResult:
     minimizer: Field
     breakdown: EnergyBreakdown
-    mu: float
     grad_residual: float
     iterations: int
     status: SolveStatus
@@ -146,16 +145,17 @@ def initial_field(g: Grid, V, spec: InitSpec, profile: Field | None = None) -> F
 
 
 class _Workspace:
-    """The arrays one solve reuses on every iteration, so its loop allocates
-    none of its own.
+    """Every array one solve writes, allocated once per call, so its loop
+    allocates none of its own.
 
-    The direction (d, D) and the preconditioned gradient spectrum PG come in
-    pairs: the last accepted step's enter the next beta, so each iteration
-    writes the member of the pair the previous one did not.  ghat holds the
-    gradient spectrum, pg the nodal values of this iteration's P G, and
-    delta and dhat the accepted step.  scratch holds the kernels' work
-    arrays, the line moments' rows and short-lived products between kernel
-    calls.
+    There is one direction (d, D) and one preconditioned gradient spectrum
+    PG: the last accepted step's enter the next beta, which reads them
+    before the iteration writes over them.  ghat holds the gradient
+    spectrum, pg the nodal values of this iteration's P G, and delta and
+    dhat the accepted step.  rows are the q/2 + 1 real rows of the line
+    moments, and half a half spectrum; the fused evaluation works in
+    rows[0], rows[1] and half, and both also hold short-lived products
+    between kernel calls.
     """
 
     def __init__(self, g: Grid):
@@ -165,12 +165,11 @@ class _Workspace:
         def half():
             return np.empty(g.k_quad.shape, dtype=np.complex128)
 
-        self.delta, self.pg = real(), real()
-        self.ghat, self.dhat = half(), half()
+        self.delta, self.pg, self.d = real(), real(), real()
+        self.ghat, self.dhat, self.D, self.PG, self.half = (
+            half(), half(), half(), half(), half())
         self.symbol = np.empty(g.k_quad.shape)
-        self.d = (real(), real())
-        self.D, self.PG = (half(), half()), (half(), half())
-        self.scratch = SpectralScratch(g)
+        self.rows = tuple(real() for _ in range(critical_power(g.d) // 2 + 1))
 
 
 def _monomials(x, d, rows) -> None:
@@ -189,7 +188,7 @@ def _monomials(x, d, rows) -> None:
     dk *= d
 
 
-def _line(g: Grid, x, X, d, D, vvals, bd: EnergyBreakdown, mu: float,
+def _line(g: Grid, x, X, d, D, vvals, bd: EnergyBreakdown,
           mass_defect: float, ws: _Workspace):
     """The energy change along the search line, and the step that makes it.
 
@@ -205,24 +204,25 @@ def _line(g: Grid, x, X, d, D, vvals, bd: EnergyBreakdown, mu: float,
 
     with m0 = mass(x), K1, K2 and P1, P2 the kinetic and potential forms of
     (x, d) and (d, d), and S_j = int x^(q-j) d^j.  K0, P0 and S0 are the
-    breakdown bd of x; the other moments are taken here, once per direction,
-    S_j as <H_k, H_(j-k)> over the rows H_k = x^(q/2-k) d^k in ws.scratch.
-    A trial is then a scalar expression with no array pass.  With
-    ell = log1p(s), c^2 - 1 = expm1(-ell) and c^q - 1 = expm1(-q ell / 2)
-    keep their relative precision for small steps, and a trial whose
-    polynomial overflows gives a non-finite phi rather than an exception.
+    breakdown bd of x and mu is its multiplier bd.mu; the other moments are
+    taken here, once per direction, S_j as <H_k, H_(j-k)> over the rows
+    H_k = x^(q/2-k) d^k in ws.rows.  A trial is then a scalar expression
+    with no array pass.  With ell = log1p(s), c^2 - 1 = expm1(-ell) and
+    c^q - 1 = expm1(-q ell / 2) keep their relative precision for small
+    steps, and a trial whose polynomial overflows gives a non-finite phi
+    rather than an exception.
 
     build(t) writes the step delta = (c - 1) x + c t d into ws.delta and its
     transform, the same combination of X and D, into ws.dhat: no FFT.
     """
     w = g.dx**g.d
-    q, a = bd.q, bd.a
+    q, a, mu = bd.q, bd.a, bd.mu
     xd2 = 2.0 * w * float(np.vdot(x, d))
     dd = w * float(np.vdot(d, d))
-    kd = np.multiply(g.k_quad, D, out=ws.scratch.half)
+    kd = np.multiply(g.k_quad, D, out=ws.half)
     k1 = g.parseval(X, kd)
     k2 = g.parseval(D, kd)
-    rows = ws.scratch.real
+    rows = ws.rows
     vd = np.multiply(vvals, d, out=rows[0])
     p1 = w * float(np.vdot(vd, x))
     p2 = w * float(np.vdot(vd, d))
@@ -249,9 +249,9 @@ def _line(g: Grid, x, X, d, D, vvals, bd: EnergyBreakdown, mu: float,
         ct = (1.0 + cm1) * t
         delta, dhat = ws.delta, ws.dhat
         np.multiply(x, cm1, out=delta)
-        delta += np.multiply(d, ct, out=ws.scratch.real[0])
+        delta += np.multiply(d, ct, out=ws.rows[0])
         np.multiply(X, cm1, out=dhat)
-        dhat += np.multiply(D, ct, out=ws.scratch.half)
+        dhat += np.multiply(D, ct, out=ws.half)
 
     return phi, build
 
@@ -329,10 +329,11 @@ def solve(g: Grid, V, a: float, cfg: SolveConfig = SolveConfig(), *,
     in SolveResult.fft_calls.  Every array the loop writes comes from one
     workspace allocated per call, so calls share no state and the loop
     allocates no arrays of its own (numpy's 2D inverse transform still
-    makes one intermediate).  The breakdown, the
-    gradient residual and the multiplier mu = kinetic + potential
-    - (a q / 2) nonlinear of the result are those of the final spectral
-    state.
+    makes one intermediate).  The workspace holds one direction and one
+    P G: beta's terms from the last step are read before the iteration
+    writes over them.  The breakdown of the result, and with it the
+    multiplier breakdown.mu, and the gradient residual are those of the
+    final spectral state.
 
     Descent begins from the mass renormalization of start, a Field on g, and
     this is the one place a start is normalized; start=None means
@@ -349,18 +350,12 @@ def solve(g: Grid, V, a: float, cfg: SolveConfig = SolveConfig(), *,
     if start.grid != g:
         raise ValueError("start field lives on a different grid")
     u = renormalize_mass(start)
-    q = critical_power(g.d)
     c1 = critical_shift(g.d)
     w = g.dx**g.d
     vvals = sample(V, g).values
 
     def inner(x, y):
         return w * float(np.vdot(x, y))
-
-    def multiplier(bd):
-        # the multiplier of a unit-mass state, half the coefficient that
-        # projects the raw gradient onto the tangent space
-        return bd.kinetic + bd.potential - 0.5 * a * q * bd.nonlinear
 
     def status_of(bd, res):
         if bd.total < ENERGY_FLOOR:
@@ -370,18 +365,19 @@ def solve(g: Grid, V, a: float, cfg: SolveConfig = SolveConfig(), *,
         return None
 
     ws = _Workspace(g)
+    work = (ws.rows[0], ws.rows[1], ws.half)
+    d, D = ws.d, ws.D
     x = u.values.copy()
     X = g.forward(x)
     bd, ghat, res = spectral_energy_and_gradient(g, x, X, vvals, a, ws.ghat,
-                                                 ws.scratch)
+                                                 work)
     fft_calls = 2
     history = [(0, bd.total, res, 0.0)]
     status = status_of(bd, res)
 
     step = _STEP0
     it = backtracks = trials = cg_restarts = 0
-    prev = None  # (d, D, P G spectrum, <G, P G>) of the last accepted step
-    slot = 0  # the member of each workspace pair this iteration writes
+    gpg_prev = None  # <G, P G> of the last accepted step
     while status is None and it < cfg.max_iters:
         # sigma = c1 kinetic: the multiplier is -c1 (kinetic + potential)
         # + (q/2) energy, so as the state concentrates -mu tends to c1
@@ -390,7 +386,12 @@ def solve(g: Grid, V, a: float, cfg: SolveConfig = SolveConfig(), *,
         sigma = max(1.0, c1 * bd.kinetic)
         symbol = np.add(g.k_quad, sigma, out=ws.symbol)
         np.divide(sigma, symbol, out=symbol)
-        PG = np.multiply(symbol, ghat, out=ws.PG[slot])
+        # the last step's P G and direction enter beta: read them before
+        # this iteration writes over them
+        if gpg_prev is not None:
+            gpg_cross = g.parseval(ghat, ws.PG)
+            dx_prev = inner(d, x)
+        PG = np.multiply(symbol, ghat, out=ws.PG)
         pg = g.inverse(PG, out=ws.pg)
         fft_calls += 1
         gpg = g.parseval(ghat, PG)
@@ -399,13 +400,14 @@ def solve(g: Grid, V, a: float, cfg: SolveConfig = SolveConfig(), *,
         # onto the tangent space at x: the conjugate one first, if any, then
         # the reset to -P G
         candidates = [(0.0, -pgx)]
-        if prev is not None:
-            beta = max(0.0, (gpg - g.parseval(ghat, prev[2])) / prev[3])
+        if gpg_prev is not None:
+            beta = max(0.0, (gpg - gpg_cross) / gpg_prev)
             if beta > 0.0:
-                candidates.insert(0, (beta, beta * inner(prev[0], x) - pgx))
-        mu = multiplier(bd)
+                candidates.insert(0, (beta, beta * dx_prev - pgx))
+                # beta d_prev and beta D_prev, kept until d and D are written
+                beta_d = np.multiply(d, beta, out=ws.rows[0])
+                beta_D = np.multiply(D, beta, out=ws.half)
         mass_defect = inner(x, x) - 1.0
-        d, D = ws.d[slot], ws.D[slot]
         for k, (beta, c) in enumerate(candidates):
             cg_restarts += k  # the second candidate is the reset to -P G
             np.multiply(x, -c, out=d)
@@ -413,9 +415,9 @@ def solve(g: Grid, V, a: float, cfg: SolveConfig = SolveConfig(), *,
             np.multiply(X, -c, out=D)
             D -= PG
             if beta:
-                d += np.multiply(prev[0], beta, out=ws.scratch.real[0])
-                D += np.multiply(prev[1], beta, out=ws.scratch.half)
-            phi, build = _line(g, x, X, d, D, vvals, bd, mu, mass_defect, ws)
+                d += beta_d
+                D += beta_D
+            phi, build = _line(g, x, X, d, D, vvals, bd, mass_defect, ws)
             t, fails, tried = _armijo(phi, g.parseval(ghat, D), step)
             backtracks += fails
             trials += tried
@@ -429,18 +431,16 @@ def solve(g: Grid, V, a: float, cfg: SolveConfig = SolveConfig(), *,
         x += ws.delta
         X += ws.dhat
         bd, ghat, res = spectral_energy_and_gradient(g, x, X, vvals, a,
-                                                     ws.ghat, ws.scratch)
+                                                     ws.ghat, work)
         fft_calls += 1
         history.append((it, bd.total, res, t))
-        prev = (d, D, PG, gpg)
-        slot = 1 - slot
+        gpg_prev = gpg
         step = t * _GROW
         status = status_of(bd, res)
     if status is None:
         status = SolveStatus.MAX_ITERS
 
     return SolveResult(minimizer=Field(g, x), breakdown=bd,
-                       mu=multiplier(bd),
                        grad_residual=res, iterations=it, status=status,
                        history=tuple(history),
                        backtracks=backtracks, trials=trials,

@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 from biharm import Field, dilate, l2_norm_sq, make_grid, renormalize_mass
 from biharm.energy import (
-    chemical_potential,
+    _unconstrained_gradient,
     constrained_gradient,
     critical_power,
     el_residual,
@@ -12,7 +12,6 @@ from biharm.energy import (
     energy_difference,
     gn_quotient,
     scaled_energy_identity_check,
-    stationarity_residual,
 )
 from biharm.field import gaussian_mixture_field, random_smooth_field
 from biharm.grid import quadrature
@@ -106,8 +105,6 @@ def test_constrained_gradient_tangency(g1, rng):
 def test_gradient_finite_difference_consistency(g1, rng):
     # central differences of the energy along random directions must match
     # the unprojected gradient pairing with second-order convergence
-    from biharm.energy import _unconstrained_gradient
-
     V = GaussianWell(1.0, 1.0, (0.0,))
     a = 2.0
     u = random_smooth_field(g1, rng)
@@ -173,22 +170,54 @@ def test_el_residual_recovers_planted_equation(g1):
 def test_chemical_potential_cosine_eigenmode(gpi):
     x = gpi.axes[0]
     u = Field(gpi, np.sqrt(2) * (2 * np.pi) ** -0.5 * np.cos(x))
-    assert_allclose(chemical_potential(u, Zero(), 0.0), 1.0, rtol=1e-12)
+    assert_allclose(energy(u, Zero(), 0.0).mu, 1.0, rtol=1e-12)
 
 
 def test_chemical_potential_linear_case_is_energy(g1):
     x = g1.axes[0]
     u = renormalize_mass(Field(g1, np.exp(-0.5 * x**2)))
     br = energy(u, Harmonic(1.0), 0.0)
-    assert_allclose(chemical_potential(u, Harmonic(1.0), 0.0),
-                    br.kinetic + br.potential, rtol=1e-12)
+    assert_allclose(br.mu, br.kinetic + br.potential, rtol=1e-12)
 
 
 def test_stationarity_residual_for_cosine(gpi):
-    # an eigenmode of the linear problem is exactly stationary
+    # an eigenmode of the linear problem is exactly stationary: at unit mass
+    # the constrained gradient is 2 (Lap^2 u - mu u)
     x = gpi.axes[0]
     u = Field(gpi, np.sqrt(2) * (2 * np.pi) ** -0.5 * np.cos(x))
-    assert stationarity_residual(u, Zero(), 0.0) < 1e-10
+    assert np.sqrt(l2_norm_sq(constrained_gradient(u, Zero(), 0.0))) < 2e-10
+
+
+@pytest.mark.parametrize("geom,center", [((1, 512, 16.0), (0.0,)),
+                                         ((2, 64, 12.0), (0.0, 0.0))])
+def test_breakdown_mu_is_the_multiplier(geom, center):
+    # mu = <u, Lap^2 u + V u - (a q / 2) |u|^{q-2} u>, half the pairing of
+    # u with the unconstrained gradient, on the mass sphere and off it
+    g = make_grid(*geom)
+    V = GaussianWell(1.0, 1.0, center)
+    a = 6.0
+    r2 = sum(m**2 for m in g.meshes())
+    base = renormalize_mass(Field(g, np.exp(-r2 / (2.0 * 0.8**2))))
+    for mass in (0.5, 1.0, 2.0):
+        u = base * mass**0.5
+        assert_allclose(l2_norm_sq(u), mass, rtol=1e-13)
+        raw = _unconstrained_gradient(u, V, a)
+        pairing = 0.5 * quadrature(g, u.values * raw)
+        assert_allclose(energy(u, V, a).mu, pairing, rtol=1e-12)
+
+
+def test_star_import_binds_all_exports():
+    # every exported name is bound, once; the multiplier lives on
+    # EnergyBreakdown, not in functions of its own
+    import biharm
+
+    ns = {}
+    exec("from biharm import *", ns)
+    assert len(set(biharm.__all__)) == len(biharm.__all__)
+    assert [n for n in biharm.__all__ if n not in ns] == []
+    for gone in ("chemical_potential", "stationarity_residual"):
+        assert gone not in biharm.__all__
+        assert not hasattr(biharm, gone)
 
 
 # one case per critical power: q = 10 on a line, q = 6 in the plane
@@ -234,7 +263,7 @@ def test_energy_difference_resolves_tiny_steps(geom, center, a):
     t = 1e-9
     v = renormalize_mass(u - d * t)
     delta = v.values - u.values
-    de = energy_difference(u, delta, V, a, chemical_potential(u, V, a))
+    de = energy_difference(u, delta, V, a, energy(u, V, a).mu)
     naive = energy(v, V, a).total - energy(u, V, a).total
     assert abs(de / t - slope) <= 1e-6 * abs(slope)
     assert abs(naive / t - slope) > 1e-6 * abs(slope)
