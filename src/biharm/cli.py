@@ -308,9 +308,11 @@ def cmd_gn(cfg: RunConfig, out=sys.stdout) -> int:
     save_gn(result, base)
     print(f"a_star = {result.a_star:.12g}", file=out)
     print(f"quotient_residual = {result.quotient_residual:.3e}", file=out)
-    print(f"iterations = {result.iterations}", file=out)
+    main_run = len(result.history) - 1
+    print(f"iterations = {result.iterations} (main run {main_run}, "
+          f"n/2 check {result.iterations - main_run})", file=out)
     print(f"residual path = {result.history[0]:.3e} -> "
-          f"{result.history[-1]:.3e} over {len(result.history) - 1} "
+          f"{result.history[-1]:.3e} over {main_run} "
           f"iterations, in {result.seconds:.3f} s", file=out)
     print(f"nonlinear_check = {result.nonlinear_check:.12g}", file=out)
     c1, c2 = result.el_constants
@@ -577,6 +579,15 @@ def cmd_check(cfg: RunConfig, out=sys.stdout) -> int:
 # entry point
 
 
+_COMMANDS = {
+    "gn": cmd_gn,
+    "solve": cmd_solve,
+    "sweep": cmd_sweep,
+    "check": cmd_check,
+    "plotdata": cmd_plotdata,
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="biharm",
@@ -587,28 +598,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--output", help="output directory "
                         "(overrides config output_dir)")
     parser.add_argument("--seed", type=int, help="override config seed")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, text in (
-            ("gn", "compute the critical constant and its optimizer"),
-            ("solve", "minimize the energy at one coupling"),
-            ("sweep", "solve along a schedule climbing toward astar"),
-            ("check", "run the property batteries"),
-            ("plotdata", "emit plot-ready columns from a sweep run")):
-        sub.add_parser(name, help=text)
+    parser.add_argument(
+        "command", choices=tuple(_COMMANDS),
+        help="gn: compute the critical constant and its optimizer; "
+             "solve: minimize the energy at one coupling; "
+             "sweep: solve along a schedule climbing toward astar; "
+             "check: run the property batteries; "
+             "plotdata: emit plot-ready columns from a sweep run")
     return parser
 
 
-_COMMANDS = {
-    "gn": cmd_gn,
-    "solve": cmd_solve,
-    "sweep": cmd_sweep,
-    "check": cmd_check,
-    "plotdata": cmd_plotdata,
-}
-
-
 def main(argv=None, out=sys.stdout) -> int:
-    """Parse argv, validate config, dispatch to the subcommand; returns the
+    """Parse argv, validate config, dispatch to the command; returns the
     exit code.  Reports go to out."""
     try:
         args = build_parser().parse_args(argv)

@@ -204,20 +204,23 @@ def dilate(u: Field, ell: float) -> Field:
         return u
     g = u.grid
     n = g.n
-    # signed spectral index after fftshift, and centered node index j = x/dx
-    c = np.arange(n) - n // 2
-    chirp = np.exp(1j * np.pi * ell * c**2 / n)
-    pre = chirp * (-1.0) ** c  # (-1)^m = exp(i k_m L): node 0 sits at -L
+    # the chirps exp(i pi ell m^2 / n), at the signed spectral index m after
+    # fftshift and at the centered node index j = x/dx (the same range), and
+    # the kernel below all read one table exp(i pi ell r^2 / n), r = 0..n
+    table = np.exp(1j * np.pi * ell * np.arange(n + 1) ** 2 / n)
+    chirp = table[np.abs(np.arange(n) - n // 2)]
+    # (-1)^m = exp(i k_m L), node 0 sitting at -L; m = -n/2 is even
+    pre = chirp.copy()
+    pre[1::2] *= -1
     post = chirp * (ell**0.5 / n)
     if (ell - 1.0) * g.half_width > 0.5 * g.dx:
         t = np.clip((np.abs(ell * g.axes[0]) / g.half_width - 0.75) / 0.25,
                     0.0, 1.0)
         post = post * (1.0 - t**3 * (t * (6.0 * t - 15.0) + 10.0))
     # kernel exp(-i pi ell s^2 / n) at s = j - m in [-(n-1), n-1], stored
-    # cyclically on 2n points
-    s = np.arange(2 * n)
-    s = np.where(s < n, s, s - 2 * n)
-    kernel_hat = np.fft.fft(np.exp(-1j * np.pi * ell * s**2 / n))
+    # cyclically on 2n points: |s| = 0..n-1, then n..1
+    kernel_hat = np.fft.fft(
+        np.concatenate((table[:n], table[n:0:-1])).conj())
     z = np.fft.fftn(u.values)  # the chirp-z needs the full spectrum
     for _ in range(g.d):
         a = np.fft.fftshift(z, axes=-1) * pre

@@ -5,10 +5,16 @@ int|u|^q solves Lap^2 Q + c1 Q = c2 Q^{q-1} with positive constants.  With
 c1 = (q-2)/2 held fixed (4 in 1D, 2 in 2D) the Pohozaev identity forces
 int|Lap Q|^2 = int|Q|^2, the unit gauge (on the grid, to discretization
 error), so the iteration below produces the profile already normalized up to
-its amplitude and needs no dilation after the fact.  The iteration converges
-to a stationary point of the quotient; it does not prove a minimum.  The
-quotient batteries (random mixtures and smooth fields never beat a_star) and
-the Gaussian upper bound remain the certificate that it is the minimizer.
+its amplitude and needs no dilation after the fact.  The plain map
+converges linearly, its residual falling by a factor of about 0.15 per step;
+Anderson mixing of depth one (Walker & Ni, SIAM J. Numer. Anal. 49, 2011)
+brings that factor to about 0.01 near the solution, so the default tolerance
+is reached in 7-9 iterations in 1D, and on 2D grids from 128^2 on a
+half-width of 16, where the plain map settled at roundoff just above it.
+The iteration converges to a stationary point of the quotient; it does not
+prove a minimum.  The quotient batteries (random mixtures and smooth fields
+never beat a_star) and the Gaussian upper bound remain the certificate that
+it is the minimizer.
 """
 
 from __future__ import annotations
@@ -77,9 +83,17 @@ def _petviashvili(g: Grid, u0: Field, cfg: SolveConfig) -> _Run:
     L = c1 + |k|^4 with c1 = (q-2)/2, N(u) = u^{q-1}, gamma = (q-1)/(q-2) and
     M = <L u^, u^> / <N^(u), u^>, which is 1 exactly at a solution of
     L u = N(u); the factor M^gamma removes the amplitude instability of the
-    plain iteration.  c1 stays fixed because it is what pins the dilation
-    gauge: recomputed from the iterate, it leaves the dilation direction
-    without a restoring force and the scale drifts (at n = 16, into a spike).
+    plain iteration (Pelinovsky & Stepanyants, SIAM J. Numer. Anal. 42,
+    2004).  c1 stays fixed because it is what pins the dilation gauge:
+    recomputed from the iterate, it leaves the dilation direction without a
+    restoring force and the scale drifts (at n = 16, into a spike).
+
+    The update is Anderson-mixed with depth one: with T_k the map's image of
+    the k-th iterate and f_k = T_k - u^_k, the next iterate is
+    T_k - theta (T_k - T_{k-1}), theta = <f_k - f_{k-1}, f_k> / |f_k -
+    f_{k-1}|^2 in the L2 inner product of the half spectra, the coefficient
+    that minimizes the mixed residual |f_k - theta (f_k - f_{k-1})|.  The
+    first step, and a step whose residuals do not differ, take T_k itself.
 
     Converged once the quotient-gradient norm of the mass-normalized iterate
     is at most cfg.tol_grad; the run keeps that norm at every iterate as its
@@ -98,6 +112,7 @@ def _petviashvili(g: Grid, u0: Field, cfg: SolveConfig) -> _Run:
     settled = 0
     it = 0
     history = []
+    t_prev = f_prev = None
     while True:
         nl = u ** (q - 1)
         nl_hat = g.forward(nl)
@@ -120,7 +135,16 @@ def _petviashvili(g: Grid, u0: Field, cfg: SolveConfig) -> _Run:
             break
         M = (c1 * mass + kin) / non
         settled = settled + 1 if abs(M - 1.0) <= _M_ROUNDOFF else 0
-        u_hat = M**gamma * nl_hat / symbol
+        t_hat = M**gamma * nl_hat / symbol
+        f_hat = t_hat - u_hat
+        u_hat = t_hat
+        if f_prev is not None:
+            df = f_hat - f_prev
+            df_sq = g.parseval(df, df)
+            if df_sq > 0.0:
+                theta = g.parseval(df, f_hat) / df_sq
+                u_hat = t_hat - theta * (t_hat - t_prev)
+        t_prev, f_prev = t_hat, f_hat
         u = g.inverse(u_hat)
         it += 1
     return _Run(Field(g, u / np.sqrt(mass)), residual, it, converged,

@@ -584,6 +584,17 @@ def test_unknown_subcommand_is_config_error(tmp_path):
     assert code == 2
 
 
+def test_missing_command_exits_2_and_help_names_all_five(tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.json", output_dir=str(tmp_path / "run"))
+    assert main(["--config", str(cfg)], out=io.StringIO()) == 2
+    assert "required: command" in capsys.readouterr().err
+    assert main(["--help"], out=io.StringIO()) == 0
+    words = capsys.readouterr().out.split()  # the help text wraps
+    for name in ("gn", "solve", "sweep", "check", "plotdata"):
+        assert f"{name}:" in words, name
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("overrides", [
     *({"solve": {"a": a}} for a in (float("nan"), float("inf"), float("-inf"),
                                     "1e999*astar", "-0.5*astar",

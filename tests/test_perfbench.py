@@ -3,11 +3,13 @@
 perfbench/run.py builds a cli.RunConfig from each workload's config, warms
 up with initial_field, energy and constrained_gradient, and loads the stored
 gn artifact.  These tests make the same calls, so a change to those
-signatures fails here rather than in a benchmark run.  workloads.py is
+signatures fails here rather than in a benchmark run, and run the gn_1d
+command against the workload's gates.  workloads.py is
 executed from its path by runpy, which writes no bytecode cache, and every
 output goes to a temporary directory: nothing is written under perfbench/.
 """
 
+import io
 import json
 import runpy
 from pathlib import Path
@@ -58,3 +60,21 @@ def test_stored_artifact_loads_and_matches_the_fixture(workloads):
     g = gn.Q.grid
     assert (g.d, g.n, g.half_width) == (grid["d"], grid["n"],
                                         grid["half_width"])
+
+
+def test_gn_workload_passes_its_gates(workloads, tmp_path):
+    # the gn_1d command as run.py runs it, judged by the benchmark's own
+    # gates: a fixed-point change that breaks a* or the EL constants fails
+    # here before a benchmark run
+    workload = workloads["GN1D"]()
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(workload.config(0)))
+    run_dir = tmp_path / "op"
+    out = io.StringIO()
+    code = cli.main(["--config", str(cfg), "--output", str(run_dir),
+                     "--seed", "0", workload.command], out=out)
+    assert code == 0, out.getvalue()
+    ref = json.loads((ROOT / workloads["FIXTURE"]).read_text())["a_star"]
+    gates = workload.gates(run_dir, ref)
+    assert gates and all(gate.ok for gate in gates), [
+        gate.line() for gate in gates]
