@@ -98,10 +98,7 @@ def _h2_after_best_shift(w: Field, ref: Field) -> float:
     at s = 0.
     """
     g = w.grid
-    h = g.n // 2 + 1
-    # 1j k_i per axis, shaped to broadcast over the half spectrum
-    ik = [1j * (k[:h] if ax == g.d - 1 else k[:, None])
-          for ax, k in enumerate(g.wavenumbers)]
+    ik = g.ik
     pairs = [(i, j) for i in range(g.d) for j in range(i, g.d)]
     grad_rows = [iki * ref.hat for iki in ik]
     hess_rows = [ik[i] * grad_rows[j] for i, j in pairs]

@@ -320,6 +320,11 @@ def cmd_gn(cfg: RunConfig, out=sys.stdout) -> int:
     print("resolution cross-check:", file=out)
     for n, val in result.resolutions:
         print(f"  n={n:6d}  quotient={val:.12g}", file=out)
+    if result.check_residual is not None:
+        state = ("converged" if result.check_converged
+                 else "stopped unconverged")
+        print(f"n/2 check: quotient residual {result.check_residual:.3e}, "
+              f"{state}", file=out)
     _write_manifest(cfg, [base.with_suffix(".bhf"), base.with_suffix(".json")],
                     _timings(t0))
     return EXIT_OK
@@ -365,6 +370,7 @@ def cmd_solve(cfg: RunConfig, out=sys.stdout) -> int:
         "trials": result.trials,
         "cg_restarts": result.cg_restarts,
         "fft_calls": result.fft_calls,
+        "coarse_fallbacks": result.coarse_fallbacks,
         "init": cfg.init.kind,
     }
     report = cfg.output_dir / "solve.json"
@@ -377,6 +383,9 @@ def cmd_solve(cfg: RunConfig, out=sys.stdout) -> int:
     print(f"line search: {result.trials} trials, {result.backtracks} "
           f"backtracks, {result.cg_restarts} CG restarts", file=out)
     print(f"fft_calls = {result.fft_calls}", file=out)
+    print(f"preconditioner: P alone in {result.coarse_fallbacks} of "
+          f"{result.iterations} iterations, with the coarse step in the rest",
+          file=out)
     _write_manifest(cfg, [snap, log, report], _timings(t0))
     if result.status is SolveStatus.DIVERGED_BELOW_FLOOR:
         print("energy fell below the floor: no minimizer exists at this "

@@ -27,6 +27,7 @@ writes only into the arrays its caller passes in.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,10 +100,26 @@ def energy_difference(u: Field, delta: np.ndarray, V, a: float,
     mu subtracts the mass change, which for the multiplier of u removes the
     first-order effect of renormalization roundoff.  It is the reference for
     the solver's closed-form line energy.
+
+    The sums run in extended precision (numpy's longdouble, transforms
+    included), and each term is rounded once, on return.  Near a minimizer
+    the kinetic, potential and nonlinear changes are each about 1e5 times
+    their sum, the slope, so double-precision sums of a few hundred terms
+    lose some of it: 5.1e-10 at the 2D test fixture (slope 2e-11), half
+    the 1e-9 to which the closed form is tested against this, and more at
+    smaller slopes.  Where numpy's longdouble is double (MSVC, macOS on
+    arm64) the sums run in double all the same, with a RuntimeWarning that
+    says so.
     """
+    if np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps:
+        warnings.warn("numpy's longdouble is double precision here: "
+                      "energy_difference may lose about 1e-9 of an energy "
+                      "change near a minimizer", RuntimeWarning,
+                      stacklevel=2)
     g = u.grid
     q = critical_power(g.d)
-    x = u.values
+    x = u.values.astype(np.longdouble)
+    delta = np.asarray(delta, dtype=np.longdouble)
     dhat = g.forward(delta)
     vv = x + delta
     s = delta * (vv + x)  # delta (v + u)

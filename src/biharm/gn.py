@@ -56,6 +56,11 @@ class GNResult:
     nonlinear_check: float  # a_star * integral |Q|^q; 1 in the sharp normalization
     el_constants: tuple
     resolutions: tuple  # ((n, a_star_at_n), ...) coarse-to-fine cross-check
+    # the n/2 run's quotient residual and whether it reached tol_grad; None
+    # without that run (n < 16) and for a sidecar written before they were
+    # stored
+    check_residual: float | None
+    check_converged: bool | None
     quotient_residual: float
     # fixed-point iterations over all runs, the n/2 check included; None for a
     # sidecar written before the count was stored
@@ -175,7 +180,9 @@ def compute_gn(g: Grid, cfg: SolveConfig | None = None) -> GNResult:
     stationary, not a proven minimum: that no other localized state beats it
     is what the test batteries and the Gaussian upper bound check.  The
     fixed point then runs again on the n/2 grid from the subsampled profile,
-    for the resolutions cross-check.  The result carries the first run's
+    for the resolutions cross-check; that run may stop unconverged, at the
+    coarser grid's floor, and its residual and convergence are carried as
+    check_residual and check_converged.  The result carries the first run's
     residual path (history) and the wall time of the whole call (seconds).
     Raises RuntimeError naming tol_grad when the first run does not
     converge.
@@ -202,17 +209,21 @@ def compute_gn(g: Grid, cfg: SolveConfig | None = None) -> GNResult:
     c1, c2, _fit = el_residual(Q)
 
     resolutions = []
+    check_residual = check_converged = None
     if g.n >= 16:
         g2 = make_grid(g.d, g.n // 2, g.half_width)
         sub = Q.values[::2] if g.d == 1 else Q.values[::2, ::2]
         run2 = _petviashvili(g2, Field(g2, sub.copy()), cfg)
         iterations += run2.iterations
         resolutions.append((g2.n, gn_quotient(run2.u)))
+        check_residual, check_converged = run2.residual, run2.converged
     resolutions.append((g.n, a_star))
 
     return GNResult(a_star=a_star, Q=Q,
                     nonlinear_check=a_star * lq_integral(Q, q),
                     el_constants=(c1, c2), resolutions=tuple(resolutions),
+                    check_residual=check_residual,
+                    check_converged=check_converged,
                     quotient_residual=best.residual, iterations=iterations,
                     history=best.history,
                     seconds=time.perf_counter() - t0)
@@ -269,6 +280,9 @@ def save_gn(result: GNResult, path) -> None:
             "nonlinear_check": result.nonlinear_check,
         },
         "resolutions": [list(pair) for pair in result.resolutions],
+        "half_grid_check": (None if result.check_residual is None else {
+            "quotient_grad": result.check_residual,
+            "converged": result.check_converged}),
         "iterations": result.iterations,
         "history": (None if result.history is None
                     else list(result.history)),
@@ -292,11 +306,14 @@ def load_gn(path) -> GNResult:
     a_star = float(a_star)
     iterations = sidecar.get("iterations")
     history = sidecar.get("history")
+    check = sidecar.get("half_grid_check") or {}
     q = critical_power(g.d)
     return GNResult(a_star=a_star, Q=Q,
                     nonlinear_check=a_star * lq_integral(Q, q),
                     el_constants=tuple(sidecar["el_constants"]),
                     resolutions=tuple(tuple(p) for p in sidecar["resolutions"]),
+                    check_residual=check.get("quotient_grad"),
+                    check_converged=check.get("converged"),
                     quotient_residual=float(
                         sidecar["residuals"]["quotient_grad"]),
                     iterations=(None if iterations is None

@@ -47,6 +47,8 @@ class Grid:
             first n/2 + 1 entries).
         k_quad: |k|^4 on the half spectrum (the fourth-order symbol used by
             every bilaplacian evaluation).
+        ik: per-axis i k_i, shaped to broadcast over the half spectrum (the
+            symbol of the partial derivative along axis i).
     """
 
     d: int
@@ -56,6 +58,7 @@ class Grid:
     axes: tuple = field(repr=False, compare=False)
     wavenumbers: tuple = field(repr=False, compare=False)
     k_quad: np.ndarray = field(repr=False, compare=False)
+    ik: tuple = field(repr=False, compare=False)
 
     @property
     def shape(self) -> tuple:
@@ -142,10 +145,12 @@ def _shared_grid(d: int, n: int, half_width: float) -> Grid:
     half = n // 2 + 1
     k_sq = k**2
     k_quad = (k_sq[:half] if d == 1 else k_sq[:, None] + k_sq[None, :half]) ** 2
-    for arr in (*axes, *tables, k_quad):
+    ik = tuple(1j * (k[:half] if ax == d - 1 else k[:, None])
+               for ax in range(d))
+    for arr in (*axes, *tables, k_quad, *ik):
         arr.setflags(write=False)
     return Grid(d=d, n=n, half_width=half_width, dx=dx, axes=axes,
-                wavenumbers=tables, k_quad=k_quad)
+                wavenumbers=tables, k_quad=k_quad, ik=ik)
 
 
 def quadrature(g: Grid, samples: np.ndarray) -> float:

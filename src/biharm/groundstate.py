@@ -1,10 +1,24 @@
 """Constrained minimization on the unit-mass sphere by preconditioned nonlinear CG.
 
 solve runs Polak-Ribiere+ conjugate gradient on the sphere of unit-mass
-states, preconditioned by sigma / (sigma + |k|^4) with sigma = max(1, c1
-kinetic energy), c1 = (q - 2)/2: the fixed point's operator c1 + |k|^4 (see
-gn) at the iterate's scale, so the conditioning does not degrade as
-minimizers concentrate.  Its line search fits a quadratic to each trial's
+states with a two-level preconditioner.  Its first level is sigma / (sigma +
+|k|^4) with sigma = max(1, c1 kinetic energy), c1 = (q - 2)/2: the fixed
+point's operator c1 + |k|^4 (see gn) at the iterate's scale, so the
+conditioning does not degrade as minimizers concentrate.  Its second level
+is a coarse step on the generators of the group that blow-up follows, the
+translations d_i u and the mass-preserving dilation s . grad u + (d/2) u
+about the potential's minimum (s its coordinate there, made smooth and
+periodic): near a* the energy is flat along them, and the first level
+leaves them as the constrained Hessian's d + 1 smallest preconditioned
+eigenvalues, far below the rest (0.36, 0.36 and 0.60 against [13.4, 17.8]
+in 2D on 128^2/12 at a = 56).  The coarse step replaces the first level's
+action on their span by the Newton step there (deflation; Nicolaides, SIAM
+J. Numer. Anal. 24, 1987; Tang, Nabben, Vuik & Erlangga, J. Sci. Comput.
+39, 2009), and it falls back to the first level alone wherever the Hessian
+on the span is not positive definite, or not distinguishably so.  It runs
+in 2D only: on the 1D grids an iteration is about a hundred microseconds
+of small array calls, and on warm-started sweeps the step cost more than
+the iterations it saved.  The line search fits a quadratic to each trial's
 energy change and the slope at zero, and steps to the quadratic's minimizer:
 after a failed trial, and once more after a passing one, so each step
 roughly minimizes the energy along its direction, as conjugacy needs.  Every
@@ -25,17 +39,20 @@ their real transform X, with the search direction carried in both spaces
 too, and the gradient kept as a half spectrum.  A trial costs no array
 pass, and only the accepted step is built, as the same linear combination
 of x and the direction and of their transforms, with no FFT.  One
-iteration costs two real transforms: the forward one in the fused
+iteration costs two real transforms, the forward one in the fused
 energy-and-gradient evaluation and the inverse of the preconditioned
-gradient.  Fields are built only on entry and return, and the arrays the
-loop writes are allocated once per call and reused, so the loop allocates
-no arrays of its own.
+gradient, and in 2D the coarse step's three more: d inverse ones (the
+nodal translations) and one forward one (the dilation's spectrum).  Fields
+are built only on entry and return, and the arrays the loop writes are
+allocated once per call and reused, so the loop allocates no arrays of its
+own.
 """
 
 from __future__ import annotations
 
 import csv
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -51,6 +68,10 @@ _ARMIJO = 1e-4
 # line search: the first iteration's first trial step, and the factor on the
 # last accepted step that gives the next iteration's first trial
 _STEP0, _GROW = 1.0, 1.3
+# the coarse step's test of A's pivots against B's (see _spd_solve): the
+# square root of double's epsilon, well above the roundoff of sums of B's
+# size and the drift of the carried transform (about 1e-9 relative)
+_PIVOT_RTOL = 1.5e-8
 # a total energy below this is the finite witness of the unbounded-below
 # regime: solve stops with DivergedBelowFloor
 ENERGY_FLOOR = -1e3
@@ -112,12 +133,20 @@ class SolveResult:
     backtracks: int  # line-search trials that failed Armijo
     trials: int  # line-search trials: closed-form energy changes evaluated
     cg_restarts: int  # resets of the conjugate direction to -P G
-    fft_calls: int  # real transforms the solver ran: 2 on entry, 2 per iteration
+    # real transforms the solver ran: 2 on entry, 2 per iteration (5 in 2D,
+    # with the coarse step's)
+    fft_calls: int
+    # iterations that used P alone, without the coarse step: where A was not
+    # positive definite, and every one in 1D, where the step does not run
+    coarse_fallbacks: int
 
 
 def potential_argmin(V, g: Grid) -> np.ndarray:
     """Coordinates of the smallest sampled potential value (origin on ties)."""
-    vals = sample(V, g).values
+    return _argmin_coordinates(sample(V, g).values, g)
+
+
+def _argmin_coordinates(vals: np.ndarray, g: Grid) -> np.ndarray:
     if np.ptp(vals) == 0.0:
         return np.zeros(g.d)
     idx = np.unravel_index(int(np.argmin(vals)), g.shape)
@@ -152,24 +181,44 @@ class _Workspace:
     PG: the last accepted step's enter the next beta, which reads them
     before the iteration writes over them.  ghat holds the gradient
     spectrum, pg the nodal values of this iteration's P G, and delta and
-    dhat the accepted step.  rows are the q/2 + 1 real rows of the line
-    moments, and half a half spectrum; the fused evaluation works in
-    rows[0], rows[1] and half, and both also hold short-lived products
-    between kernel calls.
+    dhat the accepted step; pg is delta, as P G is spent once a step is
+    built.  rows are the q/2 + 1 real rows of the line moments, and half a
+    half spectrum; the fused evaluation works in rows[0], rows[1] and
+    half, and both also hold short-lived products between kernel calls.
+
+    coords are the dilation's coordinates about center, read-only, given
+    a center: only the coarse step reads them.  The coarse step uses only
+    arrays that are free at that point of the iteration.  zk is the stack
+    [dhat, half, PG, ghat], and the d + 1
+    generators' spectra take its slots zk[2 - d:3], the last of them PG's,
+    where _precondition sums them.  Their nodal values go into rows[:d + 1].
+    kz, for their |k|^4 multiples, is the memory of rows viewed as d + 1
+    half spectra: the coarse step writes it once the nodal sums are taken.
     """
 
-    def __init__(self, g: Grid):
-        def real():
-            return np.empty(g.shape)
-
-        def half():
-            return np.empty(g.k_quad.shape, dtype=np.complex128)
-
-        self.delta, self.pg, self.d = real(), real(), real()
-        self.ghat, self.dhat, self.D, self.PG, self.half = (
-            half(), half(), half(), half(), half())
+    def __init__(self, g: Grid, center=None):
+        m = g.d + 1
+        # (L/pi) sin(pi (x_i - center_i) / L): x_i - center_i to third order
+        # near center, and smooth across the box's edge, where x_i jumps
+        self.coords = None if center is None else tuple(
+            (g.half_width / np.pi
+             * np.sin(np.pi / g.half_width * (g.axes[i] - center[i]))
+             ).reshape((-1,) + (1,) * (g.d - 1 - i))
+            for i in range(g.d))
+        self.delta, self.d = np.empty(g.shape), np.empty(g.shape)
+        self.pg = self.delta
+        block = np.empty((critical_power(g.d) // 2 + 1, *g.shape))
+        # a tuple of views, as the loop indexes them often
+        self.rows = tuple(block)
+        # d + 1 half spectra are m n^(d-1) (n + 2) floats, within the
+        # (q/2 + 1) n^d of rows for n >= 8
+        size = m * 2 * g.k_quad.size
+        self.kz = block.reshape(-1)[:size].view(np.complex128).reshape(
+            m, *g.k_quad.shape)
+        self.zk = np.empty((4, *g.k_quad.shape), dtype=np.complex128)
+        self.dhat, self.half, self.PG, self.ghat = self.zk
+        self.D = np.empty(g.k_quad.shape, dtype=np.complex128)
         self.symbol = np.empty(g.k_quad.shape)
-        self.rows = tuple(real() for _ in range(critical_power(g.d) // 2 + 1))
 
 
 def _monomials(x, d, rows) -> None:
@@ -186,6 +235,13 @@ def _monomials(x, d, rows) -> None:
         dk *= d  # d^(k+1)
     np.multiply(x, dk, out=rows[h - 1])
     dk *= d
+
+
+@functools.cache
+def _tail_binomials(h: int) -> tuple:
+    """C(h, k) from k = h down to 2: the Horner coefficients of
+    ((1 + u)^h - 1 - h u) / u^2."""
+    return tuple(math.comb(h, k) for k in range(h, 1, -1))
 
 
 def _line(g: Grid, x, X, d, D, vvals, bd: EnergyBreakdown,
@@ -207,10 +263,16 @@ def _line(g: Grid, x, X, d, D, vvals, bd: EnergyBreakdown,
     breakdown bd of x and mu is its multiplier bd.mu; the other moments are
     taken here, once per direction, S_j as <H_k, H_(j-k)> over the rows
     H_k = x^(q/2-k) d^k in ws.rows.  A trial is then a scalar expression
-    with no array pass.  With ell = log1p(s), c^2 - 1 = expm1(-ell) and
-    c^q - 1 = expm1(-q ell / 2) keep their relative precision for small
-    steps, and a trial whose polynomial overflows gives a non-finite phi
-    rather than an exception.
+    with no array pass.  The terms first order in s cancel, as mu is the
+    multiplier: with u = c^2 - 1 = -s / (1 + s) and h = q/2 an integer,
+
+        (c^2 - 1) (K0 + P0 - mu m0) - a (c^q - 1) S0
+            = -mu (m0 - 1) u - a S0 sum_{k=2..h} C(h, k) u^k,
+
+    which keeps the rounding of the renormalization, relative to the mass
+    defect, out of steps so small that their energy change is below it.
+    A trial whose polynomial overflows gives a non-finite phi rather than
+    an exception.
 
     build(t) writes the step delta = (c - 1) x + c t d into ws.delta and its
     transform, the same combination of X and D, into ws.dhat: no FFT.
@@ -231,18 +293,27 @@ def _line(g: Grid, x, X, d, D, vvals, bd: EnergyBreakdown,
     coef = [math.comb(q, j) * w * float(np.vdot(rows[j // 2],
                                                 rows[j - j // 2]))
             for j in range(q, 0, -1)]
-    c0 = bd.kinetic + bd.potential - mu * (1.0 + mass_defect)
+    # Python floats throughout, so an overflowing trial makes inf and nan
+    # silently, as numpy scalars would not
+    mass_defect = float(mass_defect)
+    c0 = -mu * mass_defect
     c1 = 2.0 * (k1 + p1) - mu * xd2
     c2 = k2 + p2 - mu * dd
-    s0, hq = bd.nonlinear, 0.5 * q
+    s0, h = bd.nonlinear, q // 2
+    binom = _tail_binomials(h)
 
     def phi(t):
-        ell = math.log1p(mass_defect + t * (xd2 + t * dd))
+        s = mass_defect + t * (xd2 + t * dd)
+        csq = 1.0 / (1.0 + s)
+        u = -s * csq
+        tail = 0.0
+        for b in binom:
+            tail = tail * u + b
         poly = 0.0
         for b in coef:
             poly = (poly + b) * t
-        return (math.expm1(-ell) * c0 + math.exp(-ell) * t * (c1 + t * c2)
-                - a * (math.expm1(-hq * ell) * s0 + math.exp(-hq * ell) * poly))
+        return (u * c0 - a * s0 * u * u * tail + csq * t * (c1 + t * c2)
+                - a * csq**h * poly)
 
     def build(t):
         cm1 = math.expm1(-0.5 * math.log1p(mass_defect + t * (xd2 + t * dd)))
@@ -254,6 +325,144 @@ def _line(g: Grid, x, X, d, D, vvals, bd: EnergyBreakdown,
         dhat += np.multiply(D, ct, out=ws.half)
 
     return phi, build
+
+
+def _spd_solve(m, r, ref=None):
+    """Solve m c = r for a symmetric matrix m, given as rows of Python
+    floats that are overwritten, by elimination without pivoting.
+
+    Returns c and the pivots, or None unless every pivot is positive, that
+    is unless m is positive definite.  Given the pivots ref of a positive
+    definite reference matrix, each pivot must also exceed _PIVOT_RTOL times
+    ref's: a pivot that small is what is left of cancelling terms of the
+    reference's size, and roundoff can give it either sign."""
+    n = len(r)
+    r = list(r)
+    pivots = []
+    for k in range(n):
+        piv = m[k][k]
+        if not piv > (0.0 if ref is None else _PIVOT_RTOL * ref[k]):
+            return None
+        pivots.append(piv)
+        for i in range(k + 1, n):
+            f = m[i][k] / piv
+            for j in range(k + 1, n):
+                m[i][j] -= f * m[k][j]
+            r[i] -= f * r[k]
+    for k in range(n - 1, -1, -1):
+        for j in range(k + 1, n):
+            r[k] -= m[k][j] * r[j]
+        r[k] /= m[k][k]
+    return r, pivots
+
+
+def _coarse_step(g: Grid, x, X, mass: float, vvals, bd: EnergyBreakdown,
+                 sigma: float, ws: _Workspace):
+    """The coarse step of the two-level preconditioner: the coefficients c
+    of the generators Z of translation and dilation, or None.
+
+    Z holds the partial derivatives d_i x (spectra i k_i X, nodal values by
+    one inverse transform each) and the dilation Lambda x = s . grad x +
+    (d/2) x projected onto the tangent space at x, which leaves s . grad x
+    less its component along x (nodal, spectrum by one forward transform).
+    s = ws.coords is the coordinate about the potential's minimum, where
+    minimizers concentrate, made smooth and periodic.  The plain coordinate
+    jumps at the box's edge, and |k|^4 amplifies the Gibbs tail of that
+    jump: with it, gradient residuals rose to about 10 within a solve, and
+    the 2D solve at a = 57.5 on 128^2/12 took 92 iterations instead of 26.
+
+    With H = 2 (|k|^4 + V - mu - (a q (q-1)/2) x^(q-2)), the Hessian of the
+    energy less mu times the mass, and M = 2 (sigma + |k|^4), for which
+    P = 2 sigma M^-1, the matrices A = Z^T H Z and B = Z^T M Z give
+
+        c = 2 sigma (A^-1 - B^-1) Z^T G,
+
+    and P G + sum_i c_i Z_i replaces P's action on span Z by the Newton step
+    there, on P's scale.  The Gram, kinetic and gradient sums are Parseval
+    sums of Z^ with Z^, |k|^4 Z^ and G^, the potential and nonlinear ones
+    nodal inner products, each symmetric matrix's upper triangle only, and
+    the (d+1) x (d+1) systems are solved in Python floats; numpy's
+    matrix products would cost about 10 us a call at this size, and BLAS
+    its work buffers.  mass is <x, x>.  None when A is not positive
+    definite, far from a minimizer, where the Hessian has directions of
+    negative curvature, or when a pivot of A is within roundoff of zero
+    against B's (see _spd_solve).  Z^ is left in ws.zk for _precondition.
+    """
+    dim, m = g.d, g.d + 1
+    z, zr, tmp = ws.zk[2 - dim:3], ws.rows[:m], ws.delta
+    lam = zr[dim]
+    for i in range(dim):
+        np.multiply(g.ik[i], X, out=z[i])
+        g.inverse(z[i], out=zr[i])
+        if i == 0:
+            np.multiply(ws.coords[i], zr[i], out=lam)
+        else:
+            lam += np.multiply(ws.coords[i], zr[i], out=tmp)
+    lam -= np.multiply(x, float(np.vdot(lam, x)) * g.dx**dim / mass,
+                       out=tmp)
+    g.forward(lam, out=z[dim])
+    # A's nodal part, with the Hessian's weight V - (a q (q-1)/2) x^(q-2),
+    # the power by multiplication as in the evaluation; mu enters with the
+    # Gram sums.  Upper triangles first, mirrored below with the spectral
+    # sums.
+    weight = np.multiply(x, x, out=ws.rows[-1])
+    weight *= weight
+    if bd.q == 10:
+        weight *= weight
+    weight *= -0.5 * bd.a * bd.q * (bd.q - 1)
+    weight += vvals
+    w = g.dx**dim
+    a_mat = [[0.0] * m for _ in range(m)]
+    for j in range(m):
+        np.multiply(weight, zr[j], out=tmp)
+        for i in range(j + 1):
+            a_mat[i][j] = w * float(np.vdot(zr[i], tmp))
+    # rows are free from here: ws.kz overlays them
+    kz = np.multiply(g.k_quad, z, out=ws.kz)
+    mu = bd.mu
+    # halved: c = sigma ((A/2)^-1 - (B/2)^-1) Z^T G
+    b_mat = [[0.0] * m for _ in range(m)]
+    r = []
+    for i in range(m):
+        for j in range(i, m):
+            gram, kin = g.parseval(z[i], z[j]), g.parseval(z[i], kz[j])
+            a_mat[i][j] = a_mat[j][i] = a_mat[i][j] + kin - mu * gram
+            b_mat[i][j] = b_mat[j][i] = kin + sigma * gram
+        r.append(g.parseval(z[i], ws.ghat))
+    b_solved = _spd_solve(b_mat, r)
+    if b_solved is None:
+        return None
+    cb, b_pivots = b_solved
+    a_solved = _spd_solve(a_mat, r, b_pivots)
+    if a_solved is None:
+        return None
+    return [sigma * (p - q) for p, q in zip(a_solved[0], cb)]
+
+
+def _precondition(g: Grid, x, X, mass: float, vvals, bd: EnergyBreakdown,
+                  sigma: float, coarse: bool, ws: _Workspace) -> bool:
+    """Write the preconditioned gradient into ws.PG: P G, with
+    P = sigma / (sigma + |k|^4), plus the coarse step's sum_i c_i Z_i (see
+    _coarse_step).  Returns False when it is P G alone: coarse is False, or
+    A is not positive definite."""
+    symbol = np.add(g.k_quad, sigma, out=ws.symbol)
+    np.divide(sigma, symbol, out=symbol)
+    coef = (_coarse_step(g, x, X, mass, vvals, bd, sigma, ws) if coarse
+            else None)
+    if coef is None:
+        np.multiply(symbol, ws.ghat, out=ws.PG)
+        return False
+    # the generators' spectra end in PG's slot: sum c_i Z_i in place there,
+    # scaling the others in theirs, then P G by way of the first
+    z = ws.zk[2 - g.d:3]
+    pg = z[-1]
+    pg *= coef[-1]
+    for zi, ci in zip(z[:-1], coef):
+        zi *= ci
+        pg += zi
+    np.multiply(symbol, ws.ghat, out=z[0])
+    pg += z[0]
+    return True
 
 
 def _armijo(phi, slope: float, step: float):
@@ -300,8 +509,13 @@ def solve(g: Grid, V, a: float, cfg: SolveConfig = SolveConfig(), *,
     Polak-Ribiere+ nonlinear conjugate gradient on the unit-mass sphere.  The
     search direction is -P G plus beta times the previous direction, projected
     onto the tangent space at u, where G is the projected gradient and P is
-    sigma / (sigma + |k|^4) with sigma = max(1, c1 kinetic energy) and
-    c1 = critical_shift(d), the leading term of -mu near a*.  Trial
+    two-level: sigma / (sigma + |k|^4), with sigma = max(1, c1 kinetic
+    energy) and c1 = critical_shift(d), the leading term of -mu near a*,
+    with its action on the span of the translation and dilation generators
+    of u replaced by the Newton step there (see _coarse_step) in 2D.  An
+    iteration uses the first level alone in 1D, and in 2D when the Hessian
+    on that span is not positive definite; SolveResult.coarse_fallbacks
+    counts those iterations.  Trial
     states are u + t d renormalized to unit mass.  The line search (the
     first trial step is 1, each later one starts at the last accepted step
     times 1.3) steps to the minimizer of the quadratic through each trial's
@@ -325,8 +539,9 @@ def solve(g: Grid, V, a: float, cfg: SolveConfig = SolveConfig(), *,
     in both spaces, an accepted step adds delta to x and its transform to X,
     and the gradient is kept as a half spectrum, so its norm, beta and the
     slope are Parseval sums.  Each iteration runs two real transforms, the
-    inverse of P G and the forward one in the gradient evaluation, counted
-    in SolveResult.fft_calls.  Every array the loop writes comes from one
+    inverse of P G and the forward one in the gradient evaluation, and in
+    2D the coarse step's d + 1, counted in SolveResult.fft_calls.  Every
+    array the loop writes comes from one
     workspace allocated per call, so calls share no state and the loop
     allocates no arrays of its own (numpy's 2D inverse transform still
     makes one intermediate).  The workspace holds one direction and one
@@ -364,7 +579,12 @@ def solve(g: Grid, V, a: float, cfg: SolveConfig = SolveConfig(), *,
             return SolveStatus.CONVERGED
         return None
 
-    ws = _Workspace(g)
+    # the coarse step runs in 2D only: at 1D sizes an iteration is about a
+    # hundred microseconds of small array calls, and on warm-started
+    # sweeps the step's transforms and sums cost more than the iterations
+    # it saves
+    coarse = g.d > 1
+    ws = _Workspace(g, _argmin_coordinates(vvals, g) if coarse else None)
     work = (ws.rows[0], ws.rows[1], ws.half)
     d, D = ws.d, ws.D
     x = u.values.copy()
@@ -376,7 +596,7 @@ def solve(g: Grid, V, a: float, cfg: SolveConfig = SolveConfig(), *,
     status = status_of(bd, res)
 
     step = _STEP0
-    it = backtracks = trials = cg_restarts = 0
+    it = backtracks = trials = cg_restarts = coarse_fallbacks = 0
     gpg_prev = None  # <G, P G> of the last accepted step
     while status is None and it < cfg.max_iters:
         # sigma = c1 kinetic: the multiplier is -c1 (kinetic + potential)
@@ -384,16 +604,17 @@ def solve(g: Grid, V, a: float, cfg: SolveConfig = SolveConfig(), *,
         # kinetic, and sigma + |k|^4 is the fixed point's c1 + |k|^4 at the
         # iterate's scale, the constrained Hessian's principal part
         sigma = max(1.0, c1 * bd.kinetic)
-        symbol = np.add(g.k_quad, sigma, out=ws.symbol)
-        np.divide(sigma, symbol, out=symbol)
         # the last step's P G and direction enter beta: read them before
         # this iteration writes over them
         if gpg_prev is not None:
             gpg_cross = g.parseval(ghat, ws.PG)
             dx_prev = inner(d, x)
-        PG = np.multiply(symbol, ghat, out=ws.PG)
+        mass = inner(x, x)
+        if not _precondition(g, x, X, mass, vvals, bd, sigma, coarse, ws):
+            coarse_fallbacks += 1
+        PG = ws.PG
         pg = g.inverse(PG, out=ws.pg)
-        fft_calls += 1
+        fft_calls += 1 + (g.d + 1) * coarse
         gpg = g.parseval(ghat, PG)
         pgx = inner(pg, x)
         # candidate directions beta d_prev - P G - c x, with c projecting
@@ -407,7 +628,7 @@ def solve(g: Grid, V, a: float, cfg: SolveConfig = SolveConfig(), *,
                 # beta d_prev and beta D_prev, kept until d and D are written
                 beta_d = np.multiply(d, beta, out=ws.rows[0])
                 beta_D = np.multiply(D, beta, out=ws.half)
-        mass_defect = inner(x, x) - 1.0
+        mass_defect = mass - 1.0
         for k, (beta, c) in enumerate(candidates):
             cg_restarts += k  # the second candidate is the reset to -P G
             np.multiply(x, -c, out=d)
@@ -445,7 +666,7 @@ def solve(g: Grid, V, a: float, cfg: SolveConfig = SolveConfig(), *,
                        history=tuple(history),
                        backtracks=backtracks, trials=trials,
                        cg_restarts=cg_restarts,
-                       fft_calls=fft_calls)
+                       fft_calls=fft_calls, coarse_fallbacks=coarse_fallbacks)
 
 
 def write_iteration_log(result: SolveResult, path) -> None:

@@ -64,6 +64,11 @@ def test_gn_reports_iteration_count(tmp_path):
     sidecar = json.loads((tmp_path / "run" / "gn.json").read_text())
     assert isinstance(sidecar["iterations"], int) and sidecar["iterations"] > 0
     assert f"iterations = {sidecar['iterations']}" in text
+    # the n/2 run on 128/16 settles at that grid's floor, above tol_grad
+    check = sidecar["half_grid_check"]
+    assert check["converged"] is False
+    assert (f"n/2 check: quotient residual {check['quotient_grad']:.3e}, "
+            "stopped unconverged") in text
 
 
 def test_invalid_grid_rejected_before_any_output(tmp_path):
@@ -191,7 +196,8 @@ def test_solve_reports_line_search_counters(tmp_path):
     code, text = run_cli("--config", str(cfg), "solve")
     assert code == 0
     report = json.loads((tmp_path / "run" / "solve.json").read_text())
-    for key in ("backtracks", "trials", "cg_restarts", "fft_calls"):
+    for key in ("backtracks", "trials", "cg_restarts", "fft_calls",
+                "coarse_fallbacks"):
         assert isinstance(report[key], int) and report[key] >= 0
     # every accepted step took at least one trial, and every backtrack is one
     assert report["trials"] >= report["iterations"] + report["backtracks"]
@@ -199,8 +205,13 @@ def test_solve_reports_line_search_counters(tmp_path):
             f"{report['backtracks']} backtracks, "
             f"{report['cg_restarts']} CG restarts") in text
     assert f"fft_calls = {report['fft_calls']}" in text
+    assert (f"preconditioner: P alone in {report['coarse_fallbacks']} of "
+            f"{report['iterations']} iterations") in text
     assert report["status"] == "Converged"
+    # in 1D there is no coarse step: 2 transforms on entry and 2 per
+    # iteration, and every iteration on P alone
     assert report["fft_calls"] == 2 + 2 * report["iterations"]
+    assert report["coarse_fallbacks"] == report["iterations"]
 
 
 @pytest.mark.parametrize("init,kind", [(None, "gaussian"),

@@ -267,3 +267,21 @@ def test_energy_difference_resolves_tiny_steps(geom, center, a):
     naive = energy(v, V, a).total - energy(u, V, a).total
     assert abs(de / t - slope) <= 1e-6 * abs(slope)
     assert abs(naive / t - slope) > 1e-6 * abs(slope)
+
+
+def test_energy_difference_warns_without_extended_precision(monkeypatch):
+    # where numpy's longdouble is double, the reference says it runs in
+    # double and still returns the difference
+    g = make_grid(1, 64, 8.0)
+    u = renormalize_mass(Field(g, np.exp(-g.axes[0] ** 2)))
+    delta = 1e-3 * u.values
+    want = energy_difference(u, delta, Zero(), 2.0)
+    finfo = np.finfo
+
+    def double_only(dtype):
+        return finfo(np.float64 if dtype is np.longdouble else dtype)
+
+    monkeypatch.setattr(np, "finfo", double_only)
+    with pytest.warns(RuntimeWarning, match="longdouble is double"):
+        got = energy_difference(u, delta, Zero(), 2.0)
+    assert got == want

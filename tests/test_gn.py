@@ -346,6 +346,33 @@ def test_residual_path_saved_and_time_kept_out_of_the_sidecar(tmp_path,
     assert back.seconds is None
 
 
+def test_half_grid_check_records_an_unconverged_run(tmp_path):
+    # on 2D 128^2/16 the main run converges, while the n/2 run on 64^2/16
+    # (dx = 0.5) settles at that grid's floor, residual 1.8e-2: the quotient
+    # it reports is flagged, in the result and in the sidecar
+    r = compute_gn(make_grid(2, 128, 16.0))
+    assert r.quotient_residual <= 3e-7
+    assert r.check_converged is False
+    assert r.check_residual > 1e-3
+    save_gn(r, tmp_path / "profile")
+    sidecar = json.loads((tmp_path / "profile.json").read_text())
+    assert sidecar["half_grid_check"] == {"quotient_grad": r.check_residual,
+                                          "converged": False}
+    back = load_gn(tmp_path / "profile")
+    assert (back.check_residual, back.check_converged) == (
+        r.check_residual, False)
+
+
+def test_load_accepts_sidecar_without_half_grid_check(tmp_path, gn256):
+    save_gn(gn256, tmp_path / "profile")
+    sidecar = json.loads((tmp_path / "profile.json").read_text())
+    del sidecar["half_grid_check"]
+    (tmp_path / "profile.json").write_text(json.dumps(sidecar))
+    back = load_gn(tmp_path / "profile")
+    assert back.check_residual is None and back.check_converged is None
+    assert back.a_star == gn256.a_star
+
+
 def test_load_accepts_sidecar_without_history(tmp_path, gn256):
     save_gn(gn256, tmp_path / "profile")
     sidecar = json.loads((tmp_path / "profile.json").read_text())

@@ -108,9 +108,21 @@ def test_grids_compare_by_geometry():
 
 
 def test_arrays_read_only(g1):
-    for table in (g1.k_quad, g1.axes[0], g1.wavenumbers[0]):
+    for table in (g1.k_quad, g1.axes[0], g1.wavenumbers[0], g1.ik[0]):
         with pytest.raises(ValueError):
             table[0] = 1.0
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_derivative_table(d, g1, g2_small):
+    # ik[i] X is the spectrum of the partial derivative along axis i
+    g = g1 if d == 1 else g2_small
+    r2 = sum(m**2 for m in g.meshes())
+    u = np.exp(-r2 / 4.0)
+    X = g.forward(u)
+    for ax, mesh in enumerate(g.meshes()):
+        assert_allclose(g.inverse(g.ik[ax] * X), -0.5 * mesh * u, rtol=0,
+                        atol=1e-12)
 
 
 @pytest.mark.parametrize("shape", [(512,), (64, 64)])

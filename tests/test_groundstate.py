@@ -11,9 +11,9 @@ from biharm.field import (Field, l2_norm_sq, renormalize_mass,
                           write_snapshot)
 from biharm.grid import make_grid, quadrature
 from biharm.groundstate import (ENERGY_FLOOR, InitSpec, SolveConfig,
-                                SolveStatus, _armijo, _line, _Workspace,
-                                initial_field, potential_argmin, solve,
-                                trial_upper_bound, write_iteration_log)
+                                SolveStatus, _armijo, _line, _spd_solve,
+                                _Workspace, initial_field, potential_argmin,
+                                solve, trial_upper_bound, write_iteration_log)
 from biharm.potentials import GaussianWell, Harmonic, PowerWell, Zero, sample
 from biharm.potentials import sobolev_lower_bound
 
@@ -253,24 +253,61 @@ def test_cg_counters_are_pinned():
     # the Polak-Ribiere beta reads the previous step's preconditioned
     # gradient before the iteration writes its own P G over it; a solver
     # that read it after would compute beta from the new one and take a
-    # different path, which these counters pin
+    # different path, which these counters pin; every iteration takes the
+    # coarse step
     g = make_grid(2, 32, 8.0)
     cfg = SolveConfig(tol_grad=1e-5, max_iters=2000)
     res = solve(g, GaussianWell(1.0, 1.0, (0.0, 0.0)), 40.0, cfg)
     assert res.status is SolveStatus.CONVERGED
     assert (res.iterations, res.backtracks, res.trials, res.cg_restarts,
-            res.fft_calls) == (10, 2, 18, 0, 22)
+            res.fft_calls, res.coarse_fallbacks) == (9, 1, 17, 0, 47, 0)
 
 
 def test_2d_harmonic_cold_solve_iterations():
     # the preconditioner's shift c1 * kinetic, the fixed point's operator at
     # the iterate's scale, takes the default start to the minimizer in 76
-    # iterations; the shift kinetic alone took 110
+    # iterations, 71 with the coarse step; the shift kinetic alone took 110
     g = make_grid(2, 128, 12.0)
     res = solve(g, Harmonic(1.0), 30.0,
                 SolveConfig(tol_grad=1e-6, max_iters=40000))
     assert res.status is SolveStatus.CONVERGED
     assert res.iterations <= 95
+
+
+@pytest.mark.parametrize("signs", [(1, -1), (1, 1), (-1, 1), (-1, -1)])
+def test_benchmark_2d_solve_iterations(signs):
+    # the benchmark's 2D solve, its well a quarter node off the origin: the
+    # coarse step on the translation and dilation generators takes it to
+    # the minimizer in 10 iterations for every sign (32 with P alone)
+    g = make_grid(2, 128, 12.0)
+    V = GaussianWell(1.0, 1.0, tuple(s * g.dx / 4.0 for s in signs))
+    res = solve(g, V, 56.0, SolveConfig(tol_grad=1e-6, max_iters=40000))
+    assert res.status is SolveStatus.CONVERGED
+    assert res.iterations <= 15
+    assert res.coarse_fallbacks < res.iterations
+
+
+def test_2d_solve_near_the_threshold_iterations():
+    # at a = 57.5, just below a* = 57.58 on this grid, the coarse step
+    # takes the solve from 284 iterations with P alone to 26
+    g = make_grid(2, 128, 12.0)
+    V = GaussianWell(1.0, 1.0, (g.dx / 4.0, -g.dx / 4.0))
+    res = solve(g, V, 57.5, SolveConfig(tol_grad=1e-6, max_iters=40000))
+    assert res.status is SolveStatus.CONVERGED
+    assert res.iterations <= 100
+
+
+def test_coarse_system_rejects_roundoff_pivots():
+    # the coarse step's (d+1) x (d+1) solve: an indefinite matrix, or a
+    # pivot of A below sqrt(eps) of B's matching one, which roundoff in
+    # sums of B's size could have given either sign, means P alone
+    c, pivots = _spd_solve([[4.0, 2.0], [2.0, 2.0]], [2.0, 0.0])
+    assert c == pytest.approx([1.0, -1.0]) and pivots == [4.0, 1.0]
+    assert _spd_solve([[1.0, 2.0], [2.0, 1.0]], [1.0, 1.0]) is None
+    assert _spd_solve([[4.0, 2.0], [2.0, 1.0 + 1e-9]], [2.0, 0.0],
+                      pivots) is None
+    c, _ = _spd_solve([[4.0, 2.0], [2.0, 1.0 + 1e-6]], [2.0, 0.0], pivots)
+    assert c == pytest.approx([0.5e6 + 0.5, -1e6], rel=1e-8)
 
 
 def _assert_same_result(r, s):
@@ -337,7 +374,9 @@ def _warm_sweep_point():
 def test_spectral_state_matches_field_evaluation(problem, monkeypatch):
     # the solver carries the values and their real transform side by side;
     # its reported state must be that of the returned minimizer, and it
-    # must count every transform it runs: two on entry and two per iteration
+    # must count every transform it runs: two on entry and two per
+    # iteration (the evaluation's and the inverse of P G), and in 2D the
+    # coarse step's d + 1 more per iteration
     g, V, a, start = problem()
     cfg = SolveConfig(tol_grad=1e-6, max_iters=40000)
     calls = _count_transforms(monkeypatch)
@@ -346,7 +385,8 @@ def test_spectral_state_matches_field_evaluation(problem, monkeypatch):
     assert res.status is SolveStatus.CONVERGED
     assert res.fft_calls == len(calls)
     assert set(calls) <= {"rfft", "irfft", "rfftn", "irfftn"}
-    assert res.fft_calls == 2 + 2 * res.iterations
+    per_iteration = 2 + (g.d + 1) * (g.d > 1)
+    assert res.fft_calls == 2 + per_iteration * res.iterations
 
     ref = energy(res.minimizer, V, a)
     for key in ("kinetic", "potential", "nonlinear", "total"):
@@ -398,10 +438,10 @@ def _search_line(problem, state):
 def test_line_energy_matches_energy_difference(problem, state):
     # a trial reads the energy change in closed form from moments of x and
     # d; it must be the energy change of the step the solver then builds,
-    # to rounding relative to the step (worst over t, measured: 2.5e-11 in
-    # 1D and 1.3e-10 in 2D near the minimizer, where energy_difference is
-    # itself up to 1.1e-10 from a long-double evaluation; 1.6e-13 and
-    # 2.6e-13 off the sphere)
+    # to rounding relative to the step (worst over t, measured: 1.8e-11 in
+    # 1D and 3.7e-10 in 2D near the minimizer, where energy_difference
+    # summed in double would itself be up to 5.1e-10 off; 8.6e-14 and
+    # 4.2e-14 off the sphere)
     u, V, a, mu, slope, phi, build, ws = _search_line(problem, state)
     assert slope < 0.0
     for t in 10.0 ** np.arange(-10, 1):
