@@ -19,7 +19,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .energy import critical_power
 from .field import (Field, dilate, h2_distance, lq_integral, recenter,
                     translate, write_snapshot)
 from .gn import GNResult, normalize_gn
@@ -243,8 +242,7 @@ def gn_sequence_check(records, gn: GNResult) -> list:
     rs = [r for r in records if r.resolved and r.rescaled is not None]
     if not rs:
         raise ValueError("no resolved records with stored rescaled profiles")
-    q = critical_power(rs[0].rescaled.grid.d)
-    return [float(gn.a_star * lq_integral(r.rescaled, q)) for r in rs]
+    return [float(gn.a_star * lq_integral(r.rescaled)) for r in rs]
 
 
 def sweep_plot_columns(records, a_star: float, floor: float) -> dict:

@@ -8,9 +8,12 @@ is
       = int |Lap u|^2 + int V |u|^2 - a * int |u|^q,
 
 with q = 2(1 + 4/d) the mass-critical power of the fourth-order problem.
-The nonlinear term is the plain pointwise quadrature, and the gradient below
-is its exact discrete gradient — the pair is what makes finite-difference
-consistency and monotone line searches hold to rounding.  The multiplier of
+Every power of the field, here and in the solver and the fixed point, comes
+from one kernel, field._nonlinear_weight.  The nonlinear term is its plain
+nodal quadrature, which aliases: grid-scale states reach quotients far
+below a_star.  The gradient below is that quadrature's exact discrete
+gradient — the pair is what makes finite-difference consistency and
+monotone line searches hold to rounding.  The multiplier of
 the mass constraint, mu = kinetic + potential - (a q / 2) nonlinear, is
 EnergyBreakdown.mu.
 
@@ -32,7 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import Field, bilap_apply, bilap_energy, l2_norm_sq, lq_integral
+from .field import (Field, _nonlinear_weight, bilap_apply, bilap_energy,
+                    l2_norm_sq, lq_integral)
 from .grid import Grid, quadrature
 from .potentials import sample
 
@@ -79,7 +83,7 @@ def energy(u: Field, V, a: float) -> EnergyBreakdown:
     q = critical_power(g.d)
     kin = bilap_energy(u)
     pot = quadrature(g, sample(V, g).values * u.values**2)
-    non = lq_integral(u, q)
+    non = lq_integral(u)
     return EnergyBreakdown(kin, pot, non, kin + pot - a * non, float(a), q)
 
 
@@ -162,10 +166,8 @@ def spectral_energy_and_gradient(g: Grid, x: np.ndarray, X: np.ndarray,
     xq1, vx, khat = work
     np.multiply(x, x, out=xq1)
     mass = np.sum(xq1)
-    xq1 *= xq1
-    if q == 10:
-        xq1 *= xq1
-    xq1 *= x  # x^(q-1) by multiplication: x^5 in 2D, x^9 in 1D
+    _nonlinear_weight(xq1, out=xq1)
+    xq1 *= x  # x^(q-1)
     np.multiply(vvals, x, out=vx)
     np.multiply(g.k_quad, X, out=khat)
     kin = g.parseval(X, khat)
@@ -183,8 +185,7 @@ def spectral_energy_and_gradient(g: Grid, x: np.ndarray, X: np.ndarray,
     return bd, ghat, float(np.sqrt(g.parseval(ghat, ghat)))
 
 
-def scaled_energy_identity_check(u: Field, a: float, ell: float,
-                                 refine: int = 2) -> float:
+def scaled_energy_identity_check(u: Field, a: float, ell: float) -> float:
     """Absolute defect of the dilation identity at zero potential.
 
     Mass-preserving dilation multiplies both the kinetic and the critical
@@ -192,18 +193,17 @@ def scaled_energy_identity_check(u: Field, a: float, ell: float,
     ell^4 * (kinetic - a * nonlinear); the return value is the absolute
     difference, which vanishes to spectral accuracy for resolved ell.
 
-    refine controls the quadrature grid of the |u|^q terms on both sides:
-    squeezing (ell > 1) pushes the q-th power's spectrum past the native
-    Nyquist band well before the field itself degrades, and the identity
-    should measure the dilation, not that aliasing.
+    The |u|^q terms on both sides are lq_integral's on a 4 times finer
+    grid: squeezing (ell > 1) pushes the q-th power's spectrum past the
+    native Nyquist band well before the field itself degrades, and the
+    identity should measure the dilation, not the nodal quadrature's
+    aliasing.
     """
     from .field import dilate
 
-    g = u.grid
-    q = critical_power(g.d)
     v = dilate(u, ell)
-    lhs = (bilap_energy(v) - a * lq_integral(v, q, refine=refine))
-    rhs = ell**4 * (bilap_energy(u) - a * lq_integral(u, q, refine=refine))
+    lhs = bilap_energy(v) - a * lq_integral(v, refine=4)
+    rhs = ell**4 * (bilap_energy(u) - a * lq_integral(u, refine=4))
     return abs(lhs - rhs)
 
 
@@ -211,9 +211,10 @@ def _unconstrained_gradient(u: Field, V, a: float) -> np.ndarray:
     """Nodal values of the L2 gradient of the energy, twice the
     Euler-Lagrange operator Lap^2 u + V u - (a q / 2) |u|^{q-2} u."""
     q = critical_power(u.grid.d)
+    x = u.values
     vvals = sample(V, u.grid).values
-    return 2.0 * (bilap_apply(u).values + vvals * u.values
-                  - (a * q / 2.0) * np.abs(u.values) ** (q - 2) * u.values)
+    return 2.0 * (bilap_apply(u).values + vvals * x
+                  - (a * q / 2.0) * _nonlinear_weight(x * x) * x)
 
 
 def constrained_gradient(u: Field, V, a: float) -> Field:
@@ -229,7 +230,7 @@ def gn_quotient(u: Field) -> float:
     """Dilation- and scale-invariant quotient whose infimum is the sharp
     interpolation constant: kinetic * mass^{(q-2)/2} / nonlinear."""
     q = critical_power(u.grid.d)
-    non = lq_integral(u, q)
+    non = lq_integral(u)
     if non <= 0.0:
         raise ValueError("quotient undefined for the zero field")
     return bilap_energy(u) * l2_norm_sq(u) ** ((q - 2) / 2.0) / non
@@ -246,11 +247,9 @@ def el_residual(u: Field):
     Raises ValueError when u and |u|^{q-2}u are numerically collinear (a
     constant field), which makes the normal equations degenerate.
     """
-    g = u.grid
-    q = critical_power(g.d)
     bi = bilap_apply(u).values.ravel()
     base = u.values.ravel()
-    pw = (np.abs(u.values) ** (q - 2) * u.values).ravel()
+    pw = (_nonlinear_weight(u.values * u.values) * u.values).ravel()
     A = np.stack([base, -pw], axis=1)
     sv = np.linalg.svd(A, compute_uv=False)
     if sv[-1] <= 1e-12 * sv[0]:

@@ -105,28 +105,41 @@ def h2_distance(u: Field, v: Field) -> float:
     return float(np.sqrt(max(h2_norm_sq(u - v), 0.0)))
 
 
-def lq_integral(u: Field, q: float, refine: int = 1) -> float:
-    """Quadrature of |u|^q.
+def _nonlinear_weight(sq: np.ndarray, out: np.ndarray | None = None
+                      ) -> np.ndarray:
+    """x^(q-2) from sq = x^2, at the critical power q of sq's dimension.
 
-    Args:
-        u: field.
-        q: power, any real >= 2 (call sites use the critical power of u's
-            dimension).
-        refine: optional spectral refinement factor.  refine > 1 zero-pads the
-            coefficients onto a refine*n grid before taking the pointwise
-            power, which bounds the quadrature aliasing of high powers at
-            marginal resolution.  Default 1 evaluates on the native nodes.
+    The one place the package takes a power of the field: x^4 in 2D
+    (q = 6) and x^8 in 1D (q = 10), by squaring sq, with the dimension read
+    from sq.ndim.  Callers form x^(q-1) as weight * x, the integral of |x|^q
+    as the inner product of weight and sq, and the Hessian's weight from it
+    directly.  Taking the square lets a caller share it with its mass sum,
+    and out = sq works in place.
+
+    The power is taken at the nodes, so the nodal quadrature of |x|^q
+    aliases: the power has q/2 times the field's bandwidth, and grid-scale
+    states reach quotients far below a_star.
     """
-    if q < 2:
-        raise ValueError(f"power must be >= 2, got {q}")
-    g = u.grid
-    if refine == 1:
-        return quadrature(g, np.abs(u.values) ** q)
+    w = np.multiply(sq, sq, out=out)
+    if sq.ndim == 1:
+        w *= w
+    return w
+
+
+def lq_integral(u: Field, refine: int = 1) -> float:
+    """Quadrature of |u|^q at the critical power q of u's dimension.
+
+    The power is _nonlinear_weight's, summed at the nodes, which aliases
+    (see _nonlinear_weight).  refine > 1 zero-pads the coefficients onto a
+    refine*n grid before taking the power, which bounds that aliasing at
+    marginal resolution; the default 1 sums on the native nodes.
+    """
     if refine < 1 or int(refine) != refine:
         raise ValueError(f"refine must be a positive integer, got {refine}")
-    fine = _refined_values(u, int(refine))
-    dxf = g.dx / refine
-    return float(dxf**g.d * np.sum(np.abs(fine) ** q))
+    g = u.grid
+    x = u.values if refine == 1 else _refined_values(u, int(refine))
+    sq = x * x
+    return float((g.dx / refine)**g.d * np.vdot(_nonlinear_weight(sq), sq))
 
 
 def _refined_values(u: Field, factor: int) -> np.ndarray:

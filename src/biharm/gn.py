@@ -27,8 +27,9 @@ from pathlib import Path
 import numpy as np
 
 from .energy import critical_power, critical_shift, el_residual, gn_quotient
-from .field import (Field, bilap_energy, dilate, l2_norm_sq, lq_integral,
-                    read_snapshot, recenter, renormalize_mass, write_snapshot)
+from .field import (Field, _nonlinear_weight, bilap_energy, dilate,
+                    l2_norm_sq, lq_integral, read_snapshot, recenter,
+                    renormalize_mass, write_snapshot)
 from .grid import Grid, make_grid
 from .groundstate import InitSpec, SolveConfig, initial_field
 from .potentials import Zero
@@ -119,7 +120,9 @@ def _petviashvili(g: Grid, u0: Field, cfg: SolveConfig) -> _Run:
     history = []
     t_prev = f_prev = None
     while True:
-        nl = u ** (q - 1)
+        nl = u * u
+        _nonlinear_weight(nl, out=nl)
+        nl *= u  # u^(q-1)
         nl_hat = g.forward(nl)
         mass = g.parseval(u_hat, u_hat)
         kin = g.parseval(u_hat, g.k_quad * u_hat)
@@ -176,7 +179,7 @@ def compute_gn(g: Grid, cfg: SolveConfig | None = None) -> GNResult:
     mass and unit fourth-order seminorm; the iteration works in that gauge,
     so only the amplitude changes.  The constant is the quotient of the
     stored profile, so the sharp-normalization identity
-    a_star * lq_integral(Q, q) = 1 closes by construction.  A fixed point is
+    a_star * lq_integral(Q) = 1 closes by construction.  A fixed point is
     stationary, not a proven minimum: that no other localized state beats it
     is what the test batteries and the Gaussian upper bound check.  The
     fixed point then runs again on the n/2 grid from the subsampled profile,
@@ -190,7 +193,6 @@ def compute_gn(g: Grid, cfg: SolveConfig | None = None) -> GNResult:
     t0 = time.perf_counter()
     if cfg is None:
         cfg = SolveConfig(tol_grad=3e-7, max_iters=8000)
-    q = critical_power(g.d)
     start = renormalize_mass(initial_field(g, Zero(), InitSpec()))
     try:
         best = _petviashvili(g, start, cfg)
@@ -220,7 +222,7 @@ def compute_gn(g: Grid, cfg: SolveConfig | None = None) -> GNResult:
     resolutions.append((g.n, a_star))
 
     return GNResult(a_star=a_star, Q=Q,
-                    nonlinear_check=a_star * lq_integral(Q, q),
+                    nonlinear_check=a_star * lq_integral(Q),
                     el_constants=(c1, c2), resolutions=tuple(resolutions),
                     check_residual=check_residual,
                     check_converged=check_converged,
@@ -307,9 +309,8 @@ def load_gn(path) -> GNResult:
     iterations = sidecar.get("iterations")
     history = sidecar.get("history")
     check = sidecar.get("half_grid_check") or {}
-    q = critical_power(g.d)
     return GNResult(a_star=a_star, Q=Q,
-                    nonlinear_check=a_star * lq_integral(Q, q),
+                    nonlinear_check=a_star * lq_integral(Q),
                     el_constants=tuple(sidecar["el_constants"]),
                     resolutions=tuple(tuple(p) for p in sidecar["resolutions"]),
                     check_residual=check.get("quotient_grad"),

@@ -60,7 +60,8 @@ import numpy as np
 
 from .energy import (EnergyBreakdown, critical_power, critical_shift, energy,
                      spectral_energy_and_gradient)
-from .field import Field, dilate, read_snapshot, renormalize_mass, translate
+from .field import (Field, _nonlinear_weight, dilate, read_snapshot,
+                    renormalize_mass, translate)
 from .grid import Grid
 from .potentials import classify, sample
 
@@ -72,8 +73,10 @@ _STEP0, _GROW = 1.0, 1.3
 # square root of double's epsilon, well above the roundoff of sums of B's
 # size and the drift of the carried transform (about 1e-9 relative)
 _PIVOT_RTOL = 1.5e-8
-# a total energy below this is the finite witness of the unbounded-below
-# regime: solve stops with DivergedBelowFloor
+# solve stops with DivergedBelowFloor once the grid energy is below this.
+# Above a* the energy is unbounded below and passes it; below a* grid-scale
+# states pass it too, since the |u|^q term is a node sum, so it is no proof
+# that no minimizer exists
 ENERGY_FLOOR = -1e3
 
 
@@ -401,14 +404,11 @@ def _coarse_step(g: Grid, x, X, mass: float, vvals, bd: EnergyBreakdown,
     lam -= np.multiply(x, float(np.vdot(lam, x)) * g.dx**dim / mass,
                        out=tmp)
     g.forward(lam, out=z[dim])
-    # A's nodal part, with the Hessian's weight V - (a q (q-1)/2) x^(q-2),
-    # the power by multiplication as in the evaluation; mu enters with the
-    # Gram sums.  Upper triangles first, mirrored below with the spectral
-    # sums.
+    # A's nodal part, with the Hessian's weight V - (a q (q-1)/2) x^(q-2);
+    # mu enters with the Gram sums.  Upper triangles first, mirrored below
+    # with the spectral sums.
     weight = np.multiply(x, x, out=ws.rows[-1])
-    weight *= weight
-    if bd.q == 10:
-        weight *= weight
+    _nonlinear_weight(weight, out=weight)
     weight *= -0.5 * bd.a * bd.q * (bd.q - 1)
     weight += vvals
     w = g.dx**dim
@@ -530,7 +530,7 @@ def solve(g: Grid, V, a: float, cfg: SolveConfig = SolveConfig(), *,
     not a descent direction or its line search fails.  Termination is data,
     not an exception: Converged when the projected-gradient L2 norm falls
     below cfg.tol_grad, DivergedBelowFloor when the energy passes
-    ENERGY_FLOOR (the finite witness for the unbounded-below regime),
+    ENERGY_FLOOR (see there: not by itself proof of the unbounded regime),
     MaxIters after cfg.max_iters steps or when no step along -P G lowers the
     energy.
 

@@ -164,7 +164,7 @@ def test_criterion_02_gaussian_oracle():
     assert abs(l2_norm_sq(u) - sqpi) <= 1e-11 * sqpi
     assert abs(bilap_energy(u) - 0.75 * sqpi) <= 1e-11 * 0.75 * sqpi
     ref_lq = np.sqrt(np.pi / 5.0)
-    assert abs(lq_integral(u, 10) - ref_lq) <= 1e-11 * ref_lq
+    assert abs(lq_integral(u) - ref_lq) <= 1e-11 * ref_lq
     ref_j = 0.75 * np.sqrt(5.0) * np.pi**2
     err_j = abs(gn_quotient(u) - ref_j) / ref_j
     assert err_j <= 1e-9
@@ -176,7 +176,7 @@ def test_criterion_02_gaussian_oracle():
     u2 = Field(g2, np.exp(-(X**2 + Y**2) / 2.0))
     assert abs(l2_norm_sq(u2) - np.pi) <= 1e-11 * np.pi
     assert abs(bilap_energy(u2) - 2 * np.pi) <= 1e-11 * 2 * np.pi
-    assert abs(lq_integral(u2, 6) - np.pi / 3) <= 1e-11 * np.pi / 3
+    assert abs(lq_integral(u2) - np.pi / 3) <= 1e-11 * np.pi / 3
     assert abs(gn_quotient(u2) - 6 * np.pi**2) <= 1e-9 * 6 * np.pi**2
 
     elapsed = time.perf_counter() - t0
@@ -192,16 +192,15 @@ def test_criterion_03_scaling_identity():
     t0 = time.perf_counter()
 
     g = make_grid(1, 512, 16.0)
-    q = critical_power(1)
     rng = np.random.default_rng(303)
     a = 2.0
     worst = 0.0
     for _ in range(50):
         u = random_smooth_field(g, rng)
-        base = bilap_energy(u) - a * lq_integral(u, q, refine=4)
+        base = bilap_energy(u) - a * lq_integral(u, refine=4)
         for ell in (0.5, 0.8, 1.25, 2.0):
             v = dilate(u, ell)
-            lhs = bilap_energy(v) - a * lq_integral(v, q, refine=4)
+            lhs = bilap_energy(v) - a * lq_integral(v, refine=4)
             rhs = ell**4 * base
             rel = abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
             assert rel < 1e-8
@@ -289,7 +288,7 @@ def test_criterion_06_profile_normalization():
     q = critical_power(1)
     assert abs(np.sqrt(l2_norm_sq(Q)) - 1.0) <= 1e-8
     assert abs(np.sqrt(bilap_energy(Q)) - 1.0) <= 1e-8
-    nl = gn.a_star * lq_integral(Q, q)
+    nl = gn.a_star * lq_integral(Q)
     assert abs(nl - 1.0) <= 1e-6
 
     R = normalize_to_el(Q)
@@ -427,10 +426,10 @@ def test_criterion_09_blowup_sweep():
 
 @pytest.mark.xfail(strict=True, reason=(
     "the energy gap to the potential floor decays like the cube root of "
-    "1 - a/a* (measured 0.98*(1-a/a*)**(1/3) in this well): at the last "
-    "schedule point 2^-8 the converged gap is 0.153, and reaching 0.05 "
-    "needs 1 - a/a* ~ 2^-13, whose concentration scale falls below what "
-    "this grid resolves"))
+    "1 - a/a* (measured 0.98*(1-a/a*)**(1/3) in this well), so the pinned "
+    "schedule, whose last point 2^-8 has a converged gap of 0.153, cannot "
+    "reach 0.05; on this grid the sweep stays resolved and converged down "
+    "to 2^-14, where the gap is 0.042"))
 def test_criterion_09_energy_gap_reaches_floor():
     recs = _sweep(512)
     gap, ok = energy_limit_check(recs, GaussianWell(1.0), tol=0.05)

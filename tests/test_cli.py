@@ -288,7 +288,7 @@ def test_solve_supercritical_is_exit_3(tmp_path, artifact_dir):
                        solve={"a": "1.05*astar"})
     code, text = run_cli("--config", str(cfg), "solve")
     assert code == 3
-    assert "no minimizer" in text
+    assert "fell below the floor -1000" in text
     report = json.loads((tmp_path / "run" / "solve.json").read_text())
     assert report["status"] == "DivergedBelowFloor"
     assert report["energy"] < -1e3

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -138,6 +141,39 @@ def test_gn_quotient_invariances(g1, gauss1, rng):
     assert gn_quotient(3.7 * u) == pytest.approx(j, rel=1e-12)
     with pytest.raises(ValueError):
         gn_quotient(Field(g1, np.zeros(g1.shape)))
+
+
+# -- the grid's own sharp constant --------------------------------------------
+# A state a few nodes wide has a quotient far below a_star, because the |u|^q
+# term is summed at the nodes.  Strict xfails: they turn into passes once the
+# nonlinear quadrature is free of aliasing.
+
+A_STAR_1D = json.loads((Path(__file__).parent / "fixtures"
+                        / "reference_d1.json").read_text())["a_star"]
+A_STAR_2D = 57.580213854  # compute_gn on 2D 128^2/16
+NODE_SUM = ("the |u|^q quadrature is a node sum, which aliases: grid-scale "
+            "states reach quotients below a_star")
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=NODE_SUM)
+def test_grid_scale_state_respects_a_star_1d():
+    g = make_grid(1, 512, 16.0)
+    vals = np.zeros(g.shape)
+    c = g.n // 2
+    vals[c - 1:c + 2] = (0.3, 1.0, 0.3)
+    # 11.48 with node sums, against 15.92
+    assert gn_quotient(Field(g, vals)) >= A_STAR_1D * (1 - 1e-9)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=NODE_SUM)
+def test_grid_scale_state_respects_a_star_2d():
+    g = make_grid(2, 128, 12.0)
+    vals = np.zeros(g.shape)
+    c = g.n // 2
+    vals[c - 1:c + 2, c] = vals[c, c - 1:c + 2] = 0.3
+    vals[c, c] = 1.0
+    # 43.64 with node sums, against 57.58
+    assert gn_quotient(Field(g, vals)) >= A_STAR_2D * (1 - 1e-9)
 
 
 def test_el_residual_degenerate_on_constant(gpi):

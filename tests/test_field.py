@@ -1,3 +1,7 @@
+import ast
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -21,8 +25,11 @@ from biharm import (
     write_snapshot,
 )
 from biharm.blowup import _h2_after_best_shift
-from biharm.field import (_refined_values, l2_norm_sq_spectral,
+from biharm.energy import critical_power
+from biharm.field import (_nonlinear_weight, _refined_values,
+                          gaussian_mixture_field, l2_norm_sq_spectral,
                           random_smooth_field)
+from biharm.grid import quadrature
 
 SQRT_PI = np.sqrt(np.pi)
 
@@ -40,7 +47,7 @@ def test_gaussian_fourth_order_seminorm(gauss1):
 
 
 def test_gaussian_tenth_power(gauss1):
-    assert_allclose(lq_integral(gauss1, 10), np.sqrt(np.pi / 5.0), rtol=1e-12)
+    assert_allclose(lq_integral(gauss1), np.sqrt(np.pi / 5.0), rtol=1e-12)
 
 
 def test_gaussian_h2(gauss1):
@@ -91,7 +98,7 @@ def test_dilate_scaling_laws(gauss1, ell):
     assert_allclose(bilap_energy(v), ell**4 * bilap_energy(gauss1), rtol=1e-8)
     # at the critical power q = 10 in one dimension the |u|^q integral
     # scales by ell^(q/2 - 1) = ell^4 as well
-    assert_allclose(lq_integral(v, 10), ell**4 * lq_integral(gauss1, 10),
+    assert_allclose(lq_integral(v), ell**4 * lq_integral(gauss1),
                     rtol=1e-8)
 
 
@@ -224,13 +231,54 @@ def test_mixed_grid_arithmetic_rejected(g1, g1_coarse):
 
 
 def test_lq_refine_agrees_when_resolved(gauss1):
-    coarse = lq_integral(gauss1, 10, refine=1)
-    fine = lq_integral(gauss1, 10, refine=2)
+    coarse = lq_integral(gauss1, refine=1)
+    fine = lq_integral(gauss1, refine=2)
     assert_allclose(fine, coarse, rtol=1e-10)
     with pytest.raises(ValueError):
-        lq_integral(gauss1, 10, refine=0)
-    with pytest.raises(ValueError):
-        lq_integral(gauss1, 1.5)
+        lq_integral(gauss1, refine=0)
+
+
+# -- the nonlinear kernel: the one place a power of the field is taken --------
+
+
+@pytest.mark.parametrize("d,n,half_width", [(1, 512, 16.0), (2, 64, 8.0)])
+@pytest.mark.parametrize("make", [random_smooth_field, gaussian_mixture_field])
+def test_nonlinear_weight_matches_the_power(d, n, half_width, make):
+    g = make_grid(d, n, half_width)
+    q = critical_power(d)
+    rng = np.random.default_rng(17)
+    signed = False
+    for _ in range(3):
+        u = make(g, rng)
+        x = u.values
+        signed |= bool(np.any(x < 0))
+        # atol: a subnormal result carries too few digits for a relative test
+        assert_allclose(_nonlinear_weight(x * x) * x,
+                        np.abs(x) ** (q - 2) * x,
+                        rtol=8 * np.finfo(float).eps,
+                        atol=np.finfo(float).tiny)
+        assert_allclose(lq_integral(u), quadrature(g, np.abs(x) ** q),
+                        rtol=1e-14)
+    assert signed
+
+
+def test_every_power_of_the_field_goes_through_the_kernel():
+    # a power taken anywhere else would escape a change of the quadrature
+    src = Path(__file__).resolve().parents[1] / "src" / "biharm"
+    power = re.compile(r"\*\* *\(?q|abs\(.*\) *\*\*|q == 10")
+    tree = ast.parse((src / "field.py").read_text())
+    kernel = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name == "_nonlinear_weight")
+    hits = []
+    for name in ("energy", "field", "gn", "groundstate", "blowup"):
+        lines = (src / f"{name}.py").read_text().splitlines()
+        for i, line in enumerate(lines, 1):
+            in_kernel = (name == "field"
+                         and kernel.lineno <= i <= kernel.end_lineno)
+            if power.search(line) and not in_kernel:
+                hits.append(f"{name}.py:{i}: {line.strip()}")
+    assert not hits
 
 
 # -- the half spectrum against full-spectrum oracles --------------------------
@@ -314,7 +362,7 @@ def test_half_spectrum_matches_full_spectrum_oracles(d, n, half_width):
     close(translate(u, shift).values, _oracle_translate(u, shift))
     q = 10 if d == 1 else 6
     dxf = g.dx / 2
-    close(lq_integral(u, q, refine=2),
+    close(lq_integral(u, refine=2),
           dxf**d * np.sum(np.abs(_oracle_refined(u, 2)) ** q))
     # w is u moved off the grid plus a perturbation, so the search has an
     # interior optimum and the distance there is far from zero
