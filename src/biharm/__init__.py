@@ -6,13 +6,13 @@ from .field import (
     ResolutionWarning,
     bilap_apply,
     bilap_energy,
+    density_center,
     dilate,
     h2_distance,
     h2_norm_sq,
     l2_norm_sq,
     lq_integral,
     read_snapshot,
-    recenter,
     reflect,
     renormalize_mass,
     translate,
@@ -74,7 +74,7 @@ __all__ = [
     "Grid", "make_grid", "quadrature",
     "Field", "ResolutionWarning",
     "l2_norm_sq", "bilap_energy", "h2_norm_sq", "h2_distance", "lq_integral",
-    "bilap_apply", "dilate", "renormalize_mass", "translate", "recenter",
+    "bilap_apply", "dilate", "renormalize_mass", "translate", "density_center",
     "reflect", "read_snapshot", "write_snapshot",
     "Zero", "Harmonic", "GaussianWell", "PowerWell", "Sum",
     "sample", "ess_inf", "classify", "level_split", "sobolev_lower_bound",

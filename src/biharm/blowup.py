@@ -2,11 +2,12 @@
 
 As the coupling climbs toward the critical value the minimizer collapses onto
 the potential well at a shrinking length scale eps = (bilaplacian energy)^(-1/4).
-Undoing that scale -- recenter, dilate by eps, renormalize -- should reproduce
-the optimizer of the interpolation inequality, and the records collected here
-measure exactly how well it does: energies against the essential infimum of the
-potential, nonlinear mass against its critical value, and H2 distance of the
-rescaled profile to the reference state.
+Undoing that scale -- one dilate by eps about the density center onto the
+origin, renormalized -- should reproduce the optimizer of the interpolation
+inequality, and the records collected here measure exactly how well it does:
+energies against the essential infimum of the potential, nonlinear mass
+against its critical value, and H2 distance of the rescaled profile to the
+reference state.  The only translation is the best-shift search's move.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .field import (Field, dilate, h2_distance, lq_integral, recenter,
-                    translate, write_snapshot)
+from .field import (Field, _shift_phases, density_center, dilate,
+                    h2_distance, lq_integral, translate, write_snapshot)
 from .gn import GNResult, normalize_gn
 from .grid import Grid
 from .groundstate import (InitSpec, SolveConfig, SolveStatus, initial_field,
@@ -49,13 +50,13 @@ class SweepRecord:
     several grid nodes (eps > 4 dx); records with resolved=False are kept --
     their scalars are reported, but nothing quantitative should be trusted at
     a scale the grid no longer separates.  iterations, trials, backtracks,
-    cg_restarts and fft_calls are the solver's counters for this coupling
-    (None only on a record built by hand), and seconds is the solve's wall
-    time (None on a record built by hand or read back from CSV).  seconds,
-    the minimizer and its rescaled profile are not part of the CSV
-    serialization: the minimizer and profile ride along for snapshotting and
-    the sequence checks, and a wall time would break the byte-for-byte
-    reproducibility of sweep.csv.
+    cg_restarts, fft_calls and coarse_fallbacks are the solver's counters
+    for this coupling (None only on a record built by hand), and seconds is
+    the solve's wall time (None on a record built by hand or read back from
+    CSV).  seconds, the minimizer and its rescaled profile are not part of
+    the CSV serialization: the minimizer and profile ride along for
+    snapshotting and the sequence checks, and a wall time would break the
+    byte-for-byte reproducibility of sweep.csv.
     """
 
     a: float
@@ -71,6 +72,7 @@ class SweepRecord:
     backtracks: int | None = None
     cg_restarts: int | None = None
     fft_calls: int | None = None
+    coarse_fallbacks: int | None = None
     seconds: float | None = None
     minimizer: Field | None = None
     rescaled: Field | None = None
@@ -78,39 +80,42 @@ class SweepRecord:
 
 _CSV_COLUMNS = ("a", "energy", "kinetic", "eps", "center", "h2_dist_to_Q",
                 "status", "resolved", "iterations", "trials", "backtracks",
-                "cg_restarts", "fft_calls")
+                "cg_restarts", "fft_calls", "coarse_fallbacks")
 _NEWTON_MAX_STEPS = 20
 
 
 def _h2_after_best_shift(w: Field, ref: Field) -> float:
     """H2 distance minimized over sub-grid translations of w.
 
-    Translation preserves the H2 norm, so the distance is smallest where the
-    cross-correlation C(s) = <ref, (1 + Lap^2) w(. - s)> is largest, a
-    Parseval sum of ref^ against z = (1 + |k|^4) w^ exp(-i k.s).  Its
-    gradient and Hessian are the same sums of i k_i ref^ and -k_i k_j ref^
-    against z, so those rows are formed once.  Both fields arrive centered,
-    so the optimum sits near s = 0: Newton's method on C from s = 0, with
-    steps clipped to half a node per axis, costs O(n^d) per step on the two
-    transforms in hand and no FFT.  One exact translation then measures the
-    distance at the optimum, which is reported only if it beats the distance
-    at s = 0.
+    Translation keeps the H2 norm up to its damping of Nyquist modes, so
+    the distance is smallest near where the cross-correlation
+    C(s) = <ref, (1 + Lap^2) translate(w, s)> is largest, a Parseval sum of
+    ref^ against (1 + |k|^4) w^ times translate's phase.  Its gradient and
+    Hessian are the same sums against the phase's derivatives in s, so a
+    Nyquist mode, whose phase is real, enters all three alike.  Both fields
+    arrive centered, so the optimum sits near s = 0: Newton's method on C
+    from s = 0, with steps clipped to half a node per axis, costs O(n^d) per
+    step on the two transforms in hand and no FFT.  One exact translation
+    then measures the distance at the optimum, which is reported only if it
+    beats the distance at s = 0.
     """
     g = w.grid
-    ik = g.ik
-    pairs = [(i, j) for i in range(g.d) for j in range(i, g.d)]
-    grad_rows = [iki * ref.hat for iki in ik]
-    hess_rows = [ik[i] * grad_rows[j] for i, j in pairs]
-    wk = (1.0 + g.k_quad) * w.hat
-    hess = np.empty((g.d, g.d))
+    # C(s) = parseval(cross, P(s)), P the product of the axes' phases
+    cross = np.conj((1.0 + g.k_quad) * w.hat) * ref.hat
     shift = np.zeros(g.d)
     for _ in range(_NEWTON_MAX_STEPS):
-        z = wk
-        for iki, si in zip(ik, shift):
-            z = z * np.exp(-si * iki)
-        grad = np.array([g.parseval(r, z) for r in grad_rows])
-        for (i, j), r in zip(pairs, hess_rows):
-            hess[i, j] = hess[j, i] = g.parseval(r, z)
+        # phases[ax][r]: the phase along ax, differentiated r times in s
+        phases = [_shift_phases(g, ax, s, 3) for ax, s in enumerate(shift)]
+
+        def corr(*axs):  # C differentiated once along each axis in axs
+            z = phases[0][axs.count(0)]
+            for ax in range(1, g.d):
+                z = z * phases[ax][axs.count(ax)]
+            return g.parseval(cross, z)
+
+        grad = np.array([corr(i) for i in range(g.d)])
+        hess = np.array([[corr(i, j) for j in range(g.d)]
+                         for i in range(g.d)])
         try:
             step = -np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:
@@ -142,10 +147,10 @@ def sweep(g: Grid, V, schedule, cfg: SolveConfig, gn: GNResult) -> list:
     (ell = (1 - a/a*)^(-1/6)) and parked at the potential minimum.  After
     that each warm-starts from the last minimizer that did not diverge.
     When that minimizer is the newer of the two latest resolved converged
-    records, the start is predicted from it instead: recentered, dilated
-    about its own center by the secant ratio eps_older / eps_newer of the
-    two records (a guess that the scale shrinks by the same factor again),
-    and translated back to where it was.  cfg is only the stop rule.  A
+    records, the start is predicted from it instead: dilated about its own
+    density center, which stays put, by the secant ratio eps_older /
+    eps_newer of the two records (a guess that the scale shrinks by the same
+    factor again).  cfg is only the stop rule.  A
     record is appended for every coupling whatever the solver status -- a
     failure is data -- but a diverged state is not propagated as the next
     warm start.
@@ -157,13 +162,13 @@ def sweep(g: Grid, V, schedule, cfg: SolveConfig, gn: GNResult) -> list:
     records: list = []
     prev: Field | None = None
     prev_eps = None
-    # (centered minimizer, its recentering shift, secant ratio) while the
-    # warm start is the newer of two resolved converged records
+    # (minimizer, its density center, secant ratio) while the warm start is
+    # the newer of two resolved converged records
     predictor = None
     for a in sched:
         if predictor is not None:
-            centered, applied, ratio = predictor
-            start = translate(dilate(centered, ratio), -applied)
+            u, center, ratio = predictor
+            start = dilate(u, ratio, center=center, to=center)
         elif prev is not None:
             start = prev
         else:
@@ -176,14 +181,14 @@ def sweep(g: Grid, V, schedule, cfg: SolveConfig, gn: GNResult) -> list:
         kin = result.breakdown.kinetic
         eps = float(kin) ** -0.25
         resolved = bool(eps > 4.0 * g.dx)
-        centered, applied = recenter(u)
-        w = normalize_gn(centered)  # dilates by eps: the state has unit mass
+        center = density_center(u)
+        w = normalize_gn(u)  # by eps about center: the state has unit mass
         rec = SweepRecord(
             a=float(a),
             energy=float(result.breakdown.total),
             kinetic=float(kin),
             eps=eps,
-            center=tuple(float(-s) for s in applied),
+            center=tuple(float(c) for c in center),
             h2_dist_to_Q=_h2_after_best_shift(w, gn.Q),
             status=result.status.value,
             resolved=resolved,
@@ -192,6 +197,7 @@ def sweep(g: Grid, V, schedule, cfg: SolveConfig, gn: GNResult) -> list:
             backtracks=result.backtracks,
             cg_restarts=result.cg_restarts,
             fft_calls=result.fft_calls,
+            coarse_fallbacks=result.coarse_fallbacks,
             seconds=seconds,
             minimizer=u,
             rescaled=w,
@@ -208,7 +214,7 @@ def sweep(g: Grid, V, schedule, cfg: SolveConfig, gn: GNResult) -> list:
                 "data", RuntimeWarning, stacklevel=2)
         if result.status is not SolveStatus.DIVERGED_BELOW_FLOOR:
             prev = u
-            predictor = ((centered, applied, prev_eps / eps)
+            predictor = ((u, center, prev_eps / eps)
                          if trusted and prev_eps is not None else None)
         if trusted:
             prev_eps = eps
@@ -279,7 +285,7 @@ def save_sweep(records, run_dir) -> Path:
                 repr(rec.eps), ";".join(repr(c) for c in rec.center),
                 repr(rec.h2_dist_to_Q), rec.status, rec.resolved,
                 rec.iterations, rec.trials, rec.backtracks, rec.cg_restarts,
-                rec.fft_calls,
+                rec.fft_calls, rec.coarse_fallbacks,
             ])
     for i, rec in enumerate(records):
         if rec.minimizer is not None:
@@ -312,4 +318,5 @@ def load_sweep(path) -> list:
             backtracks=int(row["backtracks"]),
             cg_restarts=int(row["cg_restarts"]),
             fft_calls=int(row["fft_calls"]),
+            coarse_fallbacks=int(row["coarse_fallbacks"]),
         ) for row in reader]

@@ -384,9 +384,13 @@ def cmd_solve(cfg: RunConfig, out=sys.stdout) -> int:
     print(f"line search: {result.trials} trials, {result.backtracks} "
           f"backtracks, {result.cg_restarts} CG restarts", file=out)
     print(f"fft_calls = {result.fft_calls}", file=out)
-    print(f"preconditioner: P alone in {result.coarse_fallbacks} of "
-          f"{result.iterations} iterations, with the coarse step in the rest",
-          file=out)
+    if cfg.grid.d == 1:
+        print("preconditioner: P alone; the coarse step is off in 1D",
+              file=out)
+    else:
+        print(f"preconditioner: P alone in {result.coarse_fallbacks} of "
+              f"{result.iterations} iterations, with the coarse step in the "
+              "rest", file=out)
     _write_manifest(cfg, [snap, log, report], _timings(t0))
     if result.status is SolveStatus.DIVERGED_BELOW_FLOOR:
         print(f"grid energy fell below the floor {ENERGY_FLOOR:g}: expected "

@@ -13,6 +13,7 @@ modes, which stand for both +k_max and -k_max, Hermitian-symmetrically.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 
 import numpy as np
@@ -181,42 +182,51 @@ def bilap_apply(u: Field) -> Field:
     return Field(g, g.inverse(g.k_quad * u.hat))
 
 
-def dilate(u: Field, ell: float) -> Field:
-    """Mass-preserving dilation v(x) = ell^{d/2} u(ell x) on the same grid.
+def dilate(u: Field, ell: float, center=0.0, to=0.0) -> Field:
+    """Mass-preserving placement v(x) = ell^{d/2} u(center + ell (x - to)).
 
-    The trigonometric interpolant of u is evaluated exactly at the scaled
-    nodes ell*x_j by a Bluestein chirp-z transform along each axis: with the
-    signed spectral index m and the centered node index j (x_j = j dx), the
-    sum over m of hat_m (-1)^m exp(2 pi i ell m j / n) becomes, through
+    The one map that moves fields: it scales u by ell about the point
+    center and lands that point on to, with x - to the periodic distance in
+    [-L, L) per axis; center and to are numbers or one coordinate per axis,
+    else ValueError.  The trigonometric interpolant of u is evaluated
+    exactly at the scaled positions by a Bluestein chirp-z transform along
+    each axis: with the signed spectral index m and the centered node index
+    j (x_j = j dx), the sum over m of hat_m (-1)^m exp(i k_m b)
+    exp(2 pi i ell m j / n), b = center - ell to, becomes, through
     m j = (m^2 + j^2 - (j - m)^2) / 2, a chirp, one length-2n FFT
     convolution with the kernel exp(-i pi ell s^2 / n), and a chirp, at
-    O(n log n) per axis line.  For ell > 1 some scaled positions leave the
-    box, where the interpolant would wrap around and tile spurious periodic
-    images of the field; instead the values are rolled off smoothly to zero
-    over the outer quarter of the box (quintic ramp in |ell x| per axis,
-    folded into the output chirp).  The roll-off suppresses the images while
-    keeping the map free of jump discontinuities — a hard cutoff would
-    inject a high-wavenumber seam whose fourth-order content grows with
-    grid resolution and pollutes downstream H^2 diagnostics.  Dilations
-    whose box overflow (ell - 1)*half_width stays within half a node skip
-    the roll-off: no scaled position meaningfully exits the box, the
-    outermost node reads the wrap, which differs from the true tail by a
-    tail-sized amount, and skipping keeps the map continuous in ell
-    through 1, which gauge-fixing and unit-constant-normalization callers
-    with ell = 1 + O(eps) rely on.  For the box-localized fields this map
-    is meant for, the induced error is the field's boundary tail, i.e. the
-    periodization error already inherent to the box.  Emits
-    ResolutionWarning when the mass-preservation check drifts above 1e-6,
-    the symptom of ell pushing u's content past the Nyquist limit or of
-    ell < 1 spreading tails into the periodic wrap.
+    O(n log n) per axis line.  The phase exp(i k_m b) rides on the input
+    chirp and whole nodes of to roll the output, so placing costs nothing
+    extra.  A Nyquist mode takes translate's phase cos(k_max y) per axis.
+    For ell > 1 some scaled positions leave the box, where the interpolant
+    would tile periodic images of the field; instead the values are rolled
+    off smoothly to zero over the outer quarter of the box about to
+    (quintic ramp in |ell (x - to)| per axis, folded into the output
+    chirp), which, unlike a hard cutoff, injects no high-wavenumber seam
+    into H^2 diagnostics.  Dilations whose box overflow (ell - 1)*half_width
+    stays within half a node skip the roll-off, which keeps the map
+    continuous in ell through 1, where it is translate(u, to - center), for
+    gauge-fixing callers; the outermost node then reads the wrap, an error
+    of the size of the field's boundary tail.  Emits ResolutionWarning when
+    the mass-preservation check drifts above 1e-6, the symptom of ell
+    pushing u's content past the Nyquist limit or of ell < 1 spreading
+    tails into the periodic wrap.
     """
     if ell <= 0:
         raise ValueError(f"dilation scale must be positive, got {ell}")
     ell = float(ell)
-    if ell == 1.0:
-        return u
     g = u.grid
+    center, to = (np.asarray(p, dtype=np.float64) for p in (center, to))
+    if {center.shape, to.shape} - {(), (g.d,)}:
+        raise ValueError(f"center and to must have {g.d} components")
+    center, to = center + np.zeros(g.d), to + np.zeros(g.d)
+    if ell == 1.0:
+        return u if np.array_equal(center, to) else translate(u, to - center)
     n = g.n
+    # whole nodes of to roll the output; the rest of the placement is the
+    # phase exp(i k_m b) on the input chirp
+    rolls = [math.ceil(t / g.dx) for t in to]
+    fracs = [t - r * g.dx for t, r in zip(to, rolls)]
     # the chirps exp(i pi ell m^2 / n), at the signed spectral index m after
     # fftshift and at the centered node index j = x/dx (the same range), and
     # the kernel below all read one table exp(i pi ell r^2 / n), r = 0..n
@@ -226,20 +236,33 @@ def dilate(u: Field, ell: float) -> Field:
     pre = chirp.copy()
     pre[1::2] *= -1
     post = chirp * (ell**0.5 / n)
-    if (ell - 1.0) * g.half_width > 0.5 * g.dx:
-        t = np.clip((np.abs(ell * g.axes[0]) / g.half_width - 0.75) / 0.25,
-                    0.0, 1.0)
-        post = post * (1.0 - t**3 * (t * (6.0 * t - 15.0) + 10.0))
     # kernel exp(-i pi ell s^2 / n) at s = j - m in [-(n-1), n-1], stored
     # cyclically on 2n points: |s| = 0..n-1, then n..1
     kernel_hat = np.fft.fft(
         np.concatenate((table[:n], table[n:0:-1])).conj())
     z = np.fft.fftn(u.values)  # the chirp-z needs the full spectrum
-    for _ in range(g.d):
-        a = np.fft.fftshift(z, axes=-1) * pre
-        z = np.fft.ifft(np.fft.fft(a, 2 * n) * kernel_hat)[..., :n] * post
-        z = np.moveaxis(z, -1, 0)
-    v = Field(g, z.real)
+    k = (np.arange(n) - n // 2) * (np.pi / g.half_width)  # k_m
+    for ax in reversed(range(g.d)):
+        b = center[ax] - ell * fracs[ax]
+        p_in = pre * np.exp(1j * b * k) if b else pre
+        p_out, taper = post, 1.0
+        if (ell - 1.0) * g.half_width > 0.5 * g.dx:
+            t = np.abs(ell * (g.axes[ax] - fracs[ax])) / g.half_width
+            t = np.clip((t - 0.75) / 0.25, 0.0, 1.0)
+            taper = 1.0 - t**3 * (t * (6.0 * t - 15.0) + 10.0)
+            p_out = post * taper
+        a = np.fft.fftshift(z, axes=-1) * p_in
+        a = np.fft.ifft(np.fft.fft(a, 2 * n) * kernel_hat)[..., :n] * p_out
+        if ax:
+            # i sin(k_max y) turns the Nyquist bin's exp(-i k_max y) into
+            # cos(k_max y); the closing .real does it for the last axis
+            nyq = np.sin(g.k_max * (b + ell * g.axes[ax])) * taper
+            a += np.multiply.outer(z[..., n // 2], 1j * (ell**0.5 / n) * nyq)
+        z = np.moveaxis(a, -1, 0)
+    v = z.real
+    if any(rolls):
+        v = np.roll(v, rolls, axis=tuple(range(g.d)))
+    v = Field(g, v)
     mass_in = l2_norm_sq(u)
     if mass_in > 0:
         drift = abs(l2_norm_sq(v) - mass_in) / mass_in
@@ -254,53 +277,64 @@ def dilate(u: Field, ell: float) -> Field:
 def translate(u: Field, shift) -> Field:
     """Periodic sub-grid translation v(x) = u(x - shift) by spectral phase.
 
-    A Nyquist mode stands for both +k_max and -k_max, and a real field
-    carries it as the real combination of the two, so along each axis it
-    takes the phase cos(k_max * shift), the real part of exp(-i k shift).
-    In 2D the map is the product of the two 1D translations: the corner
-    mode (n/2, n/2) takes the product of the two cosines.
+    In 2D the map is the product of the two 1D translations, so the corner
+    mode (n/2, n/2) takes the product of the two cosines of _shift_phases.
+    That cosine damps Nyquist content, so a translation and its opposite
+    do not return such a field: a 2D compute_gn profile on 64^2/12 moved
+    by (0.3, -0.2) dx and back is 1.4e-5 away in H^2 (1.3e-11 at 128^2).
     """
     g = u.grid
     shift = np.atleast_1d(np.asarray(shift, dtype=np.float64))
     if shift.shape != (g.d,):
         raise ValueError(f"shift must have {g.d} components")
-    h = g.n // 2
     hat = u.hat
     for ax in range(g.d):
-        k = g.wavenumbers[ax]
-        phase = np.exp(-1j * k * shift[ax])
-        phase[h] = np.cos(k[h] * shift[ax])
-        # axis 0 of a 2D spectrum is full length; the last axis is halved
-        hat = hat * (phase[:h + 1] if ax == g.d - 1 else phase[:, None])
+        hat = hat * _shift_phases(g, ax, shift[ax])[0]
     return Field(g, g.inverse(hat))
 
 
-def recenter(u: Field):
-    """Translate u so its density center sits at the origin.
+def _shift_phases(g: Grid, ax: int, s: float, count: int = 1
+                  ) -> np.ndarray:
+    """translate's phase along axis ax for the shift s, then its first
+    count - 1 derivatives in s, stacked on a leading axis, each shaped to
+    broadcast over the half spectrum.
 
-    The center is the |u|^2 centroid computed with periodic unwrapping around
-    the density maximum.  Returns (field, shift) where shift is the
-    translation that was applied, so a feature at position c reports
-    shift = -c.
+    Away from the Nyquist mode the r-th is (-i k)^r exp(-i k s).  A Nyquist
+    mode stands for both +k_max and -k_max, and a real field carries it as
+    the real combination of the two, so it takes the real part: cos(k_max s)
+    and its derivatives.
+    """
+    k = g.wavenumbers[ax]
+    h = g.n // 2
+    phases = np.empty((count, g.n), dtype=np.complex128)
+    np.exp(-1j * s * k, out=phases[0])
+    for r in range(1, count):
+        np.multiply(phases[r - 1], -1j * k, out=phases[r])
+    phases[:, h] = phases[:, h].real
+    # axis 0 of a 2D spectrum is full length; the last axis is halved
+    return phases[:, :h + 1] if ax == g.d - 1 else phases[:, :, None]
+
+
+def density_center(u: Field) -> np.ndarray:
+    """The |u|^2 centroid, one coordinate per axis, in [-L, L).
+
+    Each axis's displacements are unwrapped periodically around the density
+    maximum, so a field straddling the box's seam is located where it sits.
     """
     g = u.grid
     dens = u.values**2
     total = dens.sum()
     if total <= 0.0:
-        raise ValueError("cannot recenter the zero field")
+        raise ValueError("the zero field has no density center")
     peak = np.unravel_index(int(np.argmax(dens)), g.shape)
-    span = 2.0 * g.half_width
+    L, span = g.half_width, 2.0 * g.half_width
     center = np.empty(g.d)
-    for ax in range(g.d):
-        x = g.axes[ax]
-        x_peak = x[peak[ax]]
-        disp = np.mod(x - x_peak + g.half_width, span) - g.half_width
-        if g.d == 2:
-            disp = disp.reshape([-1 if a == ax else 1 for a in range(2)])
-        offset = float((dens * disp).sum() / total)
-        c = x_peak + offset
-        center[ax] = np.mod(c + g.half_width, span) - g.half_width
-    return translate(u, -center), -center
+    for ax, x in enumerate(g.axes):
+        marginal = dens if g.d == 1 else dens.sum(axis=1 - ax)
+        disp = np.mod(x - x[peak[ax]] + L, span) - L
+        c = x[peak[ax]] + float((marginal * disp).sum() / total)
+        center[ax] = np.mod(c + L, span) - L
+    return center
 
 
 def reflect(u: Field) -> Field:

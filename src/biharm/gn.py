@@ -27,8 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from .energy import critical_power, critical_shift, el_residual, gn_quotient
-from .field import (Field, _nonlinear_weight, bilap_energy, dilate,
-                    l2_norm_sq, lq_integral, read_snapshot, recenter,
+from .field import (Field, _nonlinear_weight, bilap_energy, density_center,
+                    dilate, l2_norm_sq, lq_integral, read_snapshot,
                     renormalize_mass, write_snapshot)
 from .grid import Grid, make_grid
 from .groundstate import InitSpec, SolveConfig, initial_field
@@ -160,11 +160,9 @@ def _petviashvili(g: Grid, u0: Field, cfg: SolveConfig) -> _Run:
 
 
 def _finalize(u: Field) -> Field:
-    v, _ = recenter(u)
-    peak = v.values.flat[int(np.argmax(np.abs(v.values)))]
-    if peak < 0:
-        v = v * -1.0
-    return normalize_gn(v)
+    if u.values.flat[int(np.argmax(np.abs(u.values)))] < 0:
+        u = -u
+    return normalize_gn(u)
 
 
 def compute_gn(g: Grid, cfg: SolveConfig | None = None) -> GNResult:
@@ -232,7 +230,8 @@ def compute_gn(g: Grid, cfg: SolveConfig | None = None) -> GNResult:
 
 
 def normalize_gn(u: Field) -> Field:
-    """Dilate and rescale so both the mass and the fourth-order seminorm are 1."""
+    """Dilate about the density center onto the origin: mass and |Lap u|^2
+    both 1."""
     kin = bilap_energy(u)
     mass = l2_norm_sq(u)
     if mass <= 0.0:
@@ -242,8 +241,9 @@ def normalize_gn(u: Field) -> Field:
     ell = (mass / kin) ** 0.25
     # below ~1e-9 the dilation would move nothing but roundoff, and the two
     # seminorms already match well inside the 1e-8 normalization contract
-    v = u if abs(ell - 1.0) < 1e-9 else dilate(u, ell)
-    return renormalize_mass(v)
+    return renormalize_mass(
+        dilate(u, 1.0 if abs(ell - 1.0) < 1e-9 else ell,
+               center=density_center(u)))
 
 
 def normalize_to_el(u: Field) -> Field:

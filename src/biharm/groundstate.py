@@ -61,7 +61,7 @@ import numpy as np
 from .energy import (EnergyBreakdown, critical_power, critical_shift, energy,
                      spectral_energy_and_gradient)
 from .field import (Field, _nonlinear_weight, dilate, read_snapshot,
-                    renormalize_mass, translate)
+                    renormalize_mass)
 from .grid import Grid
 from .potentials import classify, sample
 
@@ -169,11 +169,7 @@ def initial_field(g: Grid, V, spec: InitSpec, profile: Field | None = None) -> F
     # dilated_Q
     if profile is None:
         raise ValueError("dilated_Q initialization needs a reference profile")
-    v = dilate(profile, spec.ell)
-    center = potential_argmin(V, g)
-    if np.any(center != 0.0):
-        v = translate(v, center)
-    return v
+    return dilate(profile, spec.ell, to=potential_argmin(V, g))
 
 
 class _Workspace:
@@ -699,10 +695,6 @@ def trial_upper_bound(g: Grid, V, a: float, eps: float, profile: Field,
     t = np.clip((r - 0.6 * radius) / (0.4 * radius), 0.0, 1.0)
     ramp = 1.0 - t**3 * (t * (6.0 * t - 15.0) + 10.0)
     w = renormalize_mass(Field(g, profile.values * ramp))
-    v = dilate(w, eps ** (-1.0 / 5.0))
-    if x0 is None:
-        x0 = potential_argmin(V, g)
-    x0 = np.atleast_1d(np.asarray(x0, dtype=np.float64))
-    if np.any(x0 != 0.0):
-        v = translate(v, x0)
+    x0 = potential_argmin(V, g) if x0 is None else x0
+    v = dilate(w, eps ** (-1.0 / 5.0), to=x0)
     return energy(renormalize_mass(v), V, a).total

@@ -13,8 +13,8 @@ from biharm import (GaussianWell, Harmonic, ResolutionWarning, SolveConfig,
                     sweep, sweep_plot_columns)
 from biharm.blowup import _h2_after_best_shift
 from biharm.energy import critical_power, critical_shift
-from biharm.field import (bilap_energy, h2_distance, l2_norm_sq, recenter,
-                          translate)
+from biharm.field import (bilap_energy, density_center, h2_distance,
+                          l2_norm_sq, translate)
 from biharm.groundstate import InitSpec, SolveStatus, initial_field, solve
 
 
@@ -228,7 +228,7 @@ def test_save_sweep_writes_csv_and_snapshots(tmp_path, well_records, g256):
     lines = csv_path.read_text().splitlines()
     assert lines[0] == ("a,energy,kinetic,eps,center,h2_dist_to_Q,status,"
                         "resolved,iterations,trials,backtracks,"
-                        "cg_restarts,fft_calls")
+                        "cg_restarts,fft_calls,coarse_fallbacks")
     assert len(lines) == len(well_records) + 1
     first = lines[1].split(",")
     assert float(first[0]) == well_records[0].a
@@ -237,7 +237,8 @@ def test_save_sweep_writes_csv_and_snapshots(tmp_path, well_records, g256):
                                           well_records[0].trials,
                                           well_records[0].backtracks,
                                           well_records[0].cg_restarts,
-                                          well_records[0].fft_calls]
+                                          well_records[0].fft_calls,
+                                          well_records[0].coarse_fallbacks]
     for i, rec in enumerate(well_records):
         u = read_snapshot(tmp_path / "run" / f"u_{i:03d}.bhf", g256)
         w = read_snapshot(tmp_path / "run" / f"w_{i:03d}.bhf", g256)
@@ -268,10 +269,10 @@ def test_records_carry_the_solver_counters(g256, gn256, solve_cfg,
     monkeypatch.setattr(sys.modules["biharm.blowup"], "solve", counted)
     schedule = [gn256.a_star * (1.0 - 2.0**-k) for k in (1, 3)]
     records = sweep(g256, GaussianWell(1.0), schedule, solve_cfg, gn256)
-    assert [(r.iterations, r.trials, r.backtracks, r.cg_restarts, r.fft_calls)
-            for r in records] == [
-        (s.iterations, s.trials, s.backtracks, s.cg_restarts, s.fft_calls)
-        for s in results]
+    assert [(r.iterations, r.trials, r.backtracks, r.cg_restarts, r.fft_calls,
+             r.coarse_fallbacks) for r in records] == [
+        (s.iterations, s.trials, s.backtracks, s.cg_restarts, s.fft_calls,
+         s.coarse_fallbacks) for s in results]
     assert all(r.iterations > 0 for r in records)
     assert all(r.seconds > 0.0 for r in records)
 
@@ -408,8 +409,8 @@ def test_scale_predictor_dilates_about_the_minimizer(g256, gn256, solve_cfg,
         # the start is predicted, not the last minimizer as it stands ...
         assert not np.array_equal(starts[k].values, prev.minimizer.values)
         # ... and sits where that minimizer sits
-        _, applied = recenter(starts[k])
-        assert abs(-applied[0] - prev.center[0]) < 1e-3 * g256.dx
+        assert abs(density_center(starts[k])[0] - prev.center[0]) < (
+            1e-3 * g256.dx)
 
 
 @pytest.fixture(scope="module")

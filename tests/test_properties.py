@@ -1,6 +1,6 @@
 """Property tests: the rescaling maps (dilation group law, translation,
-recentering), the snapshot format (bit-exact round trip) and the config
-parser (bad numbers always exit 2 with a message)."""
+dilation about a point, recentering), the snapshot format (bit-exact round
+trip) and the config parser (bad numbers always exit 2 with a message)."""
 
 import copy
 import io
@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from biharm import Field, dilate, make_grid, recenter, translate
+from biharm import Field, density_center, dilate, make_grid, translate
 from biharm.cli import main
 from biharm.field import random_smooth_field, read_snapshot, write_snapshot
 
@@ -63,17 +63,34 @@ def test_translation_round_trip(grids, d, seed, shift):
                       min_size=2, max_size=2))
 def test_recenter_undoes_a_translation(grids, d, seed, shift):
     # recentering forgets where the field was: a translated copy comes back
-    # to the same field, and the two reported shifts differ by the
+    # to the same field, and the two density centers differ by the
     # translation, modulo the box period
     g = grids[d]
     u = random_smooth_field(g, np.random.default_rng(seed))
     s = np.array(shift[:d])
-    centered, applied = recenter(u)
-    moved_centered, moved_applied = recenter(translate(u, s))
+    moved = translate(u, s)
+    center, moved_center = density_center(u), density_center(moved)
+    centered = dilate(u, 1.0, center=center)
+    moved_centered = dilate(moved, 1.0, center=moved_center)
     assert _max_rel(moved_centered.values, centered.values) <= 1e-12
     period = 2.0 * g.half_width
-    gap = np.mod(applied - moved_applied - s + g.half_width, period)
+    gap = np.mod(moved_center - center - s + g.half_width, period)
     assert np.max(np.abs(gap - g.half_width)) <= 1e-12 * g.half_width
+
+
+@PROPERTY_SETTINGS
+@given(d=st.sampled_from([1, 2]), seed=SEEDS, r=SCALES,
+       center=st.lists(st.floats(min_value=-8.0, max_value=8.0),
+                       min_size=2, max_size=2))
+def test_dilation_about_a_point_is_one_map(grids, d, seed, r, center):
+    # a field sitting at c, dilated about c in one call, is the field moved
+    # to the origin, dilated there and moved back
+    g = grids[d]
+    c = np.array(center[:d])
+    u = translate(random_smooth_field(g, np.random.default_rng(seed)), c)
+    chained = translate(dilate(translate(u, -c), r), c)
+    once = dilate(u, r, center=c, to=c)
+    assert _max_rel(once.values, chained.values) <= 1e-12
 
 
 @st.composite
