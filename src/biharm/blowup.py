@@ -7,7 +7,8 @@ origin, renormalized -- should reproduce the optimizer of the interpolation
 inequality, and the records collected here measure exactly how well it does:
 energies against the essential infimum of the potential, nonlinear mass
 against its critical value, and H2 distance of the rescaled profile to the
-reference state.  The only translation is the best-shift search's move.
+reference state.  No field is translated: the best-shift search minimizes
+that distance over translations as a Parseval sum on the two spectra.
 """
 
 from __future__ import annotations
@@ -20,12 +21,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .field import (Field, _shift_phases, density_center, dilate,
-                    h2_distance, lq_integral, translate, write_snapshot)
-from .gn import GNResult, normalize_gn
+from .field import (Field, _shift_phases, density_center, dilate, h2_norm_sq,
+                    lq_integral, renormalize_mass, write_snapshot)
+from .gn import GNResult
 from .grid import Grid
-from .groundstate import (InitSpec, SolveConfig, SolveStatus, initial_field,
-                          solve)
+from .groundstate import (SOLVE_COUNTERS, SolveConfig, SolveStatus,
+                          potential_argmin, solve)
 from .potentials import ess_inf
 
 __all__ = [
@@ -45,18 +46,18 @@ class SweepRecord:
 
     eps is kinetic**-0.25 by definition (kinetic being the bilaplacian
     quadrature of the minimizer), center is the density centroid, and
-    h2_dist_to_Q is measured after optimizing a sub-grid translation of the
-    rescaled profile.  resolved means the concentration scale still spans
-    several grid nodes (eps > 4 dx); records with resolved=False are kept --
-    their scalars are reported, but nothing quantitative should be trusted at
-    a scale the grid no longer separates.  iterations, trials, backtracks,
-    cg_restarts, fft_calls and coarse_fallbacks are the solver's counters
-    for this coupling (None only on a record built by hand), and seconds is
-    the solve's wall time (None on a record built by hand or read back from
-    CSV).  seconds, the minimizer and its rescaled profile are not part of
-    the CSV serialization: the minimizer and profile ride along for
-    snapshotting and the sequence checks, and a wall time would break the
-    byte-for-byte reproducibility of sweep.csv.
+    h2_dist_to_Q is the H2 distance of the rescaled profile to the reference,
+    minimized over sub-grid translations.  resolved means the concentration
+    scale still spans several grid nodes (eps > 4 dx); records with
+    resolved=False are kept -- their scalars are reported, but nothing
+    quantitative should be trusted at a scale the grid no longer separates.
+    iterations through coarse_fallbacks are the solver's counters for this
+    coupling, named and ordered as SOLVE_COUNTERS (None on a record built by
+    hand), and seconds is the solve's wall time (None on a record built by
+    hand or read back from CSV).  seconds, the minimizer and its rescaled
+    profile are not part of the CSV serialization: the minimizer and profile
+    ride along for snapshotting and the sequence checks, and a wall time
+    would break the byte-for-byte reproducibility of sweep.csv.
     """
 
     a: float
@@ -68,8 +69,8 @@ class SweepRecord:
     status: str
     resolved: bool
     iterations: int | None = None
-    trials: int | None = None
     backtracks: int | None = None
+    trials: int | None = None
     cg_restarts: int | None = None
     fft_calls: int | None = None
     coarse_fallbacks: int | None = None
@@ -79,52 +80,58 @@ class SweepRecord:
 
 
 _CSV_COLUMNS = ("a", "energy", "kinetic", "eps", "center", "h2_dist_to_Q",
-                "status", "resolved", "iterations", "trials", "backtracks",
-                "cg_restarts", "fft_calls", "coarse_fallbacks")
+                "status", "resolved") + SOLVE_COUNTERS
 _NEWTON_MAX_STEPS = 20
 
 
 def _h2_after_best_shift(w: Field, ref: Field) -> float:
     """H2 distance minimized over sub-grid translations of w.
 
-    Translation keeps the H2 norm up to its damping of Nyquist modes, so
-    the distance is smallest near where the cross-correlation
-    C(s) = <ref, (1 + Lap^2) translate(w, s)> is largest, a Parseval sum of
-    ref^ against (1 + |k|^4) w^ times translate's phase.  Its gradient and
-    Hessian are the same sums against the phase's derivatives in s, so a
-    Nyquist mode, whose phase is real, enters all three alike.  Both fields
-    arrive centered, so the optimum sits near s = 0: Newton's method on C
-    from s = 0, with steps clipped to half a node per axis, costs O(n^d) per
-    step on the two transforms in hand and no FFT.  One exact translation
-    then measures the distance at the optimum, which is reported only if it
-    beats the distance at s = 0.
+    D(s) = ||translate(w, s) - ref||^2_H2 is the Parseval sum of
+    diff = w^ P(s) - ref^ against (1 + |k|^4) diff, P(s) the product of the
+    axes' phases of _shift_phases; its gradient and Hessian are the same
+    kind of sums against P's derivatives in s.  A Nyquist mode's phase is
+    real, so translate damps it and D, unlike a correlation, sees that.
+    Both fields arrive centered, so the optimum sits near s = 0: Newton's
+    method on D from s = 0, with steps clipped to half a node per axis,
+    costs O(n^d) per step on the spectra in hand, and one forward transform
+    in all, that of w - ref, whose sum with ref^ is w^.  The distance at the
+    optimum is reported only if it beats h2_distance(w, ref).
     """
     g = w.grid
-    # C(s) = parseval(cross, P(s)), P the product of the axes' phases
-    cross = np.conj((1.0 + g.k_quad) * w.hat) * ref.hat
-    shift = np.zeros(g.d)
-    for _ in range(_NEWTON_MAX_STEPS):
+    weight = 1.0 + g.k_quad
+    gap = w - ref
+    at_zero = float(np.sqrt(h2_norm_sq(gap)))  # h2_distance(w, ref)
+    w_hat = gap.hat + ref.hat
+    shift, step = np.zeros(g.d), np.full(g.d, np.inf)
+    for step_no in range(_NEWTON_MAX_STEPS + 1):
         # phases[ax][r]: the phase along ax, differentiated r times in s
         phases = [_shift_phases(g, ax, s, 3) for ax, s in enumerate(shift)]
 
-        def corr(*axs):  # C differentiated once along each axis in axs
+        def moved(*axs):  # w^ P differentiated once along each axis in axs
             z = phases[0][axs.count(0)]
             for ax in range(1, g.d):
                 z = z * phases[ax][axs.count(ax)]
-            return g.parseval(cross, z)
+            return w_hat * z
 
-        grad = np.array([corr(i) for i in range(g.d)])
-        hess = np.array([[corr(i, j) for j in range(g.d)]
-                         for i in range(g.d)])
+        diff = moved() - ref.hat
+        wdiff = weight * diff
+        if (step_no == _NEWTON_MAX_STEPS
+                or np.max(np.abs(step)) < 1e-12 * g.dx):
+            break
+        # half of D's gradient and Hessian
+        first = [moved(i) for i in range(g.d)]
+        grad = np.array([g.parseval(f, wdiff) for f in first])
+        hess = np.array([[g.parseval(first[i], weight * first[j])
+                          + g.parseval(moved(i, j), wdiff)
+                          for j in range(g.d)] for i in range(g.d)])
         try:
             step = -np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:
             break
         step = np.clip(step, -0.5 * g.dx, 0.5 * g.dx)
         shift = shift + step
-        if np.max(np.abs(step)) < 1e-12 * g.dx:
-            break
-    return min(h2_distance(w, ref), h2_distance(translate(w, shift), ref))
+    return min(at_zero, float(np.sqrt(g.parseval(diff, wdiff))))
 
 
 def _validate_schedule(schedule, a_star: float) -> list:
@@ -142,38 +149,31 @@ def _validate_schedule(schedule, a_star: float) -> list:
 def sweep(g: Grid, V, schedule, cfg: SolveConfig, gn: GNResult) -> list:
     """Solve along a strictly increasing schedule of couplings below a*.
 
-    Until a solve has ended without diverging, each starts from the
-    reference profile compressed to the scale the coupling gap suggests
-    (ell = (1 - a/a*)^(-1/6)) and parked at the potential minimum.  After
-    that each warm-starts from the last minimizer that did not diverge.
-    When that minimizer is the newer of the two latest resolved converged
-    records, the start is predicted from it instead: dilated about its own
-    density center, which stays put, by the secant ratio eps_older /
-    eps_newer of the two records (a guess that the scale shrinks by the same
-    factor again).  cfg is only the stop rule.  A
-    record is appended for every coupling whatever the solver status -- a
-    failure is data -- but a diverged state is not propagated as the next
-    warm start.
+    Every start is one dilate of a placement (source, ratio, center,
+    target).  Until a solve has ended without diverging, the source is the
+    reference profile, compressed to the scale the coupling gap suggests
+    (ratio ell = (1 - a/a*)^(-1/6)) about the origin onto the potential
+    minimum.  After that it is the last minimizer that did not diverge,
+    about its own density center, which stays put: by ratio 1, which
+    returns it as it stands, or, when it is the newer of the two latest
+    resolved converged records, by the secant ratio eps_older / eps_newer
+    of the two (a guess that the scale shrinks by the same factor again).
+    cfg is only the stop rule.  A record is appended for every coupling
+    whatever the solver status -- a failure is data -- but a diverged state
+    is not propagated as the next start.
     """
     sched = _validate_schedule(schedule, gn.a_star)
     if gn.Q.grid != g:
         raise ValueError("reference profile lives on an incompatible grid")
 
     records: list = []
-    prev: Field | None = None
+    placement = None  # of the last minimizer that did not diverge
     prev_eps = None
-    # (minimizer, its density center, secant ratio) while the warm start is
-    # the newer of two resolved converged records
-    predictor = None
     for a in sched:
-        if predictor is not None:
-            u, center, ratio = predictor
-            start = dilate(u, ratio, center=center, to=center)
-        elif prev is not None:
-            start = prev
-        else:
-            ell = (1.0 - a / gn.a_star) ** (-1.0 / 6.0)
-            start = initial_field(g, V, InitSpec("dilated_Q", ell=ell), gn.Q)
+        source, ratio, pivot, target = placement or (
+            gn.Q, (1.0 - a / gn.a_star) ** (-1.0 / 6.0), 0.0,
+            potential_argmin(V, g))
+        start = dilate(source, ratio, center=pivot, to=target)
         t0 = time.perf_counter()
         result = solve(g, V, a, cfg, start=start)
         seconds = time.perf_counter() - t0
@@ -182,7 +182,9 @@ def sweep(g: Grid, V, schedule, cfg: SolveConfig, gn: GNResult) -> list:
         eps = float(kin) ** -0.25
         resolved = bool(eps > 4.0 * g.dx)
         center = density_center(u)
-        w = normalize_gn(u)  # by eps about center: the state has unit mass
+        # the minimizer has unit mass, so the dilation by eps about its
+        # center brings its bilaplacian energy to 1
+        w = renormalize_mass(dilate(u, eps, center=center))
         rec = SweepRecord(
             a=float(a),
             energy=float(result.breakdown.total),
@@ -192,12 +194,7 @@ def sweep(g: Grid, V, schedule, cfg: SolveConfig, gn: GNResult) -> list:
             h2_dist_to_Q=_h2_after_best_shift(w, gn.Q),
             status=result.status.value,
             resolved=resolved,
-            iterations=result.iterations,
-            trials=result.trials,
-            backtracks=result.backtracks,
-            cg_restarts=result.cg_restarts,
-            fft_calls=result.fft_calls,
-            coarse_fallbacks=result.coarse_fallbacks,
+            **{c: getattr(result, c) for c in SOLVE_COUNTERS},
             seconds=seconds,
             minimizer=u,
             rescaled=w,
@@ -213,9 +210,8 @@ def sweep(g: Grid, V, schedule, cfg: SolveConfig, gn: GNResult) -> list:
                 f"between resolved converged records at a={a}; recorded as "
                 "data", RuntimeWarning, stacklevel=2)
         if result.status is not SolveStatus.DIVERGED_BELOW_FLOOR:
-            prev = u
-            predictor = ((u, center, prev_eps / eps)
-                         if trusted and prev_eps is not None else None)
+            ratio = prev_eps / eps if trusted and prev_eps is not None else 1.0
+            placement = (u, ratio, center, center)
         if trusted:
             prev_eps = eps
     return records
@@ -284,8 +280,7 @@ def save_sweep(records, run_dir) -> Path:
                 repr(rec.a), repr(rec.energy), repr(rec.kinetic),
                 repr(rec.eps), ";".join(repr(c) for c in rec.center),
                 repr(rec.h2_dist_to_Q), rec.status, rec.resolved,
-                rec.iterations, rec.trials, rec.backtracks, rec.cg_restarts,
-                rec.fft_calls, rec.coarse_fallbacks,
+                *(getattr(rec, c) for c in SOLVE_COUNTERS),
             ])
     for i, rec in enumerate(records):
         if rec.minimizer is not None:
@@ -297,7 +292,8 @@ def save_sweep(records, run_dir) -> Path:
 
 def load_sweep(path) -> list:
     """Read a sweep.csv written by save_sweep back into records, without
-    their fields; a ValueError names the columns the file lacks."""
+    their fields; an empty counter cell reads as None, and a ValueError
+    names the columns the file lacks."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         missing = [c for c in _CSV_COLUMNS
@@ -313,10 +309,5 @@ def load_sweep(path) -> list:
             h2_dist_to_Q=float(row["h2_dist_to_Q"]),
             status=row["status"],
             resolved=row["resolved"] == "True",
-            iterations=int(row["iterations"]),
-            trials=int(row["trials"]),
-            backtracks=int(row["backtracks"]),
-            cg_restarts=int(row["cg_restarts"]),
-            fft_calls=int(row["fft_calls"]),
-            coarse_fallbacks=int(row["coarse_fallbacks"]),
+            **{c: int(row[c]) if row[c] else None for c in SOLVE_COUNTERS},
         ) for row in reader]

@@ -29,8 +29,9 @@ from .field import (Field, bilap_energy, gaussian_mixture_field, l2_norm_sq,
                     l2_norm_sq_spectral, random_smooth_field, write_snapshot)
 from .gn import compute_gn, load_gn, save_gn
 from .grid import Grid, make_grid, quadrature
-from .groundstate import (ENERGY_FLOOR, InitSpec, SolveConfig, SolveStatus,
-                          initial_field, solve, write_iteration_log)
+from .groundstate import (ENERGY_FLOOR, SOLVE_COUNTERS, InitSpec, SolveConfig,
+                          SolveStatus, initial_field, solve,
+                          write_iteration_log)
 from .potentials import ess_inf, potential_from_config
 
 EXIT_OK = 0
@@ -366,12 +367,7 @@ def cmd_solve(cfg: RunConfig, out=sys.stdout) -> int:
         "nonlinear": bd.nonlinear,
         "mu": bd.mu,
         "grad_residual": result.grad_residual,
-        "iterations": result.iterations,
-        "backtracks": result.backtracks,
-        "trials": result.trials,
-        "cg_restarts": result.cg_restarts,
-        "fft_calls": result.fft_calls,
-        "coarse_fallbacks": result.coarse_fallbacks,
+        **{c: getattr(result, c) for c in SOLVE_COUNTERS},
         "init": cfg.init.kind,
     }
     report = cfg.output_dir / "solve.json"

@@ -144,6 +144,12 @@ class SolveResult:
     coarse_fallbacks: int
 
 
+# SolveResult's counters in its field order, the one list that SweepRecord,
+# sweep.csv and solve.json carry them by
+SOLVE_COUNTERS = ("iterations", "backtracks", "trials", "cg_restarts",
+                  "fft_calls", "coarse_fallbacks")
+
+
 def potential_argmin(V, g: Grid) -> np.ndarray:
     """Coordinates of the smallest sampled potential value (origin on ties)."""
     return _argmin_coordinates(sample(V, g).values, g)

@@ -8,14 +8,16 @@ import numpy as np
 import pytest
 
 from biharm import (GaussianWell, Harmonic, ResolutionWarning, SolveConfig,
-                    SweepRecord, Zero, blowup, compute_gn, energy_limit_check,
-                    gn_sequence_check, make_grid, read_snapshot, save_sweep,
-                    sweep, sweep_plot_columns)
+                    SolveResult, SweepRecord, Zero, blowup, compute_gn,
+                    energy_limit_check, gn_sequence_check, load_sweep,
+                    make_grid, read_snapshot, save_sweep, sweep,
+                    sweep_plot_columns)
 from biharm.blowup import _h2_after_best_shift
 from biharm.energy import critical_power, critical_shift
 from biharm.field import (bilap_energy, density_center, h2_distance,
                           l2_norm_sq, translate)
-from biharm.groundstate import InitSpec, SolveStatus, initial_field, solve
+from biharm.groundstate import (SOLVE_COUNTERS, InitSpec, SolveStatus,
+                                initial_field, solve)
 
 
 @pytest.fixture(scope="module")
@@ -227,15 +229,15 @@ def test_save_sweep_writes_csv_and_snapshots(tmp_path, well_records, g256):
     csv_path = save_sweep(well_records, tmp_path / "run")
     lines = csv_path.read_text().splitlines()
     assert lines[0] == ("a,energy,kinetic,eps,center,h2_dist_to_Q,status,"
-                        "resolved,iterations,trials,backtracks,"
+                        "resolved,iterations,backtracks,trials,"
                         "cg_restarts,fft_calls,coarse_fallbacks")
     assert len(lines) == len(well_records) + 1
     first = lines[1].split(",")
     assert float(first[0]) == well_records[0].a
     assert first[6] == "Converged"
     assert [int(c) for c in first[8:]] == [well_records[0].iterations,
-                                          well_records[0].trials,
                                           well_records[0].backtracks,
+                                          well_records[0].trials,
                                           well_records[0].cg_restarts,
                                           well_records[0].fft_calls,
                                           well_records[0].coarse_fallbacks]
@@ -244,6 +246,30 @@ def test_save_sweep_writes_csv_and_snapshots(tmp_path, well_records, g256):
         w = read_snapshot(tmp_path / "run" / f"w_{i:03d}.bhf", g256)
         assert np.array_equal(u.values, rec.minimizer.values)
         assert np.array_equal(w.values, rec.rescaled.values)
+
+
+def test_hand_built_record_round_trips_through_csv(tmp_path):
+    # a record built by hand carries no solver counters: they are written
+    # as empty cells and read back as None
+    bare = SweepRecord(a=1.0, energy=-0.5, kinetic=2.0, eps=2.0**-0.25,
+                       center=(0.1,), h2_dist_to_Q=0.01, status="MaxIters",
+                       resolved=False)
+    counted = dataclasses.replace(bare, a=1.5, status="Converged",
+                                  resolved=True, iterations=7, backtracks=0,
+                                  trials=8, cg_restarts=1, fft_calls=16,
+                                  coarse_fallbacks=7)
+    path = save_sweep([bare, counted], tmp_path / "run")
+    assert load_sweep(path) == [bare, counted]
+
+
+def test_solve_counters_are_the_solver_result_counters():
+    # SOLVE_COUNTERS lists SolveResult's integer fields in its order, each
+    # also a field of SweepRecord
+    result = [f.name for f in dataclasses.fields(SolveResult)
+              if f.type in (int, "int")]
+    assert list(SOLVE_COUNTERS) == result
+    record = {f.name for f in dataclasses.fields(SweepRecord)}
+    assert set(SOLVE_COUNTERS) <= record
 
 
 def test_plot_columns_track_records(well_records, gn256):
@@ -321,6 +347,17 @@ def test_shift_search_recovers_a_1d_translation(g256, gn256):
     assert _h2_after_best_shift(moved, gn256.Q) <= 1e-10
 
 
+def test_shift_search_runs_one_forward_transform(g256, gn256,
+                                                count_transforms):
+    # with the reference's spectrum cached, the search transforms w - ref
+    # once and inverts nothing
+    gn256.Q.hat
+    moved = translate(gn256.Q, (0.3 * g256.dx,))
+    calls = count_transforms()
+    _h2_after_best_shift(moved, gn256.Q)
+    assert calls == ["rfft"]
+
+
 def test_shift_search_recovers_a_2d_translation():
     # 128^2: at 64^2 the profile's Nyquist content (1e-5) already caps how
     # exactly a sub-grid translation can be undone
@@ -332,8 +369,8 @@ def test_shift_search_recovers_a_2d_translation():
 
 
 def test_shift_search_never_worse_than_no_shift(g256, gn256):
-    # against -Q the correlation's nearby stationary point is a distance
-    # maximum; Newton converges to it, and the unshifted distance is kept
+    # against -Q the distance's nearby stationary point is its maximum;
+    # Newton converges to it, and the unshifted distance is kept
     w = -translate(gn256.Q, (0.1 * g256.dx,))
     at_zero = h2_distance(w, gn256.Q)
     assert h2_distance(translate(w, (-0.1 * g256.dx,)), gn256.Q) > at_zero

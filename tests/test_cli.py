@@ -14,6 +14,7 @@ from biharm import (Field, SolveConfig, cli, compute_gn, make_grid, save_gn,
                     write_snapshot)
 from biharm.blowup import load_sweep
 from biharm.cli import main
+from biharm.groundstate import SOLVE_COUNTERS
 from biharm.potentials import sample
 
 
@@ -196,8 +197,7 @@ def test_solve_reports_line_search_counters(tmp_path):
     code, text = run_cli("--config", str(cfg), "solve")
     assert code == 0
     report = json.loads((tmp_path / "run" / "solve.json").read_text())
-    for key in ("backtracks", "trials", "cg_restarts", "fft_calls",
-                "coarse_fallbacks"):
+    for key in SOLVE_COUNTERS:
         assert isinstance(report[key], int) and report[key] >= 0
     # every accepted step took at least one trial, and every backtrack is one
     assert report["trials"] >= report["iterations"] + report["backtracks"]
@@ -521,6 +521,7 @@ def test_sweep_csv_read_with_and_without_solver_counters(tmp_path,
     # a CSV without the counter columns is a config error that names them:
     # one written before the trials column, then one without the last two
     lines = path.read_text().splitlines()
+    assert set(SOLVE_COUNTERS) <= set(lines[0].split(","))
     column = lines[0].split(",").index("trials")
     path.write_text("\n".join(",".join(c for i, c in enumerate(line.split(","))
                                       if i != column)

@@ -335,23 +335,6 @@ def test_repeated_solves_share_no_state():
     _assert_same_result(other, solve(g1, GaussianWell(1.0), 8.0, cfg))
 
 
-_TRANSFORMS = ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft", "rfftn",
-               "irfftn", "fft2", "ifft2", "rfft2", "irfft2")
-
-
-def _count_transforms(monkeypatch):
-    calls = []
-    for name in _TRANSFORMS:
-        fn = getattr(np.fft, name)
-
-        def counted(*args, _fn=fn, **kwargs):
-            calls.append(_fn.__name__)
-            return _fn(*args, **kwargs)
-
-        monkeypatch.setattr(np.fft, name, counted)
-    return calls
-
-
 def _well_2d():
     # the 2D benchmark problem: a quarter-node offset well, cold start
     g = make_grid(2, 128, 12.0)
@@ -371,7 +354,8 @@ def _warm_sweep_point():
 
 
 @pytest.mark.parametrize("problem", [_well_1d, _well_2d, _warm_sweep_point])
-def test_spectral_state_matches_field_evaluation(problem, monkeypatch):
+def test_spectral_state_matches_field_evaluation(problem, monkeypatch,
+                                                 count_transforms):
     # the solver carries the values and their real transform side by side;
     # its reported state must be that of the returned minimizer, and it
     # must count every transform it runs: two on entry and two per
@@ -379,7 +363,7 @@ def test_spectral_state_matches_field_evaluation(problem, monkeypatch):
     # coarse step's d + 1 more per iteration
     g, V, a, start = problem()
     cfg = SolveConfig(tol_grad=1e-6, max_iters=40000)
-    calls = _count_transforms(monkeypatch)
+    calls = count_transforms()
     res = solve(g, V, a, cfg, start=start)
     monkeypatch.undo()
     assert res.status is SolveStatus.CONVERGED
