@@ -25,9 +25,8 @@ from .field import (Field, _shift_phases, density_center, dilate, h2_norm_sq,
                     lq_integral, renormalize_mass, write_snapshot)
 from .gn import GNResult
 from .grid import Grid
-from .groundstate import (SOLVE_COUNTERS, SolveConfig, SolveStatus,
-                          potential_argmin, solve)
-from .potentials import ess_inf
+from .groundstate import SOLVE_COUNTERS, SolveConfig, SolveStatus, solve
+from .potentials import ess_inf, potential_argmin
 
 __all__ = [
     "SweepRecord",

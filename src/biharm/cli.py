@@ -28,7 +28,7 @@ from .energy import (_unconstrained_gradient, energy, gn_quotient,
 from .field import (Field, bilap_energy, gaussian_mixture_field, l2_norm_sq,
                     l2_norm_sq_spectral, random_smooth_field, write_snapshot)
 from .gn import compute_gn, load_gn, save_gn
-from .grid import Grid, make_grid, quadrature
+from .grid import make_grid, quadrature
 from .groundstate import (ENERGY_FLOOR, SOLVE_COUNTERS, InitSpec, SolveConfig,
                           SolveStatus, initial_field, solve,
                           write_iteration_log)
@@ -77,76 +77,60 @@ def _as_float(obj, key, default=None):
     return float(val)
 
 
-def load_config(path) -> dict:
+def _as_flag(obj, key, default):
+    val = obj.get(key, default)
+    if not isinstance(val, bool):
+        raise ConfigError(f"field {key!r} must be true or false, got {val!r}")
+    return val
+
+
+def _as_tolerance(obj, key, default):
+    """A positive number, or None (JSON null) for a check switched off."""
+    val = obj.get(key, default)
+    if val is not None and (not _is_finite_number(val) or val <= 0):
+        raise ConfigError(f"field {key!r} must be a positive number or null, "
+                          f"got {val!r}")
+    return val
+
+
+def _as_str(obj, key, default):
+    val = obj.get(key, default)
+    if not isinstance(val, str):
+        raise ConfigError(f"field {key!r} must be a string, got {val!r}")
+    return val
+
+
+def _block(obj, key, known, where=""):
+    """obj[key], or {} when absent, as an object holding only known keys;
+    where is the dotted path of obj, for the messages."""
+    block = obj.get(key, {})
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where}{key} must be a JSON object, got "
+                          f"{type(block).__name__}")
+    extra = set(block) - known
+    if extra:
+        raise ConfigError(f"unknown {where}{key} fields {sorted(extra)}")
+    return block
+
+
+def _build(what, make, **kwargs):
+    """make(**kwargs), its ValueError reported as a ConfigError on what."""
+    try:
+        return make(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid {what}: {exc}") from exc
+
+
+def load_config(path):
     """Parse the JSON config document; malformed input is a ConfigError."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise ConfigError("config root must be a JSON object")
-    return obj
-
-
-def _build_grid(cfg: dict) -> Grid:
-    block = cfg.get("grid")
-    if not isinstance(block, dict):
-        raise ConfigError("config needs a 'grid' object with d, n, half_width")
-    try:
-        return make_grid(_as_int(block, "d", minimum=1),
-                         _as_int(block, "n", minimum=1),
-                         _as_float(block, "half_width"))
-    except ValueError as exc:
-        raise ConfigError(f"invalid grid: {exc}") from exc
-
-
-def _build_potential(cfg: dict, d: int):
-    block = cfg.get("potential", {"family": "zero"})
-    try:
-        return potential_from_config(block, d)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid potential: {exc}") from exc
-
-
-def _build_solver(cfg: dict) -> tuple[SolveConfig, InitSpec]:
-    """The solver block: the stop rule, and the start that 'solve' uses."""
-    block = cfg.get("solver", {})
-    if not isinstance(block, dict):
-        raise ConfigError("'solver' must be an object")
-    defaults = SolveConfig()
-    init_block = block.get("init", {})
-    if not isinstance(init_block, dict):
-        raise ConfigError("'solver.init' must be an object")
-    known_init = {"kind", "width", "path", "ell"}
-    extra = set(init_block) - known_init
-    if extra:
-        raise ConfigError(f"unknown solver.init fields {sorted(extra)}")
-    di = InitSpec()
-    # "precondition" is accepted, as true only, from configs written when the
-    # preconditioner was optional; solve always preconditions
-    known = {"tol_grad", "max_iters", "precondition", "init"}
-    extra = set(block) - known
-    if extra:
-        raise ConfigError(f"unknown solver fields {sorted(extra)}")
-    if block.get("precondition", True) is not True:
-        raise ConfigError("field 'precondition' can only be true (solve "
-                          f"always preconditions), got "
-                          f"{block['precondition']!r}")
-    try:
-        init = InitSpec(kind=str(init_block.get("kind", di.kind)),
-                        width=_as_float(init_block, "width", di.width),
-                        path=str(init_block.get("path", di.path)),
-                        ell=_as_float(init_block, "ell", di.ell))
-        return SolveConfig(
-            tol_grad=_as_float(block, "tol_grad", defaults.tol_grad),
-            max_iters=_as_int(block, "max_iters", defaults.max_iters),
-        ), init
-    except ValueError as exc:
-        raise ConfigError(f"invalid solver config: {exc}") from exc
 
 
 def _parse_coupling(spec):
@@ -178,83 +162,90 @@ def _parse_coupling(spec):
 class RunConfig:
     """Validated run configuration; construction performs every check that
     does not require compute (grids, potential family, solver numbers,
-    schedule geometry, coupling syntax)."""
+    schedule geometry, coupling syntax).  Every block the document holds is
+    read, and its unknown keys rejected, whatever the command; a command
+    only requires its own block."""
 
     def __init__(self, raw: dict, command: str, overrides: dict):
-        if not isinstance(raw, dict):
-            raise ConfigError("config root must be a JSON object")
+        top = _block({"config": raw}, "config", {
+            "grid", "potential", "solver", "gn", "solve", "sweep", "check",
+            "seed", "output_dir"})
+        grid = _block(top, "grid", {"d", "n", "half_width"})
+        # "precondition" is accepted, as true only, from configs written when
+        # the preconditioner was optional; solve always preconditions
+        solver = _block(top, "solver",
+                        {"tol_grad", "max_iters", "init", "precondition"})
+        init = _block(solver, "init", {"kind", "width", "path", "ell"},
+                      "solver.")
+        # "restarts" is accepted and ignored, from configs written when
+        # compute_gn took restarts
+        gn = _block(top, "gn", {"artifact", "restarts"})
+        solve = _block(top, "solve", {"a"})
+        sweep = _block(top, "sweep", {"start", "ratio", "count", "checks"})
+        checks = _block(sweep, "checks", {"h2_final", "gn_window",
+                                          "monotone_gap", "energy_gap_tol"},
+                        "sweep.")
+        check = _block(top, "check", {"fields", "directions", "battery"})
+        if command == "solve" and "a" not in solve:
+            raise ConfigError("solve needs a 'solve' object with a coupling "
+                              "'a'")
+        if command == "sweep" and "sweep" not in top:
+            raise ConfigError("sweep needs a 'sweep' object with start, "
+                              "count, ratio")
+
         self.raw = raw
         self.command = command
-        self.grid = _build_grid(raw)
-        self.potential = _build_potential(raw, self.grid.d)
-        self.solver, self.init = _build_solver(raw)
-        seed = overrides.get("seed")
-        self.seed = _as_int(raw, "seed", 0) if seed is None else int(seed)
-        out = overrides.get("output") or raw.get("output_dir", "run")
-        if not isinstance(out, (str, Path)):
-            raise ConfigError("output_dir must be a path string")
-        self.output_dir = Path(out)
-
-        gn_block = raw.get("gn", {})
-        if not isinstance(gn_block, dict):
-            raise ConfigError("'gn' must be an object")
-        artifact = gn_block.get("artifact")
+        self.grid = _build("grid", make_grid,
+                           d=_as_int(grid, "d", minimum=1),
+                           n=_as_int(grid, "n", minimum=1),
+                           half_width=_as_float(grid, "half_width"))
+        self.potential = _build("potential", potential_from_config,
+                                obj=top.get("potential", {"family": "zero"}),
+                                d=self.grid.d)
+        if solver.get("precondition", True) is not True:
+            raise ConfigError("field 'precondition' can only be true (solve "
+                              f"always preconditions), got "
+                              f"{solver['precondition']!r}")
+        self.solver = _build(
+            "solver config", SolveConfig,
+            tol_grad=_as_float(solver, "tol_grad", SolveConfig.tol_grad),
+            max_iters=_as_int(solver, "max_iters", SolveConfig.max_iters))
+        self.init = _build("solver config", InitSpec,
+                           kind=_as_str(init, "kind", InitSpec.kind),
+                           width=_as_float(init, "width", InitSpec.width),
+                           path=_as_str(init, "path", InitSpec.path),
+                           ell=_as_float(init, "ell", InitSpec.ell))
+        self.seed = _as_int(top, "seed", 0)
+        if overrides.get("seed") is not None:
+            self.seed = int(overrides["seed"])
+        self.output_dir = Path(overrides.get("output")
+                               or _as_str(top, "output_dir", "run"))
+        artifact = _as_str(gn, "artifact", "")
         self.gn_artifact = Path(artifact) if artifact else self.output_dir / "gn"
 
-        if command == "solve":
-            block = raw.get("solve")
-            if not isinstance(block, dict) or "a" not in block:
-                raise ConfigError("solve needs a 'solve' object with "
-                                  "a coupling 'a'")
-            self.coupling_literal, self.coupling_factor = _parse_coupling(
-                block["a"])
+        self.coupling_literal, self.coupling_factor = (
+            _parse_coupling(solve["a"]) if "a" in solve else (None, None))
 
-        if command == "sweep":
-            block = raw.get("sweep")
-            if not isinstance(block, dict):
-                raise ConfigError("sweep needs a 'sweep' object with "
-                                  "start, count, ratio")
-            start = _as_float(block, "start", 0.5)
-            ratio = _as_float(block, "ratio", 0.5)
-            count = _as_int(block, "count", 8, minimum=1)
-            if not 0.0 < start < 1.0:
-                raise ConfigError("sweep.start is 1 - a/a* of the first "
-                                  "record and must lie in (0, 1); couplings "
-                                  "at or above astar do not exist")
-            if not 0.0 < ratio < 1.0:
-                raise ConfigError("sweep.ratio must lie in (0, 1) so the "
-                                  "schedule climbs toward astar")
-            self.sweep_deltas = [start * ratio**k for k in range(count)]
-            checks = block.get("checks", {})
-            if not isinstance(checks, dict):
-                raise ConfigError("'sweep.checks' must be an object")
-            extra = set(checks) - {"h2_final", "gn_window", "monotone_gap",
-                                   "energy_gap_tol"}
-            if extra:
-                raise ConfigError(f"unknown sweep.checks fields "
-                                  f"{sorted(extra)}")
-            for key in ("gn_window", "monotone_gap"):
-                if not isinstance(checks.get(key, True), bool):
-                    raise ConfigError(f"sweep.checks.{key} must be true or "
-                                      f"false, got {checks[key]!r}")
-            self.check_h2_final = checks.get("h2_final", 0.05)
-            self.check_gn_window = checks.get("gn_window", True)
-            self.check_monotone_gap = checks.get("monotone_gap", True)
-            self.check_energy_gap_tol = checks.get("energy_gap_tol")
-            for key, val in (("h2_final", self.check_h2_final),
-                             ("energy_gap_tol", self.check_energy_gap_tol)):
-                if val is not None and (not _is_finite_number(val)
-                                        or val <= 0):
-                    raise ConfigError(f"sweep.checks.{key} must be a positive "
-                                      "number or null")
+        start = _as_float(sweep, "start", 0.5)
+        ratio = _as_float(sweep, "ratio", 0.5)
+        count = _as_int(sweep, "count", 8, minimum=1)
+        if not 0.0 < start < 1.0:
+            raise ConfigError("sweep.start is 1 - a/a* of the first record "
+                              "and must lie in (0, 1); couplings at or above "
+                              "astar do not exist")
+        if not 0.0 < ratio < 1.0:
+            raise ConfigError("sweep.ratio must lie in (0, 1) so the "
+                              "schedule climbs toward astar")
+        self.sweep_deltas = [start * ratio**k for k in range(count)]
+        self.check_h2_final = _as_tolerance(checks, "h2_final", 0.05)
+        self.check_energy_gap_tol = _as_tolerance(checks, "energy_gap_tol",
+                                                  None)
+        self.check_gn_window = _as_flag(checks, "gn_window", True)
+        self.check_monotone_gap = _as_flag(checks, "monotone_gap", True)
 
-        if command == "check":
-            block = raw.get("check", {})
-            if not isinstance(block, dict):
-                raise ConfigError("'check' must be an object")
-            self.check_fields = _as_int(block, "fields", 20, minimum=1)
-            self.check_directions = _as_int(block, "directions", 20, minimum=1)
-            self.check_battery = _as_int(block, "battery", 200, minimum=1)
+        self.check_fields = _as_int(check, "fields", 20, minimum=1)
+        self.check_directions = _as_int(check, "directions", 20, minimum=1)
+        self.check_battery = _as_int(check, "battery", 200, minimum=1)
 
 
 # ---------------------------------------------------------------------------
@@ -436,22 +427,26 @@ def cmd_sweep(cfg: RunConfig, out=sys.stdout) -> int:
               f"{abs(r.energy - floor):#.3g}  {r.eps:#.4g}  "
               f"{r.h2_dist_to_Q:#.4g}  {r.status}", file=out)
 
-    if cfg.check_monotone_gap or cfg.check_energy_gap_tol is not None:
-        tol = (np.inf if cfg.check_energy_gap_tol is None
-               else float(cfg.check_energy_gap_tol))
+    # the trend needs three resolved records; the tolerance only the last
+    gap = abs(resolved[-1].energy - floor)
+    if cfg.check_monotone_gap:
         try:
-            gap, ok = energy_limit_check(records, cfg.potential, tol=tol)
+            ok = energy_limit_check(records, cfg.potential, tol=np.inf)[1]
             print(f"energy gap to ess inf V: {gap:.4g} "
-                  f"({'shrinking' if ok else 'NOT shrinking/too large'})",
-                  file=out)
-            if not ok:
-                failures.append("energy_gap")
+                  f"({'shrinking' if ok else 'NOT shrinking'})", file=out)
         except ValueError as exc:
             print(f"energy gap check unavailable: {exc}", file=out)
+            ok = False
+        if not ok:
             failures.append("energy_gap")
+    if cfg.check_energy_gap_tol is not None:
+        print(f"energy gap to ess inf V: {gap:.4g} "
+              f"(tolerance {cfg.check_energy_gap_tol})", file=out)
+        if not gap < cfg.check_energy_gap_tol:
+            failures.append("energy_gap_tol")
     if cfg.check_h2_final is not None:
         final = resolved[-1].h2_dist_to_Q
-        ok = final < float(cfg.check_h2_final)
+        ok = final < cfg.check_h2_final
         print(f"final H2 distance to Q: {final:.4g} "
               f"(tolerance {cfg.check_h2_final})", file=out)
         if not ok:

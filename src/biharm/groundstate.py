@@ -63,7 +63,7 @@ from .energy import (EnergyBreakdown, critical_power, critical_shift, energy,
 from .field import (Field, _nonlinear_weight, dilate, read_snapshot,
                     renormalize_mass)
 from .grid import Grid
-from .potentials import classify, sample
+from .potentials import classify, potential_argmin, sample
 
 _ARMIJO = 1e-4
 # line search: the first iteration's first trial step, and the factor on the
@@ -148,18 +148,6 @@ class SolveResult:
 # sweep.csv and solve.json carry them by
 SOLVE_COUNTERS = ("iterations", "backtracks", "trials", "cg_restarts",
                   "fft_calls", "coarse_fallbacks")
-
-
-def potential_argmin(V, g: Grid) -> np.ndarray:
-    """Coordinates of the smallest sampled potential value (origin on ties)."""
-    return _argmin_coordinates(sample(V, g).values, g)
-
-
-def _argmin_coordinates(vals: np.ndarray, g: Grid) -> np.ndarray:
-    if np.ptp(vals) == 0.0:
-        return np.zeros(g.d)
-    idx = np.unravel_index(int(np.argmin(vals)), g.shape)
-    return np.array([g.axes[ax][i] for ax, i in enumerate(idx)])
 
 
 def initial_field(g: Grid, V, spec: InitSpec, profile: Field | None = None) -> Field:
@@ -586,7 +574,7 @@ def solve(g: Grid, V, a: float, cfg: SolveConfig = SolveConfig(), *,
     # sweeps the step's transforms and sums cost more than the iterations
     # it saves
     coarse = g.d > 1
-    ws = _Workspace(g, _argmin_coordinates(vvals, g) if coarse else None)
+    ws = _Workspace(g, potential_argmin(V, g) if coarse else None)
     work = (ws.rows[0], ws.rows[1], ws.half)
     d, D = ws.d, ws.D
     x = u.values.copy()

@@ -134,11 +134,18 @@ def ess_inf(V, g: Grid | None = None) -> float:
             return float("-inf")
         if g is None:
             raise ValueError("sum potentials need a grid to minimize over")
-        vals = sample(V, g).values
-        best = np.unravel_index(int(np.argmin(vals)), g.shape)
-        x0 = np.array([g.axes[ax][best[ax]] for ax in range(g.d)])
-        return float(min(vals.min(), _newton_minimum(V, x0)))
+        return float(min(sample(V, g).values.min(),
+                         _newton_minimum(V, potential_argmin(V, g))))
     raise TypeError(f"not a potential family: {type(V).__name__}")
+
+
+def potential_argmin(V, g: Grid) -> np.ndarray:
+    """Coordinates of the smallest sampled potential value (origin on ties)."""
+    vals = sample(V, g).values
+    if np.ptp(vals) == 0.0:
+        return np.zeros(g.d)
+    idx = np.unravel_index(int(np.argmin(vals)), g.shape)
+    return np.array([g.axes[ax][i] for ax, i in enumerate(idx)])
 
 
 def _newton_minimum(V, x: np.ndarray) -> float:
@@ -278,16 +285,18 @@ def level_split(V, g: Grid, p1: float = 2.0, p2: float = 4.0,
         return PotentialSplit(zero, zero, Field(g, w), p1, p2, 0.0)
 
     neg = mags > 0
-    levels = np.unique(mags[neg])           # ascending
+    m = np.sort(mags[neg])                  # ascending, with repeats
+    levels = np.unique(m)
+    ends = np.searchsorted(m, levels, side="right")  # past each level's run
     cell = g.dx**g.d
 
     # ---- peak peel, only under a requested ceiling: smallest level whose
-    # above-level p1 mass fits eps^p1
+    # above-level p1 mass fits eps^p1.  The masses are suffix sums, so the
+    # small ones near the peak are not differences of large numbers
     if v3_bound is not None:
         if v3_bound <= 0:
             raise ValueError("v3_bound must be positive")
-        above_p1 = np.array([np.sum(mags[mags > lev] ** p1) * cell
-                             for lev in levels])
+        above_p1 = np.append(np.cumsum((m**p1)[::-1])[::-1], 0.0)[ends] * cell
         ok = np.flatnonzero(above_p1 <= eps**p1)
         if ok.size == 0 or levels[ok[0]] > v3_bound:
             raise ValueError(
@@ -303,8 +312,7 @@ def level_split(V, g: Grid, p1: float = 2.0, p2: float = 4.0,
     # ---- far tail below the peak: largest level whose below-level p2 mass
     # fits eps^p2
     low = levels[levels <= cut_level] if cut_level > 0 else levels
-    mass_p2 = np.array([np.sum(mags[neg & (mags <= lev)] ** p2) * cell
-                        for lev in low])
+    mass_p2 = np.cumsum(m**p2)[ends[:low.size] - 1] * cell
     tail_idx = int(np.searchsorted(mass_p2, eps**p2, side="right")) - 1
     tail_level = float(low[tail_idx]) if tail_idx >= 0 else 0.0
     tail_mask = neg & (mags <= tail_level)

@@ -153,6 +153,53 @@ def test_bad_sweep_checks_exit_2(tmp_path, artifact_dir, checks, named):
     assert not (tmp_path / "run").exists()
 
 
+def _config_with(tmp_path, path, value):
+    """A config with solve and sweep blocks and value set at the nested keys
+    of path, made as needed (value is the whole document when path is
+    empty)."""
+    cfg = write_config(tmp_path / "c.json", output_dir=str(tmp_path / "run"),
+                       solve={"a": 4.0}, sweep={"count": 2})
+    raw = json.loads(cfg.read_text())
+    node = raw
+    for key in path[:-1]:
+        node = node.setdefault(key, {})
+    if path:
+        node[path[-1]] = value
+    cfg.write_text(json.dumps(raw if path else value))
+    return cfg
+
+
+@pytest.mark.parametrize("path", [
+    ("gridd",), ("grid", "N"), ("solver", "tol"), ("solver", "init", "widht"),
+    ("gn", "artifcat"), ("solve", "aa"), ("sweep", "cuont"),
+    ("sweep", "checks", "h2_finall"), ("check", "feilds")],
+    ids=".".join)
+def test_a_misspelt_key_in_any_block_exits_2(tmp_path, path):
+    # every block the document holds is read whatever the command, so gn
+    # rejects a misspelt sweep or check key too, rather than leaving the
+    # default in force for the command that reads it
+    cfg = _config_with(tmp_path, path, 2)
+    code, text = run_cli("--config", str(cfg), "gn")
+    assert code == 2, text
+    assert text.startswith("config error: unknown ")
+    assert repr(path[-1]) in text
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("path", [
+    (), ("grid",), ("solver",), ("solver", "init"), ("gn",), ("solve",),
+    ("sweep",), ("sweep", "checks"), ("check",)],
+    ids=lambda path: ".".join(path) or "root")
+def test_a_block_that_is_not_an_object_exits_2(tmp_path, path):
+    cfg = _config_with(tmp_path, path, [])
+    code, text = run_cli("--config", str(cfg), "gn")
+    assert code == 2, text
+    name = ".".join(path) or "config"
+    assert text.startswith(f"config error: {name} must be a JSON object, "
+                           "got list")
+    assert not (tmp_path / "run").exists()
+
+
 def test_sweep_checks_switched_off(tmp_path, artifact_dir):
     cfg = write_config(tmp_path / "c.json", output_dir=str(tmp_path / "run"),
                        gn={"artifact": str(artifact_dir / "gn")},
@@ -165,6 +212,45 @@ def test_sweep_checks_switched_off(tmp_path, artifact_dir):
     for line in ("energy gap", "final H2 distance", "nonlinear mass"):
         assert line not in text
     assert "all enabled checks passed" in text
+
+
+@pytest.mark.filterwarnings("ignore::biharm.ResolutionWarning")
+def test_energy_gap_tolerance_without_the_trend(tmp_path, artifact_dir):
+    # monotone_gap and energy_gap_tol are independent: with the trend off,
+    # the last resolved gap is held to the tolerance alone.  With V = 0 the
+    # gaps need not shrink, and the sweep's fresh starts spread wide enough
+    # to warn that their dilations are under-resolved
+    cfg = write_config(tmp_path / "c.json", output_dir=str(tmp_path / "run"),
+                       potential={"family": "zero"},
+                       gn={"artifact": str(artifact_dir / "gn")},
+                       sweep={"start": 0.5, "count": 4, "ratio": 0.5,
+                              "checks": {"monotone_gap": False,
+                                         "energy_gap_tol": 1.0,
+                                         "gn_window": False,
+                                         "h2_final": None}})
+    code, text = run_cli("--config", str(cfg), "sweep")
+    assert code == 0, text
+    assert "shrinking" not in text
+    assert "(tolerance 1.0)" in text
+    assert "all enabled checks passed" in text
+
+
+@pytest.mark.parametrize("checks, named", [
+    ({"h2_final": 1e-12}, "h2_final"),
+    ({"energy_gap_tol": 1e-12}, "energy_gap_tol")])
+def test_a_failed_sweep_check_exits_4_and_keeps_outputs(
+        tmp_path, artifact_dir, checks, named):
+    run = tmp_path / "run"
+    cfg = write_config(tmp_path / "c.json", output_dir=str(run),
+                       gn={"artifact": str(artifact_dir / "gn")},
+                       sweep={"start": 0.5, "count": 3, "ratio": 0.5,
+                              "checks": checks})
+    code, text = run_cli("--config", str(cfg), "sweep")
+    assert code == 4, text
+    assert [line for line in text.splitlines()
+            if line.startswith("check FAIL")] == [f"check FAIL: {named}"]
+    assert (run / "sweep.csv").exists()
+    assert (run / "manifest.json").exists()
 
 
 def test_solve_fraction_of_astar(tmp_path, artifact_dir):
@@ -262,6 +348,18 @@ def test_solve_from_a_missing_file_is_config_error(tmp_path):
     code, text = run_cli("--config", str(cfg), "solve")
     assert code == 2
     assert text.startswith(f"config error: cannot start from {path}")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("init, named", [
+    ({"kind": "file", "path": 123}, "path"), ({"kind": 5}, "kind")])
+def test_solver_init_strings_must_be_strings(tmp_path, init, named):
+    # a number is not coerced into a kind or a file name
+    cfg = write_config(tmp_path / "c.json", output_dir=str(tmp_path / "run"),
+                       solver={"init": init}, solve={"a": 2.0})
+    code, text = run_cli("--config", str(cfg), "solve")
+    assert code == 2
+    assert text.startswith(f"config error: field {named!r} must be a string")
     assert not (tmp_path / "run").exists()
 
 

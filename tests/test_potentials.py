@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import optimize
 
-from biharm import Field, bilap_energy, l2_norm_sq, quadrature
+from biharm import Field, bilap_energy, l2_norm_sq, make_grid, quadrature
 from biharm.field import random_smooth_field
 from biharm.potentials import (
     GaussianWell,
@@ -206,6 +206,52 @@ def test_level_split_rejects_bad_exponents_and_class(g1):
         level_split(V, g1, 2.0, 4.0, eps=-0.1)
     with pytest.raises(ValueError):
         level_split(PowerWell(1.0, 1.5), g1, 2.0, 4.0, eps=0.1)
+
+
+def _oracle_cuts(V, g, p1, p2, eps, v3_bound):
+    """level_split's two cut levels from one masked sum per sampled level."""
+    mags = np.abs(np.minimum(sample(V, g).values, 0.0))
+    neg = mags > 0
+    levels = np.unique(mags[neg])
+    cell = g.dx**g.d
+    cut = 0.0
+    if v3_bound is not None:
+        above = np.array([np.sum(mags[mags > lev] ** p1) * cell
+                          for lev in levels])
+        cut = float(levels[np.flatnonzero(above <= eps**p1)[0]])
+    low = levels[levels <= cut] if cut > 0 else levels
+    below = np.array([np.sum(mags[neg & (mags <= lev)] ** p2) * cell
+                      for lev in low])
+    idx = int(np.searchsorted(below, eps**p2, side="right")) - 1
+    return cut, float(low[idx]) if idx >= 0 else 0.0
+
+
+@pytest.mark.parametrize("grid, V, eps, ceiling", [
+    ((1, 512, 16.0), GaussianWell(1.0, 1.0, (0.0,)), 0.05, None),
+    ((1, 512, 16.0), GaussianWell(1.0, 1.0, (0.0,)), 0.5, 1.0),
+    ((1, 512, 16.0), GaussianWell(1.0, 1.0, (0.0,)), 0.8, 1.0),
+    ((1, 512, 16.0), PowerWell(1.0, 0.5), 3.0, 0.25),
+    ((1, 512, 16.0), PowerWell(1.0, 0.5), 0.3, None),
+    ((2, 64, 12.0), GaussianWell(2.0, 1.5, (1.5, -0.75)), 0.1, 1.5),
+    ((2, 128, 12.0), GaussianWell(1.0, 1.0, (0.0, 0.0)), 0.05, None),
+    ((2, 128, 12.0), GaussianWell(1.0, 1.0, (0.0, 0.0)), 0.5, 1.0)])
+def test_level_split_matches_per_level_sums(grid, V, eps, ceiling):
+    # the cumulative sums over one sort pick the levels that one masked sum
+    # per level picks, and the parts follow node for node
+    g = make_grid(*grid)
+    sup_w = float(np.max(np.abs(np.minimum(sample(V, g).values, 0.0))))
+    v3_bound = None if ceiling is None else ceiling * sup_w
+    s = level_split(V, g, 2.0, 4.0, eps=eps, v3_bound=v3_bound)
+    cut, tail = _oracle_cuts(V, g, 2.0, 4.0, eps, v3_bound)
+    assert (s.cut_level, s.tail_level) == (cut, tail)
+    assert tail > 0.0 and (cut > 0.0) == (ceiling is not None)
+    w = np.minimum(sample(V, g).values, 0.0)
+    mags = np.abs(w)
+    peak = mags > cut if cut > 0 else np.zeros(g.shape, dtype=bool)
+    far = (mags > 0) & (mags <= tail)
+    assert np.array_equal(s.v1_part.values, np.where(peak, w, 0.0))
+    assert np.array_equal(s.v2_part.values, np.where(far, w, 0.0))
+    assert np.array_equal(s.v3_part.values, np.where(peak | far, 0.0, w))
 
 
 def test_sobolev_bound_zero_for_nonnegative(g1):
