@@ -21,8 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .field import (Field, _shift_phases, density_center, dilate, h2_norm_sq,
-                    lq_integral, renormalize_mass, write_snapshot)
+from .field import (MASS_DRIFT_TOL, Field, _shift_phases, density_center,
+                    dilate, h2_norm_sq, l2_norm_sq, lq_integral,
+                    renormalize_mass, write_snapshot)
 from .gn import GNResult
 from .grid import Grid
 from .groundstate import SOLVE_COUNTERS, SolveConfig, SolveStatus, solve
@@ -46,10 +47,12 @@ class SweepRecord:
     eps is kinetic**-0.25 by definition (kinetic being the bilaplacian
     quadrature of the minimizer), center is the density centroid, and
     h2_dist_to_Q is the H2 distance of the rescaled profile to the reference,
-    minimized over sub-grid translations.  resolved means the concentration
-    scale still spans several grid nodes (eps > 4 dx); records with
-    resolved=False are kept -- their scalars are reported, but nothing
-    quantitative should be trusted at a scale the grid no longer separates.
+    minimized over sub-grid translations.  resolved means the grid resolves
+    the concentration scale: it still spans several grid nodes (eps > 4 dx),
+    and the box holds it, the rescaling by eps having kept the unit mass
+    to MASS_DRIFT_TOL.  Records with resolved=False are kept -- their
+    scalars are reported, but nothing quantitative should be trusted at a
+    scale the grid no longer separates or the box cannot hold.
     iterations through coarse_fallbacks are the solver's counters for this
     coupling, named and ordered as SOLVE_COUNTERS (None on a record built by
     hand), and seconds is the solve's wall time (None on a record built by
@@ -179,11 +182,14 @@ def sweep(g: Grid, V, schedule, cfg: SolveConfig, gn: GNResult) -> list:
         u = result.minimizer
         kin = result.breakdown.kinetic
         eps = float(kin) ** -0.25
-        resolved = bool(eps > 4.0 * g.dx)
         center = density_center(u)
         # the minimizer has unit mass, so the dilation by eps about its
-        # center brings its bilaplacian energy to 1
-        w = renormalize_mass(dilate(u, eps, center=center))
+        # center brings its bilaplacian energy to 1; it keeps that mass
+        # only if the box holds the scale eps
+        v = dilate(u, eps, center=center)
+        resolved = bool(eps > 4.0 * g.dx
+                        and abs(l2_norm_sq(v) - 1.0) <= MASS_DRIFT_TOL)
+        w = renormalize_mass(v)
         rec = SweepRecord(
             a=float(a),
             energy=float(result.breakdown.total),

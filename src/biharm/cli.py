@@ -21,8 +21,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .blowup import (energy_limit_check, gn_sequence_check, load_sweep,
-                     save_sweep, sweep, sweep_plot_columns)
+from .blowup import (_validate_schedule, energy_limit_check,
+                     gn_sequence_check, load_sweep, save_sweep, sweep,
+                     sweep_plot_columns)
 from .energy import (_unconstrained_gradient, energy, gn_quotient,
                      scaled_energy_identity_check)
 from .field import (Field, bilap_energy, gaussian_mixture_field, l2_norm_sq,
@@ -404,6 +405,14 @@ def cmd_sweep(cfg: RunConfig, out=sys.stdout) -> int:
         return EXIT_CONFIG
     schedule = [gn.a_star * (1.0 - d)
                 for d in sorted(cfg.sweep_deltas, reverse=True)]
+    try:
+        _validate_schedule(schedule, gn.a_star)
+    except ValueError as exc:
+        # the smallest values of 1 - a/a* can round to a* itself
+        print(f"config error: sweep schedule: {exc}; sweep.start * "
+              "sweep.ratio**(count - 1) is too small to tell a from astar "
+              "in double precision", file=out)
+        return EXIT_CONFIG
     records = sweep(cfg.grid, cfg.potential, schedule, cfg.solver, gn)
     csv_path = save_sweep(records, cfg.output_dir)
     outputs = [csv_path]
@@ -413,9 +422,11 @@ def cmd_sweep(cfg: RunConfig, out=sys.stdout) -> int:
     print(f"resolved records: {len(resolved)}/{len(records)}", file=out)
     failures = []
     if not resolved:
-        print("check FAIL: no resolved records -- the concentration scale "
-              "fell below 4 grid nodes everywhere; increase grid.n (or widen "
-              "the schedule away from astar)", file=out)
+        print("check FAIL: no resolved records -- each concentration "
+              "scale fell below 4 grid nodes (increase grid.n, or widen the "
+              "schedule away from astar) or is more than the box can hold "
+              "(its rescaling lost mass: increase grid.half_width)",
+              file=out)
         _write_manifest(cfg, outputs, _timings(t0, records))
         return EXIT_CHECK
 

@@ -21,6 +21,9 @@ import numpy as np
 from .grid import Grid, _shared_grid, make_grid, quadrature
 
 SNAPSHOT_SUFFIX = ".bhf"
+# the relative mass drift past which dilate warns that the scaled field is
+# under-resolved, and past which a sweep record's rescaling is not resolved
+MASS_DRIFT_TOL = 1e-6
 
 
 class ResolutionWarning(UserWarning):
@@ -208,7 +211,7 @@ def dilate(u: Field, ell: float, center=0.0, to=0.0) -> Field:
     continuous in ell through 1, where it is translate(u, to - center), for
     gauge-fixing callers; the outermost node then reads the wrap, an error
     of the size of the field's boundary tail.  Emits ResolutionWarning when
-    the mass-preservation check drifts above 1e-6, the symptom of ell
+    the mass-preservation check drifts above MASS_DRIFT_TOL, the symptom of ell
     pushing u's content past the Nyquist limit or of ell < 1 spreading
     tails into the periodic wrap.
     """
@@ -266,7 +269,7 @@ def dilate(u: Field, ell: float, center=0.0, to=0.0) -> Field:
     mass_in = l2_norm_sq(u)
     if mass_in > 0:
         drift = abs(l2_norm_sq(v) - mass_in) / mass_in
-        if drift > 1e-6:
+        if drift > MASS_DRIFT_TOL:
             warnings.warn(
                 f"dilation by {ell} drifted mass by {drift:.3e}; "
                 "the scaled field is under-resolved on this grid",
@@ -401,8 +404,9 @@ def read_snapshot(path, grid: Grid | None = None) -> Field:
     """Read a snapshot written by write_snapshot.
 
     If grid is given it must match the header; otherwise the grid is rebuilt
-    from the header.  A payload that is not exactly the header's count of
-    values -- short, or with bytes after them -- raises ValueError.
+    from the header.  A header that is not a JSON object of numbers, and a
+    payload that is not exactly the header's count of values -- short, or
+    with bytes after them -- raise ValueError.
     """
     with open(path, "rb") as fh:
         header_line = fh.readline()
@@ -411,7 +415,7 @@ def read_snapshot(path, grid: Grid | None = None) -> Field:
         meta = json.loads(header_line.decode("utf-8"))
         d, n = int(meta["d"]), int(meta["n"])
         half_width, count = float(meta["half_width"]), int(meta["count"])
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise ValueError(f"malformed snapshot header in {path}") from exc
     if count != n**d:
         raise ValueError(f"snapshot count {count} does not equal n^d = {n**d}")

@@ -293,10 +293,20 @@ def save_gn(result: GNResult, path) -> None:
 
 
 def load_gn(path) -> GNResult:
-    """Read the artifact save_gn wrote at path."""
+    """Read the artifact save_gn wrote at path.  A sidecar that is not a
+    JSON object, or lacks a key save_gn writes, or holds a value of the
+    wrong type, raises ValueError, as a malformed snapshot does."""
     base = Path(path)
     sidecar = json.loads(base.with_suffix(".json").read_text())
     Q = read_snapshot(base.with_suffix(".bhf"))
+    try:
+        return _gn_from_sidecar(sidecar, Q)
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ValueError(f"malformed sidecar {base.with_suffix('.json')}: "
+                         f"{exc!r}") from exc
+
+
+def _gn_from_sidecar(sidecar: dict, Q) -> GNResult:
     g = Q.grid
     if (sidecar["d"], sidecar["n"]) != (g.d, g.n) or \
             abs(sidecar["half_width"] - g.half_width) > 1e-12:

@@ -44,8 +44,8 @@ energy-and-gradient evaluation and the inverse of the preconditioned
 gradient, and in 2D the coarse step's three more: d inverse ones (the
 nodal translations) and one forward one (the dilation's spectrum).  Fields
 are built only on entry and return, and the arrays the loop writes are
-allocated once per call and reused, so the loop allocates no arrays of its
-own.
+allocated once per call, one for each role, and reused, so the loop
+allocates no arrays of its own.
 """
 
 from __future__ import annotations
@@ -167,30 +167,19 @@ def initial_field(g: Grid, V, spec: InitSpec, profile: Field | None = None) -> F
 
 
 class _Workspace:
-    """Every array one solve writes, allocated once per call, so its loop
-    allocates none of its own.
+    """Every array one solve writes, each with its own memory, allocated
+    once per call so that the loop allocates none of its own.
 
-    There is one direction (d, D) and one preconditioned gradient spectrum
-    PG: the last accepted step's enter the next beta, which reads them
-    before the iteration writes over them.  ghat holds the gradient
-    spectrum, pg the nodal values of this iteration's P G, and delta and
-    dhat the accepted step; pg is delta, as P G is spent once a step is
-    built.  rows are the q/2 + 1 real rows of the line moments, and half a
-    half spectrum; the fused evaluation works in rows[0], rows[1] and
-    half, and both also hold short-lived products between kernel calls.
-
-    coords are the dilation's coordinates about center, read-only, given
-    a center: only the coarse step reads them.  The coarse step uses only
-    arrays that are free at that point of the iteration.  zk is the stack
-    [dhat, half, PG, ghat], and the d + 1
-    generators' spectra take its slots zk[2 - d:3], the last of them PG's,
-    where _precondition sums them.  Their nodal values go into rows[:d + 1].
-    kz, for their |k|^4 multiples, is the memory of rows viewed as d + 1
-    half spectra: the coarse step writes it once the nodal sums are taken.
+    One direction (d, D) and one P G (pg nodal, PG spectral): the last
+    step's enter the next beta, read before the iteration writes over them.
+    ghat is the gradient spectrum, delta and dhat the accepted step, rows
+    the q/2 + 1 real rows of the line moments and half a half spectrum;
+    rows, half and delta also serve as scratch.  Given a center, the coarse
+    step runs: coords are its dilation's coordinates about center,
+    read-only, and z the d + 1 generators' spectra; else both are None.
     """
 
     def __init__(self, g: Grid, center=None):
-        m = g.d + 1
         # (L/pi) sin(pi (x_i - center_i) / L): x_i - center_i to third order
         # near center, and smooth across the box's edge, where x_i jumps
         self.coords = None if center is None else tuple(
@@ -198,19 +187,13 @@ class _Workspace:
              * np.sin(np.pi / g.half_width * (g.axes[i] - center[i]))
              ).reshape((-1,) + (1,) * (g.d - 1 - i))
             for i in range(g.d))
-        self.delta, self.d = np.empty(g.shape), np.empty(g.shape)
-        self.pg = self.delta
-        block = np.empty((critical_power(g.d) // 2 + 1, *g.shape))
+        self.delta, self.pg, self.d = (np.empty(g.shape) for _ in range(3))
         # a tuple of views, as the loop indexes them often
-        self.rows = tuple(block)
-        # d + 1 half spectra are m n^(d-1) (n + 2) floats, within the
-        # (q/2 + 1) n^d of rows for n >= 8
-        size = m * 2 * g.k_quad.size
-        self.kz = block.reshape(-1)[:size].view(np.complex128).reshape(
-            m, *g.k_quad.shape)
-        self.zk = np.empty((4, *g.k_quad.shape), dtype=np.complex128)
-        self.dhat, self.half, self.PG, self.ghat = self.zk
-        self.D = np.empty(g.k_quad.shape, dtype=np.complex128)
+        self.rows = tuple(np.empty((critical_power(g.d) // 2 + 1, *g.shape)))
+        self.dhat, self.half, self.PG, self.ghat, self.D = (
+            np.empty(g.k_quad.shape, dtype=np.complex128) for _ in range(5))
+        self.z = None if center is None else np.empty(
+            (g.d + 1, *g.k_quad.shape), dtype=np.complex128)
         self.symbol = np.empty(g.k_quad.shape)
 
 
@@ -379,18 +362,16 @@ def _coarse_step(g: Grid, x, X, mass: float, vvals, bd: EnergyBreakdown,
     its work buffers.  mass is <x, x>.  None when A is not positive
     definite, far from a minimizer, where the Hessian has directions of
     negative curvature, or when a pivot of A is within roundoff of zero
-    against B's (see _spd_solve).  Z^ is left in ws.zk for _precondition.
+    against B's (see _spd_solve).  Z^ is left in ws.z for _precondition.
     """
     dim, m = g.d, g.d + 1
-    z, zr, tmp = ws.zk[2 - dim:3], ws.rows[:m], ws.delta
-    lam = zr[dim]
+    z, zr, tmp = ws.z, ws.rows[:m], ws.delta
     for i in range(dim):
         np.multiply(g.ik[i], X, out=z[i])
         g.inverse(z[i], out=zr[i])
-        if i == 0:
-            np.multiply(ws.coords[i], zr[i], out=lam)
-        else:
-            lam += np.multiply(ws.coords[i], zr[i], out=tmp)
+    lam = np.multiply(ws.coords[0], zr[0], out=zr[dim])
+    for i in range(1, dim):
+        lam += np.multiply(ws.coords[i], zr[i], out=tmp)
     lam -= np.multiply(x, float(np.vdot(lam, x)) * g.dx**dim / mass,
                        out=tmp)
     g.forward(lam, out=z[dim])
@@ -407,18 +388,16 @@ def _coarse_step(g: Grid, x, X, mass: float, vvals, bd: EnergyBreakdown,
         np.multiply(weight, zr[j], out=tmp)
         for i in range(j + 1):
             a_mat[i][j] = w * float(np.vdot(zr[i], tmp))
-    # rows are free from here: ws.kz overlays them
-    kz = np.multiply(g.k_quad, z, out=ws.kz)
-    mu = bd.mu
     # halved: c = sigma ((A/2)^-1 - (B/2)^-1) Z^T G
     b_mat = [[0.0] * m for _ in range(m)]
     r = []
-    for i in range(m):
-        for j in range(i, m):
-            gram, kin = g.parseval(z[i], z[j]), g.parseval(z[i], kz[j])
-            a_mat[i][j] = a_mat[j][i] = a_mat[i][j] + kin - mu * gram
+    for j in range(m):
+        k4z = np.multiply(g.k_quad, z[j], out=ws.half)
+        for i in range(j + 1):
+            gram, kin = g.parseval(z[i], z[j]), g.parseval(z[i], k4z)
+            a_mat[i][j] = a_mat[j][i] = a_mat[i][j] + kin - bd.mu * gram
             b_mat[i][j] = b_mat[j][i] = kin + sigma * gram
-        r.append(g.parseval(z[i], ws.ghat))
+        r.append(g.parseval(z[j], ws.ghat))
     b_solved = _spd_solve(b_mat, r)
     if b_solved is None:
         return None
@@ -430,28 +409,26 @@ def _coarse_step(g: Grid, x, X, mass: float, vvals, bd: EnergyBreakdown,
 
 
 def _precondition(g: Grid, x, X, mass: float, vvals, bd: EnergyBreakdown,
-                  sigma: float, coarse: bool, ws: _Workspace) -> bool:
+                  sigma: float, ws: _Workspace) -> bool:
     """Write the preconditioned gradient into ws.PG: P G, with
     P = sigma / (sigma + |k|^4), plus the coarse step's sum_i c_i Z_i (see
-    _coarse_step).  Returns False when it is P G alone: coarse is False, or
-    A is not positive definite."""
+    _coarse_step).  Returns False when it is P G alone: the workspace has
+    no generators (ws.z is None), or A is not positive definite."""
     symbol = np.add(g.k_quad, sigma, out=ws.symbol)
     np.divide(sigma, symbol, out=symbol)
-    coef = (_coarse_step(g, x, X, mass, vvals, bd, sigma, ws) if coarse
-            else None)
+    z, PG = ws.z, ws.PG
+    coef = (None if z is None
+            else _coarse_step(g, x, X, mass, vvals, bd, sigma, ws))
     if coef is None:
-        np.multiply(symbol, ws.ghat, out=ws.PG)
+        np.multiply(symbol, ws.ghat, out=PG)
         return False
-    # the generators' spectra end in PG's slot: sum c_i Z_i in place there,
-    # scaling the others in theirs, then P G by way of the first
-    z = ws.zk[2 - g.d:3]
-    pg = z[-1]
-    pg *= coef[-1]
+    # sum_i c_i Z_i, the dilation's term first, then P G by way of the
+    # spent z[0], so that P G's product is still in cache for its sum
+    np.multiply(z[-1], coef[-1], out=PG)
     for zi, ci in zip(z[:-1], coef):
         zi *= ci
-        pg += zi
-    np.multiply(symbol, ws.ghat, out=z[0])
-    pg += z[0]
+        PG += zi
+    PG += np.multiply(symbol, ws.ghat, out=z[0])
     return True
 
 
@@ -524,19 +501,12 @@ def solve(g: Grid, V, a: float, cfg: SolveConfig = SolveConfig(), *,
     MaxIters after cfg.max_iters steps or when no step along -P G lowers the
     energy.
 
-    The iterate is the spectral state (x, X = real transform of x): the
-    direction is carried as the pair (d, D) of one linear combination taken
-    in both spaces, an accepted step adds delta to x and its transform to X,
-    and the gradient is kept as a half spectrum, so its norm, beta and the
-    slope are Parseval sums.  Each iteration runs two real transforms, the
-    inverse of P G and the forward one in the gradient evaluation, and in
-    2D the coarse step's d + 1, counted in SolveResult.fft_calls.  Every
-    array the loop writes comes from one
-    workspace allocated per call, so calls share no state and the loop
-    allocates no arrays of its own (numpy's 2D inverse transform still
-    makes one intermediate).  The workspace holds one direction and one
-    P G: beta's terms from the last step are read before the iteration
-    writes over them.  The breakdown of the result, and with it the
+    The iterate is the spectral state (x, X = real transform of x) of the
+    module docstring, so the gradient's norm, beta and the slope are
+    Parseval sums, and SolveResult.fft_calls counts its transforms.  Every
+    array the loop writes comes from one _Workspace per call, so calls
+    share no state (numpy's 2D inverse transform still makes one
+    intermediate).  The breakdown of the result, and with it the
     multiplier breakdown.mu, and the gradient residual are those of the
     final spectral state.
 
@@ -600,7 +570,7 @@ def solve(g: Grid, V, a: float, cfg: SolveConfig = SolveConfig(), *,
             gpg_cross = g.parseval(ghat, ws.PG)
             dx_prev = inner(d, x)
         mass = inner(x, x)
-        if not _precondition(g, x, X, mass, vvals, bd, sigma, coarse, ws):
+        if not _precondition(g, x, X, mass, vvals, bd, sigma, ws):
             coarse_fallbacks += 1
         PG = ws.PG
         pg = g.inverse(PG, out=ws.pg)

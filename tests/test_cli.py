@@ -214,16 +214,13 @@ def test_sweep_checks_switched_off(tmp_path, artifact_dir):
     assert "all enabled checks passed" in text
 
 
-@pytest.mark.filterwarnings("ignore::biharm.ResolutionWarning")
 def test_energy_gap_tolerance_without_the_trend(tmp_path, artifact_dir):
     # monotone_gap and energy_gap_tol are independent: with the trend off,
-    # the last resolved gap is held to the tolerance alone.  With V = 0 the
-    # gaps need not shrink, and the sweep's fresh starts spread wide enough
-    # to warn that their dilations are under-resolved
+    # the last resolved gap is held to the tolerance alone.  Two resolved
+    # records are too few to judge a trend, and the tolerance needs none
     cfg = write_config(tmp_path / "c.json", output_dir=str(tmp_path / "run"),
-                       potential={"family": "zero"},
                        gn={"artifact": str(artifact_dir / "gn")},
-                       sweep={"start": 0.5, "count": 4, "ratio": 0.5,
+                       sweep={"start": 0.5, "count": 2, "ratio": 0.5,
                               "checks": {"monotone_gap": False,
                                          "energy_gap_tol": 1.0,
                                          "gn_window": False,
@@ -233,6 +230,26 @@ def test_energy_gap_tolerance_without_the_trend(tmp_path, artifact_dir):
     assert "shrinking" not in text
     assert "(tolerance 1.0)" in text
     assert "all enabled checks passed" in text
+
+
+@pytest.mark.filterwarnings("ignore::biharm.ResolutionWarning")
+def test_a_scale_the_box_cannot_hold_is_not_resolved(tmp_path, artifact_dir):
+    # with V = 0 nothing holds the minimizers together: their scale eps
+    # spans far more than 4 nodes, but the box of width 32 cannot hold it
+    # (eps is about 3e3, and rescaling by it drifts the mass 11-fold), so
+    # no record is resolved and the sweep's checks have nothing to judge
+    run = tmp_path / "run"
+    cfg = write_config(tmp_path / "c.json", output_dir=str(run),
+                       potential={"family": "zero"},
+                       gn={"artifact": str(artifact_dir / "gn")},
+                       sweep={"start": 0.5, "count": 4, "ratio": 0.5})
+    code, text = run_cli("--config", str(cfg), "sweep")
+    assert code == 4, text
+    assert "resolved records: 0/4" in text
+    assert "more than the box can hold" in text
+    records = load_sweep(run / "sweep.csv")
+    assert len(records) == 4
+    assert all(r.eps > 4.0 * 32.0 / 256 and not r.resolved for r in records)
 
 
 @pytest.mark.parametrize("checks, named", [
@@ -457,6 +474,19 @@ def test_sweep_schedule_at_or_above_astar_rejected(tmp_path, artifact_dir):
     assert "do not exist" in text
 
 
+def test_sweep_schedule_that_rounds_to_astar_exits_2(tmp_path, artifact_dir):
+    # at ratio 0.5, 1 - a/a* drops below double precision's resolution of
+    # a* well within 60 points; the schedule is rejected before any solve
+    run = tmp_path / "run"
+    cfg = write_config(tmp_path / "c.json", output_dir=str(run),
+                       gn={"artifact": str(artifact_dir / "gn")},
+                       sweep={"start": 0.5, "count": 60, "ratio": 0.5})
+    code, text = run_cli("--config", str(cfg), "sweep")
+    assert code == 2, text
+    assert text.startswith("config error: sweep schedule: ")
+    assert not run.exists()
+
+
 def test_sweep_grid_mismatch_exits_2(tmp_path, artifact_dir):
     cfg = write_config(tmp_path / "c.json",
                        grid={"d": 1, "n": 128, "half_width": 16.0},
@@ -557,6 +587,36 @@ def test_corrupt_a_star_is_a_config_error(tmp_path, artifact_dir, command,
     assert text.startswith(f"error: cannot load GN artifact at "
                            f"{tmp_path / 'gn'}")
     assert "a_star must be a finite positive number" in text
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+@pytest.mark.parametrize("part, corrupt", [
+    ("sidecar", lambda s: {**s, "el_constants": None}),
+    ("sidecar", lambda s: {**s, "residuals": None}),
+    ("sidecar", lambda s: [s]),
+    ("header", lambda h: {**h, "d": None}),
+    ("header", lambda h: [h])],
+    ids=["el_constants_null", "residuals_null", "sidecar_a_list",
+         "header_d_null", "header_a_list"])
+def test_a_gn_artifact_value_of_the_wrong_type_exits_2(
+        tmp_path, artifact_dir, command, part, corrupt):
+    sidecar = json.loads((artifact_dir / "gn.json").read_text())
+    header, payload = (artifact_dir / "gn.bhf").read_bytes().split(b"\n", 1)
+    header = json.loads(header)
+    if part == "sidecar":
+        sidecar = corrupt(sidecar)
+    else:
+        header = corrupt(header)
+    (tmp_path / "gn.json").write_text(json.dumps(sidecar))
+    (tmp_path / "gn.bhf").write_bytes(json.dumps(header).encode() + b"\n"
+                                      + payload)
+    cfg = write_config(tmp_path / "c.json", output_dir=str(tmp_path / "run"),
+                       gn={"artifact": str(tmp_path / "gn")},
+                       solve={"a": "0.5*astar"}, sweep={"count": 1})
+    code, text = run_cli("--config", str(cfg), command)
+    assert code == 2, text
+    assert text.startswith(f"error: cannot load GN artifact at "
+                           f"{tmp_path / 'gn'}")
 
 
 def test_check_reports_a_gn_fallback_that_does_not_converge(tmp_path):

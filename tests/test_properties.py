@@ -1,6 +1,7 @@
 """Property tests: the rescaling maps (dilation group law, translation,
 dilation about a point, recentering), the snapshot format (bit-exact round
-trip) and the config parser (bad numbers always exit 2 with a message)."""
+trip) and the config parser (bad numbers always exit 2 with a message);
+and the README's code blocks: its config parses, its quickstart runs."""
 
 import copy
 import io
@@ -123,9 +124,20 @@ def test_snapshot_round_trip_is_bit_exact(snapshot_dir, u):
         assert back.values.tobytes() == u.values.tobytes()
 
 
-def _readme_config() -> dict:
+def _readme_block(lang: str) -> str:
+    """The README's first fenced code block in lang."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    return json.loads(re.search(r"```json\n(.*?)```", text, re.S).group(1))
+    return re.search(rf"```{lang}\n(.*?)```", text, re.S).group(1)
+
+
+def test_readme_quickstart_runs_as_written(capsys):
+    # the library quickstart, executed verbatim: a* on the README grid, a
+    # ground state at 0.9 a*, and the 8-point sweep with its limit check
+    exec(_readme_block("python"), {})
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("15.9166")
+    assert out[1].startswith("SolveStatus.CONVERGED")
+    assert len(out) == 2 + 8
 
 
 def _numeric_paths(node, path=()):
@@ -141,7 +153,7 @@ def _numeric_paths(node, path=()):
         yield from _numeric_paths(child, path + (key,))
 
 
-README_CONFIG = _readme_config()
+README_CONFIG = json.loads(_readme_block("json"))
 NUMERIC_PATHS = list(_numeric_paths(README_CONFIG))
 NOT_A_FINITE_NUMBER = st.one_of(
     st.none(), st.lists(st.integers(), max_size=3),
