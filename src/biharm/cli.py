@@ -5,7 +5,10 @@ part of the interface: 0 success, 1 unexpected failure or non-convergence,
 2 configuration problem (detected before any compute), 3 the grid energy
 fell below the solver's floor of -1e3 (DivergedBelowFloor: what the energy
 does above a*, but node sums let grid-scale states reach it below a* too),
-4 a requested check failed on otherwise valid output.
+4 a requested check failed on otherwise valid output: a sweep check, or a
+certificate of the gn artifact that `check` prints (Q's quotient is a*,
+Q is normalized, Q solves the Euler-Lagrange equation, no sampled field
+beats a*).
 """
 
 from __future__ import annotations
@@ -24,12 +27,11 @@ from . import __version__
 from .blowup import (_validate_schedule, energy_limit_check,
                      gn_sequence_check, load_sweep, save_sweep, sweep,
                      sweep_plot_columns)
-from .energy import (_unconstrained_gradient, energy, gn_quotient,
-                     scaled_energy_identity_check)
-from .field import (Field, bilap_energy, gaussian_mixture_field, l2_norm_sq,
-                    l2_norm_sq_spectral, random_smooth_field, write_snapshot)
+from .energy import el_residual, gn_quotient
+from .field import (bilap_energy, gaussian_mixture_field, l2_norm_sq,
+                    random_smooth_field, write_snapshot)
 from .gn import compute_gn, load_gn, save_gn
-from .grid import make_grid, quadrature
+from .grid import make_grid
 from .groundstate import (ENERGY_FLOOR, SOLVE_COUNTERS, InitSpec, SolveConfig,
                           SolveStatus, initial_field, solve,
                           write_iteration_log)
@@ -169,8 +171,8 @@ class RunConfig:
 
     def __init__(self, raw: dict, command: str, overrides: dict):
         top = _block({"config": raw}, "config", {
-            "grid", "potential", "solver", "gn", "solve", "sweep", "check",
-            "seed", "output_dir"})
+            "grid", "potential", "solver", "gn", "solve", "sweep", "seed",
+            "output_dir"})
         grid = _block(top, "grid", {"d", "n", "half_width"})
         # "precondition" is accepted, as true only, from configs written when
         # the preconditioner was optional; solve always preconditions
@@ -186,7 +188,6 @@ class RunConfig:
         checks = _block(sweep, "checks", {"h2_final", "gn_window",
                                           "monotone_gap", "energy_gap_tol"},
                         "sweep.")
-        check = _block(top, "check", {"fields", "directions", "battery"})
         if command == "solve" and "a" not in solve:
             raise ConfigError("solve needs a 'solve' object with a coupling "
                               "'a'")
@@ -243,10 +244,6 @@ class RunConfig:
                                                   None)
         self.check_gn_window = _as_flag(checks, "gn_window", True)
         self.check_monotone_gap = _as_flag(checks, "monotone_gap", True)
-
-        self.check_fields = _as_int(check, "fields", 20, minimum=1)
-        self.check_directions = _as_int(check, "directions", 20, minimum=1)
-        self.check_battery = _as_int(check, "battery", 200, minimum=1)
 
 
 # ---------------------------------------------------------------------------
@@ -507,59 +504,34 @@ def cmd_plotdata(cfg: RunConfig, out=sys.stdout) -> int:
 
 
 # ---------------------------------------------------------------------------
-# property batteries (cmd_check)
+# certificates of the gn artifact (cmd_check)
+
+# the random fields the minimality row draws
+GN_BATTERY_FIELDS = 200
 
 
-def _battery_parseval(cfg: RunConfig, rng) -> tuple:
-    worst = 0.0
-    for _ in range(cfg.check_fields):
-        u = random_smooth_field(cfg.grid, rng)
-        a = l2_norm_sq(u)
-        b = l2_norm_sq_spectral(u)
-        worst = max(worst, abs(a - b) / max(1.0, abs(a)))
-    return worst < 1e-12, f"max rel mismatch {worst:.2e}"
-
-
-def _battery_scaling(cfg: RunConfig, rng) -> tuple:
-    worst = 0.0
-    for _ in range(cfg.check_fields):
-        u = random_smooth_field(cfg.grid, rng)
-        for ell in (0.5, 0.8, 1.25, 2.0):
-            scale = max(1.0, abs(ell**4 * bilap_energy(u)))
-            defect = scaled_energy_identity_check(u, 2.0, ell)
-            worst = max(worst, defect / scale)
-    return worst < 1e-8, f"max rel defect {worst:.2e}"
-
-
-def _battery_gn(cfg: RunConfig, rng, gn) -> tuple:
-    floor = gn.a_star * (1.0 - 1e-6)
+def _certificates(gn, rng):
+    """(row, ok, detail) for each certificate of the stored profile Q: its
+    quotient is the stored a*; it has the sharp normalization, unit mass,
+    |Lap Q|^2 and a* int Q^q; it solves the Euler-Lagrange equation with
+    two positive constants; and no sampled field beats a*, the certificate
+    that the stationary Q is the minimizer."""
+    Q, a_star = gn.Q, gn.a_star
+    rel = abs(gn_quotient(Q) - a_star) / a_star
+    yield "quotient", rel <= 1e-12, f"rel mismatch with a* {rel:.2e}"
+    worst = max(abs(v - 1.0)
+                for v in (l2_norm_sq(Q), bilap_energy(Q), gn.nonlinear_check))
+    yield "normalization", worst <= 1e-8, f"max deviation from 1 {worst:.2e}"
+    c1, c2, res = el_residual(Q)
+    yield ("euler_lagrange", c1 > 0.0 and c2 > 0.0 and res <= 1e-6,
+           f"constants ({c1:.6g}, {c2:.6g}), rel residual {res:.2e}")
     worst = np.inf
-    for k in range(cfg.check_battery):
-        u = (gaussian_mixture_field(cfg.grid, rng) if k % 2 == 0
-             else random_smooth_field(cfg.grid, rng))
+    for k in range(GN_BATTERY_FIELDS):
+        u = (gaussian_mixture_field(Q.grid, rng) if k % 2 == 0
+             else random_smooth_field(Q.grid, rng))
         worst = min(worst, gn_quotient(u))
-    return worst >= floor, f"min quotient {worst:.9g} vs a* {gn.a_star:.9g}"
-
-
-def _battery_fd(cfg: RunConfig, rng) -> tuple:
-    V = cfg.potential
-    a = 2.0
-    u = random_smooth_field(cfg.grid, rng)
-    raw = _unconstrained_gradient(u, V, a)
-    min_order = np.inf
-    for _ in range(cfg.check_directions):
-        phi = random_smooth_field(cfg.grid, rng).values
-        pairing = quadrature(cfg.grid, raw * phi)
-        errs = []
-        for h in (1e-3, 1e-4):
-            up = Field(cfg.grid, u.values + h * phi)
-            dn = Field(cfg.grid, u.values - h * phi)
-            fd = (energy(up, V, a).total - energy(dn, V, a).total) / (2 * h)
-            errs.append(abs(fd - pairing))
-        if errs[1] < 1e-13 * max(1.0, abs(pairing)):
-            continue  # already at roundoff: counts as converged
-        min_order = min(min_order, np.log10(errs[0] / errs[1]))
-    return min_order >= 1.9, f"min convergence order {min_order:.3f}"
+    yield ("gn_inequality", worst >= a_star * (1.0 - 1e-6),
+           f"min quotient {worst:.9g} vs a* {a_star:.9g}")
 
 
 def cmd_check(cfg: RunConfig, out=sys.stdout) -> int:
@@ -575,19 +547,16 @@ def cmd_check(cfg: RunConfig, out=sys.stdout) -> int:
         except RuntimeError as exc:
             print(f"error: {exc}", file=out)
             return EXIT_FAIL
-    rng = np.random.default_rng(cfg.seed)
-    rows = [
-        ("parseval", *_battery_parseval(cfg, rng)),
-        ("scaling_identity", *_battery_scaling(cfg, rng)),
-        ("gn_inequality", *_battery_gn(cfg, rng, gn)),
-        ("gradient_fd", *_battery_fd(cfg, rng)),
-    ]
-    width = max(len(r[0]) for r in rows)
     ok_all = True
-    for name, ok, detail in rows:
-        ok_all &= ok
-        print(f"{name:<{width}}  {'pass' if ok else 'FAIL'}  {detail}",
-              file=out)
+    try:
+        for name, ok, detail in _certificates(
+                gn, np.random.default_rng(cfg.seed)):
+            ok_all &= ok
+            print(f"{name:<14}  {'pass' if ok else 'FAIL'}  {detail}",
+                  file=out)
+    except ValueError as exc:  # a zero or constant Q has no quotient or fit
+        print(f"check FAIL: {exc}", file=out)
+        ok_all = False
     _write_manifest(cfg, [], _timings(t0))
     return EXIT_OK if ok_all else EXIT_CHECK
 
@@ -620,7 +589,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="gn: compute the critical constant and its optimizer; "
              "solve: minimize the energy at one coupling; "
              "sweep: solve along a schedule climbing toward astar; "
-             "check: run the property batteries; "
+             "check: certify the gn artifact (quotient, normalization, "
+             "Euler-Lagrange fit, no sampled field below astar); "
              "plotdata: emit plot-ready columns from a sweep run")
     return parser
 

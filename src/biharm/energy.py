@@ -185,28 +185,6 @@ def spectral_energy_and_gradient(g: Grid, x: np.ndarray, X: np.ndarray,
     return bd, ghat, float(np.sqrt(g.parseval(ghat, ghat)))
 
 
-def scaled_energy_identity_check(u: Field, a: float, ell: float) -> float:
-    """Absolute defect of the dilation identity at zero potential.
-
-    Mass-preserving dilation multiplies both the kinetic and the critical
-    nonlinear term by ell^4, so energy(dilate(u, ell)) must equal
-    ell^4 * (kinetic - a * nonlinear); the return value is the absolute
-    difference, which vanishes to spectral accuracy for resolved ell.
-
-    The |u|^q terms on both sides are lq_integral's on a 4 times finer
-    grid: squeezing (ell > 1) pushes the q-th power's spectrum past the
-    native Nyquist band well before the field itself degrades, and the
-    identity should measure the dilation, not the nodal quadrature's
-    aliasing.
-    """
-    from .field import dilate
-
-    v = dilate(u, ell)
-    lhs = bilap_energy(v) - a * lq_integral(v, refine=4)
-    rhs = ell**4 * (bilap_energy(u) - a * lq_integral(u, refine=4))
-    return abs(lhs - rhs)
-
-
 def _unconstrained_gradient(u: Field, V, a: float) -> np.ndarray:
     """Nodal values of the L2 gradient of the energy, twice the
     Euler-Lagrange operator Lap^2 u + V u - (a q / 2) |u|^{q-2} u."""

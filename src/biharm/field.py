@@ -88,11 +88,6 @@ def l2_norm_sq(u: Field) -> float:
     return quadrature(u.grid, u.values**2)
 
 
-def l2_norm_sq_spectral(u: Field) -> float:
-    """Mass evaluated from spectral coefficients (Parseval route)."""
-    return u.grid.parseval(u.hat, u.hat)
-
-
 def bilap_energy(u: Field) -> float:
     """Fourth-order seminorm: integral of |Laplacian u|^2 via the |k|^4 symbol."""
     g = u.grid
@@ -351,11 +346,11 @@ def reflect(u: Field) -> Field:
 def random_smooth_field(g: Grid, rng: np.random.Generator) -> Field:
     """Random unit-mass field: band-limited noise under a Gaussian envelope.
 
-    The cutoff keeps spectral content below half the Nyquist wavenumber (so
-    high powers of the field still quadrature exactly after compression by 2)
-    and the envelope well inside the box (so dilation by 1/2 leaves no
-    periodic seam) — the regime the scaling-identity and quotient batteries
-    live in.
+    The cutoff, at most a tenth of the Nyquist wavenumber but never below
+    2.5, and the envelope, well inside the box, make a trial field of the
+    quotient batteries that is smooth and localized on grids that resolve
+    Q.  Neither is sized for rescaling: on 2D 128^2/16 the content runs past
+    half the Nyquist wavenumber.
     """
     k_cut = max(2.5, min(5.0, g.k_max / 10.0))
     envelope_width = min(1.0, g.half_width / 12.0)

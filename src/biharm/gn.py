@@ -12,9 +12,9 @@ brings that factor to about 0.01 near the solution, so the default tolerance
 is reached in 7-9 iterations in 1D, and on 2D grids from 128^2 on a
 half-width of 16, where the plain map settled at roundoff just above it.
 The iteration converges to a stationary point of the quotient; it does not
-prove a minimum.  The quotient batteries (random mixtures and smooth fields
-never beat a_star) and the Gaussian upper bound remain the certificate that
-it is the minimizer.
+prove a minimum.  That no sampled field beats a_star (random mixtures and
+smooth fields, in `biharm check`'s gn_inequality row and in the tests) and
+the Gaussian upper bound remain the certificate that it is the minimizer.
 """
 
 from __future__ import annotations
@@ -179,7 +179,8 @@ def compute_gn(g: Grid, cfg: SolveConfig | None = None) -> GNResult:
     stored profile, so the sharp-normalization identity
     a_star * lq_integral(Q) = 1 closes by construction.  A fixed point is
     stationary, not a proven minimum: that no other localized state beats it
-    is what the test batteries and the Gaussian upper bound check.  The
+    is what `biharm check`'s gn_inequality row, the test batteries and the
+    Gaussian upper bound check.  The
     fixed point then runs again on the n/2 grid from the subsampled profile,
     for the resolutions cross-check; that run may stop unconverged, at the
     coarser grid's floor, and its residual and convergence are carried as
@@ -306,6 +307,27 @@ def load_gn(path) -> GNResult:
                          f"{exc!r}") from exc
 
 
+def _number(val, what: str) -> float:
+    # bool is an int subclass, and JSON's true is no number
+    if type(val) not in (int, float):
+        raise ValueError(f"{what} must be a number, got {val!r}")
+    return float(val)
+
+
+def _resolution(pair, what: str) -> tuple:
+    if not (isinstance(pair, list) and len(pair) == 2
+            and type(pair[0]) is int):
+        raise ValueError(f"{what} must hold [n, a_star] pairs, got {pair!r}")
+    return pair[0], _number(pair[1], what)
+
+
+def _list(val, what: str, item=_number) -> tuple:
+    """The JSON list val as a tuple, each element read by item."""
+    if not isinstance(val, list):
+        raise ValueError(f"{what} must be a list, got {val!r}")
+    return tuple(item(v, what) for v in val)
+
+
 def _gn_from_sidecar(sidecar: dict, Q) -> GNResult:
     g = Q.grid
     if (sidecar["d"], sidecar["n"]) != (g.d, g.n) or \
@@ -316,19 +338,34 @@ def _gn_from_sidecar(sidecar: dict, Q) -> GNResult:
         raise ValueError(f"a_star must be a finite positive number, "
                          f"got {a_star!r}")
     a_star = float(a_star)
+    # iterations, history and half_grid_check are absent from sidecars
+    # written before they were stored, and a null half_grid_check is a run
+    # without the n/2 check
     iterations = sidecar.get("iterations")
+    if iterations is not None and type(iterations) is not int:
+        raise ValueError(f"iterations must be an integer, got {iterations!r}")
     history = sidecar.get("history")
-    check = sidecar.get("half_grid_check") or {}
+    check = sidecar.get("half_grid_check")
+    check_residual = check_converged = None
+    if check is not None:
+        check_residual = _number(check["quotient_grad"],
+                                 "half_grid_check.quotient_grad")
+        check_converged = check["converged"]
+        if type(check_converged) is not bool:
+            raise ValueError(f"half_grid_check.converged must be true or "
+                             f"false, got {check_converged!r}")
     return GNResult(a_star=a_star, Q=Q,
                     nonlinear_check=a_star * lq_integral(Q),
-                    el_constants=tuple(sidecar["el_constants"]),
-                    resolutions=tuple(tuple(p) for p in sidecar["resolutions"]),
-                    check_residual=check.get("quotient_grad"),
-                    check_converged=check.get("converged"),
-                    quotient_residual=float(
-                        sidecar["residuals"]["quotient_grad"]),
-                    iterations=(None if iterations is None
-                                else int(iterations)),
+                    el_constants=_list(sidecar["el_constants"],
+                                       "el_constants"),
+                    resolutions=_list(sidecar["resolutions"], "resolutions",
+                                      _resolution),
+                    check_residual=check_residual,
+                    check_converged=check_converged,
+                    quotient_residual=_number(
+                        sidecar["residuals"]["quotient_grad"],
+                        "residuals.quotient_grad"),
+                    iterations=iterations,
                     history=(None if history is None
-                             else tuple(float(r) for r in history)),
+                             else _list(history, "history")),
                     seconds=None)

@@ -48,7 +48,10 @@ class Grid:
         k_quad: |k|^4 on the half spectrum (the fourth-order symbol used by
             every bilaplacian evaluation).
         ik: per-axis i k_i, shaped to broadcast over the half spectrum (the
-            symbol of the partial derivative along axis i).
+            symbol of the partial derivative along axis i), zero at the
+            Nyquist wavenumber: that mode is cos(k_max x) on the nodes, whose
+            derivative vanishes at every node, and i k_max X would be the
+            spectrum of no real field.
     """
 
     d: int
@@ -145,7 +148,9 @@ def _shared_grid(d: int, n: int, half_width: float) -> Grid:
     half = n // 2 + 1
     k_sq = k**2
     k_quad = (k_sq[:half] if d == 1 else k_sq[:, None] + k_sq[None, :half]) ** 2
-    ik = tuple(1j * (k[:half] if ax == d - 1 else k[:, None])
+    k_diff = k.copy()
+    k_diff[n // 2] = 0.0  # no derivative at the Nyquist mode (see Grid.ik)
+    ik = tuple(1j * (k_diff[:half] if ax == d - 1 else k_diff[:, None])
                for ax in range(d))
     for arr in (*axes, *tables, k_quad, *ik):
         arr.setflags(write=False)

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 import biharm
-from biharm import (Field, SolveConfig, cli, compute_gn, make_grid, save_gn,
-                    write_snapshot)
+from biharm import (Field, SolveConfig, compute_gn, dilate, load_gn,
+                    make_grid, save_gn, write_snapshot)
 from biharm.blowup import load_sweep
 from biharm.cli import main
 from biharm.groundstate import SOLVE_COUNTERS
@@ -176,13 +176,14 @@ def _config_with(tmp_path, path, value):
     ids=".".join)
 def test_a_misspelt_key_in_any_block_exits_2(tmp_path, path):
     # every block the document holds is read whatever the command, so gn
-    # rejects a misspelt sweep or check key too, rather than leaving the
-    # default in force for the command that reads it
+    # rejects a misspelt sweep key too, rather than leaving the default in
+    # force for the command that reads it.  check takes no settings, so its
+    # block is itself the unknown key.
     cfg = _config_with(tmp_path, path, 2)
     code, text = run_cli("--config", str(cfg), "gn")
     assert code == 2, text
     assert text.startswith("config error: unknown ")
-    assert repr(path[-1]) in text
+    assert repr("check" if path[0] == "check" else path[-1]) in text
     assert not (tmp_path / "run").exists()
 
 
@@ -195,7 +196,10 @@ def test_a_block_that_is_not_an_object_exits_2(tmp_path, path):
     code, text = run_cli("--config", str(cfg), "gn")
     assert code == 2, text
     name = ".".join(path) or "config"
-    assert text.startswith(f"config error: {name} must be a JSON object, "
+    # check takes no settings: a block of any type is an unknown key
+    assert text.startswith("config error: unknown config fields ['check']"
+                           if path == ("check",) else
+                           f"config error: {name} must be a JSON object, "
                            "got list")
     assert not (tmp_path / "run").exists()
 
@@ -515,39 +519,79 @@ def test_sweep_with_no_resolved_records_exits_4(tmp_path):
     assert (tmp_path / "run" / "sweep.csv").exists()  # partial output retained
 
 
+CHECK_ROWS = ["quotient", "normalization", "euler_lagrange", "gn_inequality"]
+
+
+def _check_rows(text):
+    """{row: passed} from check's printout, in its order."""
+    rows = {}
+    for line in text.splitlines():
+        name, verdict = line.split()[:2]
+        rows[name] = verdict == "pass"
+    return rows
+
+
 def test_check_batteries_pass_across_seeds(tmp_path, artifact_dir):
     cfg = write_config(tmp_path / "c.json",
                        output_dir=str(tmp_path / "run"),
-                       gn={"artifact": str(artifact_dir / "gn")},
-                       check={"fields": 6, "directions": 6, "battery": 30})
+                       gn={"artifact": str(artifact_dir / "gn")})
     for seed in (0, 1, 2):
         code, text = run_cli("--config", str(cfg), "--seed", str(seed),
                              "check")
         assert code == 0, text
-        assert text.count("pass") == 4
+        assert _check_rows(text) == dict.fromkeys(CHECK_ROWS, True)
 
 
-def test_check_flags_a_broken_gradient(tmp_path, artifact_dir, monkeypatch):
-    cfg = write_config(tmp_path / "c.json",
-                       output_dir=str(tmp_path / "run"),
-                       gn={"artifact": str(artifact_dir / "gn")},
-                       check={"fields": 4, "directions": 4, "battery": 10})
-    from biharm.energy import _unconstrained_gradient
-
-    monkeypatch.setattr(cli, "_unconstrained_gradient",
-                        lambda u, V, a: -_unconstrained_gradient(u, V, a))
+@pytest.mark.parametrize("tamper, failing", [
+    pytest.param("scaled", ["normalization"], id="scaled"),
+    pytest.param("dilated", ["normalization", "euler_lagrange"],
+                 id="dilated"),
+    pytest.param("a_star_moved", ["quotient"], id="a_star_moved"),
+    pytest.param("zero", None, id="zero")])
+def test_check_flags_a_tampered_artifact(tmp_path, artifact_dir, tamper,
+                                         failing):
+    # a valid artifact altered after gn wrote it: Q scaled by 1.01, Q
+    # dilated by 1.001, a* moved by 1e-9 relative, and Q zeroed, which has
+    # no quotient at all
+    gn = load_gn(artifact_dir / "gn")
+    sidecar = json.loads((artifact_dir / "gn.json").read_text())
+    Q = {"scaled": gn.Q * 1.01, "dilated": dilate(gn.Q, 1.001),
+         "a_star_moved": gn.Q, "zero": gn.Q * 0.0}[tamper]
+    if tamper == "a_star_moved":
+        sidecar["a_star"] *= 1.0 + 1e-9
+    write_snapshot(Q, tmp_path / "gn.bhf")
+    (tmp_path / "gn.json").write_text(json.dumps(sidecar))
+    cfg = write_config(tmp_path / "c.json", output_dir=str(tmp_path / "run"),
+                       gn={"artifact": str(tmp_path / "gn")})
     code, text = run_cli("--config", str(cfg), "check")
-    assert code == 4
-    assert "gradient_fd" in text and "FAIL" in text
-    assert "parseval" in text and "pass" in text
+    assert code == 4, text
+    if failing is None:
+        assert text == "check FAIL: quotient undefined for the zero field\n"
+    else:
+        rows = _check_rows(text)
+        assert list(rows) == CHECK_ROWS
+        assert [name for name, ok in rows.items() if not ok] == failing
+
+
+def test_check_passes_on_a_2d_artifact_from_gn(tmp_path):
+    # the artifact biharm gn writes on 2D 128^2/16 with default settings
+    # is valid, and check certifies it
+    cfg = write_config(tmp_path / "c.json",
+                       grid={"d": 2, "n": 128, "half_width": 16.0},
+                       potential={"family": "zero"}, solver={},
+                       output_dir=str(tmp_path / "run"))
+    code, text = run_cli("--config", str(cfg), "gn")
+    assert code == 0, text
+    code, text = run_cli("--config", str(cfg), "check")
+    assert code == 0, text
+    assert _check_rows(text) == dict.fromkeys(CHECK_ROWS, True)
 
 
 def test_check_rejects_an_artifact_for_another_grid(tmp_path, artifact_dir):
     cfg = write_config(tmp_path / "c.json",
                        grid={"d": 1, "n": 128, "half_width": 16.0},
                        output_dir=str(tmp_path / "run"),
-                       gn={"artifact": str(artifact_dir / "gn")},
-                       check={"fields": 2, "directions": 2, "battery": 2})
+                       gn={"artifact": str(artifact_dir / "gn")})
     code, text = run_cli("--config", str(cfg), "check")
     assert code == 2
     assert "does not match the config grid" in text
@@ -559,8 +603,7 @@ def test_check_rejects_an_unreadable_artifact(tmp_path):
     (tmp_path / "gn.json").write_text("{not json")
     cfg = write_config(tmp_path / "c.json",
                        output_dir=str(tmp_path / "run"),
-                       gn={"artifact": str(tmp_path / "gn")},
-                       check={"fields": 2, "directions": 2, "battery": 2})
+                       gn={"artifact": str(tmp_path / "gn")})
     code, text = run_cli("--config", str(cfg), "check")
     assert code == 2
     assert text.startswith(f"error: cannot load GN artifact at "
@@ -580,8 +623,7 @@ def test_corrupt_a_star_is_a_config_error(tmp_path, artifact_dir, command,
     (run / "sweep.csv").write_text("")  # plotdata wants a sweep first
     cfg = write_config(tmp_path / "c.json", output_dir=str(run),
                        gn={"artifact": str(tmp_path / "gn")},
-                       solve={"a": "0.5*astar"}, sweep={"count": 1},
-                       check={"fields": 2, "directions": 2, "battery": 2})
+                       solve={"a": "0.5*astar"}, sweep={"count": 1})
     code, text = run_cli("--config", str(cfg), command)
     assert code == 2, text
     assert text.startswith(f"error: cannot load GN artifact at "
@@ -595,9 +637,25 @@ def test_corrupt_a_star_is_a_config_error(tmp_path, artifact_dir, command,
     ("sidecar", lambda s: {**s, "residuals": None}),
     ("sidecar", lambda s: [s]),
     ("header", lambda h: {**h, "d": None}),
-    ("header", lambda h: [h])],
+    ("header", lambda h: [h]),
+    # each value has its own type, element by element: a string is no
+    # list, and 7.5, "7" or true no iteration count
+    ("sidecar", lambda s: {**s, "el_constants": "ab"}),
+    ("sidecar", lambda s: {**s, "resolutions": "xy"}),
+    ("sidecar", lambda s: {**s, "resolutions": [[128.0, 15.9]]}),
+    ("sidecar", lambda s: {**s, "history": "12"}),
+    ("sidecar", lambda s: {**s, "iterations": "7"}),
+    ("sidecar", lambda s: {**s, "iterations": 7.5}),
+    ("sidecar", lambda s: {**s, "iterations": True}),
+    ("sidecar", lambda s: {**s, "half_grid_check": {
+        "quotient_grad": "1e-2", "converged": False}}),
+    ("sidecar", lambda s: {**s, "half_grid_check": {
+        "quotient_grad": 1e-2, "converged": "false"}})],
     ids=["el_constants_null", "residuals_null", "sidecar_a_list",
-         "header_d_null", "header_a_list"])
+         "header_d_null", "header_a_list", "el_constants_a_string",
+         "resolutions_a_string", "resolutions_float_n", "history_a_string",
+         "iterations_a_string", "iterations_a_float", "iterations_a_bool",
+         "half_grid_residual_a_string", "half_grid_converged_a_string"])
 def test_a_gn_artifact_value_of_the_wrong_type_exits_2(
         tmp_path, artifact_dir, command, part, corrupt):
     sidecar = json.loads((artifact_dir / "gn.json").read_text())
@@ -626,8 +684,7 @@ def test_check_reports_a_gn_fallback_that_does_not_converge(tmp_path):
                        grid={"d": 2, "n": 64, "half_width": 12.0},
                        potential={"family": "zero"},
                        output_dir=str(tmp_path / "run"),
-                       gn={"artifact": str(tmp_path / "absent")},
-                       check={"fields": 2, "directions": 2, "battery": 2})
+                       gn={"artifact": str(tmp_path / "absent")})
     code, text = run_cli("--config", str(cfg), "check")
     assert code == 1
     assert text.startswith("error: the fixed point did not converge")
@@ -703,8 +760,7 @@ def test_command_timings_go_to_the_manifest_only(tmp_path, artifact_dir):
     artifact = {"artifact": str(artifact_dir / "gn")}
     runs = [("gn", {}, "gn.json"), ("solve", {"solve": {"a": 4.0}},
                                     "solve.json"),
-            ("check", {"gn": artifact, "check": {
-                "fields": 2, "directions": 2, "battery": 5}}, None)]
+            ("check", {"gn": artifact}, None)]
     for command, extra, scalars in runs:
         outputs = []
         for i in range(2):

@@ -312,15 +312,13 @@ def test_coarse_system_rejects_roundoff_pivots():
     assert c == pytest.approx([0.5e6 + 0.5, -1e6], rel=1e-8)
 
 
-# the generators' spectra i k_i X keep Nyquist modes that their nodal
-# values, and so the reference below, drop: on a raw iterate the spectral
-# and nodal sums part at that content's size (1e-4 relative after 3
-# iterations on 64^2/12), on a band-limited one only at roundoff
+# Grid.ik is zero at the Nyquist wavenumber, so the generators' spectra
+# i k_i X hold only what their nodal values hold, and the step's spectral
+# and nodal sums agree on a raw iterate as on a band-limited one (with the
+# Nyquist entries kept, they parted by 1e-4 relative after 3 iterations on
+# 64^2/12)
 @pytest.mark.parametrize("iters, band_limited", [
-    (1, True), (3, True), (6, True),
-    pytest.param(3, False, marks=pytest.mark.xfail(
-        strict=True, reason="the coarse step's spectral sums count Nyquist "
-        "modes of i k_i X that the generators' nodal values drop"))])
+    (1, True), (3, True), (6, True), (3, False)])
 def test_coarse_step_matches_dense_reference(iters, band_limited):
     # the coarse step's coefficients against the dense (d+1) x (d+1)
     # reference built from Field-level operators on the generators Z:

@@ -3,8 +3,8 @@
 perfbench/run.py builds a cli.RunConfig from each workload's config, warms
 up with initial_field, energy and constrained_gradient, and loads the stored
 gn artifact.  These tests make the same calls, so a change to those
-signatures fails here rather than in a benchmark run, and run the gn_1d
-command against the workload's gates.  workloads.py is
+signatures fails here rather than in a benchmark run, run the gn_1d
+command against the workload's gates, and certify the stored artifact.  workloads.py is
 executed from its path by runpy, which writes no bytecode cache, and every
 output goes to a temporary directory: nothing is written under perfbench/.
 """
@@ -62,6 +62,21 @@ def test_stored_artifact_loads_and_matches_the_fixture(workloads):
                                         grid["half_width"])
     # written before the n/2 check's convergence was stored
     assert gn.check_residual is None and gn.check_converged is None
+
+
+def test_check_certifies_the_stored_artifact(workloads, tmp_path):
+    # a sidecar from before iterations, history and half_grid_check were
+    # stored carries every certificate check prints
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"grid": workloads["GRID_1D"],
+                               "gn": {"artifact": str(workloads["ARTIFACT"])},
+                               "output_dir": str(tmp_path / "run")}))
+    out = io.StringIO()
+    code = cli.main(["--config", str(cfg), "check"], out=out)
+    assert code == 0, out.getvalue()
+    assert [line.split()[:2] for line in out.getvalue().splitlines()] == [
+        [row, "pass"] for row in ("quotient", "normalization",
+                                  "euler_lagrange", "gn_inequality")]
 
 
 def test_gn_workload_passes_its_gates(workloads, tmp_path):
