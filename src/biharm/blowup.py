@@ -86,6 +86,19 @@ _CSV_COLUMNS = ("a", "energy", "kinetic", "eps", "center", "h2_dist_to_Q",
 _NEWTON_MAX_STEPS = 20
 
 
+def _newton_step(hess, grad):
+    """-hess^{-1} grad for a d x d Hessian, d <= 2, given as rows of Python
+    floats, by Cramer's rule; None when hess is exactly singular."""
+    if len(grad) == 1:
+        return None if hess[0][0] == 0.0 else [-grad[0] / hess[0][0]]
+    (h00, h01), (h10, h11) = hess
+    det = h00 * h11 - h01 * h10
+    if det == 0.0:
+        return None
+    return [(h01 * grad[1] - h11 * grad[0]) / det,
+            (h10 * grad[0] - h00 * grad[1]) / det]
+
+
 def _h2_after_best_shift(w: Field, ref: Field) -> float:
     """H2 distance minimized over sub-grid translations of w.
 
@@ -97,8 +110,10 @@ def _h2_after_best_shift(w: Field, ref: Field) -> float:
     Both fields arrive centered, so the optimum sits near s = 0: Newton's
     method on D from s = 0, with steps clipped to half a node per axis,
     costs O(n^d) per step on the spectra in hand, and one forward transform
-    in all, that of w - ref, whose sum with ref^ is w^.  The distance at the
-    optimum is reported only if it beats h2_distance(w, ref).
+    in all, that of w - ref, whose sum with ref^ is w^.  The d x d Newton
+    system is solved in closed form (_newton_step); a singular Hessian ends
+    the search.  The distance at the optimum is reported only if it beats
+    h2_distance(w, ref).
     """
     g = w.grid
     weight = 1.0 + g.k_quad
@@ -123,13 +138,12 @@ def _h2_after_best_shift(w: Field, ref: Field) -> float:
             break
         # half of D's gradient and Hessian
         first = [moved(i) for i in range(g.d)]
-        grad = np.array([g.parseval(f, wdiff) for f in first])
-        hess = np.array([[g.parseval(first[i], weight * first[j])
-                          + g.parseval(moved(i, j), wdiff)
-                          for j in range(g.d)] for i in range(g.d)])
-        try:
-            step = -np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError:
+        grad = [g.parseval(f, wdiff) for f in first]
+        hess = [[g.parseval(first[i], weight * first[j])
+                 + g.parseval(moved(i, j), wdiff)
+                 for j in range(g.d)] for i in range(g.d)]
+        step = _newton_step(hess, grad)
+        if step is None:
             break
         step = np.clip(step, -0.5 * g.dx, 0.5 * g.dx)
         shift = shift + step

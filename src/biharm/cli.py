@@ -14,6 +14,7 @@ beats a*).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -217,9 +218,9 @@ class RunConfig:
                            width=_as_float(init, "width", InitSpec.width),
                            path=_as_str(init, "path", InitSpec.path),
                            ell=_as_float(init, "ell", InitSpec.ell))
-        self.seed = _as_int(top, "seed", 0)
+        self.seed = _as_int(top, "seed", 0, minimum=0)
         if overrides.get("seed") is not None:
-            self.seed = int(overrides["seed"])
+            self.seed = _as_int(overrides, "seed", minimum=0)
         self.output_dir = Path(overrides.get("output")
                                or _as_str(top, "output_dir", "run"))
         artifact = _as_str(gn, "artifact", "")
@@ -317,7 +318,7 @@ def cmd_gn(cfg: RunConfig, out=sys.stdout) -> int:
         print(f"n/2 check: quotient residual {result.check_residual:.3e}, "
               f"{state}", file=out)
     _write_manifest(cfg, [base.with_suffix(".bhf"), base.with_suffix(".json")],
-                    _timings(t0))
+                    {**_timings(t0), "gn_s": result.seconds})
     return EXIT_OK
 
 
@@ -574,7 +575,11 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use: parsing leaves it
+    unchanged, and argparse looks up sys.stdout and sys.stderr when it
+    prints, not when it is built."""
     parser = argparse.ArgumentParser(
         prog="biharm",
         description="Fourth-order focusing ground states: critical constant, "
@@ -583,7 +588,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="path to the JSON run configuration")
     parser.add_argument("--output", help="output directory "
                         "(overrides config output_dir)")
-    parser.add_argument("--seed", type=int, help="override config seed")
+    parser.add_argument("--seed", type=int,
+                        help="override config seed (non-negative)")
     parser.add_argument(
         "command", choices=tuple(_COMMANDS),
         help="gn: compute the critical constant and its optimizer; "

@@ -222,18 +222,27 @@ def el_residual(u: Field):
     ||Lap^2 u||.  A minimizer of the quotient satisfies the fitted equation
     with positive constants; the normalized profile pins both to 1.
 
-    Raises ValueError when u and |u|^{q-2}u are numerically collinear (a
-    constant field), which makes the normal equations degenerate.
+    With the columns A = [u, -|u|^{q-2}u] the fit is the 2x2 normal system
+    G c = -A^T Lap^2 u, G = A^T A, formed from five dot products and solved
+    by Cramer's rule in Python floats; the residual is then evaluated
+    directly, not from G.  Raises ValueError when the two columns are
+    numerically collinear, det G <= 1e-12 G_11 G_22 (a constant field, or
+    one of values +-c), which makes the normal equations degenerate.
     """
     bi = bilap_apply(u).values.ravel()
     base = u.values.ravel()
     pw = (_nonlinear_weight(u.values * u.values) * u.values).ravel()
-    A = np.stack([base, -pw], axis=1)
-    sv = np.linalg.svd(A, compute_uv=False)
-    if sv[-1] <= 1e-12 * sv[0]:
+    g11 = float(base @ base)
+    g12 = -float(base @ pw)
+    g22 = float(pw @ pw)
+    det = g11 * g22 - g12 * g12
+    if det <= 1e-12 * g11 * g22:
         raise ValueError(
             "degenerate stationarity fit: u and |u|^{q-2}u are collinear")
-    (c1, c2), *_ = np.linalg.lstsq(A, -bi, rcond=None)
+    r1 = -float(base @ bi)
+    r2 = float(pw @ bi)
+    c1 = (g22 * r1 - g12 * r2) / det
+    c2 = (g11 * r2 - g12 * r1) / det
     res = np.linalg.norm(bi + c1 * base - c2 * pw)
     scale = np.linalg.norm(bi)
-    return float(c1), float(c2), float(res / scale)
+    return c1, c2, float(res / scale)

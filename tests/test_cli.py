@@ -13,7 +13,7 @@ import biharm
 from biharm import (Field, SolveConfig, compute_gn, dilate, load_gn,
                     make_grid, save_gn, write_snapshot)
 from biharm.blowup import load_sweep
-from biharm.cli import main
+from biharm.cli import build_parser, main
 from biharm.groundstate import SOLVE_COUNTERS
 from biharm.potentials import sample
 
@@ -756,12 +756,13 @@ def test_sweep_csv_read_with_and_without_solver_counters(tmp_path,
 
 def test_command_timings_go_to_the_manifest_only(tmp_path, artifact_dir):
     # gn, solve and check report their wall time in manifest.json, never in
-    # gn.json or solve.json, which a rerun reproduces byte for byte
+    # gn.json or solve.json, which a rerun reproduces byte for byte; gn adds
+    # the time compute_gn took
     artifact = {"artifact": str(artifact_dir / "gn")}
-    runs = [("gn", {}, "gn.json"), ("solve", {"solve": {"a": 4.0}},
-                                    "solve.json"),
-            ("check", {"gn": artifact}, None)]
-    for command, extra, scalars in runs:
+    runs = [("gn", {}, "gn.json", ["command_s", "gn_s"]),
+            ("solve", {"solve": {"a": 4.0}}, "solve.json", ["command_s"]),
+            ("check", {"gn": artifact}, None, ["command_s"])]
+    for command, extra, scalars, keys in runs:
         outputs = []
         for i in range(2):
             run = tmp_path / f"{command}{i}"
@@ -770,13 +771,15 @@ def test_command_timings_go_to_the_manifest_only(tmp_path, artifact_dir):
             code, text = run_cli("--config", str(cfg), command)
             assert code == 0, text
             manifest = json.loads((run / "manifest.json").read_text())
-            assert list(manifest["timings"]) == ["command_s"]
-            assert manifest["timings"]["command_s"] > 0.0
+            timings = manifest["timings"]
+            assert sorted(timings) == keys
+            assert all(timings[key] > 0.0 for key in keys)
+            assert timings["command_s"] >= timings.get("gn_s", 0.0)
             if scalars is not None:
                 outputs.append((run / scalars).read_bytes())
         if scalars is not None:
             assert outputs[1] == outputs[0]
-            assert b"command_s" not in outputs[0]
+            assert all(key.encode() not in outputs[0] for key in keys)
 
 
 def test_same_seed_reproduces_scalars(tmp_path, artifact_dir):
@@ -801,6 +804,47 @@ def test_output_flag_overrides_config(tmp_path):
     assert code == 0
     assert (tmp_path / "actual" / "solve.json").exists()
     assert not (tmp_path / "ignored").exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "check"])
+@pytest.mark.parametrize("source", ["config", "flag"])
+def test_a_negative_seed_exits_2_before_any_compute(tmp_path, artifact_dir,
+                                                    command, source):
+    run = tmp_path / "run"
+    cfg = write_config(tmp_path / "c.json", output_dir=str(run),
+                       gn={"artifact": str(artifact_dir / "gn")},
+                       solve={"a": 4.0},
+                       **({"seed": -3} if source == "config" else {}))
+    flag = ["--seed", "-1"] if source == "flag" else []
+    code, text = run_cli("--config", str(cfg), *flag, command)
+    assert code == 2, text
+    assert text.startswith("config error: ") and "'seed'" in text
+    assert not run.exists()
+
+
+def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys):
+    # built once, while other streams are current: each call still parses
+    # its own argv and prints to the streams current at that call
+    build_parser.cache_clear()
+    with capsys.disabled():
+        parser = build_parser()
+    assert build_parser() is parser
+    assert main(["--help"], out=io.StringIO()) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: biharm") and captured.err == ""
+    cfg = write_config(tmp_path / "c.json", output_dir=str(tmp_path / "run"),
+                       solve={"a": 4.0})
+    assert main(["--config", str(cfg)], out=io.StringIO()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: biharm")
+    assert "required: command" in captured.err
+    code, text = run_cli("--config", str(cfg), "solve")
+    assert code == 0, text
+    assert "status = Converged" in text
+    assert (tmp_path / "run" / "solve.json").exists()
+    assert capsys.readouterr() == ("", "")
+    assert build_parser() is parser
 
 
 def test_unknown_subcommand_is_config_error(tmp_path):

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from biharm import (Field, bilap_energy, dilate, l2_norm_sq, lq_integral,
-                    make_grid, renormalize_mass)
+from biharm import (Field, bilap_energy, dilate, l2_norm_sq, load_gn,
+                    lq_integral, make_grid, renormalize_mass)
 from biharm.energy import (
     _unconstrained_gradient,
     constrained_gradient,
@@ -16,7 +16,8 @@ from biharm.energy import (
     energy_difference,
     gn_quotient,
 )
-from biharm.field import gaussian_mixture_field, random_smooth_field
+from biharm.field import (bilap_apply, gaussian_mixture_field,
+                          random_smooth_field)
 from biharm.grid import quadrature
 from biharm.potentials import GaussianWell, Harmonic, Zero
 
@@ -202,6 +203,52 @@ def test_el_residual_degenerate_on_constant(gpi):
         el_residual(u)
 
 
+def test_el_residual_degenerate_on_alternating_signs(gpi):
+    # |u|^{q-2}u = c^{q-2} u on a field of values +-c: collinear columns
+    u = Field(gpi, 0.3 * (-1.0) ** np.arange(gpi.n))
+    with pytest.raises(ValueError):
+        el_residual(u)
+
+
+def _planted_field(g1):
+    x = g1.axes[0]
+    return Field(g1, np.exp(-0.5 * x**2) + 0.1 * np.exp(-0.5 * (x - 1) ** 2))
+
+
+def _el_fit_inputs():
+    # the stored 1D Q, the planted-equation field, and 20 seeded random
+    # fields of each generator in 1D and in 2D
+    stored = Path(__file__).parents[1] / "perfbench" / "data" / "gn_d1_n512"
+    yield pytest.param(lambda: load_gn(stored).Q, id="stored_Q")
+    yield pytest.param(lambda: _planted_field(make_grid(1, 512, 16.0)),
+                       id="planted")
+    for d, n, half_width in ((1, 256, 16.0), (2, 64, 12.0)):
+        for gen in (random_smooth_field, gaussian_mixture_field):
+            for seed in range(20):
+                yield pytest.param(
+                    lambda d=d, n=n, hw=half_width, gen=gen, seed=seed: gen(
+                        make_grid(d, n, hw), np.random.default_rng(seed)),
+                    id=f"{gen.__name__}-{d}d-{seed}")
+
+
+@pytest.mark.parametrize("make_field", _el_fit_inputs())
+def test_el_residual_matches_lstsq(make_field):
+    # the closed-form normal equations against LAPACK's least squares on
+    # the same two columns
+    u = make_field()
+    c1, c2, res = el_residual(u)
+    bi = bilap_apply(u).values.ravel()
+    base = u.values.ravel()
+    pw = np.abs(base) ** (critical_power(u.grid.d) - 2) * base
+    coef, *_ = np.linalg.lstsq(np.stack([base, -pw], axis=1), -bi,
+                               rcond=None)
+    assert_allclose([c1, c2], coef, rtol=1e-10)
+    # the residual is a norm relative to ||Lap^2 u||: roundoff bounds its
+    # absolute error, however small the residual itself
+    r = np.linalg.norm(bi + coef[0] * base - coef[1] * pw)
+    assert_allclose(res, r / np.linalg.norm(bi), rtol=0.0, atol=1e-12)
+
+
 def test_el_residual_recovers_planted_equation(g1):
     # plant a field that satisfies Lap^2 u + c1 u - c2 |u|^8 u = r with a
     # tiny controlled r by solving for the field spectrally is circular;
@@ -209,11 +256,8 @@ def test_el_residual_recovers_planted_equation(g1):
     # mode the cubic-free identity Lap^2 u = kappa^4 u forces c1 = -kappa^4
     # only if the nonlinear column is orthogonal; use a two-mode field and
     # check the residual definition directly against a hand-built lstsq.
-    x = g1.axes[0]
-    u = Field(g1, np.exp(-0.5 * x**2) + 0.1 * np.exp(-0.5 * (x - 1) ** 2))
+    u = _planted_field(g1)
     c1, c2, res = el_residual(u)
-    from biharm.field import bilap_apply
-
     bi = bilap_apply(u).values
     pw = np.abs(u.values) ** 8 * u.values
     A = np.stack([u.values, -pw], axis=1)
