@@ -14,6 +14,7 @@ that distance over translations as a Parseval sum on the two spectra.
 from __future__ import annotations
 
 import csv
+import math
 import time
 import warnings
 from dataclasses import dataclass
@@ -103,51 +104,83 @@ def _h2_after_best_shift(w: Field, ref: Field) -> float:
     """H2 distance minimized over sub-grid translations of w.
 
     D(s) = ||translate(w, s) - ref||^2_H2 is the Parseval sum of
-    diff = w^ P(s) - ref^ against (1 + |k|^4) diff, P(s) the product of the
-    axes' phases of _shift_phases; its gradient and Hessian are the same
-    kind of sums against P's derivatives in s.  A Nyquist mode's phase is
-    real, so translate damps it and D, unlike a correlation, sees that.
-    Both fields arrive centered, so the optimum sits near s = 0: Newton's
-    method on D from s = 0, with steps clipped to half a node per axis,
-    costs O(n^d) per step on the spectra in hand, and one forward transform
-    in all, that of w - ref, whose sum with ref^ is w^.  The d x d Newton
-    system is solved in closed form (_newton_step); a singular Hessian ends
-    the search.  The distance at the optimum is reported only if it beats
-    h2_distance(w, ref).
+    diff = w^ P(s) - ref^ against W diff, W = 1 + |k|^4 and P(s) the
+    product of the axes' phases of _shift_phases.  Expanded, D is
+    ||ref||^2_H2 plus a self term ||w^ P(s)||^2_W less twice the cross term
+    <W ref^, w^ P(s)> = parseval(C, P(s)), with the one cross-spectrum
+    C = W ref^ conj(w^) formed once per call.  A phase has modulus one away
+    from the Nyquist modes, so the self term moves with s only through
+    their real phases cos(k_max s_i): it is the sum over sets S of axes of
+    T_S prod_{i in S} -sin^2(k_max s_i), T_S the part of ||w^||^2_W from the
+    modes at Nyquist along every axis in S.  Translation damps those modes,
+    and D, unlike a correlation, sees that.  D's gradient and Hessian in s
+    are then parseval sums of C against the axis phases and their
+    derivatives, plus these scalar Nyquist terms: a step builds the phases
+    and no moved spectrum w^ P.  Both fields arrive centered, so the
+    optimum sits near s = 0: Newton's method on D from s = 0, with steps
+    clipped to half a node per axis and the d x d system solved in closed
+    form (_newton_step), a singular Hessian ending the search.  The search
+    runs one forward transform in all, that of w - ref, whose sum with ref^
+    is w^.  The distance at the optimum is the Parseval sum of diff itself,
+    free of the expansion's cancellation, and it is reported only if it
+    beats h2_distance(w, ref).
     """
     g = w.grid
+    h, k_max, d = g.n // 2, g.k_max, g.d
     weight = 1.0 + g.k_quad
     gap = w - ref
     at_zero = float(np.sqrt(h2_norm_sq(gap)))  # h2_distance(w, ref)
     w_hat = gap.hat + ref.hat
-    shift, step = np.zeros(g.d), np.full(g.d, np.inf)
-    for step_no in range(_NEWTON_MAX_STEPS + 1):
-        # phases[ax][r]: the phase along ax, differentiated r times in s
-        phases = [_shift_phases(g, ax, s, 3) for ax, s in enumerate(shift)]
+    cross = weight * ref.hat * w_hat.conj()
+    # T_S over the non-empty sets S, each the parseval sum over the modes at
+    # Nyquist along every axis of S: row h of axis 0 in 2D, and the last
+    # axis's column h kept as a column, so that parseval weighs it once
+    slabs = []
+    for axs in ([(0,)] if d == 1 else [(0,), (1,), (0, 1)]):
+        idx = tuple((h if ax < d - 1 else slice(h, None)) if ax in axs
+                    else slice(None) for ax in range(d))
+        slabs.append((axs, g.parseval(w_hat[idx], weight[idx] * w_hat[idx])))
+    # the symbols of d/ds and d^2/ds^2 on exp(-i k s), zero at the Nyquist
+    # mode, whose phase cos(k_max s) is differentiated apart
+    symbols = [(-ik, ik * ik) for ik in g.ik]
+    shift = [0.0] * d
+    for _ in range(_NEWTON_MAX_STEPS):
+        # per axis: the phase and its two derivatives in s; and -sin^2(k_max
+        # s) and its two derivatives, the self term's factor
+        phases, jets = [], []
+        for ax, (s, (d1, d2)) in enumerate(zip(shift, symbols)):
+            p = _shift_phases(g, ax, s)
+            c, sn = math.cos(k_max * s), math.sin(k_max * s)
+            first, second = d1 * p, d2 * p
+            first[h], second[h] = -k_max * sn, -k_max * k_max * c
+            phases.append((p, first, second))
+            jets.append((-sn * sn, -2.0 * k_max * sn * c,
+                         -2.0 * k_max * k_max * (c * c - sn * sn)))
 
-        def moved(*axs):  # w^ P differentiated once along each axis in axs
-            z = phases[0][axs.count(0)]
-            for ax in range(1, g.d):
-                z = z * phases[ax][axs.count(ax)]
-            return w_hat * z
+        def half_d(*axs):
+            """Half of D's derivative, once along each axis in axs."""
+            orders = [axs.count(ax) for ax in range(d)]
+            self_part = sum(t * math.prod(jets[ax][orders[ax]] for ax in on)
+                            for on, t in slabs if set(axs) <= set(on))
+            moved = phases[0][orders[0]]
+            if d > 1:
+                moved = moved * phases[1][orders[1]]
+            return 0.5 * self_part - g.parseval(cross, moved)
 
-        diff = moved() - ref.hat
-        wdiff = weight * diff
-        if (step_no == _NEWTON_MAX_STEPS
-                or np.max(np.abs(step)) < 1e-12 * g.dx):
-            break
-        # half of D's gradient and Hessian
-        first = [moved(i) for i in range(g.d)]
-        grad = [g.parseval(f, wdiff) for f in first]
-        hess = [[g.parseval(first[i], weight * first[j])
-                 + g.parseval(moved(i, j), wdiff)
-                 for j in range(g.d)] for i in range(g.d)]
+        grad = [half_d(i) for i in range(d)]
+        hess = [[half_d(i, j) for j in range(d)] for i in range(d)]
         step = _newton_step(hess, grad)
         if step is None:
             break
-        step = np.clip(step, -0.5 * g.dx, 0.5 * g.dx)
-        shift = shift + step
-    return min(at_zero, float(np.sqrt(g.parseval(diff, wdiff))))
+        step = [min(max(st, -0.5 * g.dx), 0.5 * g.dx) for st in step]
+        shift = [s + st for s, st in zip(shift, step)]
+        if max(abs(st) for st in step) < 1e-12 * g.dx:
+            break
+    moved = _shift_phases(g, 0, shift[0])
+    if d > 1:
+        moved = moved * _shift_phases(g, 1, shift[1])
+    diff = w_hat * moved - ref.hat
+    return min(at_zero, float(np.sqrt(g.parseval(diff, weight * diff))))
 
 
 def _validate_schedule(schedule, a_star: float) -> list:

@@ -12,9 +12,11 @@ modes, which stand for both +k_max and -k_max, Hermitian-symmetrically.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 
@@ -180,26 +182,69 @@ def bilap_apply(u: Field) -> Field:
     return Field(g, g.inverse(g.k_quad * u.hat))
 
 
+class _ChirpPlan(NamedTuple):
+    """dilate's tables that depend on the grid alone, all read-only.
+
+    r_sq is pi r^2 / n for r = 0..n, the exponent of the chirp table per
+    unit ell; centred indexes that table at |m| for the signed spectral
+    index m = -n/2..n/2-1 (and so at |j| for the centered node index j),
+    and cyclic at |s| for the kernel's s = j - m stored cyclically on 2n
+    points (0..n-1, then n..1).  k is k_m at those m, alt is (-1)^m, and
+    sign is the nodal (-1)^(j_1 + ... + j_d), by which the values' full
+    transform comes out in m order along every axis, in place of an
+    fftshift.
+    """
+
+    r_sq: np.ndarray
+    centred: np.ndarray
+    cyclic: np.ndarray
+    k: np.ndarray
+    alt: np.ndarray
+    sign: np.ndarray
+
+
+@functools.lru_cache(maxsize=32)
+def _chirp_plan(g: Grid) -> _ChirpPlan:
+    n = g.n
+    m = np.arange(n) - n // 2
+    alt = np.where(m % 2, -1.0, 1.0)  # m = -n/2 is even
+    # node j = 0..n-1 carries (-1)^j, as alt does at index j
+    sign = alt if g.d == 1 else np.multiply.outer(alt, alt)
+    plan = _ChirpPlan(r_sq=np.pi / n * np.arange(n + 1) ** 2,
+                      centred=np.abs(m),
+                      cyclic=np.concatenate((np.arange(n),
+                                             np.arange(n, 0, -1))),
+                      k=m * (np.pi / g.half_width), alt=alt, sign=sign)
+    for arr in plan:
+        arr.setflags(write=False)
+    return plan
+
+
 def dilate(u: Field, ell: float, center=0.0, to=0.0) -> Field:
     """Mass-preserving placement v(x) = ell^{d/2} u(center + ell (x - to)).
 
     The one map that moves fields: it scales u by ell about the point
     center and lands that point on to, with x - to the periodic distance in
     [-L, L) per axis; center and to are numbers or one coordinate per axis,
-    else ValueError.  The trigonometric interpolant of u is evaluated
-    exactly at the scaled positions by a Bluestein chirp-z transform along
-    each axis: with the signed spectral index m and the centered node index
-    j (x_j = j dx), the sum over m of hat_m (-1)^m exp(i k_m b)
-    exp(2 pi i ell m j / n), b = center - ell to, becomes, through
-    m j = (m^2 + j^2 - (j - m)^2) / 2, a chirp, one length-2n FFT
+    else ValueError, and a non-finite ell, center or to raises ValueError
+    naming it before any transform.  The trigonometric interpolant of u is
+    evaluated exactly at the scaled positions by a Bluestein chirp-z
+    transform along each axis: with the signed spectral index m and the
+    centered node index j (x_j = j dx), the sum over m of hat_m (-1)^m
+    exp(i k_m b) exp(2 pi i ell m j / n), b = center - ell to, becomes,
+    through m j = (m^2 + j^2 - (j - m)^2) / 2, a chirp, one length-2n FFT
     convolution with the kernel exp(-i pi ell s^2 / n), and a chirp, at
     O(n log n) per axis line.  The phase exp(i k_m b) rides on the input
     chirp and whole nodes of to roll the output, so placing costs nothing
-    extra.  A Nyquist mode takes translate's phase cos(k_max y) per axis.
-    For ell > 1 some scaled positions leave the box, where the interpolant
-    would tile periodic images of the field; instead the values are rolled
-    off smoothly to zero over the outer quarter of the box about to
-    (quintic ramp in |ell (x - to)| per axis, folded into the output
+    extra.  Everything that depends on neither ell nor the placement -- the
+    index tables of the chirps and the kernel, k_m, and the nodal sign that
+    puts the spectrum in m order -- comes from a read-only plan cached per
+    grid (_chirp_plan), so a call builds one exp table, one kernel FFT and
+    the convolution.  A Nyquist mode takes translate's phase cos(k_max y)
+    per axis.  For ell > 1 some scaled positions leave the box, where the
+    interpolant would tile periodic images of the field; instead the values
+    are rolled off smoothly to zero over the outer quarter of the box about
+    to (quintic ramp in |ell (x - to)| per axis, folded into the output
     chirp), which, unlike a hard cutoff, injects no high-wavenumber seam
     into H^2 diagnostics.  Dilations whose box overflow (ell - 1)*half_width
     stays within half a node skip the roll-off, which keeps the map
@@ -210,52 +255,52 @@ def dilate(u: Field, ell: float, center=0.0, to=0.0) -> Field:
     pushing u's content past the Nyquist limit or of ell < 1 spreading
     tails into the periodic wrap.
     """
-    if ell <= 0:
-        raise ValueError(f"dilation scale must be positive, got {ell}")
+    if not 0 < ell < math.inf:
+        raise ValueError(
+            f"ell must be a positive and finite dilation scale, got {ell}")
     ell = float(ell)
     g = u.grid
     center, to = (np.asarray(p, dtype=np.float64) for p in (center, to))
     if {center.shape, to.shape} - {(), (g.d,)}:
         raise ValueError(f"center and to must have {g.d} components")
+    for name, p in (("center", center), ("to", to)):
+        if not np.isfinite(p).all():
+            raise ValueError(f"{name} must be finite, got {p}")
     center, to = center + np.zeros(g.d), to + np.zeros(g.d)
     if ell == 1.0:
         return u if np.array_equal(center, to) else translate(u, to - center)
     n = g.n
+    plan = _chirp_plan(g)
     # whole nodes of to roll the output; the rest of the placement is the
     # phase exp(i k_m b) on the input chirp
     rolls = [math.ceil(t / g.dx) for t in to]
     fracs = [t - r * g.dx for t, r in zip(to, rolls)]
-    # the chirps exp(i pi ell m^2 / n), at the signed spectral index m after
-    # fftshift and at the centered node index j = x/dx (the same range), and
-    # the kernel below all read one table exp(i pi ell r^2 / n), r = 0..n
-    table = np.exp(1j * np.pi * ell * np.arange(n + 1) ** 2 / n)
-    chirp = table[np.abs(np.arange(n) - n // 2)]
-    # (-1)^m = exp(i k_m L), node 0 sitting at -L; m = -n/2 is even
-    pre = chirp.copy()
-    pre[1::2] *= -1
+    # the chirps exp(i pi ell m^2 / n) and exp(i pi ell j^2 / n), and the
+    # kernel below, all read one table exp(i pi ell r^2 / n), r = 0..n
+    table = np.exp(1j * ell * plan.r_sq)
+    chirp = table[plan.centred]
+    pre = chirp * plan.alt  # (-1)^m = exp(i k_m L), node 0 sitting at -L
     post = chirp * (ell**0.5 / n)
-    # kernel exp(-i pi ell s^2 / n) at s = j - m in [-(n-1), n-1], stored
-    # cyclically on 2n points: |s| = 0..n-1, then n..1
-    kernel_hat = np.fft.fft(
-        np.concatenate((table[:n], table[n:0:-1])).conj())
-    z = np.fft.fftn(u.values)  # the chirp-z needs the full spectrum
-    k = (np.arange(n) - n // 2) * (np.pi / g.half_width)  # k_m
+    kernel_hat = np.fft.fft(table[plan.cyclic].conj())
+    # the chirp-z needs the full spectrum, in m order along every axis
+    z = np.fft.fftn(u.values * plan.sign)
     for ax in reversed(range(g.d)):
         b = center[ax] - ell * fracs[ax]
-        p_in = pre * np.exp(1j * b * k) if b else pre
+        p_in = pre * np.exp(1j * b * plan.k) if b else pre
         p_out, taper = post, 1.0
         if (ell - 1.0) * g.half_width > 0.5 * g.dx:
             t = np.abs(ell * (g.axes[ax] - fracs[ax])) / g.half_width
             t = np.clip((t - 0.75) / 0.25, 0.0, 1.0)
             taper = 1.0 - t**3 * (t * (6.0 * t - 15.0) + 10.0)
             p_out = post * taper
-        a = np.fft.fftshift(z, axes=-1) * p_in
-        a = np.fft.ifft(np.fft.fft(a, 2 * n) * kernel_hat)[..., :n] * p_out
+        a = np.fft.ifft(np.fft.fft(z * p_in, 2 * n) * kernel_hat)[..., :n]
+        a *= p_out
         if ax:
             # i sin(k_max y) turns the Nyquist bin's exp(-i k_max y) into
-            # cos(k_max y); the closing .real does it for the last axis
+            # cos(k_max y); the closing .real does it for the last axis.
+            # That bin, m = -n/2, is the first in m order
             nyq = np.sin(g.k_max * (b + ell * g.axes[ax])) * taper
-            a += np.multiply.outer(z[..., n // 2], 1j * (ell**0.5 / n) * nyq)
+            a += np.multiply.outer(z[..., 0], 1j * (ell**0.5 / n) * nyq)
         z = np.moveaxis(a, -1, 0)
     v = z.real
     if any(rolls):
@@ -273,7 +318,8 @@ def dilate(u: Field, ell: float, center=0.0, to=0.0) -> Field:
 
 
 def translate(u: Field, shift) -> Field:
-    """Periodic sub-grid translation v(x) = u(x - shift) by spectral phase.
+    """Periodic sub-grid translation v(x) = u(x - shift) by spectral phase;
+    a non-finite shift raises ValueError.
 
     In 2D the map is the product of the two 1D translations, so the corner
     mode (n/2, n/2) takes the product of the two cosines of _shift_phases.
@@ -285,32 +331,28 @@ def translate(u: Field, shift) -> Field:
     shift = np.atleast_1d(np.asarray(shift, dtype=np.float64))
     if shift.shape != (g.d,):
         raise ValueError(f"shift must have {g.d} components")
+    if not np.isfinite(shift).all():
+        raise ValueError(f"shift must be finite, got {shift}")
     hat = u.hat
     for ax in range(g.d):
-        hat = hat * _shift_phases(g, ax, shift[ax])[0]
+        hat = hat * _shift_phases(g, ax, shift[ax])
     return Field(g, g.inverse(hat))
 
 
-def _shift_phases(g: Grid, ax: int, s: float, count: int = 1
-                  ) -> np.ndarray:
-    """translate's phase along axis ax for the shift s, then its first
-    count - 1 derivatives in s, stacked on a leading axis, each shaped to
-    broadcast over the half spectrum.
+def _shift_phases(g: Grid, ax: int, s: float) -> np.ndarray:
+    """translate's phase along axis ax for the shift s, shaped to broadcast
+    over the half spectrum.
 
-    Away from the Nyquist mode the r-th is (-i k)^r exp(-i k s).  A Nyquist
-    mode stands for both +k_max and -k_max, and a real field carries it as
-    the real combination of the two, so it takes the real part: cos(k_max s)
-    and its derivatives.
+    Away from the Nyquist mode it is exp(-i k s).  A Nyquist mode stands for
+    both +k_max and -k_max, and a real field carries it as the real
+    combination of the two, so it takes the real part, cos(k_max s).
     """
-    k = g.wavenumbers[ax]
     h = g.n // 2
-    phases = np.empty((count, g.n), dtype=np.complex128)
-    np.exp(-1j * s * k, out=phases[0])
-    for r in range(1, count):
-        np.multiply(phases[r - 1], -1j * k, out=phases[r])
-    phases[:, h] = phases[:, h].real
     # axis 0 of a 2D spectrum is full length; the last axis is halved
-    return phases[:, :h + 1] if ax == g.d - 1 else phases[:, :, None]
+    last = ax == g.d - 1
+    phase = np.exp(-1j * s * g.wavenumbers[ax][:h + 1 if last else None])
+    phase[h] = phase[h].real
+    return phase if last else phase[:, None]
 
 
 def density_center(u: Field) -> np.ndarray:

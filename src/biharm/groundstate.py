@@ -16,12 +16,14 @@ action on their span by the Newton step there (deflation; Nicolaides, SIAM
 J. Numer. Anal. 24, 1987; Tang, Nabben, Vuik & Erlangga, J. Sci. Comput.
 39, 2009), and it falls back to the first level alone wherever the Hessian
 on the span is not positive definite, or not distinguishably so.  It runs
-in 2D only: on the 1D grids an iteration is about a hundred microseconds
-of small array calls, and on warm-started sweeps the step cost more than
-the iterations it saved.  The line search fits a quadratic to each trial's
-energy change and the slope at zero, and steps to the quadratic's minimizer:
-after a failed trial, and once more after a passing one, so each step
-roughly minimizes the energy along its direction, as conjugacy needs.  Every
+in 2D only, and only on a potential that is not constant, whose minimum
+the dilation is centred on.  On the 1D grids an iteration is about a
+hundred microseconds of small array calls, and on warm-started sweeps the
+step cost more than the iterations it saved.  The line search fits a
+quadratic to each trial's energy change and the slope at zero, and steps
+to the quadratic's minimizer: after a failed trial, and once more after a
+passing one, so each step roughly minimizes the energy along its
+direction, as conjugacy needs.  Every
 trial is tested for Armijo sufficient decrease on the energy change along
 the line in closed form: the kinetic and potential energies are quadratic in
 the step and the nonlinear one is a polynomial of degree q, so a few moments
@@ -140,7 +142,8 @@ class SolveResult:
     # with the coarse step's)
     fft_calls: int
     # iterations that used P alone, without the coarse step: where A was not
-    # positive definite, and every one in 1D, where the step does not run
+    # positive definite, and every one where the step does not run, in 1D
+    # and with a constant potential
     coarse_fallbacks: int
 
 
@@ -480,9 +483,11 @@ def solve(g: Grid, V, a: float, cfg: SolveConfig = SolveConfig(), *,
     energy) and c1 = critical_shift(d), the leading term of -mu near a*,
     with its action on the span of the translation and dilation generators
     of u replaced by the Newton step there (see _coarse_step) in 2D.  An
-    iteration uses the first level alone in 1D, and in 2D when the Hessian
-    on that span is not positive definite; SolveResult.coarse_fallbacks
-    counts those iterations.  Trial
+    iteration uses the first level alone in 1D, in 2D when the sampled
+    potential is constant (the dilation is centred on its minimum, and
+    with V = 0 the step took 161 iterations at a = 50 on 128^2/12 where P
+    alone takes 107), and when the Hessian on that span is not positive
+    definite; SolveResult.coarse_fallbacks counts those iterations.  Trial
     states are u + t d renormalized to unit mass.  The line search (the
     first trial step is 1, each later one starts at the last accepted step
     times 1.3) steps to the minimizer of the quadratic through each trial's
@@ -542,8 +547,10 @@ def solve(g: Grid, V, a: float, cfg: SolveConfig = SolveConfig(), *,
     # the coarse step runs in 2D only: at 1D sizes an iteration is about a
     # hundred microseconds of small array calls, and on warm-started
     # sweeps the step's transforms and sums cost more than the iterations
-    # it saves
-    coarse = g.d > 1
+    # it saves.  Its dilation is centred on the potential's minimum, which
+    # a constant V does not have: there the step's generators carry no
+    # soft mode, and P alone takes fewer iterations
+    coarse = g.d > 1 and bool(np.ptp(vvals) > 0)
     ws = _Workspace(g, potential_argmin(V, g) if coarse else None)
     work = (ws.rows[0], ws.rows[1], ws.half)
     d, D = ws.d, ws.D

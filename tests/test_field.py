@@ -1,5 +1,7 @@
 import ast
+import dataclasses
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +29,7 @@ from biharm import (
 )
 from biharm.blowup import _h2_after_best_shift
 from biharm.energy import critical_power
-from biharm.field import (_nonlinear_weight, _refined_values,
+from biharm.field import (_chirp_plan, _nonlinear_weight, _refined_values,
                           gaussian_mixture_field, random_smooth_field)
 from biharm.grid import quadrature
 
@@ -122,6 +124,27 @@ def test_dilate_rejects_nonpositive(gauss1):
         dilate(gauss1, -1.0)
 
 
+@pytest.mark.parametrize("move, name", [
+    (lambda u: dilate(u, np.nan), "ell"),
+    (lambda u: dilate(u, np.inf), "ell"),
+    (lambda u: dilate(u, 2.0, center=np.nan), "center"),
+    (lambda u: dilate(u, 1.0, center=-np.inf), "center"),
+    (lambda u: dilate(u, 2.0, to=np.inf), "to"),
+    (lambda u: dilate(u, 0.5, to=np.nan), "to"),
+    (lambda u: translate(u, np.nan), "shift"),
+    (lambda u: translate(u, (np.inf,)), "shift"),
+])
+def test_placements_reject_non_finite_arguments(gauss1, move, name,
+                                                count_transforms):
+    # rejected before any transform, by a message naming the argument
+    calls = count_transforms()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"^{name} "):
+            move(gauss1)
+    assert calls == []
+
+
 @pytest.mark.parametrize("ell", [1.0, 2.0])
 def test_dilate_rejects_misshapen_placement(gauss1, ell):
     # a 1D grid takes one coordinate, whether or not ell moves anything
@@ -174,6 +197,26 @@ def test_dilate_matches_dense_interpolant(d, n, half_width):
             ref = _dense_dilation(u, ell, center, to)
             err = np.max(np.abs(dilate(u, ell, center, to).values - ref))
             assert err <= 1e-12 * np.max(np.abs(ref)), (center, to, ell, err)
+
+
+def test_dilate_plan_is_shared_read_only_and_stateless():
+    g = make_grid(1, 256, 12.0)
+    # an equal grid that is another object finds the same plan
+    twin = dataclasses.replace(g)
+    assert twin is not g and _chirp_plan(twin) is _chirp_plan(g)
+    for arr in _chirp_plan(g):
+        with pytest.raises(ValueError):
+            arr[0] = arr[0]
+    u = random_smooth_field(g, np.random.default_rng(3))
+    first = dilate(u, 1.7, center=0.4, to=-1.3).values
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ResolutionWarning)
+        for other, ell in ((make_grid(2, 32, 8.0), 0.6),
+                           (make_grid(1, 512, 16.0), 2.5), (g, 0.8),
+                           (g, 3.0)):
+            dilate(random_smooth_field(other, np.random.default_rng(4)), ell,
+                   center=0.2, to=0.9)
+    assert np.array_equal(dilate(u, 1.7, center=0.4, to=-1.3).values, first)
 
 
 # -- translation, recentering, reflection ------------------------------------

@@ -11,11 +11,11 @@ from biharm.energy import (constrained_gradient, critical_power,
 from biharm.field import (Field, bilap_apply, l2_norm_sq, renormalize_mass,
                           write_snapshot)
 from biharm.grid import make_grid, quadrature
-from biharm.groundstate import (ENERGY_FLOOR, InitSpec, SolveConfig,
-                                SolveStatus, _armijo, _coarse_step, _line,
-                                _spd_solve, _Workspace, initial_field,
-                                potential_argmin, solve, trial_upper_bound,
-                                write_iteration_log)
+from biharm.groundstate import (ENERGY_FLOOR, SOLVE_COUNTERS, InitSpec,
+                                SolveConfig, SolveStatus, _armijo,
+                                _coarse_step, _line, _spd_solve, _Workspace,
+                                initial_field, potential_argmin, solve,
+                                trial_upper_bound, write_iteration_log)
 from biharm.potentials import GaussianWell, Harmonic, PowerWell, Zero, sample
 from biharm.potentials import sobolev_lower_bound
 
@@ -297,6 +297,26 @@ def test_2d_solve_near_the_threshold_iterations():
     res = solve(g, V, 57.5, SolveConfig(tol_grad=1e-6, max_iters=40000))
     assert res.status is SolveStatus.CONVERGED
     assert res.iterations <= 100
+
+
+def test_constant_potential_solves_with_p_alone():
+    # the coarse step's dilation is centred on the potential's minimum, and
+    # V = 0 has none: with the step this solve took 161 iterations, with P
+    # alone it takes 107
+    g = make_grid(2, 128, 12.0)
+    res = solve(g, Zero(), 50.0, SolveConfig(tol_grad=1e-6, max_iters=40000))
+    assert res.status is SolveStatus.CONVERGED
+    assert res.iterations <= 110
+    assert res.coarse_fallbacks == res.iterations
+    assert res.fft_calls == 2 + 2 * res.iterations
+
+
+@pytest.mark.parametrize("V", [Zero(), GaussianWell(1.0, 1.0, (0.0, 0.0))])
+def test_2d_counters_are_python_ints(V):
+    # solve.json writes them with json, which rejects numpy integers
+    g = make_grid(2, 32, 8.0)
+    res = solve(g, V, 40.0, SolveConfig(tol_grad=1e-5, max_iters=20))
+    assert all(type(getattr(res, c)) is int for c in SOLVE_COUNTERS)
 
 
 def test_coarse_system_rejects_roundoff_pivots():
