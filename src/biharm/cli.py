@@ -1,14 +1,17 @@
 """Command-line front end: configuration, orchestration, persistence, reports.
 
 One JSON config document drives every subcommand; the exit-code contract is
-part of the interface: 0 success, 1 unexpected failure or non-convergence,
-2 configuration problem (detected before any compute), 3 the grid energy
-fell below the solver's floor of -1e3 (DivergedBelowFloor: what the energy
-does above a*, but node sums let grid-scale states reach it below a* too),
-4 a requested check failed on otherwise valid output: a sweep check, or a
-certificate of the gn artifact that `check` prints (Q's quotient is a*,
-Q is normalized, Q solves the Euler-Lagrange equation, no sampled field
-beats a*).
+part of the interface: 0 success, 1 gn's fixed point did not converge (or
+an unexpected error), 2 configuration problem (detected before any
+compute), 3 the grid energy fell below the solver's floor of -1e3
+(DivergedBelowFloor: what the energy does above a*, but node sums let
+grid-scale states reach it below a* too), 4 a requested check failed on
+otherwise valid output.  `sweep` and `check` print their verdicts as one
+`name pass|FAIL detail` row each: `sweep` one per enabled check, named by
+its sweep.checks key, and `check` one per certificate of the stored gn
+artifact (Q's quotient is a*, Q is normalized, Q solves the Euler-Lagrange
+equation, no sampled field beats a*).  Only `gn` computes the artifact;
+every other command that needs it reads it and exits 2 when it is missing.
 """
 
 from __future__ import annotations
@@ -265,6 +268,16 @@ def _write_manifest(cfg: RunConfig, outputs: list, timings: dict) -> None:
         json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
+def _report(rows, out) -> bool:
+    """Print each (name, ok, detail) row as `name  pass|FAIL  detail`; True
+    when every row passes."""
+    ok_all = True
+    for name, ok, detail in rows:
+        ok_all &= bool(ok)
+        print(f"{name:<14}  {'pass' if ok else 'FAIL'}  {detail}", file=out)
+    return ok_all
+
+
 def _load_gn_artifact(cfg: RunConfig, out):
     try:
         result = load_gn(cfg.gn_artifact)
@@ -370,13 +383,9 @@ def cmd_solve(cfg: RunConfig, out=sys.stdout) -> int:
     print(f"line search: {result.trials} trials, {result.backtracks} "
           f"backtracks, {result.cg_restarts} CG restarts", file=out)
     print(f"fft_calls = {result.fft_calls}", file=out)
-    if cfg.grid.d == 1:
-        print("preconditioner: P alone; the coarse step is off in 1D",
-              file=out)
-    else:
-        print(f"preconditioner: P alone in {result.coarse_fallbacks} of "
-              f"{result.iterations} iterations, with the coarse step in the "
-              "rest", file=out)
+    print(f"preconditioner: coarse step in "
+          f"{result.iterations - result.coarse_fallbacks} of "
+          f"{result.iterations} iterations, P alone in the rest", file=out)
     _write_manifest(cfg, [snap, log, report], _timings(t0))
     if result.status is SolveStatus.DIVERGED_BELOW_FLOOR:
         print(f"grid energy fell below the floor {ENERGY_FLOOR:g}: expected "
@@ -396,6 +405,43 @@ def _timings(t0: float, records=None) -> dict:
     return timings
 
 
+def _sweep_checks(cfg: RunConfig, records, resolved, gn, floor):
+    """(row, ok, detail) for each enabled sweep check, the row named by the
+    sweep.checks key that switches it on; a lone `resolved` row when no
+    record is resolved, since every check judges resolved records."""
+    if not resolved:
+        yield ("resolved", False, "no resolved records -- each concentration "
+               "scale fell below 4 grid nodes (increase grid.n, or widen the "
+               "schedule away from astar) or is more than the box can hold "
+               "(its rescaling lost mass: increase grid.half_width)")
+        return
+    # the trend needs three resolved records; the tolerance only the last
+    gap = abs(resolved[-1].energy - floor)
+    if cfg.check_monotone_gap:
+        try:
+            ok = energy_limit_check(records, cfg.potential, tol=np.inf)[1]
+            detail = (f"gap to ess inf V {gap:.4g}, "
+                      f"{'' if ok else 'not '}shrinking over the last three "
+                      "resolved records")
+        except ValueError as exc:
+            ok, detail = False, str(exc)
+        yield "monotone_gap", ok, detail
+    if cfg.check_energy_gap_tol is not None:
+        yield ("energy_gap_tol", gap < cfg.check_energy_gap_tol,
+               f"gap to ess inf V {gap:.4g}, tolerance "
+               f"{cfg.check_energy_gap_tol}")
+    if cfg.check_h2_final is not None:
+        final = resolved[-1].h2_dist_to_Q
+        yield ("h2_final", final < cfg.check_h2_final,
+               f"final H2 distance to Q {final:.4g}, tolerance "
+               f"{cfg.check_h2_final}")
+    if cfg.check_gn_window:
+        last = gn_sequence_check(records, gn)[-1]
+        yield ("gn_window", 0.95 < last < 1.0 + 1e-3,
+               f"a* x nonlinear mass of the final rescaled profile "
+               f"{last:.6f}, window (0.95, 1.001)")
+
+
 def cmd_sweep(cfg: RunConfig, out=sys.stdout) -> int:
     t0 = time.perf_counter()
     gn = _load_gn_artifact(cfg, out)
@@ -413,66 +459,20 @@ def cmd_sweep(cfg: RunConfig, out=sys.stdout) -> int:
         return EXIT_CONFIG
     records = sweep(cfg.grid, cfg.potential, schedule, cfg.solver, gn)
     csv_path = save_sweep(records, cfg.output_dir)
-    outputs = [csv_path]
     print(f"wrote {csv_path} with {len(records)} records", file=out)
-
     resolved = [r for r in records if r.resolved]
     print(f"resolved records: {len(resolved)}/{len(records)}", file=out)
-    failures = []
-    if not resolved:
-        print("check FAIL: no resolved records -- each concentration "
-              "scale fell below 4 grid nodes (increase grid.n, or widen the "
-              "schedule away from astar) or is more than the box can hold "
-              "(its rescaling lost mass: increase grid.half_width)",
-              file=out)
-        _write_manifest(cfg, outputs, _timings(t0, records))
-        return EXIT_CHECK
-
     floor = ess_inf(cfg.potential, cfg.grid)
-    print("  1-a/a*      energy        gap     eps      h2_dist  status",
-          file=out)
+    if resolved:
+        print("  1-a/a*      energy        gap     eps      h2_dist  status",
+              file=out)
     for r in resolved:
         print(f"  {1.0 - r.a / gn.a_star:#.3g}   {r.energy:+.6e}  "
               f"{abs(r.energy - floor):#.3g}  {r.eps:#.4g}  "
               f"{r.h2_dist_to_Q:#.4g}  {r.status}", file=out)
-
-    # the trend needs three resolved records; the tolerance only the last
-    gap = abs(resolved[-1].energy - floor)
-    if cfg.check_monotone_gap:
-        try:
-            ok = energy_limit_check(records, cfg.potential, tol=np.inf)[1]
-            print(f"energy gap to ess inf V: {gap:.4g} "
-                  f"({'shrinking' if ok else 'NOT shrinking'})", file=out)
-        except ValueError as exc:
-            print(f"energy gap check unavailable: {exc}", file=out)
-            ok = False
-        if not ok:
-            failures.append("energy_gap")
-    if cfg.check_energy_gap_tol is not None:
-        print(f"energy gap to ess inf V: {gap:.4g} "
-              f"(tolerance {cfg.check_energy_gap_tol})", file=out)
-        if not gap < cfg.check_energy_gap_tol:
-            failures.append("energy_gap_tol")
-    if cfg.check_h2_final is not None:
-        final = resolved[-1].h2_dist_to_Q
-        ok = final < cfg.check_h2_final
-        print(f"final H2 distance to Q: {final:.4g} "
-              f"(tolerance {cfg.check_h2_final})", file=out)
-        if not ok:
-            failures.append("h2_final")
-    if cfg.check_gn_window:
-        vals = gn_sequence_check(records, gn)
-        ok = 0.95 < vals[-1] < 1.0 + 1e-3
-        print(f"a* x nonlinear mass of final rescaled profile: {vals[-1]:.6f}",
-              file=out)
-        if not ok:
-            failures.append("gn_window")
-    _write_manifest(cfg, outputs, _timings(t0, records))
-    if failures:
-        print("check FAIL: " + ", ".join(failures), file=out)
-        return EXIT_CHECK
-    print("all enabled checks passed", file=out)
-    return EXIT_OK
+    ok = _report(_sweep_checks(cfg, records, resolved, gn, floor), out)
+    _write_manifest(cfg, [csv_path], _timings(t0, records))
+    return EXIT_OK if ok else EXIT_CHECK
 
 
 def cmd_plotdata(cfg: RunConfig, out=sys.stdout) -> int:
@@ -537,29 +537,16 @@ def _certificates(gn, rng):
 
 def cmd_check(cfg: RunConfig, out=sys.stdout) -> int:
     t0 = time.perf_counter()
-    # an artifact whose sidecar exists must load; only a missing one is computed
-    if cfg.gn_artifact.with_suffix(".json").exists():
-        gn = _load_gn_artifact(cfg, out)
-        if gn is None:
-            return EXIT_CONFIG
-    else:
-        try:
-            gn = compute_gn(cfg.grid, cfg=cfg.solver)
-        except RuntimeError as exc:
-            print(f"error: {exc}", file=out)
-            return EXIT_FAIL
-    ok_all = True
+    gn = _load_gn_artifact(cfg, out)
+    if gn is None:
+        return EXIT_CONFIG
     try:
-        for name, ok, detail in _certificates(
-                gn, np.random.default_rng(cfg.seed)):
-            ok_all &= ok
-            print(f"{name:<14}  {'pass' if ok else 'FAIL'}  {detail}",
-                  file=out)
+        ok = _report(_certificates(gn, np.random.default_rng(cfg.seed)), out)
     except ValueError as exc:  # a zero or constant Q has no quotient or fit
         print(f"check FAIL: {exc}", file=out)
-        ok_all = False
+        ok = False
     _write_manifest(cfg, [], _timings(t0))
-    return EXIT_OK if ok_all else EXIT_CHECK
+    return EXIT_OK if ok else EXIT_CHECK
 
 
 # ---------------------------------------------------------------------------
@@ -595,8 +582,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="gn: compute the critical constant and its optimizer; "
              "solve: minimize the energy at one coupling; "
              "sweep: solve along a schedule climbing toward astar; "
-             "check: certify the gn artifact (quotient, normalization, "
-             "Euler-Lagrange fit, no sampled field below astar); "
+             "check: certify the stored gn artifact, which the gn "
+             "command writes (quotient, normalization, Euler-Lagrange fit, "
+             "no sampled field below astar); "
              "plotdata: emit plot-ready columns from a sweep run")
     return parser
 

@@ -4,8 +4,11 @@ The optimizer Q of the quotient J(u) = (int|Lap u|^2)(int|u|^2)^{(q-2)/2} /
 int|u|^q solves Lap^2 Q + c1 Q = c2 Q^{q-1} with positive constants.  With
 c1 = (q-2)/2 held fixed (4 in 1D, 2 in 2D) the Pohozaev identity forces
 int|Lap Q|^2 = int|Q|^2, the unit gauge (on the grid, to discretization
-error), so the iteration below produces the profile already normalized up to
-its amplitude and needs no dilation after the fact.  The plain map
+error).  On resolved grids the iteration below therefore produces the
+profile normalized up to its amplitude, and the dilation compute_gn applies
+after it moves Q only at roundoff; on a coarse grid or at a loose tolerance
+it does not (on 64^2/12 at tol_grad 1e-4, |Lap Q|^2 is 1.2e-7 off, outside
+the 1e-8 that `biharm check` holds it to), so that step stays.  The plain map
 converges linearly, its residual falling by a factor of about 0.15 per step;
 Anderson mixing of depth one (Walker & Ni, SIAM J. Numer. Anal. 49, 2011)
 brings that factor to about 0.01 near the solution, so the default tolerance
@@ -175,7 +178,7 @@ def compute_gn(g: Grid, cfg: SolveConfig | None = None) -> GNResult:
     start is exactly even, so the result needs no symmetrizing.  cfg is only
     the stop rule.  The profile is then normalized to unit
     mass and unit fourth-order seminorm; the iteration works in that gauge,
-    so only the amplitude changes.  The constant is the quotient of the
+    so on resolved grids only the amplitude changes.  The constant is the quotient of the
     stored profile, so the sharp-normalization identity
     a_star * lq_integral(Q) = 1 closes by construction.  A fixed point is
     stationary, not a proven minimum: that no other localized state beats it

@@ -204,6 +204,17 @@ def test_a_block_that_is_not_an_object_exits_2(tmp_path, path):
     assert not (tmp_path / "run").exists()
 
 
+def _verdicts(text):
+    """{row: passed} from the `name pass|FAIL detail` rows of a printout,
+    in their order; sweep and check print them through one printer."""
+    rows = {}
+    for line in text.splitlines():
+        words = line.split()
+        if len(words) >= 2 and words[1] in ("pass", "FAIL"):
+            rows[words[0]] = words[1] == "pass"
+    return rows
+
+
 def test_sweep_checks_switched_off(tmp_path, artifact_dir):
     cfg = write_config(tmp_path / "c.json", output_dir=str(tmp_path / "run"),
                        gn={"artifact": str(artifact_dir / "gn")},
@@ -213,9 +224,7 @@ def test_sweep_checks_switched_off(tmp_path, artifact_dir):
                                          "h2_final": None}})
     code, text = run_cli("--config", str(cfg), "sweep")
     assert code == 0, text
-    for line in ("energy gap", "final H2 distance", "nonlinear mass"):
-        assert line not in text
-    assert "all enabled checks passed" in text
+    assert _verdicts(text) == {}
 
 
 def test_energy_gap_tolerance_without_the_trend(tmp_path, artifact_dir):
@@ -231,9 +240,8 @@ def test_energy_gap_tolerance_without_the_trend(tmp_path, artifact_dir):
                                          "h2_final": None}})
     code, text = run_cli("--config", str(cfg), "sweep")
     assert code == 0, text
-    assert "shrinking" not in text
-    assert "(tolerance 1.0)" in text
-    assert "all enabled checks passed" in text
+    assert _verdicts(text) == {"energy_gap_tol": True}
+    assert "tolerance 1.0" in text
 
 
 @pytest.mark.filterwarnings("ignore::biharm.ResolutionWarning")
@@ -256,6 +264,47 @@ def test_a_scale_the_box_cannot_hold_is_not_resolved(tmp_path, artifact_dir):
     assert all(r.eps > 4.0 * 32.0 / 256 and not r.resolved for r in records)
 
 
+def test_sweep_prints_one_row_per_enabled_check_named_by_its_key(
+        tmp_path, artifact_dir):
+    # every check on: each row carries the sweep.checks key that switches
+    # it, in one printer's format; two resolved records are too few for
+    # the trend, and its row says so
+    cfg = write_config(tmp_path / "c.json", output_dir=str(tmp_path / "run"),
+                       gn={"artifact": str(artifact_dir / "gn")},
+                       sweep={"start": 0.5, "count": 2, "ratio": 0.5,
+                              "checks": {"energy_gap_tol": 1.0}})
+    code, text = run_cli("--config", str(cfg), "sweep")
+    assert code == 4, text
+    assert "resolved records: 2/2" in text
+    rows = _verdicts(text)
+    assert rows == {"monotone_gap": False, "energy_gap_tol": True,
+                    "h2_final": True, "gn_window": True}
+    [line] = [line for line in text.splitlines()
+              if line.startswith("monotone_gap ")]
+    assert line == ("monotone_gap    FAIL  need at least 3 resolved records "
+                    "to judge the limit")
+    assert "check FAIL" not in text
+    assert "all enabled checks passed" not in text
+
+
+@pytest.mark.filterwarnings("ignore::biharm.ResolutionWarning")
+def test_a_sweep_with_no_resolved_record_prints_one_resolved_row(
+        tmp_path, artifact_dir):
+    # no check has a resolved record to judge: one FAIL row stands for them
+    # all, with the explanation, and the table of records is empty
+    cfg = write_config(tmp_path / "c.json", output_dir=str(tmp_path / "run"),
+                       potential={"family": "zero"},
+                       gn={"artifact": str(artifact_dir / "gn")},
+                       sweep={"start": 0.5, "count": 1, "ratio": 0.5})
+    code, text = run_cli("--config", str(cfg), "sweep")
+    assert code == 4, text
+    assert _verdicts(text) == {"resolved": False}
+    lines = text.splitlines()
+    assert len(lines) == 3 and lines[1] == "resolved records: 0/1"
+    assert lines[2].startswith("resolved        FAIL  no resolved records")
+    assert "increase grid.half_width" in lines[2]
+
+
 @pytest.mark.parametrize("checks, named", [
     ({"h2_final": 1e-12}, "h2_final"),
     ({"energy_gap_tol": 1e-12}, "energy_gap_tol")])
@@ -268,8 +317,9 @@ def test_a_failed_sweep_check_exits_4_and_keeps_outputs(
                               "checks": checks})
     code, text = run_cli("--config", str(cfg), "sweep")
     assert code == 4, text
-    assert [line for line in text.splitlines()
-            if line.startswith("check FAIL")] == [f"check FAIL: {named}"]
+    rows = _verdicts(text)
+    assert [name for name, ok in rows.items() if not ok] == [named]
+    assert "check FAIL" not in text
     assert (run / "sweep.csv").exists()
     assert (run / "manifest.json").exists()
 
@@ -312,12 +362,31 @@ def test_solve_reports_line_search_counters(tmp_path):
             f"{report['backtracks']} backtracks, "
             f"{report['cg_restarts']} CG restarts") in text
     assert f"fft_calls = {report['fft_calls']}" in text
-    assert "preconditioner: P alone; the coarse step is off in 1D" in text
+    assert (f"preconditioner: coarse step in 0 of {report['iterations']} "
+            "iterations, P alone in the rest") in text
     assert report["status"] == "Converged"
     # in 1D there is no coarse step: 2 transforms on entry and 2 per
     # iteration, and every iteration on P alone
     assert report["fft_calls"] == 2 + 2 * report["iterations"]
     assert report["coarse_fallbacks"] == report["iterations"]
+
+
+def test_solve_counts_the_coarse_step_on_a_2d_constant_potential(tmp_path):
+    # with V = 0 the coarse step is off in 2D too: every iteration is on P
+    # alone, and the printout counts them rather than assuming the grid's
+    # dimension decides
+    cfg = write_config(tmp_path / "c.json", output_dir=str(tmp_path / "run"),
+                       grid={"d": 2, "n": 64, "half_width": 12.0},
+                       potential={"family": "zero"}, solver={},
+                       solve={"a": 40.0})
+    code, text = run_cli("--config", str(cfg), "solve")
+    assert code == 0, text
+    report = json.loads((tmp_path / "run" / "solve.json").read_text())
+    assert report["status"] == "Converged"
+    assert report["iterations"] > 0
+    assert report["coarse_fallbacks"] == report["iterations"]
+    assert (f"preconditioner: coarse step in 0 of {report['iterations']} "
+            "iterations, P alone in the rest") in text
 
 
 @pytest.mark.parametrize("init,kind", [(None, "gaussian"),
@@ -419,8 +488,9 @@ def test_sweep_summary_and_exit_0(tmp_path, artifact_dir):
                        sweep={"start": 0.5, "count": 4, "ratio": 0.5})
     code, text = run_cli("--config", str(cfg), "sweep")
     assert code == 0, text
-    assert "shrinking" in text
-    assert "all enabled checks passed" in text
+    assert _verdicts(text) == dict.fromkeys(
+        ["monotone_gap", "h2_final", "gn_window"], True)
+    assert "all enabled checks passed" not in text
     rows = (tmp_path / "run" / "sweep.csv").read_text().splitlines()
     assert len(rows) == 5
     assert (tmp_path / "run" / "w_003.bhf").exists()
@@ -677,18 +747,21 @@ def test_a_gn_artifact_value_of_the_wrong_type_exits_2(
                            f"{tmp_path / 'gn'}")
 
 
-def test_check_reports_a_gn_fallback_that_does_not_converge(tmp_path):
-    # with no artifact, check computes one; on 64^2 the fixed point's
-    # residual floor sits above tol_grad 1e-6, so that computation fails
+def test_check_without_an_artifact_exits_2_and_points_at_gn(tmp_path):
+    # check certifies the stored artifact only: with none it computes
+    # nothing and names the command that writes one, as solve, sweep and
+    # plotdata do
     cfg = write_config(tmp_path / "c.json",
                        grid={"d": 2, "n": 64, "half_width": 12.0},
                        potential={"family": "zero"},
                        output_dir=str(tmp_path / "run"),
                        gn={"artifact": str(tmp_path / "absent")})
     code, text = run_cli("--config", str(cfg), "check")
-    assert code == 1
-    assert text.startswith("error: the fixed point did not converge")
-    assert "tol_grad" in text
+    assert code == 2
+    assert text.startswith(f"error: cannot load GN artifact at "
+                           f"{tmp_path / 'absent'}")
+    assert "'gn' command" in text
+    assert not (tmp_path / "run").exists()
 
 
 def test_plotdata_needs_a_sweep_first(tmp_path, artifact_dir):

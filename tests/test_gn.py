@@ -239,6 +239,23 @@ def test_every_start_width_converges_to_one_constant():
     assert max(values) - min(values) <= 1e-12 * min(values)
 
 
+def test_the_gauge_step_closes_the_normalization_on_a_coarse_grid():
+    # why compute_gn keeps normalize_gn: on resolved grids the fixed point's
+    # output is already in the unit gauge to roundoff, but on 64^2/12 at
+    # tol_grad 1e-4 its |Lap Q|^2 is about 1.2e-7 off, outside check's 1e-8
+    # normalization contract; the dilation takes it to roundoff
+    g = make_grid(2, 64, 12.0)
+    cfg = SolveConfig(tol_grad=1e-4, max_iters=4000)
+    result = compute_gn(g, cfg)
+    Q = result.Q
+    assert abs(bilap_energy(Q) - 1.0) <= 1e-12
+    assert abs(result.a_star * lq_integral(Q) - 1.0) <= 1e-12
+    run = _petviashvili(g, gaussian_start(g, 1.0), cfg)
+    assert run.converged
+    assert abs(bilap_energy(run.u) - 1.0) > 1e-8
+    assert abs(gn_quotient(run.u) * lq_integral(run.u) - 1.0) > 1e-8
+
+
 def test_main_run_iterations_on_the_readme_grid():
     # 7 mixed iterations from compute_gn's start; the plain map took 11
     result = compute_gn(make_grid(1, 512, 16.0))
