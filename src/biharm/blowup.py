@@ -127,9 +127,9 @@ def _h2_after_best_shift(w: Field, ref: Field) -> float:
     """
     g = w.grid
     h, k_max, d = g.n // 2, g.k_max, g.d
-    weight = 1.0 + g.k_quad
+    weight = 1.0 + g.k_quad_complex
     gap = w - ref
-    at_zero = float(np.sqrt(h2_norm_sq(gap)))  # h2_distance(w, ref)
+    at_zero = math.sqrt(h2_norm_sq(gap))  # h2_distance(w, ref)
     w_hat = gap.hat + ref.hat
     cross = weight * ref.hat * w_hat.conj()
     # T_S over the non-empty sets S, each the parseval sum over the modes at
@@ -180,7 +180,7 @@ def _h2_after_best_shift(w: Field, ref: Field) -> float:
     if d > 1:
         moved = moved * _shift_phases(g, 1, shift[1])
     diff = w_hat * moved - ref.hat
-    return min(at_zero, float(np.sqrt(g.parseval(diff, weight * diff))))
+    return min(at_zero, math.sqrt(g.parseval(diff, weight * diff)))
 
 
 def _validate_schedule(schedule, a_star: float) -> list:

@@ -30,6 +30,7 @@ writes only into the arrays its caller passes in.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -135,10 +136,10 @@ def energy_difference(u: Field, delta: np.ndarray, V, a: float,
         poly *= vv
         upow *= uu
         poly += upow
-    kin = g.parseval(dhat, g.k_quad * (dhat + 2.0 * u.hat))
+    kin = g.parseval(dhat, g.k_quad_complex * (dhat + 2.0 * u.hat))
     rest = (np.vdot(s, sample(V, g).values) - a * np.vdot(s, poly)
-            - mu * np.sum(s))
-    return float(kin + g.dx**g.d * rest)
+            - mu * s.sum())
+    return float(kin + g.cell * rest)
 
 
 def spectral_energy_and_gradient(g: Grid, x: np.ndarray, X: np.ndarray,
@@ -162,17 +163,18 @@ def spectral_energy_and_gradient(g: Grid, x: np.ndarray, X: np.ndarray,
     complex array of its half spectrum, all overwritten.
     """
     q = critical_power(g.d)
-    w = g.dx**g.d
+    w = g.cell
     xq1, vx, khat = work
     np.multiply(x, x, out=xq1)
-    mass = np.sum(xq1)
+    mass = xq1.sum()
     _nonlinear_weight(xq1, out=xq1)
     xq1 *= x  # x^(q-1)
     np.multiply(vvals, x, out=vx)
-    np.multiply(g.k_quad, X, out=khat)
+    np.multiply(g.k_quad_complex, X, out=khat)
     kin = g.parseval(X, khat)
-    pot = w * float(np.vdot(vx, x))
-    non = w * float(np.vdot(xq1, x))
+    xf = x.ravel()
+    pot = w * float(vx.ravel().dot(xf))
+    non = w * float(xq1.ravel().dot(xf))
     vx *= 2.0
     xq1 *= a * q
     vx -= xq1  # the nodal part of the raw gradient
@@ -182,7 +184,7 @@ def spectral_energy_and_gradient(g: Grid, x: np.ndarray, X: np.ndarray,
     ghat -= np.multiply(X, (2.0 * (kin + pot) - a * q * non) / (w * mass),
                         out=khat)
     bd = EnergyBreakdown(kin, pot, non, kin + pot - a * non, float(a), q)
-    return bd, ghat, float(np.sqrt(g.parseval(ghat, ghat)))
+    return bd, ghat, math.sqrt(g.parseval(ghat, ghat))
 
 
 def _unconstrained_gradient(u: Field, V, a: float) -> np.ndarray:

@@ -42,7 +42,7 @@ class Field:
         if values.shape != grid.shape:
             raise ValueError(
                 f"values shape {values.shape} does not match grid {grid.shape}")
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise ValueError("field values must be finite")
         values = values.copy()
         values.setflags(write=False)
@@ -93,7 +93,7 @@ def l2_norm_sq(u: Field) -> float:
 def bilap_energy(u: Field) -> float:
     """Fourth-order seminorm: integral of |Laplacian u|^2 via the |k|^4 symbol."""
     g = u.grid
-    return g.parseval(u.hat, g.k_quad * u.hat)
+    return g.parseval(u.hat, g.k_quad_complex * u.hat)
 
 
 def h2_norm_sq(u: Field) -> float:
@@ -103,7 +103,7 @@ def h2_norm_sq(u: Field) -> float:
 
 def h2_distance(u: Field, v: Field) -> float:
     """H^2 distance sqrt(||u-v||^2 + ||Lap(u-v)||^2)."""
-    return float(np.sqrt(max(h2_norm_sq(u - v), 0.0)))
+    return math.sqrt(max(h2_norm_sq(u - v), 0.0))
 
 
 def _nonlinear_weight(sq: np.ndarray, out: np.ndarray | None = None
@@ -173,13 +173,13 @@ def renormalize_mass(u: Field) -> Field:
     cur = l2_norm_sq(u)
     if cur <= 0.0:
         raise ValueError("cannot renormalize the zero field")
-    return u * float(np.sqrt(1.0 / cur))
+    return u * math.sqrt(1.0 / cur)
 
 
 def bilap_apply(u: Field) -> Field:
     """Apply the fourth-order operator spectrally: coefficients times |k|^4."""
     g = u.grid
-    return Field(g, g.inverse(g.k_quad * u.hat))
+    return Field(g, g.inverse(g.k_quad_complex * u.hat))
 
 
 class _ChirpPlan(NamedTuple):
@@ -266,9 +266,11 @@ def dilate(u: Field, ell: float, center=0.0, to=0.0) -> Field:
     for name, p in (("center", center), ("to", to)):
         if not np.isfinite(p).all():
             raise ValueError(f"{name} must be finite, got {p}")
-    center, to = center + np.zeros(g.d), to + np.zeros(g.d)
+    # one Python float per axis from here on
+    center, to = ([float(p)] * g.d if p.ndim == 0 else p.tolist()
+                  for p in (center, to))
     if ell == 1.0:
-        return u if np.array_equal(center, to) else translate(u, to - center)
+        return u if center == to else translate(u, np.subtract(to, center))
     n = g.n
     plan = _chirp_plan(g)
     # whole nodes of to roll the output; the rest of the placement is the
@@ -283,14 +285,15 @@ def dilate(u: Field, ell: float, center=0.0, to=0.0) -> Field:
     post = chirp * (ell**0.5 / n)
     kernel_hat = np.fft.fft(table[plan.cyclic].conj())
     # the chirp-z needs the full spectrum, in m order along every axis
-    z = np.fft.fftn(u.values * plan.sign)
+    z = u.values * plan.sign
+    z = np.fft.fft(z) if g.d == 1 else np.fft.fftn(z)
     for ax in reversed(range(g.d)):
         b = center[ax] - ell * fracs[ax]
         p_in = pre * np.exp(1j * b * plan.k) if b else pre
         p_out, taper = post, 1.0
         if (ell - 1.0) * g.half_width > 0.5 * g.dx:
             t = np.abs(ell * (g.axes[ax] - fracs[ax])) / g.half_width
-            t = np.clip((t - 0.75) / 0.25, 0.0, 1.0)
+            t = np.minimum(np.maximum((t - 0.75) / 0.25, 0.0), 1.0)
             taper = 1.0 - t**3 * (t * (6.0 * t - 15.0) + 10.0)
             p_out = post * taper
         a = np.fft.ifft(np.fft.fft(z * p_in, 2 * n) * kernel_hat)[..., :n]
@@ -301,10 +304,10 @@ def dilate(u: Field, ell: float, center=0.0, to=0.0) -> Field:
             # That bin, m = -n/2, is the first in m order
             nyq = np.sin(g.k_max * (b + ell * g.axes[ax])) * taper
             a += np.multiply.outer(z[..., 0], 1j * (ell**0.5 / n) * nyq)
-        z = np.moveaxis(a, -1, 0)
+        z = a.T
     v = z.real
-    if any(rolls):
-        v = np.roll(v, rolls, axis=tuple(range(g.d)))
+    for ax, r in enumerate(rolls):
+        v = _roll(v, r, ax)
     v = Field(g, v)
     mass_in = l2_norm_sq(u)
     if mass_in > 0:
@@ -315,6 +318,16 @@ def dilate(u: Field, ell: float, center=0.0, to=0.0) -> Field:
                 "the scaled field is under-resolved on this grid",
                 ResolutionWarning, stacklevel=2)
     return v
+
+
+def _roll(v: np.ndarray, r: int, ax: int) -> np.ndarray:
+    """v rolled by r places along axis ax, as np.roll does it."""
+    r %= v.shape[ax]
+    if not r:
+        return v
+    head = (slice(None),) * ax
+    return np.concatenate((v[head + (slice(-r, None),)],
+                           v[head + (slice(None, -r),)]), axis=ax)
 
 
 def translate(u: Field, shift) -> Field:
@@ -366,14 +379,19 @@ def density_center(u: Field) -> np.ndarray:
     total = dens.sum()
     if total <= 0.0:
         raise ValueError("the zero field has no density center")
-    peak = np.unravel_index(int(np.argmax(dens)), g.shape)
+    peak = np.unravel_index(dens.argmax(), g.shape)
     L, span = g.half_width, 2.0 * g.half_width
     center = np.empty(g.d)
     for ax, x in enumerate(g.axes):
-        marginal = dens if g.d == 1 else dens.sum(axis=1 - ax)
-        disp = np.mod(x - x[peak[ax]] + L, span) - L
-        c = x[peak[ax]] + float((marginal * disp).sum() / total)
-        center[ax] = np.mod(c + L, span) - L
+        x_peak = float(x[peak[ax]])
+        # the periodic displacement from the peak, weighted by the marginal
+        disp = x - x_peak
+        disp += L
+        np.mod(disp, span, out=disp)
+        disp -= L
+        disp *= dens if g.d == 1 else dens.sum(axis=1 - ax)
+        c = x_peak + float(disp.sum() / total)
+        center[ax] = (c + L) % span - L
     return center
 
 

@@ -41,12 +41,19 @@ class Grid:
         n: points per axis (power of two).
         half_width: box half-length, domain is [-half_width, half_width)^d.
         dx: node spacing, 2*half_width/n exactly.
+        cell: dx^d, the quadrature weight of one node.
+        parseval_scale: dx^d / n^d, the factor that turns a sum over the
+            unnormalized spectrum into an integral (see parseval).
         axes: per-axis node coordinates, each of shape (n,).
         wavenumbers: per-axis spectral table k_j = pi*j/half_width in FFT
             order, full length n (the half spectrum's last axis uses the
             first n/2 + 1 entries).
         k_quad: |k|^4 on the half spectrum (the fourth-order symbol used by
             every bilaplacian evaluation).
+        k_quad_complex: k_quad as complex128.  A half spectrum times it
+            runs numpy's complex loop directly, where times k_quad it first
+            casts the real table to complex, call by call; the product is
+            the same.
         ik: per-axis i k_i, shaped to broadcast over the half spectrum (the
             symbol of the partial derivative along axis i), zero at the
             Nyquist wavenumber: that mode is cos(k_max x) on the nodes, whose
@@ -58,9 +65,12 @@ class Grid:
     n: int
     half_width: float
     dx: float = field(compare=False)
+    cell: float = field(repr=False, compare=False)
+    parseval_scale: float = field(repr=False, compare=False)
     axes: tuple = field(repr=False, compare=False)
     wavenumbers: tuple = field(repr=False, compare=False)
     k_quad: np.ndarray = field(repr=False, compare=False)
+    k_quad_complex: np.ndarray = field(repr=False, compare=False)
     ik: tuple = field(repr=False, compare=False)
 
     @property
@@ -95,7 +105,7 @@ class Grid:
         zero and Nyquist columns (every (n/2)-th), their own mirrors.  With
         b = k_quad * a it is int |Lap f|^2."""
         edge = self.n // 2
-        return float(self.dx**self.d / self.n**self.d
+        return float(self.parseval_scale
                      * (2.0 * np.vdot(a, b).real
                         - np.vdot(a[..., ::edge], b[..., ::edge]).real))
 
@@ -152,10 +162,12 @@ def _shared_grid(d: int, n: int, half_width: float) -> Grid:
     k_diff[n // 2] = 0.0  # no derivative at the Nyquist mode (see Grid.ik)
     ik = tuple(1j * (k_diff[:half] if ax == d - 1 else k_diff[:, None])
                for ax in range(d))
-    for arr in (*axes, *tables, k_quad, *ik):
+    k_quad_complex = k_quad.astype(np.complex128)
+    for arr in (*axes, *tables, k_quad, k_quad_complex, *ik):
         arr.setflags(write=False)
-    return Grid(d=d, n=n, half_width=half_width, dx=dx, axes=axes,
-                wavenumbers=tables, k_quad=k_quad, ik=ik)
+    return Grid(d=d, n=n, half_width=half_width, dx=dx, cell=dx**d,
+                parseval_scale=dx**d / n**d, axes=axes, wavenumbers=tables,
+                k_quad=k_quad, k_quad_complex=k_quad_complex, ik=ik)
 
 
 def quadrature(g: Grid, samples: np.ndarray) -> float:
@@ -163,4 +175,4 @@ def quadrature(g: Grid, samples: np.ndarray) -> float:
     samples = np.asarray(samples)
     if samples.shape != g.shape:
         raise ValueError(f"samples shape {samples.shape} does not match grid {g.shape}")
-    return float(g.dx**g.d * samples.sum())
+    return float(g.cell * samples.sum())

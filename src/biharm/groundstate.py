@@ -47,7 +47,13 @@ gradient, and in 2D the coarse step's three more: d inverse ones (the
 nodal translations) and one forward one (the dilation's spectrum).  Fields
 are built only on entry and return, and the arrays the loop writes are
 allocated once per call, one for each role, and reused, so the loop
-allocates no arrays of its own.
+allocates no arrays of its own.  On the 1D grids an iteration's cost is
+numpy's per-call overhead rather than arithmetic, so the hot path calls
+ufuncs and ndarray methods rather than numpy's Python-level wrappers
+(x.sum() for np.sum, a.ravel().dot(b.ravel()) for np.vdot of real arrays,
+v.max() > v.min() for np.ptp, math.sqrt for np.sqrt of a Python float),
+and reads constants computed once per grid (Grid.cell,
+Grid.parseval_scale, Grid.k_quad_complex).
 """
 
 from __future__ import annotations
@@ -217,6 +223,15 @@ def _monomials(x, d, rows) -> None:
 
 
 @functools.cache
+def _moment_plan(q: int) -> tuple:
+    """(C(q, j), k, j - k) with k = j // 2, from j = q down to 1: S_j's
+    binomial and the two rows H_k, H_(j-k) whose inner product is S_j (see
+    _line)."""
+    return tuple((math.comb(q, j), j // 2, j - j // 2)
+                 for j in range(q, 0, -1))
+
+
+@functools.cache
 def _tail_binomials(h: int) -> tuple:
     """C(h, k) from k = h down to 2: the Horner coefficients of
     ((1 + u)^h - 1 - h u) / u^2."""
@@ -256,22 +271,23 @@ def _line(g: Grid, x, X, d, D, vvals, bd: EnergyBreakdown,
     build(t) writes the step delta = (c - 1) x + c t d into ws.delta and its
     transform, the same combination of X and D, into ws.dhat: no FFT.
     """
-    w = g.dx**g.d
+    w = g.cell
     q, a, mu = bd.q, bd.a, bd.mu
-    xd2 = 2.0 * w * float(np.vdot(x, d))
-    dd = w * float(np.vdot(d, d))
-    kd = np.multiply(g.k_quad, D, out=ws.half)
+    xf, df = x.ravel(), d.ravel()
+    xd2 = 2.0 * w * float(xf.dot(df))
+    dd = w * float(df.dot(df))
+    kd = np.multiply(g.k_quad_complex, D, out=ws.half)
     k1 = g.parseval(X, kd)
     k2 = g.parseval(D, kd)
     rows = ws.rows
-    vd = np.multiply(vvals, d, out=rows[0])
-    p1 = w * float(np.vdot(vd, x))
-    p2 = w * float(np.vdot(vd, d))
+    vd = np.multiply(vvals, d, out=rows[0]).ravel()
+    p1 = w * float(vd.dot(xf))
+    p2 = w * float(vd.dot(df))
     _monomials(x, d, rows)
+    flat = [r.ravel() for r in rows]
     # C(q, j) S_j from j = q down to 1, in Horner order
-    coef = [math.comb(q, j) * w * float(np.vdot(rows[j // 2],
-                                                rows[j - j // 2]))
-            for j in range(q, 0, -1)]
+    coef = [c * w * float(flat[lo].dot(flat[hi]))
+            for c, lo, hi in _moment_plan(q)]
     # Python floats throughout, so an overflowing trial makes inf and nan
     # silently, as numpy scalars would not
     mass_defect = float(mass_defect)
@@ -375,7 +391,7 @@ def _coarse_step(g: Grid, x, X, mass: float, vvals, bd: EnergyBreakdown,
     lam = np.multiply(ws.coords[0], zr[0], out=zr[dim])
     for i in range(1, dim):
         lam += np.multiply(ws.coords[i], zr[i], out=tmp)
-    lam -= np.multiply(x, float(np.vdot(lam, x)) * g.dx**dim / mass,
+    lam -= np.multiply(x, float(lam.ravel().dot(x.ravel())) * g.cell / mass,
                        out=tmp)
     g.forward(lam, out=z[dim])
     # A's nodal part, with the Hessian's weight V - (a q (q-1)/2) x^(q-2);
@@ -385,17 +401,17 @@ def _coarse_step(g: Grid, x, X, mass: float, vvals, bd: EnergyBreakdown,
     _nonlinear_weight(weight, out=weight)
     weight *= -0.5 * bd.a * bd.q * (bd.q - 1)
     weight += vvals
-    w = g.dx**dim
+    w = g.cell
     a_mat = [[0.0] * m for _ in range(m)]
     for j in range(m):
         np.multiply(weight, zr[j], out=tmp)
         for i in range(j + 1):
-            a_mat[i][j] = w * float(np.vdot(zr[i], tmp))
+            a_mat[i][j] = w * float(zr[i].ravel().dot(tmp.ravel()))
     # halved: c = sigma ((A/2)^-1 - (B/2)^-1) Z^T G
     b_mat = [[0.0] * m for _ in range(m)]
     r = []
     for j in range(m):
-        k4z = np.multiply(g.k_quad, z[j], out=ws.half)
+        k4z = np.multiply(g.k_quad_complex, z[j], out=ws.half)
         for i in range(j + 1):
             gram, kin = g.parseval(z[i], z[j]), g.parseval(z[i], k4z)
             a_mat[i][j] = a_mat[j][i] = a_mat[i][j] + kin - bd.mu * gram
@@ -531,11 +547,11 @@ def solve(g: Grid, V, a: float, cfg: SolveConfig = SolveConfig(), *,
         raise ValueError("start field lives on a different grid")
     u = renormalize_mass(start)
     c1 = critical_shift(g.d)
-    w = g.dx**g.d
+    w = g.cell
     vvals = sample(V, g).values
 
     def inner(x, y):
-        return w * float(np.vdot(x, y))
+        return w * float(x.ravel().dot(y.ravel()))
 
     def status_of(bd, res):
         if bd.total < ENERGY_FLOOR:
@@ -550,7 +566,7 @@ def solve(g: Grid, V, a: float, cfg: SolveConfig = SolveConfig(), *,
     # it saves.  Its dilation is centred on the potential's minimum, which
     # a constant V does not have: there the step's generators carry no
     # soft mode, and P alone takes fewer iterations
-    coarse = g.d > 1 and bool(np.ptp(vvals) > 0)
+    coarse = g.d > 1 and bool(vvals.max() > vvals.min())
     ws = _Workspace(g, potential_argmin(V, g) if coarse else None)
     work = (ws.rows[0], ws.rows[1], ws.half)
     d, D = ws.d, ws.D

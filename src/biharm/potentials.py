@@ -140,9 +140,11 @@ def ess_inf(V, g: Grid | None = None) -> float:
 
 
 def potential_argmin(V, g: Grid) -> np.ndarray:
-    """Coordinates of the smallest sampled potential value (origin on ties)."""
+    """Coordinates of the smallest sampled potential value: the first such
+    node in C order when several tie, and the origin when the sampled V is
+    constant."""
     vals = sample(V, g).values
-    if np.ptp(vals) == 0.0:
+    if vals.max() == vals.min():
         return np.zeros(g.d)
     idx = np.unravel_index(int(np.argmin(vals)), g.shape)
     return np.array([g.axes[ax][i] for ax, i in enumerate(idx)])
@@ -288,7 +290,7 @@ def level_split(V, g: Grid, p1: float = 2.0, p2: float = 4.0,
     m = np.sort(mags[neg])                  # ascending, with repeats
     levels = np.unique(m)
     ends = np.searchsorted(m, levels, side="right")  # past each level's run
-    cell = g.dx**g.d
+    cell = g.cell
 
     # ---- peak peel, only under a requested ceiling: smallest level whose
     # above-level p1 mass fits eps^p1.  The masses are suffix sums, so the

@@ -149,7 +149,9 @@ def test_energy_check_needs_three_resolved(well_records):
 def test_energy_limit_without_potential(g256, gn256, solve_cfg):
     # with no well the box minimizers flatten out; energies hug zero from
     # below at the 1e-5 scale of the near-constant state's nonlinear term.
-    # Their eps stays put up to roundoff, which must not read as growth.
+    # Their eps (about 3105) is far wider than the box, so no record is
+    # resolved and sweep compares none of them for growth; the roundoff
+    # margin of that comparison is test_concentration_growth_warning's.
     schedule = [gn256.a_star * (1.0 - 2.0**-k) for k in (1, 4, 6, 8)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -157,6 +159,7 @@ def test_energy_limit_without_potential(g256, gn256, solve_cfg):
         # flags that, and it is not what this test checks
         warnings.simplefilter("ignore", ResolutionWarning)
         records = sweep(g256, Zero(), schedule, solve_cfg, gn256)
+    assert not any(r.resolved for r in records)
     gaps = [abs(r.energy) for r in records]
     assert all(g < 0.05 for g in gaps)
     assert all(r.energy < 0.0 for r in records)

@@ -30,7 +30,7 @@ from biharm import (
 from biharm.blowup import _h2_after_best_shift
 from biharm.energy import critical_power
 from biharm.field import (_chirp_plan, _nonlinear_weight, _refined_values,
-                          gaussian_mixture_field, random_smooth_field)
+                          _roll, gaussian_mixture_field, random_smooth_field)
 from biharm.grid import quadrature
 
 SQRT_PI = np.sqrt(np.pi)
@@ -219,6 +219,15 @@ def test_dilate_plan_is_shared_read_only_and_stateless():
     assert np.array_equal(dilate(u, 1.7, center=0.4, to=-1.3).values, first)
 
 
+def test_roll_equals_np_roll(rng):
+    # dilate rolls its output by whole nodes with _roll, two slices and a
+    # concatenate, in place of np.roll's general path
+    v = rng.standard_normal((8, 8))
+    for r in (-9, -1, 0, 3, 8, 11):
+        for ax in (0, 1):
+            assert np.array_equal(_roll(v, r, ax), np.roll(v, r, axis=ax))
+
+
 # -- translation, recentering, reflection ------------------------------------
 
 def test_translate_matches_analytic(g1, gauss1):
@@ -244,6 +253,24 @@ def test_recenter_2d(g2_small):
     assert_allclose(center, [1.0, -2.0], atol=1e-8)
     assert_allclose(dilate(u, 1.0, center=center).values,
                     np.exp(-0.5 * (mx**2 + my**2)), rtol=0, atol=1e-8)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_density_center_equals_its_reference_formula(d, g1, g2_small, rng):
+    # the centroid by np.mod on array temporaries: the operations
+    # density_center runs in place, so the same bits
+    g = g1 if d == 1 else g2_small
+    u = random_smooth_field(g, rng)
+    dens = u.values**2
+    peak = np.unravel_index(int(np.argmax(dens)), g.shape)
+    L, span = g.half_width, 2.0 * g.half_width
+    ref = []
+    for ax, x in enumerate(g.axes):
+        marginal = dens if d == 1 else dens.sum(axis=1 - ax)
+        disp = np.mod(x - x[peak[ax]] + L, span) - L
+        c = x[peak[ax]] + float((marginal * disp).sum() / dens.sum())
+        ref.append(np.mod(c + L, span) - L)
+    assert density_center(u).tobytes() == np.array(ref).tobytes()
 
 
 def test_recenter_wraps_across_boundary(g1):

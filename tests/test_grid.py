@@ -108,9 +108,29 @@ def test_grids_compare_by_geometry():
 
 
 def test_arrays_read_only(g1):
-    for table in (g1.k_quad, g1.axes[0], g1.wavenumbers[0], g1.ik[0]):
+    for table in (g1.k_quad, g1.k_quad_complex, g1.axes[0],
+                  g1.wavenumbers[0], g1.ik[0]):
         with pytest.raises(ValueError):
             table[0] = 1.0
+
+
+@pytest.mark.parametrize("d, n", [(1, 512), (2, 64)])
+def test_hot_path_forms_equal_the_numpy_wrappers_bit_for_bit(d, n, rng):
+    # the per-grid constants and the ufunc and ndarray-method forms the hot
+    # path uses run the same floating-point operations as the formulas and
+    # numpy wrappers they stand for, so the results agree to the bit
+    g = make_grid(d, n, 12.0)
+    assert g.cell == g.dx**d and g.parseval_scale == g.dx**d / n**d
+    half = (rng.standard_normal(g.k_quad.shape)
+            + 1j * rng.standard_normal(g.k_quad.shape))
+    assert (g.k_quad_complex * half).tobytes() == (g.k_quad * half).tobytes()
+    x, y = rng.standard_normal((2, *g.shape))
+    assert x.ravel().dot(y.ravel()) == np.vdot(x, y)
+    assert x.sum() == np.sum(x)
+    assert np.array_equal(np.minimum(np.maximum(x, 0.0), 1.0),
+                          np.clip(x, 0.0, 1.0))
+    if d == 1:
+        assert np.fft.fft(x).tobytes() == np.fft.fftn(x).tobytes()
 
 
 @pytest.mark.parametrize("d", [1, 2])
