@@ -28,6 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._readers import (ConfigError, _as_float, _as_flag, _as_int, _as_str,
+                       _as_tolerance, _block, _is_finite_number)
 from .blowup import (_validate_schedule, energy_limit_check,
                      gn_sequence_check, load_sweep, save_sweep, sweep,
                      sweep_plot_columns)
@@ -50,74 +52,8 @@ EXIT_CHECK = 4
 _ASTAR_RE = re.compile(r"^\s*([-+0-9.eE]+)\s*\*\s*astar\s*$")
 
 
-class ConfigError(ValueError):
-    """Configuration rejected before any compute ran."""
-
-
 # ---------------------------------------------------------------------------
 # config loading & validation
-
-
-def _is_finite_number(val) -> bool:
-    return (not isinstance(val, bool) and isinstance(val, (int, float))
-            and math.isfinite(val))
-
-
-def _as_int(obj, key, default=None, minimum=None):
-    val = obj.get(key, default)
-    if val is None:
-        raise ConfigError(f"missing integer field {key!r}")
-    if not _is_finite_number(val) or int(val) != val:
-        raise ConfigError(f"field {key!r} must be an integer, got {val!r}")
-    val = int(val)
-    if minimum is not None and val < minimum:
-        raise ConfigError(f"field {key!r} must be >= {minimum}, got {val}")
-    return val
-
-
-def _as_float(obj, key, default=None):
-    val = obj.get(key, default)
-    if val is None:
-        raise ConfigError(f"missing numeric field {key!r}")
-    if not _is_finite_number(val):
-        raise ConfigError(f"field {key!r} must be a finite number, got {val!r}")
-    return float(val)
-
-
-def _as_flag(obj, key, default):
-    val = obj.get(key, default)
-    if not isinstance(val, bool):
-        raise ConfigError(f"field {key!r} must be true or false, got {val!r}")
-    return val
-
-
-def _as_tolerance(obj, key, default):
-    """A positive number, or None (JSON null) for a check switched off."""
-    val = obj.get(key, default)
-    if val is not None and (not _is_finite_number(val) or val <= 0):
-        raise ConfigError(f"field {key!r} must be a positive number or null, "
-                          f"got {val!r}")
-    return val
-
-
-def _as_str(obj, key, default):
-    val = obj.get(key, default)
-    if not isinstance(val, str):
-        raise ConfigError(f"field {key!r} must be a string, got {val!r}")
-    return val
-
-
-def _block(obj, key, known, where=""):
-    """obj[key], or {} when absent, as an object holding only known keys;
-    where is the dotted path of obj, for the messages."""
-    block = obj.get(key, {})
-    if not isinstance(block, dict):
-        raise ConfigError(f"{where}{key} must be a JSON object, got "
-                          f"{type(block).__name__}")
-    extra = set(block) - known
-    if extra:
-        raise ConfigError(f"unknown {where}{key} fields {sorted(extra)}")
-    return block
 
 
 def _build(what, make, **kwargs):

@@ -20,6 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._readers import _as_float, _as_int, _block
 from .grid import Grid, _shared_grid, make_grid, quadrature
 
 SNAPSHOT_SUFFIX = ".bhf"
@@ -459,19 +460,22 @@ def read_snapshot(path, grid: Grid | None = None) -> Field:
     """Read a snapshot written by write_snapshot.
 
     If grid is given it must match the header; otherwise the grid is rebuilt
-    from the header.  A header that is not a JSON object of numbers, and a
-    payload that is not exactly the header's count of values -- short, or
-    with bytes after them -- raise ValueError.
+    from the header.  A header that is not a JSON object of the integers d, n,
+    count and the number half_width, and a payload that is not exactly the
+    header's count of values -- short, or with bytes after them -- raise
+    ValueError.
     """
     with open(path, "rb") as fh:
         header_line = fh.readline()
         raw = fh.read()
     try:
-        meta = json.loads(header_line.decode("utf-8"))
-        d, n = int(meta["d"]), int(meta["n"])
-        half_width, count = float(meta["half_width"]), int(meta["count"])
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ValueError(f"malformed snapshot header in {path}") from exc
+        meta = _block({"header": json.loads(header_line.decode("utf-8"))},
+                      "header", {"d", "n", "half_width", "count"})
+        d, n, count = (_as_int(meta, key, minimum=1, json_int=True)
+                       for key in ("d", "n", "count"))
+        half_width = _as_float(meta, "half_width")
+    except ValueError as exc:
+        raise ValueError(f"malformed snapshot header {path}: {exc}") from exc
     if count != n**d:
         raise ValueError(f"snapshot count {count} does not equal n^d = {n**d}")
     if len(raw) != 8 * count:

@@ -30,6 +30,8 @@ from pathlib import Path
 
 import numpy as np
 
+from ._readers import (_as_float, _as_floats, _as_flag, _as_int, _block,
+                       _is_finite_number)
 from .energy import critical_power, critical_shift, el_residual, gn_quotient
 from .field import (Field, _nonlinear_weight, bilap_energy, density_center,
                     dilate, l2_norm_sq, lq_integral, read_snapshot,
@@ -303,77 +305,58 @@ def save_gn(result: GNResult, path) -> None:
 
 def load_gn(path) -> GNResult:
     """Read the artifact save_gn wrote at path.  A sidecar that is not a
-    JSON object, or lacks a key save_gn writes, or holds a value of the
-    wrong type, raises ValueError, as a malformed snapshot does."""
-    base = Path(path)
-    sidecar = json.loads(base.with_suffix(".json").read_text())
-    Q = read_snapshot(base.with_suffix(".bhf"))
+    JSON object of the keys save_gn writes, or holds a value the config's
+    readers reject (NaN, say), raises ValueError naming it, as a malformed
+    snapshot does."""
+    path = Path(path).with_suffix(".json")
+    sidecar = json.loads(path.read_text())
+    Q = read_snapshot(path.with_suffix(".bhf"))
     try:
         return _gn_from_sidecar(sidecar, Q)
-    except (AttributeError, KeyError, TypeError) as exc:
-        raise ValueError(f"malformed sidecar {base.with_suffix('.json')}: "
-                         f"{exc!r}") from exc
+    except ValueError as exc:
+        raise ValueError(f"malformed sidecar {path}: {exc}") from exc
 
 
-def _number(val, what: str) -> float:
-    # bool is an int subclass, and JSON's true is no number
-    if type(val) not in (int, float):
-        raise ValueError(f"{what} must be a number, got {val!r}")
-    return float(val)
-
-
-def _resolution(pair, what: str) -> tuple:
-    if not (isinstance(pair, list) and len(pair) == 2
-            and type(pair[0]) is int):
-        raise ValueError(f"{what} must hold [n, a_star] pairs, got {pair!r}")
-    return pair[0], _number(pair[1], what)
-
-
-def _list(val, what: str, item=_number) -> tuple:
-    """The JSON list val as a tuple, each element read by item."""
-    if not isinstance(val, list):
-        raise ValueError(f"{what} must be a list, got {val!r}")
-    return tuple(item(v, what) for v in val)
-
-
-def _gn_from_sidecar(sidecar: dict, Q) -> GNResult:
+def _gn_from_sidecar(sidecar, Q) -> GNResult:
+    sidecar = _block({"sidecar": sidecar}, "sidecar", {
+        "a_star", "d", "n", "half_width", "el_constants", "residuals",
+        "resolutions", "half_grid_check", "iterations", "history"})
     g = Q.grid
-    if (sidecar["d"], sidecar["n"]) != (g.d, g.n) or \
-            abs(sidecar["half_width"] - g.half_width) > 1e-12:
+    if (_as_int(sidecar, "d", json_int=True),
+            _as_int(sidecar, "n", json_int=True)) != (g.d, g.n) or \
+            abs(_as_float(sidecar, "half_width") - g.half_width) > 1e-12:
         raise ValueError("sidecar geometry disagrees with the stored snapshot")
-    a_star = sidecar["a_star"]
-    if type(a_star) not in (int, float) or not 0.0 < a_star < np.inf:
+    a_star = sidecar.get("a_star")
+    if not (_is_finite_number(a_star) and a_star > 0.0):
         raise ValueError(f"a_star must be a finite positive number, "
                          f"got {a_star!r}")
-    a_star = float(a_star)
+    pairs = sidecar.get("resolutions")
+    if not (isinstance(pairs, list)
+            and all(isinstance(p, list) and len(p) == 2 for p in pairs)):
+        raise ValueError(f"resolutions must be [n, a_star] pairs: {pairs!r}")
+    resolutions = tuple((_as_int({"n": n}, "n", json_int=True),
+                         _as_float({"a_star": a}, "a_star")) for n, a in pairs)
+    residuals = _block(sidecar, "residuals", {"quotient_grad",
+                                              "nonlinear_check"})
     # iterations, history and half_grid_check are absent from sidecars
     # written before they were stored, and a null half_grid_check is a run
     # without the n/2 check
-    iterations = sidecar.get("iterations")
-    if iterations is not None and type(iterations) is not int:
-        raise ValueError(f"iterations must be an integer, got {iterations!r}")
-    history = sidecar.get("history")
-    check = sidecar.get("half_grid_check")
     check_residual = check_converged = None
-    if check is not None:
-        check_residual = _number(check["quotient_grad"],
-                                 "half_grid_check.quotient_grad")
-        check_converged = check["converged"]
-        if type(check_converged) is not bool:
-            raise ValueError(f"half_grid_check.converged must be true or "
-                             f"false, got {check_converged!r}")
-    return GNResult(a_star=a_star, Q=Q,
+    if sidecar.get("half_grid_check") is not None:
+        check = _block(sidecar, "half_grid_check",
+                       {"quotient_grad", "converged"})
+        check_residual = _as_float(check, "quotient_grad")
+        check_converged = _as_flag(check, "converged", None)
+    return GNResult(a_star=float(a_star), Q=Q,
                     nonlinear_check=a_star * lq_integral(Q),
-                    el_constants=_list(sidecar["el_constants"],
-                                       "el_constants"),
-                    resolutions=_list(sidecar["resolutions"], "resolutions",
-                                      _resolution),
+                    el_constants=_as_floats(sidecar, "el_constants"),
+                    resolutions=resolutions,
                     check_residual=check_residual,
                     check_converged=check_converged,
-                    quotient_residual=_number(
-                        sidecar["residuals"]["quotient_grad"],
-                        "residuals.quotient_grad"),
-                    iterations=iterations,
-                    history=(None if history is None
-                             else _list(history, "history")),
+                    quotient_residual=_as_float(residuals, "quotient_grad"),
+                    iterations=(None if sidecar.get("iterations") is None
+                                else _as_int(sidecar, "iterations", minimum=0,
+                                             json_int=True)),
+                    history=(None if sidecar.get("history") is None
+                             else _as_floats(sidecar, "history")),
                     seconds=None)

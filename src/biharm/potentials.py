@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._readers import ConfigError, _as_float, _as_floats, _block
 from .field import Field
 from .grid import Grid, quadrature
 
@@ -391,51 +392,37 @@ def sobolev_lower_bound(V, g: Grid, eps: float) -> float:
     return best
 
 
+# the keys each family reads besides "family"
+_FAMILY_KEYS = {"zero": (), "harmonic": ("strength",),
+                "gaussian_well": ("depth", "width", "center"),
+                "power_well": ("depth", "exponent"), "sum": ("parts",)}
+
+
 def potential_from_config(obj, d: int):
     """Build a potential from its JSON-config dict (see the run-config
-    format); raises ValueError on malformed input."""
-    if not isinstance(obj, dict):
-        raise ValueError("potential config must be an object")
-    fam = obj.get("family")
+    format); raises ConfigError, a ValueError, on malformed input."""
+    fam = obj.get("family") if isinstance(obj, dict) else None
+    known = _FAMILY_KEYS.get(fam) if isinstance(fam, str) else None
+    if known is None and isinstance(obj, dict):
+        raise ConfigError(f"unknown potential family: {fam!r}")
+    obj = _block({"potential": obj}, "potential", {"family", *(known or ())})
     if fam == "zero":
-        _require_keys(obj, set())
         return Zero()
     if fam == "harmonic":
-        _require_keys(obj, {"strength"})
-        return Harmonic(strength=_number(obj.get("strength", 1.0), "strength"))
+        return Harmonic(strength=_as_float(obj, "strength", 1.0))
     if fam == "gaussian_well":
-        _require_keys(obj, {"depth", "width", "center"})
         center = obj.get("center", [0.0] * d)
-        if np.isscalar(center):
+        if not isinstance(center, list):  # one number for a 1D center
             center = [center]
+        center = _as_floats({"center": center}, "center")
         if len(center) != d:
-            raise ValueError(f"well center must have {d} components")
-        return GaussianWell(depth=_number(obj.get("depth", 1.0), "depth"),
-                            width=_number(obj.get("width", 1.0), "width"),
-                            center=tuple(_number(c, "well center component")
-                                         for c in center))
+            raise ConfigError(f"well center must have {d} components")
+        return GaussianWell(depth=_as_float(obj, "depth", 1.0),
+                            width=_as_float(obj, "width", 1.0), center=center)
     if fam == "power_well":
-        _require_keys(obj, {"depth", "exponent"})
-        return PowerWell(depth=_number(obj.get("depth", 1.0), "depth"),
-                         exponent=_number(obj.get("exponent", 0.5), "exponent"))
-    if fam == "sum":
-        _require_keys(obj, {"parts"})
-        parts = obj.get("parts")
-        if not isinstance(parts, list) or not parts:
-            raise ValueError("sum potential needs a non-empty parts list")
-        return Sum(tuple(potential_from_config(p, d) for p in parts))
-    raise ValueError(f"unknown potential family: {fam!r}")
-
-
-def _number(value, name: str) -> float:
-    """A finite JSON number (bools, strings and NaN/inf are rejected)."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not np.isfinite(value)):
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _require_keys(obj, allowed):
-    extra = set(obj) - allowed - {"family"}
-    if extra:
-        raise ValueError(f"unknown potential config keys: {sorted(extra)}")
+        return PowerWell(depth=_as_float(obj, "depth", 1.0),
+                         exponent=_as_float(obj, "exponent", 0.5))
+    parts = obj.get("parts")
+    if not isinstance(parts, list) or not parts:
+        raise ConfigError("sum potential needs a non-empty parts list")
+    return Sum(tuple(potential_from_config(p, d) for p in parts))

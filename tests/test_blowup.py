@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from biharm import (GaussianWell, Harmonic, ResolutionWarning, SolveConfig,
-                    SolveResult, SweepRecord, Zero, blowup, compute_gn,
+                    SolveResult, Sum, SweepRecord, Zero, blowup, compute_gn,
                     energy_limit_check, gn_sequence_check, load_sweep,
                     make_grid, read_snapshot, save_sweep, sweep,
                     sweep_plot_columns)
@@ -378,6 +378,19 @@ def test_shift_search_never_worse_than_no_shift(g256, gn256):
     at_zero = h2_distance(w, gn256.Q)
     assert h2_distance(translate(w, (-0.1 * g256.dx,)), gn256.Q) > at_zero
     assert _h2_after_best_shift(w, gn256.Q) == at_zero
+
+
+def test_shift_search_lowers_the_distance_on_an_asymmetric_well(
+        g256, gn256, solve_cfg):
+    # on a symmetric well the density center already sits at the distance
+    # minimum and the search changes nothing; a second, wider well beside
+    # the first skews the profile, and the minimum moves off that center
+    V = Sum((GaussianWell(1.0, 1.0, (0.0,)), GaussianWell(0.5, 2.0, (1.5,))))
+    schedule = [gn256.a_star * (1.0 - 2.0**-k) for k in range(1, 9)]
+    records = sweep(g256, V, schedule, solve_cfg, gn256)
+    assert all(r.resolved for r in records)
+    for r in records:
+        assert r.h2_dist_to_Q < 0.99 * h2_distance(r.rescaled, gn256.Q)
 
 
 def test_offset_well_sweep_converges_every_point(solve_cfg, monkeypatch):

@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -720,12 +721,31 @@ def test_corrupt_a_star_is_a_config_error(tmp_path, artifact_dir, command,
     ("sidecar", lambda s: {**s, "half_grid_check": {
         "quotient_grad": "1e-2", "converged": False}}),
     ("sidecar", lambda s: {**s, "half_grid_check": {
-        "quotient_grad": 1e-2, "converged": "false"}})],
+        "quotient_grad": 1e-2, "converged": "false"}}),
+    # json writes and reads NaN and Infinity, which are no numbers
+    *(("sidecar", corrupt) for bad in (math.nan, math.inf) for corrupt in (
+        lambda s, bad=bad: {**s, "el_constants": [bad, 1.0]},
+        lambda s, bad=bad: {**s, "residuals": {**s["residuals"],
+                                               "quotient_grad": bad}},
+        lambda s, bad=bad: {**s, "resolutions": [[128, bad], [256, 1.0]]},
+        lambda s, bad=bad: {**s, "history": [1.0, bad]},
+        lambda s, bad=bad: {**s, "half_grid_check": {
+            "quotient_grad": bad, "converged": True}})),
+    # the header's integers are JSON integers, and no number is a string
+    ("header", lambda h: {**h, "d": True}),
+    ("header", lambda h: {**h, "n": h["n"] + 0.9}),
+    ("header", lambda h: {**h, "half_width": str(h["half_width"])}),
+    ("header", lambda h: {**h, "count": str(h["count"])})],
     ids=["el_constants_null", "residuals_null", "sidecar_a_list",
          "header_d_null", "header_a_list", "el_constants_a_string",
          "resolutions_a_string", "resolutions_float_n", "history_a_string",
          "iterations_a_string", "iterations_a_float", "iterations_a_bool",
-         "half_grid_residual_a_string", "half_grid_converged_a_string"])
+         "half_grid_residual_a_string", "half_grid_converged_a_string",
+         *(f"{key}_{name}" for name in ("NaN", "Infinity") for key in (
+             "el_constants", "residuals.quotient_grad", "resolutions",
+             "history", "half_grid_check.quotient_grad")),
+         "header_d_a_bool", "header_n_a_fraction",
+         "header_half_width_a_string", "header_count_a_string"])
 def test_a_gn_artifact_value_of_the_wrong_type_exits_2(
         tmp_path, artifact_dir, command, part, corrupt):
     sidecar = json.loads((artifact_dir / "gn.json").read_text())
