@@ -8,12 +8,10 @@ from .field import (
     bilap_energy,
     density_center,
     dilate,
-    h2_distance,
     h2_norm_sq,
     l2_norm_sq,
     lq_integral,
     read_snapshot,
-    reflect,
     renormalize_mass,
     translate,
     write_snapshot,
@@ -37,7 +35,6 @@ from .energy import (
     critical_power,
     el_residual,
     energy,
-    energy_difference,
     gn_quotient,
 )
 from .gn import (
@@ -64,7 +61,6 @@ from .groundstate import (
     SolveStatus,
     initial_field,
     solve,
-    trial_upper_bound,
     write_iteration_log,
 )
 
@@ -73,16 +69,16 @@ __version__ = "0.1.0"
 __all__ = [
     "Grid", "make_grid", "quadrature",
     "Field", "ResolutionWarning",
-    "l2_norm_sq", "bilap_energy", "h2_norm_sq", "h2_distance", "lq_integral",
-    "bilap_apply", "dilate", "renormalize_mass", "translate", "density_center",
-    "reflect", "read_snapshot", "write_snapshot",
+    "l2_norm_sq", "bilap_energy", "h2_norm_sq", "lq_integral", "bilap_apply",
+    "dilate", "renormalize_mass", "translate", "density_center",
+    "read_snapshot", "write_snapshot",
     "Zero", "Harmonic", "GaussianWell", "PowerWell", "Sum",
     "sample", "ess_inf", "classify", "level_split", "sobolev_lower_bound",
     "potential_from_config",
-    "EnergyBreakdown", "critical_power", "energy", "energy_difference",
-    "constrained_gradient", "gn_quotient", "el_residual",
+    "EnergyBreakdown", "critical_power", "energy", "constrained_gradient",
+    "gn_quotient", "el_residual",
     "InitSpec", "SolveConfig", "SolveResult", "SolveStatus",
-    "initial_field", "solve", "trial_upper_bound", "write_iteration_log",
+    "initial_field", "solve", "write_iteration_log",
     "GNResult", "compute_gn", "normalize_gn", "normalize_to_el",
     "save_gn", "load_gn",
     "SweepRecord", "sweep", "energy_limit_check", "gn_sequence_check",

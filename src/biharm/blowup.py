@@ -20,14 +20,13 @@ import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .field import (MASS_DRIFT_TOL, Field, _shift_phases, density_center,
                     dilate, h2_norm_sq, l2_norm_sq, lq_integral,
                     write_snapshot)
 from .gn import GNResult
 from .grid import Grid
-from .groundstate import SOLVE_COUNTERS, SolveConfig, SolveStatus, solve
+from .groundstate import (SOLVE_COUNTERS, SolveConfig, SolveStatus,
+                          _spd_solve, solve)
 from .potentials import ess_inf, potential_argmin
 
 __all__ = [
@@ -90,19 +89,6 @@ _CSV_COLUMNS = ("a", "energy", "kinetic", "eps", "center", "h2_dist_to_Q",
 _NEWTON_MAX_STEPS = 20
 
 
-def _newton_step(hess, grad):
-    """-hess^{-1} grad for a d x d Hessian, d <= 2, given as rows of Python
-    floats, by Cramer's rule; None when hess is exactly singular."""
-    if len(grad) == 1:
-        return None if hess[0][0] == 0.0 else [-grad[0] / hess[0][0]]
-    (h00, h01), (h10, h11) = hess
-    det = h00 * h11 - h01 * h10
-    if det == 0.0:
-        return None
-    return [(h01 * grad[1] - h11 * grad[0]) / det,
-            (h10 * grad[0] - h00 * grad[1]) / det]
-
-
 def _h2_after_best_shift(w: Field, ref: Field) -> float:
     """H2 distance minimized over sub-grid translations of w.
 
@@ -121,18 +107,18 @@ def _h2_after_best_shift(w: Field, ref: Field) -> float:
     derivatives, plus these scalar Nyquist terms: a step builds the phases
     and no moved spectrum w^ P.  Both fields arrive centered, so the
     optimum sits near s = 0: Newton's method on D from s = 0, with steps
-    clipped to half a node per axis and the d x d system solved in closed
-    form (_newton_step), a singular Hessian ending the search.  The search
-    runs one forward transform in all, that of w - ref, whose sum with ref^
-    is w^.  The distance at the optimum is the Parseval sum of diff itself,
-    free of the expansion's cancellation, and it is reported only if it
-    beats h2_distance(w, ref).
+    clipped to half a node per axis and the d x d system solved by the
+    solver's _spd_solve, a Hessian that is not positive definite ending the
+    search.  The search runs one forward transform in all, that of w - ref,
+    whose sum with ref^ is w^.  The distance at the optimum is the Parseval
+    sum of diff itself, free of the expansion's cancellation, and it is
+    reported only if it beats the distance at s = 0.
     """
     g = w.grid
     h, k_max, d = g.n // 2, g.k_max, g.d
     weight = 1.0 + g.k_quad_complex
     gap = w - ref
-    at_zero = math.sqrt(h2_norm_sq(gap))  # h2_distance(w, ref)
+    at_zero = math.sqrt(h2_norm_sq(gap))
     w_hat = gap.hat + ref.hat
     cross = weight * ref.hat * w_hat.conj()
     # T_S over the non-empty sets S, each the parseval sum over the modes at
@@ -172,10 +158,11 @@ def _h2_after_best_shift(w: Field, ref: Field) -> float:
 
         grad = [half_d(i) for i in range(d)]
         hess = [[half_d(i, j) for j in range(d)] for i in range(d)]
-        step = _newton_step(hess, grad)
-        if step is None:
+        solved = _spd_solve(hess, grad)
+        if solved is None:
             break
-        step = [min(max(st, -0.5 * g.dx), 0.5 * g.dx) for st in step]
+        # the Newton step is -hess^-1 grad
+        step = [min(max(-st, -0.5 * g.dx), 0.5 * g.dx) for st in solved[0]]
         shift = [s + st for s, st in zip(shift, step)]
         if max(abs(st) for st in step) < 1e-12 * g.dx:
             break

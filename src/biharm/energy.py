@@ -19,8 +19,8 @@ EnergyBreakdown.mu.
 
 Every kinetic term is a Parseval sum (Grid.parseval) over the half
 spectrum of Grid.forward, the one spectral format.  The Field-level
-functions (energy, energy_difference, constrained_gradient, ...) are the
-reference evaluations, and the gradient is built on one implementation of
+functions (energy, constrained_gradient, ...) are the reference
+evaluations, and the gradient is built on one implementation of
 the Euler-Lagrange operator Lap^2 u + V u - (a q / 2) |u|^{q-2} u.  The
 solver's inner loop uses the array-level spectral_energy_and_gradient
 instead, on the nodal values and transform it carries: it returns the
@@ -31,7 +31,6 @@ writes only into the arrays its caller passes in.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,60 +85,6 @@ def energy(u: Field, V, a: float) -> EnergyBreakdown:
     pot = quadrature(g, sample(V, g).values * u.values**2)
     non = lq_integral(u)
     return EnergyBreakdown(kin, pot, non, kin + pot - a * non, float(a), q)
-
-
-def energy_difference(u: Field, delta: np.ndarray, V, a: float,
-                      mu: float = 0.0) -> float:
-    """E(v) - E(u) - mu * (mass(v) - mass(u)) for v = u + delta, from delta.
-
-    v has the values u + delta and the transform u.hat + forward(delta).
-    Every term is a sum of delta-weighted products:
-
-        kinetic     sum |k|^4 Re(conj(delta_hat) (delta_hat + 2 u_hat))
-        potential   sum V delta (v + u)
-        nonlinear   sum delta (v + u) sum_{j < q/2} v^{2j} u^{q-2-2j}
-        mass        sum delta (v + u)
-
-    so the result carries rounding relative to the step, not to the energy,
-    and stays exact where subtracting two energy() totals is pure roundoff.
-    mu subtracts the mass change, which for the multiplier of u removes the
-    first-order effect of renormalization roundoff.  It is the reference for
-    the solver's closed-form line energy.
-
-    The sums run in extended precision (numpy's longdouble, transforms
-    included), and each term is rounded once, on return.  Near a minimizer
-    the kinetic, potential and nonlinear changes are each about 1e5 times
-    their sum, the slope, so double-precision sums of a few hundred terms
-    lose some of it: 5.1e-10 at the 2D test fixture (slope 2e-11), half
-    the 1e-9 to which the closed form is tested against this, and more at
-    smaller slopes.  Where numpy's longdouble is double (MSVC, macOS on
-    arm64) the sums run in double all the same, with a RuntimeWarning that
-    says so.
-    """
-    if np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps:
-        warnings.warn("numpy's longdouble is double precision here: "
-                      "energy_difference may lose about 1e-9 of an energy "
-                      "change near a minimizer", RuntimeWarning,
-                      stacklevel=2)
-    g = u.grid
-    q = critical_power(g.d)
-    x = u.values.astype(np.longdouble)
-    delta = np.asarray(delta, dtype=np.longdouble)
-    dhat = g.forward(delta)
-    vv = x + delta
-    s = delta * (vv + x)  # delta (v + u)
-    vv *= vv
-    uu = x * x
-    poly = vv + uu
-    upow = uu.copy()
-    for _ in range(q // 2 - 2):
-        poly *= vv
-        upow *= uu
-        poly += upow
-    kin = g.parseval(dhat, g.k_quad_complex * (dhat + 2.0 * u.hat))
-    rest = (np.vdot(s, sample(V, g).values) - a * np.vdot(s, poly)
-            - mu * s.sum())
-    return float(kin + g.cell * rest)
 
 
 def spectral_energy_and_gradient(g: Grid, x: np.ndarray, X: np.ndarray,

@@ -102,11 +102,6 @@ def h2_norm_sq(u: Field) -> float:
     return l2_norm_sq(u) + bilap_energy(u)
 
 
-def h2_distance(u: Field, v: Field) -> float:
-    """H^2 distance sqrt(||u-v||^2 + ||Lap(u-v)||^2)."""
-    return math.sqrt(max(h2_norm_sq(u - v), 0.0))
-
-
 def _nonlinear_weight(sq: np.ndarray, out: np.ndarray | None = None
                       ) -> np.ndarray:
     """x^(q-2) from sq = x^2, at the critical power q of sq's dimension.
@@ -394,14 +389,6 @@ def density_center(u: Field) -> np.ndarray:
         c = x_peak + float(disp.sum() / total)
         center[ax] = (c + L) % span - L
     return center
-
-
-def reflect(u: Field) -> Field:
-    """Point reflection v(x) = u(-x) respecting periodic indexing."""
-    vals = u.values
-    for ax in range(u.grid.d):
-        vals = np.roll(np.flip(vals, axis=ax), 1, axis=ax)
-    return Field(u.grid, vals)
 
 
 def random_smooth_field(g: Grid, rng: np.random.Generator) -> Field:

@@ -338,6 +338,8 @@ def _gn_from_sidecar(sidecar, Q) -> GNResult:
                          _as_float({"a_star": a}, "a_star")) for n, a in pairs)
     residuals = _block(sidecar, "residuals", {"quotient_grad",
                                               "nonlinear_check"})
+    # read to reject a malformed value; the result's own is computed from Q
+    _as_float(residuals, "nonlinear_check")
     # iterations, history and half_grid_check are absent from sidecars
     # written before they were stored, and a null half_grid_check is a run
     # without the n/2 check

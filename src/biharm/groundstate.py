@@ -66,7 +66,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import (EnergyBreakdown, critical_power, critical_shift, energy,
+from .energy import (EnergyBreakdown, critical_power, critical_shift,
                      spectral_energy_and_gradient)
 from .field import (Field, _nonlinear_weight, dilate, read_snapshot,
                     renormalize_mass)
@@ -112,8 +112,8 @@ class InitSpec:
     def __post_init__(self):
         if self.kind not in ("gaussian", "constant", "file", "dilated_Q"):
             raise ValueError(f"unknown init kind {self.kind!r}")
-        if self.width <= 0 or self.ell <= 0:
-            raise ValueError("init width and ell must be positive")
+        if not (0 < self.width < math.inf and 0 < self.ell < math.inf):
+            raise ValueError("init width and ell must be finite and positive")
         if self.kind == "file" and not self.path:
             raise ValueError("file init needs a path")
 
@@ -127,10 +127,10 @@ class SolveConfig:
     max_iters: int = 2000
 
     def __post_init__(self):
-        if self.tol_grad <= 0:
-            raise ValueError("tol_grad must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+        if not 0 < self.tol_grad < math.inf:
+            raise ValueError("tol_grad must be finite and positive")
+        if not 1 <= self.max_iters < math.inf:
+            raise ValueError("max_iters must be finite and at least 1")
 
 
 @dataclass
@@ -660,28 +660,3 @@ def write_iteration_log(result: SolveResult, path) -> None:
         for it, total, res, step in result.history:
             writer.writerow([it, f"{total:.17g}", f"{res:.17g}", f"{step:.17g}"])
 
-
-def trial_upper_bound(g: Grid, V, a: float, eps: float, profile: Field,
-                      x0=None) -> float:
-    """Energy of the concentrating trial state; an upper bound for the infimum.
-
-    The reference profile is cut off smoothly at radius eps**(-1/6) (quintic
-    ramp over the outer 40% of that radius), renormalized, compressed by
-    ell = eps**(-1/5), and centered at x0 (potential minimum when omitted).
-    Raises when the cutoff radius does not fit in the box, which signals the
-    box is too small for this eps.
-    """
-    if eps <= 0:
-        raise ValueError("profile parameter eps must be positive")
-    radius = eps ** (-1.0 / 6.0)
-    if radius >= g.half_width:
-        raise ValueError(
-            f"cutoff radius {radius:.4g} exceeds the box half-width {g.half_width}; "
-            "enlarge the box or increase eps")
-    r = np.sqrt(sum(m**2 for m in g.meshes()))
-    t = np.clip((r - 0.6 * radius) / (0.4 * radius), 0.0, 1.0)
-    ramp = 1.0 - t**3 * (t * (6.0 * t - 15.0) + 10.0)
-    w = renormalize_mass(Field(g, profile.values * ramp))
-    x0 = potential_argmin(V, g) if x0 is None else x0
-    v = dilate(w, eps ** (-1.0 / 5.0), to=x0)
-    return energy(renormalize_mass(v), V, a).total

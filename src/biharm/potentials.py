@@ -17,7 +17,7 @@ import numpy as np
 
 from ._readers import ConfigError, _as_float, _as_floats, _block
 from .field import Field
-from .grid import Grid, quadrature
+from .grid import Grid
 
 
 @dataclass(frozen=True)
@@ -32,8 +32,8 @@ class Harmonic:
     strength: float = 1.0
 
     def __post_init__(self):
-        if self.strength < 0:
-            raise ValueError("harmonic strength must be >= 0")
+        if not 0 <= self.strength < math.inf:
+            raise ValueError("harmonic strength must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -45,12 +45,16 @@ class GaussianWell:
     center: tuple = (0.0,)
 
     def __post_init__(self):
-        if self.depth <= 0 or self.width <= 0:
-            raise ValueError("well depth and width must be positive")
+        if not (0 < self.depth < math.inf and 0 < self.width < math.inf):
+            raise ValueError("well depth and width must be finite and "
+                             "positive")
         c = self.center
         if np.isscalar(c):
             c = (float(c),)
-        object.__setattr__(self, "center", tuple(float(x) for x in c))
+        c = tuple(float(x) for x in c)
+        if not all(map(math.isfinite, c)):
+            raise ValueError(f"well center must be finite, got {c}")
+        object.__setattr__(self, "center", c)
 
 
 @dataclass(frozen=True)
@@ -67,8 +71,8 @@ class PowerWell:
     exponent: float = 0.5
 
     def __post_init__(self):
-        if self.depth <= 0:
-            raise ValueError("well depth must be positive")
+        if not 0 < self.depth < math.inf:
+            raise ValueError("well depth must be finite and positive")
         if not 0 < self.exponent < 4:
             raise ValueError("power-well exponent must lie in (0, 4)")
 
@@ -242,13 +246,6 @@ class PotentialSplit:
     tail_level: float = 0.0    # diagnostic: magnitude cut of the far tail
 
 
-def lp_norm(u: Field, p: float) -> float:
-    """Grid-quadrature L^p norm."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    return float(quadrature(u.grid, np.abs(u.values) ** p) ** (1.0 / p))
-
-
 def level_split(V, g: Grid, p1: float = 2.0, p2: float = 4.0,
                 eps: float = 0.05, v3_bound: float | None = None
                 ) -> PotentialSplit:
@@ -400,7 +397,9 @@ _FAMILY_KEYS = {"zero": (), "harmonic": ("strength",),
 
 def potential_from_config(obj, d: int):
     """Build a potential from its JSON-config dict (see the run-config
-    format); raises ConfigError, a ValueError, on malformed input."""
+    format); raises ConfigError, a ValueError, on malformed input and on a
+    power well in neither class in dimension d (see classify), which solve
+    rejects; a sum's parts are built, and so checked, one by one."""
     fam = obj.get("family") if isinstance(obj, dict) else None
     known = _FAMILY_KEYS.get(fam) if isinstance(fam, str) else None
     if known is None and isinstance(obj, dict):
@@ -420,8 +419,13 @@ def potential_from_config(obj, d: int):
         return GaussianWell(depth=_as_float(obj, "depth", 1.0),
                             width=_as_float(obj, "width", 1.0), center=center)
     if fam == "power_well":
-        return PowerWell(depth=_as_float(obj, "depth", 1.0),
-                         exponent=_as_float(obj, "exponent", 0.5))
+        V = PowerWell(depth=_as_float(obj, "depth", 1.0),
+                      exponent=_as_float(obj, "exponent", 0.5))
+        if classify(V, d) == "neither":
+            raise ConfigError(f"potential family 'power_well' is neither "
+                              f"confining nor a splittable well in d={d}: "
+                              f"its exponent {V.exponent} must be below d")
+        return V
     parts = obj.get("parts")
     if not isinstance(parts, list) or not parts:
         raise ConfigError("sum potential needs a non-empty parts list")

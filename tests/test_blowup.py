@@ -14,10 +14,10 @@ from biharm import (GaussianWell, Harmonic, ResolutionWarning, SolveConfig,
                     sweep_plot_columns)
 from biharm.blowup import _h2_after_best_shift
 from biharm.energy import critical_power, critical_shift
-from biharm.field import (bilap_energy, density_center, h2_distance,
-                          l2_norm_sq, translate)
+from biharm.field import bilap_energy, density_center, l2_norm_sq, translate
 from biharm.groundstate import (SOLVE_COUNTERS, InitSpec, SolveStatus,
                                 initial_field, solve)
+from conftest import h2_distance
 
 
 @pytest.fixture(scope="module")

@@ -730,7 +730,11 @@ def test_corrupt_a_star_is_a_config_error(tmp_path, artifact_dir, command,
         lambda s, bad=bad: {**s, "resolutions": [[128, bad], [256, 1.0]]},
         lambda s, bad=bad: {**s, "history": [1.0, bad]},
         lambda s, bad=bad: {**s, "half_grid_check": {
-            "quotient_grad": bad, "converged": True}})),
+            "quotient_grad": bad, "converged": True}},
+        lambda s, bad=bad: {**s, "residuals": {**s["residuals"],
+                                               "nonlinear_check": bad}})),
+    ("sidecar", lambda s: {**s, "residuals": {
+        **s["residuals"], "nonlinear_check": "not a number"}}),
     # the header's integers are JSON integers, and no number is a string
     ("header", lambda h: {**h, "d": True}),
     ("header", lambda h: {**h, "n": h["n"] + 0.9}),
@@ -743,8 +747,10 @@ def test_corrupt_a_star_is_a_config_error(tmp_path, artifact_dir, command,
          "half_grid_residual_a_string", "half_grid_converged_a_string",
          *(f"{key}_{name}" for name in ("NaN", "Infinity") for key in (
              "el_constants", "residuals.quotient_grad", "resolutions",
-             "history", "half_grid_check.quotient_grad")),
-         "header_d_a_bool", "header_n_a_fraction",
+             "history", "half_grid_check.quotient_grad",
+             "residuals.nonlinear_check")),
+         "residuals.nonlinear_check_a_string", "header_d_a_bool",
+         "header_n_a_fraction",
          "header_half_width_a_string", "header_count_a_string"])
 def test_a_gn_artifact_value_of_the_wrong_type_exits_2(
         tmp_path, artifact_dir, command, part, corrupt):
@@ -765,6 +771,29 @@ def test_a_gn_artifact_value_of_the_wrong_type_exits_2(
     assert code == 2, text
     assert text.startswith(f"error: cannot load GN artifact at "
                            f"{tmp_path / 'gn'}")
+
+
+@pytest.mark.parametrize("command", ["gn", "solve", "sweep"])
+@pytest.mark.parametrize("potential", [
+    {"family": "power_well", "exponent": 1.0},
+    {"family": "sum", "parts": [{"family": "harmonic"},
+                                {"family": "power_well", "exponent": 1.0}]}],
+    ids=["power_well", "sum"])
+def test_a_potential_in_neither_class_exits_2(tmp_path, artifact_dir, command,
+                                              potential):
+    # a power well of exponent >= d is neither confining nor a splittable
+    # well; solve cannot minimize with it, so every command rejects it
+    # with the config, naming the family and the dimension
+    cfg = write_config(tmp_path / "c.json", output_dir=str(tmp_path / "run"),
+                       potential=potential,
+                       gn={"artifact": str(artifact_dir / "gn")},
+                       solve={"a": 4.0}, sweep={"count": 1})
+    code, text = run_cli("--config", str(cfg), command)
+    assert code == 2, text
+    assert text.startswith("config error: invalid potential: potential "
+                           "family 'power_well' is neither confining nor a "
+                           "splittable well in d=1")
+    assert not (tmp_path / "run").exists()
 
 
 def test_check_without_an_artifact_exits_2_and_points_at_gn(tmp_path):

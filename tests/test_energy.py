@@ -13,13 +13,13 @@ from biharm.energy import (
     critical_power,
     el_residual,
     energy,
-    energy_difference,
     gn_quotient,
 )
 from biharm.field import (bilap_apply, gaussian_mixture_field,
                           random_smooth_field)
 from biharm.grid import quadrature
 from biharm.potentials import GaussianWell, Harmonic, Zero
+from conftest import energy_difference
 
 
 @pytest.fixture(scope="module")

@@ -16,13 +16,11 @@ from biharm import (
     bilap_energy,
     density_center,
     dilate,
-    h2_distance,
     h2_norm_sq,
     l2_norm_sq,
     lq_integral,
     make_grid,
     read_snapshot,
-    reflect,
     renormalize_mass,
     translate,
     write_snapshot,
@@ -32,6 +30,7 @@ from biharm.energy import critical_power
 from biharm.field import (_chirp_plan, _nonlinear_weight, _refined_values,
                           _roll, gaussian_mixture_field, random_smooth_field)
 from biharm.grid import quadrature
+from conftest import h2_distance, reflect
 
 SQRT_PI = np.sqrt(np.pi)
 

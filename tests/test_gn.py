@@ -12,14 +12,12 @@ from biharm import (
     dilate,
     el_residual,
     gn_quotient,
-    h2_distance,
     l2_norm_sq,
     load_gn,
     lq_integral,
     make_grid,
     normalize_gn,
     normalize_to_el,
-    reflect,
     renormalize_mass,
     save_gn,
 )
@@ -27,6 +25,7 @@ from biharm.field import gaussian_mixture_field, random_smooth_field
 from biharm.gn import _petviashvili
 from biharm.groundstate import InitSpec, initial_field
 from biharm.potentials import Zero
+from conftest import h2_distance, reflect
 
 # closed forms for the centered Gaussian trial state e^{-|x|^2/2}
 GAUSSIAN_QUOTIENT_1D = 0.75 * np.sqrt(5.0) * np.pi**2
