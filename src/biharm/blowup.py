@@ -166,6 +166,10 @@ def _h2_after_best_shift(w: Field, ref: Field) -> float:
         shift = [s + st for s, st in zip(shift, step)]
         if max(abs(st) for st in step) < 1e-12 * g.dx:
             break
+    if not any(shift):
+        # no step taken: at s = 0 the sum below would only round at_zero
+        # differently, by an ulp either way
+        return at_zero
     moved = _shift_phases(g, 0, shift[0])
     if d > 1:
         moved = moved * _shift_phases(g, 1, shift[1])

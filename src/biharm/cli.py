@@ -35,7 +35,7 @@ from .blowup import (_validate_schedule, energy_limit_check,
                      sweep_plot_columns)
 from .energy import el_residual, gn_quotient
 from .field import (bilap_energy, gaussian_mixture_field, l2_norm_sq,
-                    random_smooth_field, write_snapshot)
+                    lq_integral, random_smooth_field, write_snapshot)
 from .gn import compute_gn, load_gn, save_gn
 from .grid import make_grid
 from .groundstate import (ENERGY_FLOOR, SOLVE_COUNTERS, InitSpec, SolveConfig,
@@ -450,15 +450,22 @@ GN_BATTERY_FIELDS = 200
 def _certificates(gn, rng):
     """(row, ok, detail) for each certificate of the stored profile Q: its
     quotient is the stored a*; it has the sharp normalization, unit mass,
-    |Lap Q|^2 and a* int Q^q; it solves the Euler-Lagrange equation with
+    |Lap Q|^2 and a* int Q^q, the last also the sidecar's stored
+    nonlinear_check; it solves the Euler-Lagrange equation with
     two positive constants; and no sampled field beats a*, the certificate
     that the stationary Q is the minimizer."""
     Q, a_star = gn.Q, gn.a_star
     rel = abs(gn_quotient(Q) - a_star) / a_star
     yield "quotient", rel <= 1e-12, f"rel mismatch with a* {rel:.2e}"
-    worst = max(abs(v - 1.0)
-                for v in (l2_norm_sq(Q), bilap_energy(Q), gn.nonlinear_check))
-    yield "normalization", worst <= 1e-8, f"max deviation from 1 {worst:.2e}"
+    check = a_star * lq_integral(Q)
+    worst = max(abs(v - 1.0) for v in (l2_norm_sq(Q), bilap_energy(Q), check))
+    detail = f"max deviation from 1 {worst:.2e}"
+    # the sidecar's nonlinear_check is a* int Q^q of the same Q, to roundoff
+    stored = abs(gn.nonlinear_check - check) <= 1e-12 * abs(check)
+    if not stored:
+        detail += (f"; stored nonlinear_check {gn.nonlinear_check:.12g} "
+                   f"is not a* int Q^q {check:.12g}")
+    yield "normalization", worst <= 1e-8 and stored, detail
     c1, c2, res = el_residual(Q)
     yield ("euler_lagrange", c1 > 0.0 and c2 > 0.0 and res <= 1e-6,
            f"constants ({c1:.6g}, {c2:.6g}), rel residual {res:.2e}")

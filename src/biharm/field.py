@@ -23,7 +23,6 @@ import numpy as np
 from ._readers import _as_float, _as_int, _block
 from .grid import Grid, _shared_grid, make_grid, quadrature
 
-SNAPSHOT_SUFFIX = ".bhf"
 # the relative mass drift past which dilate warns that the scaled field is
 # under-resolved, and past which a sweep record's rescaling is not resolved
 MASS_DRIFT_TOL = 1e-6

@@ -7,13 +7,15 @@ int|Lap Q|^2 = int|Q|^2, the unit gauge (on the grid, to discretization
 error).  On resolved grids the iteration below therefore produces the
 profile normalized up to its amplitude, and the dilation compute_gn applies
 after it moves Q only at roundoff; on a coarse grid or at a loose tolerance
-it does not (on 64^2/12 at tol_grad 1e-4, |Lap Q|^2 is 1.2e-7 off, outside
-the 1e-8 that `biharm check` holds it to), so that step stays.  The plain map
-converges linearly, its residual falling by a factor of about 0.15 per step;
-Anderson mixing of depth one (Walker & Ni, SIAM J. Numer. Anal. 49, 2011)
-brings that factor to about 0.01 near the solution, so the default tolerance
-is reached in 7-9 iterations in 1D, and on 2D grids from 128^2 on a
-half-width of 16, where the plain map settled at roundoff just above it.
+it does not (on 64^2/12 at tol_grad 1e-4, |Lap Q|^2 is 1.4e-7 off, outside
+the 1e-8 that `biharm check` holds it to), so that step stays.  The start is
+a Gaussian already in that gauge.  The plain map converges linearly, its
+residual falling by a factor of about 0.15 per step; Anderson mixing of
+depth one (Walker & Ni, SIAM J. Numer. Anal. 49, 2011) brings that factor to
+about 0.01 near the solution, so from that start the default tolerance is
+reached in 6 iterations on 1D grids of half-width 16 (7-9 from other start
+widths), and in 8 on 2D grids from 128^2 on a half-width of 16, where the
+plain map settled at roundoff just above it.
 The iteration converges to a stationary point of the quotient; it does not
 prove a minimum.  That no sampled field beats a_star (random mixtures and
 smooth fields, in `biharm check`'s gn_inequality row and in the tests) and
@@ -60,7 +62,9 @@ _SETTLED = 3
 class GNResult:
     a_star: float
     Q: Field
-    nonlinear_check: float  # a_star * integral |Q|^q; 1 in the sharp normalization
+    # a_star * integral |Q|^q, 1 in the sharp normalization; on a loaded
+    # result the sidecar's value, which `biharm check` holds against Q
+    nonlinear_check: float
     el_constants: tuple
     resolutions: tuple  # ((n, a_star_at_n), ...) coarse-to-fine cross-check
     # the n/2 run's quotient residual and whether it reached tol_grad; None
@@ -114,34 +118,48 @@ def _petviashvili(g: Grid, u0: Field, cfg: SolveConfig) -> _Run:
     iterate then no longer moves, and the residual left over is the grid's
     departure from the continuum Pohozaev balance, which no further iteration
     removes.  Raises ValueError if the iterate collapses to zero.
+
+    The loop writes into arrays allocated once per call, and each term of
+    the gradient and of the update takes its scalar factors in one multiply.
     """
     q = critical_power(g.d)
     c1 = critical_shift(g.d)
     gamma = (q - 1.0) / (q - 2.0)
-    symbol = c1 + g.k_quad
-    u = u0.values
-    u_hat = g.forward(u)
+    k_quad = g.k_quad_complex
+    # 1 / L as complex, so that the update's product runs numpy's complex
+    # loop without casting a real table in every iteration
+    inv_symbol = (1.0 / (c1 + g.k_quad)).astype(np.complex128)
+    u = u0.values.copy()
+    nl = np.empty(g.shape)
+    # the spectra of u, u^(q-1) and |k|^4 u, the gradient, the map's image T
+    # and residual f at this and at the last iterate, and f's difference,
+    # which until then serves as scratch
+    u_hat, nl_hat, ku_hat, grad, t_hat, f_hat, t_prev, f_prev, df = (
+        np.empty(g.k_quad.shape, dtype=np.complex128) for _ in range(9))
+    g.forward(u, out=u_hat)
     settled = 0
     it = 0
     history = []
-    t_prev = f_prev = None
+    have_prev = False  # whether t_prev and f_prev hold the last iterate's
     while True:
-        nl = u * u
+        np.multiply(u, u, out=nl)
         _nonlinear_weight(nl, out=nl)
         nl *= u  # u^(q-1)
-        nl_hat = g.forward(nl)
+        g.forward(nl, out=nl_hat)
+        np.multiply(k_quad, u_hat, out=ku_hat)
         mass = g.parseval(u_hat, u_hat)
-        kin = g.parseval(u_hat, g.k_quad_complex * u_hat)
-        non = g.cell * float((u * nl).sum())
+        kin = g.parseval(u_hat, ku_hat)
+        non = g.cell * float(np.vdot(u, nl))
         if not (mass > 0.0 and non > 0.0 and math.isfinite(mass + kin + non)):
             raise ValueError("fixed-point iterate collapsed")
-        # the quotient and its gradient at v = u / sqrt(mass), in spectral space
-        kin_v = kin / mass
-        non_v = non / mass ** (0.5 * q)
-        v_hat = u_hat / math.sqrt(mass)
-        grad = ((2.0 / non_v) * (g.k_quad_complex * v_hat)
-                + ((q - 2.0) * kin_v / non_v) * v_hat
-                - (q * kin_v / non_v**2 / mass ** (0.5 * (q - 1))) * nl_hat)
+        # the quotient's gradient at v = u / sqrt(mass), in spectral space,
+        # (2 |k|^4 v^ + (q-2) kin_v v^) / non_v - q kin_v N^(v) / non_v^2
+        # with kin_v = kin / mass and non_v = non / mass^(q/2); in u's
+        # spectra each term carries scale = mass^((q-1)/2) / non
+        scale = mass ** (0.5 * (q - 1)) / non
+        np.multiply(ku_hat, 2.0 * scale, out=grad)
+        grad += np.multiply(u_hat, (q - 2.0) * kin / mass * scale, out=df)
+        grad -= np.multiply(nl_hat, q * kin / non * scale, out=df)
         residual = math.sqrt(g.parseval(grad, grad))
         history.append(residual)
         converged = residual <= cfg.tol_grad
@@ -149,20 +167,34 @@ def _petviashvili(g: Grid, u0: Field, cfg: SolveConfig) -> _Run:
             break
         M = (c1 * mass + kin) / non
         settled = settled + 1 if abs(M - 1.0) <= _M_ROUNDOFF else 0
-        t_hat = M**gamma * nl_hat / symbol
-        f_hat = t_hat - u_hat
-        u_hat = t_hat
-        if f_prev is not None:
-            df = f_hat - f_prev
+        np.multiply(nl_hat, inv_symbol, out=t_hat)
+        t_hat *= M**gamma
+        np.subtract(t_hat, u_hat, out=f_hat)
+        np.copyto(u_hat, t_hat)
+        if have_prev:
+            np.subtract(f_hat, f_prev, out=df)
             df_sq = g.parseval(df, df)
             if df_sq > 0.0:
                 theta = g.parseval(df, f_hat) / df_sq
-                u_hat = t_hat - theta * (t_hat - t_prev)
-        t_prev, f_prev = t_hat, f_hat
-        u = g.inverse(u_hat)
+                np.subtract(t_hat, t_prev, out=df)
+                df *= theta
+                u_hat -= df
+        have_prev = True
+        t_hat, t_prev = t_prev, t_hat
+        f_hat, f_prev = f_prev, f_hat
+        g.inverse(u_hat, out=u)
         it += 1
-    return _Run(Field(g, u / math.sqrt(mass)), residual, it, converged,
-                tuple(history))
+    u /= math.sqrt(mass)
+    return _Run(Field(g, u), residual, it, converged, tuple(history))
+
+
+def _start(g: Grid) -> Field:
+    """compute_gn's start: the unit-mass Gaussian e^{-|x|^2/2w^2} centred
+    at the origin, of the width w = (d(d+2)/4)^{1/4} (0.931 in 1D, 1.189 in
+    2D) at which int|Lap G|^2 = int G^2, the gauge the iteration converges
+    to."""
+    width = (g.d * (g.d + 2) / 4.0) ** 0.25
+    return renormalize_mass(initial_field(g, Zero(), InitSpec(width=width)))
 
 
 def _finalize(u: Field) -> Field:
@@ -175,10 +207,11 @@ def compute_gn(g: Grid, cfg: SolveConfig | None = None) -> GNResult:
     """Find the quotient's optimizer by the Petviashvili fixed point.
 
     Runs the fixed point (see _petviashvili) once, from the unit-mass
-    Gaussian of width 1 centered at the origin (the default start of a
-    solve at zero potential); every start width tried
-    converges to the same constant, so one start suffices, and the centered
-    start is exactly even, so the result needs no symmetrizing.  cfg is only
+    Gaussian centered at the origin whose width puts it in the unit gauge
+    (_start; 6 iterations on the README grid, against 7 from width 1);
+    every start width tried converges to the same constant, so one start
+    suffices, and the centered start is exactly even, so the result needs
+    no symmetrizing and normalize_gn no re-centring.  cfg is only
     the stop rule.  The profile is then normalized to unit
     mass and unit fourth-order seminorm; the iteration works in that gauge,
     so on resolved grids only the amplitude changes.  The constant is the quotient of the
@@ -202,9 +235,8 @@ def compute_gn(g: Grid, cfg: SolveConfig | None = None) -> GNResult:
     t0 = time.perf_counter()
     if cfg is None:
         cfg = SolveConfig(tol_grad=3e-7, max_iters=8000)
-    start = renormalize_mass(initial_field(g, Zero(), InitSpec()))
     try:
-        best = _petviashvili(g, start, cfg)
+        best = _petviashvili(g, _start(g), cfg)
     except ValueError as exc:
         raise RuntimeError(
             f"the fixed point collapsed to zero; tol_grad {cfg.tol_grad:.3e} "
@@ -242,7 +274,8 @@ def compute_gn(g: Grid, cfg: SolveConfig | None = None) -> GNResult:
 
 def normalize_gn(u: Field) -> Field:
     """Dilate about the density center onto the origin: mass and |Lap u|^2
-    both 1."""
+    both 1.  A center within 1e-9 of a node from the origin counts as the
+    origin, so a centered field is not moved by roundoff."""
     kin = bilap_energy(u)
     mass = l2_norm_sq(u)
     if mass <= 0.0:
@@ -250,11 +283,16 @@ def normalize_gn(u: Field) -> Field:
     if kin <= 0.0:
         raise ValueError("constant fields cannot be normalized")
     ell = (mass / kin) ** 0.25
-    # below ~1e-9 the dilation would move nothing but roundoff, and the two
-    # seminorms already match well inside the 1e-8 normalization contract
-    return renormalize_mass(
-        dilate(u, 1.0 if abs(ell - 1.0) < 1e-9 else ell,
-               center=density_center(u)))
+    center = density_center(u)
+    # below ~1e-9, of the scale or of a node, the dilation and the
+    # re-centring would move nothing but roundoff, and the two seminorms
+    # already match well inside the 1e-8 normalization contract; with both
+    # below it, u is already in place and only its mass is rescaled
+    if abs(ell - 1.0) < 1e-9:
+        ell = 1.0
+    if float(np.abs(center).max()) < 1e-9 * u.grid.dx:
+        center = 0.0
+    return renormalize_mass(dilate(u, ell, center=center))
 
 
 def normalize_to_el(u: Field) -> Field:
@@ -338,8 +376,6 @@ def _gn_from_sidecar(sidecar, Q) -> GNResult:
                          _as_float({"a_star": a}, "a_star")) for n, a in pairs)
     residuals = _block(sidecar, "residuals", {"quotient_grad",
                                               "nonlinear_check"})
-    # read to reject a malformed value; the result's own is computed from Q
-    _as_float(residuals, "nonlinear_check")
     # iterations, history and half_grid_check are absent from sidecars
     # written before they were stored, and a null half_grid_check is a run
     # without the n/2 check
@@ -350,7 +386,7 @@ def _gn_from_sidecar(sidecar, Q) -> GNResult:
         check_residual = _as_float(check, "quotient_grad")
         check_converged = _as_flag(check, "converged", None)
     return GNResult(a_star=float(a_star), Q=Q,
-                    nonlinear_check=a_star * lq_integral(Q),
+                    nonlinear_check=_as_float(residuals, "nonlinear_check"),
                     el_constants=_as_floats(sidecar, "el_constants"),
                     resolutions=resolutions,
                     check_residual=check_residual,

@@ -617,19 +617,27 @@ def test_check_batteries_pass_across_seeds(tmp_path, artifact_dir):
     pytest.param("scaled", ["normalization"], id="scaled"),
     pytest.param("dilated", ["normalization", "euler_lagrange"],
                  id="dilated"),
-    pytest.param("a_star_moved", ["quotient"], id="a_star_moved"),
+    # the stored nonlinear_check was a* int Q^q of the a* gn wrote
+    pytest.param("a_star_moved", ["quotient", "normalization"],
+                 id="a_star_moved"),
+    pytest.param("nonlinear_check_moved", ["normalization"],
+                 id="nonlinear_check_moved"),
     pytest.param("zero", None, id="zero")])
 def test_check_flags_a_tampered_artifact(tmp_path, artifact_dir, tamper,
                                          failing):
     # a valid artifact altered after gn wrote it: Q scaled by 1.01, Q
-    # dilated by 1.001, a* moved by 1e-9 relative, and Q zeroed, which has
-    # no quotient at all
+    # dilated by 1.001, a* moved by 1e-9 relative, the stored
+    # nonlinear_check moved by 1e-9 relative (still within 1e-8 of 1, but
+    # no longer a* int Q^q), and Q zeroed, which has no quotient at all
     gn = load_gn(artifact_dir / "gn")
     sidecar = json.loads((artifact_dir / "gn.json").read_text())
     Q = {"scaled": gn.Q * 1.01, "dilated": dilate(gn.Q, 1.001),
-         "a_star_moved": gn.Q, "zero": gn.Q * 0.0}[tamper]
+         "a_star_moved": gn.Q, "nonlinear_check_moved": gn.Q,
+         "zero": gn.Q * 0.0}[tamper]
     if tamper == "a_star_moved":
         sidecar["a_star"] *= 1.0 + 1e-9
+    if tamper == "nonlinear_check_moved":
+        sidecar["residuals"]["nonlinear_check"] *= 1.0 + 1e-9
     write_snapshot(Q, tmp_path / "gn.bhf")
     (tmp_path / "gn.json").write_text(json.dumps(sidecar))
     cfg = write_config(tmp_path / "c.json", output_dir=str(tmp_path / "run"),
@@ -642,6 +650,8 @@ def test_check_flags_a_tampered_artifact(tmp_path, artifact_dir, tamper,
         rows = _check_rows(text)
         assert list(rows) == CHECK_ROWS
         assert [name for name, ok in rows.items() if not ok] == failing
+    if tamper == "nonlinear_check_moved":
+        assert "stored nonlinear_check" in text
 
 
 def test_check_passes_on_a_2d_artifact_from_gn(tmp_path):

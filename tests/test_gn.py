@@ -22,7 +22,7 @@ from biharm import (
     save_gn,
 )
 from biharm.field import gaussian_mixture_field, random_smooth_field
-from biharm.gn import _petviashvili
+from biharm.gn import _petviashvili, _start
 from biharm.groundstate import InitSpec, initial_field
 from biharm.potentials import Zero
 from conftest import h2_distance, reflect
@@ -35,8 +35,8 @@ FIXTURE = Path(__file__).parent / "fixtures" / "reference_d1.json"
 
 
 def gaussian_start(g, width):
-    """The unit-mass centered Gaussian of the given width; width 1 is
-    compute_gn's start."""
+    """The unit-mass centered Gaussian of the given width, an arbitrary
+    start; compute_gn's own is gn._start."""
     return renormalize_mass(initial_field(g, Zero(), InitSpec(width=width)))
 
 
@@ -241,7 +241,7 @@ def test_every_start_width_converges_to_one_constant():
 def test_the_gauge_step_closes_the_normalization_on_a_coarse_grid():
     # why compute_gn keeps normalize_gn: on resolved grids the fixed point's
     # output is already in the unit gauge to roundoff, but on 64^2/12 at
-    # tol_grad 1e-4 its |Lap Q|^2 is about 1.2e-7 off, outside check's 1e-8
+    # tol_grad 1e-4 its |Lap Q|^2 is about 1.4e-7 off, outside check's 1e-8
     # normalization contract; the dilation takes it to roundoff
     g = make_grid(2, 64, 12.0)
     cfg = SolveConfig(tol_grad=1e-4, max_iters=4000)
@@ -249,16 +249,25 @@ def test_the_gauge_step_closes_the_normalization_on_a_coarse_grid():
     Q = result.Q
     assert abs(bilap_energy(Q) - 1.0) <= 1e-12
     assert abs(result.a_star * lq_integral(Q) - 1.0) <= 1e-12
-    run = _petviashvili(g, gaussian_start(g, 1.0), cfg)
+    run = _petviashvili(g, _start(g), cfg)
     assert run.converged
     assert abs(bilap_energy(run.u) - 1.0) > 1e-8
     assert abs(gn_quotient(run.u) * lq_integral(run.u) - 1.0) > 1e-8
 
 
+@pytest.mark.parametrize("d,n,half_width", [(1, 512, 16.0), (2, 128, 16.0)])
+def test_start_is_in_the_unit_gauge(d, n, half_width):
+    # the iteration pins int|Lap Q|^2 = int Q^2, and compute_gn's start
+    # already satisfies it, to discretization error
+    start = _start(make_grid(d, n, half_width))
+    assert abs(bilap_energy(start) / l2_norm_sq(start) - 1.0) <= 1e-12
+
+
 def test_main_run_iterations_on_the_readme_grid():
-    # 7 mixed iterations from compute_gn's start; the plain map took 11
+    # 6 mixed iterations from compute_gn's start in the unit gauge, 7 from
+    # width 1; the plain map took 11
     result = compute_gn(make_grid(1, 512, 16.0))
-    assert len(result.history) - 1 <= 8, result.history
+    assert len(result.history) - 1 <= 6, result.history
     assert abs(result.a_star - 15.916606603741892) <= 1e-12 * result.a_star
 
 
@@ -274,6 +283,18 @@ def test_default_2d_converges_from_128_on_a_half_width_of_16():
         assert r.a_star <= GAUSSIAN_QUOTIENT_2D
     a128, a256 = (r.a_star for r in results)
     assert abs(a128 - a256) <= 1e-10 * a256, (a128, a256)
+
+
+def test_the_gauge_start_saves_iterations_on_a_coarse_2d_grid():
+    # on 64^2/12 at tol_grad 1e-4 the run from compute_gn's start takes 6
+    # iterations, against 8 from width 1
+    g = make_grid(2, 64, 12.0)
+    cfg = SolveConfig(tol_grad=1e-4, max_iters=4000)
+    runs = [_petviashvili(g, start, cfg)
+            for start in (_start(g), gaussian_start(g, 1.0))]
+    assert all(run.converged for run in runs)
+    assert runs[0].iterations < runs[1].iterations, [
+        run.iterations for run in runs]
 
 
 @pytest.mark.parametrize("d,n,half_width", [(1, 512, 16.0), (2, 64, 12.0)])
@@ -319,7 +340,7 @@ def test_iterations_counted_and_saved(tmp_path, gn256):
     # the count includes the n/2 cross-check run: it exceeds that of the
     # fixed point alone from compute_gn's start
     g = gn256.Q.grid
-    alone = _petviashvili(g, gaussian_start(g, 1.0),
+    alone = _petviashvili(g, _start(g),
                           SolveConfig(tol_grad=3e-7, max_iters=8000))
     assert alone.converged
     assert gn256.iterations > alone.iterations
@@ -346,7 +367,7 @@ def test_residual_path_saved_and_time_kept_out_of_the_sidecar(tmp_path,
     # residual; the wall time stays off the sidecar, which a rerun
     # reproduces byte for byte
     g = gn256.Q.grid
-    alone = _petviashvili(g, gaussian_start(g, 1.0),
+    alone = _petviashvili(g, _start(g),
                           SolveConfig(tol_grad=3e-7, max_iters=8000))
     assert gn256.history == alone.history
     assert len(gn256.history) == alone.iterations + 1
