@@ -7,8 +7,9 @@ origin, renormalized -- should reproduce the optimizer of the interpolation
 inequality, and the records collected here measure exactly how well it does:
 energies against the essential infimum of the potential, nonlinear mass
 against its critical value, and H2 distance of the rescaled profile to the
-reference state.  No field is translated: the best-shift search minimizes
-that distance over translations as a Parseval sum on the two spectra.
+reference state.  No field is translated: the best-shift search runs
+Newton's method on that distance over translations, as a Parseval sum on the
+two spectra.
 """
 
 from __future__ import annotations
@@ -94,24 +95,15 @@ def _h2_after_best_shift(w: Field, ref: Field) -> float:
 
     D(s) = ||translate(w, s) - ref||^2_H2 is the Parseval sum of
     diff = w^ P(s) - ref^ against W diff, W = 1 + |k|^4 and P(s) the
-    product of the axes' phases of _shift_phases.  Expanded, D is
-    ||ref||^2_H2 plus a self term ||w^ P(s)||^2_W less twice the cross term
-    <W ref^, w^ P(s)> = parseval(C, P(s)), with the one cross-spectrum
-    C = W ref^ conj(w^) formed once per call.  A phase has modulus one away
-    from the Nyquist modes, so the self term moves with s only through
-    their real phases cos(k_max s_i): it is the sum over sets S of axes of
-    T_S prod_{i in S} -sin^2(k_max s_i), T_S the part of ||w^||^2_W from the
-    modes at Nyquist along every axis in S.  Translation damps those modes,
-    and D, unlike a correlation, sees that.  D's gradient and Hessian in s
-    are then parseval sums of C against the axis phases and their
-    derivatives, plus these scalar Nyquist terms: a step builds the phases
-    and no moved spectrum w^ P.  Both fields arrive centered, so the
-    optimum sits near s = 0: Newton's method on D from s = 0, with steps
-    clipped to half a node per axis and the d x d system solved by the
-    solver's _spd_solve, a Hessian that is not positive definite ending the
-    search.  The search runs one forward transform in all, that of w - ref,
-    whose sum with ref^ is w^.  The distance at the optimum is the Parseval
-    sum of diff itself, free of the expansion's cancellation, and it is
+    product of the axes' phases of _shift_phases.  Newton's method runs on D
+    itself from s = 0, both fields arriving centered: half of D's gradient
+    is parseval(W diff, w^ P_i) and half its Hessian
+    parseval(W w^ P_i, w^ P_j) + parseval(W diff, w^ P_ij), with P's
+    derivatives from Grid.ik and, at a Nyquist mode, from cos(k_max s).
+    Steps are clipped to half a node per axis, the d x d system is solved by
+    the solver's _spd_solve, and a Hessian that is not positive definite
+    ends the search.  The search runs one forward transform in all, that of
+    w - ref, whose sum with ref^ is w^.  The distance at the optimum is
     reported only if it beats the distance at s = 0.
     """
     g = w.grid
@@ -120,44 +112,36 @@ def _h2_after_best_shift(w: Field, ref: Field) -> float:
     gap = w - ref
     at_zero = math.sqrt(h2_norm_sq(gap))
     w_hat = gap.hat + ref.hat
-    cross = weight * ref.hat * w_hat.conj()
-    # T_S over the non-empty sets S, each the parseval sum over the modes at
-    # Nyquist along every axis of S: row h of axis 0 in 2D, and the last
-    # axis's column h kept as a column, so that parseval weighs it once
-    slabs = []
-    for axs in ([(0,)] if d == 1 else [(0,), (1,), (0, 1)]):
-        idx = tuple((h if ax < d - 1 else slice(h, None)) if ax in axs
-                    else slice(None) for ax in range(d))
-        slabs.append((axs, g.parseval(w_hat[idx], weight[idx] * w_hat[idx])))
-    # the symbols of d/ds and d^2/ds^2 on exp(-i k s), zero at the Nyquist
-    # mode, whose phase cos(k_max s) is differentiated apart
+    # the symbols of d/ds and d^2/ds^2 on exp(-i k s)
     symbols = [(-ik, ik * ik) for ik in g.ik]
     shift = [0.0] * d
     for _ in range(_NEWTON_MAX_STEPS):
-        # per axis: the phase and its two derivatives in s; and -sin^2(k_max
-        # s) and its two derivatives, the self term's factor
-        phases, jets = [], []
+        # per axis: the phase and its two derivatives in s, those of
+        # cos(k_max s) at the Nyquist mode; w^ rides on axis 0's
+        jets = []
         for ax, (s, (d1, d2)) in enumerate(zip(shift, symbols)):
             p = _shift_phases(g, ax, s)
-            c, sn = math.cos(k_max * s), math.sin(k_max * s)
             first, second = d1 * p, d2 * p
-            first[h], second[h] = -k_max * sn, -k_max * k_max * c
-            phases.append((p, first, second))
-            jets.append((-sn * sn, -2.0 * k_max * sn * c,
-                         -2.0 * k_max * k_max * (c * c - sn * sn)))
+            first[h] = -k_max * math.sin(k_max * s)
+            second[h] = -k_max * k_max * math.cos(k_max * s)
+            jets.append((p, first, second) if ax else
+                        (w_hat * p, w_hat * first, w_hat * second))
 
-        def half_d(*axs):
-            """Half of D's derivative, once along each axis in axs."""
-            orders = [axs.count(ax) for ax in range(d)]
-            self_part = sum(t * math.prod(jets[ax][orders[ax]] for ax in on)
-                            for on, t in slabs if set(axs) <= set(on))
-            moved = phases[0][orders[0]]
-            if d > 1:
-                moved = moved * phases[1][orders[1]]
-            return 0.5 * self_part - g.parseval(cross, moved)
+        def moved(*axs):
+            """w^ P differentiated once along each axis in axs."""
+            out = jets[0][axs.count(0)]
+            return out * jets[1][axs.count(1)] if d > 1 else out
 
-        grad = [half_d(i) for i in range(d)]
-        hess = [[half_d(i, j) for j in range(d)] for i in range(d)]
+        diff = moved() - ref.hat
+        w_diff = weight * diff
+        firsts = [moved(i) for i in range(d)]
+        grad = [g.parseval(w_diff, f) for f in firsts]
+        hess = [[0.0] * d for _ in range(d)]
+        for i in range(d):
+            for j in range(i, d):
+                hess[i][j] = hess[j][i] = (
+                    g.parseval(weight * firsts[i], firsts[j])
+                    + g.parseval(w_diff, moved(i, j)))
         solved = _spd_solve(hess, grad)
         if solved is None:
             break
@@ -170,10 +154,10 @@ def _h2_after_best_shift(w: Field, ref: Field) -> float:
         # no step taken: at s = 0 the sum below would only round at_zero
         # differently, by an ulp either way
         return at_zero
-    moved = _shift_phases(g, 0, shift[0])
+    phase = _shift_phases(g, 0, shift[0])
     if d > 1:
-        moved = moved * _shift_phases(g, 1, shift[1])
-    diff = w_hat * moved - ref.hat
+        phase = phase * _shift_phases(g, 1, shift[1])
+    diff = w_hat * phase - ref.hat
     return min(at_zero, math.sqrt(g.parseval(diff, weight * diff)))
 
 

@@ -368,6 +368,8 @@ def density_center(u: Field) -> np.ndarray:
 
     Each axis's displacements are unwrapped periodically around the density
     maximum, so a field straddling the box's seam is located where it sits.
+    The node half a box from the maximum lies at -L and at +L alike, and
+    its displacement is 0, so an exactly even field is centered at 0.
     """
     g = u.grid
     dens = u.values**2
@@ -384,6 +386,7 @@ def density_center(u: Field) -> np.ndarray:
         disp += L
         np.mod(disp, span, out=disp)
         disp -= L
+        disp[(peak[ax] + g.n // 2) % g.n] = 0.0
         disp *= dens if g.d == 1 else dens.sum(axis=1 - ax)
         c = x_peak + float(disp.sum() / total)
         center[ax] = (c + L) % span - L

@@ -274,8 +274,8 @@ def compute_gn(g: Grid, cfg: SolveConfig | None = None) -> GNResult:
 
 def normalize_gn(u: Field) -> Field:
     """Dilate about the density center onto the origin: mass and |Lap u|^2
-    both 1.  A center within 1e-9 of a node from the origin counts as the
-    origin, so a centered field is not moved by roundoff."""
+    both 1.  An even field's center is exactly the origin (density_center),
+    so a centered field is not moved."""
     kin = bilap_energy(u)
     mass = l2_norm_sq(u)
     if mass <= 0.0:
@@ -284,14 +284,11 @@ def normalize_gn(u: Field) -> Field:
         raise ValueError("constant fields cannot be normalized")
     ell = (mass / kin) ** 0.25
     center = density_center(u)
-    # below ~1e-9, of the scale or of a node, the dilation and the
-    # re-centring would move nothing but roundoff, and the two seminorms
-    # already match well inside the 1e-8 normalization contract; with both
-    # below it, u is already in place and only its mass is rescaled
+    # below ~1e-9 the dilation would move nothing but roundoff, and the two
+    # seminorms already match well inside the 1e-8 normalization contract;
+    # a centered u is then already in place and only its mass is rescaled
     if abs(ell - 1.0) < 1e-9:
         ell = 1.0
-    if float(np.abs(center).max()) < 1e-9 * u.grid.dx:
-        center = 0.0
     return renormalize_mass(dilate(u, ell, center=center))
 
 

@@ -1,8 +1,11 @@
 """Shared fixtures, and the reference evaluations that only the tests use:
-the longdouble energy change, the point reflection and the H^2 distance."""
+the longdouble energy change, the point reflection and the H^2 distance;
+and the README's code blocks."""
 
 import math
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +13,12 @@ import pytest
 from biharm import Field, h2_norm_sq, make_grid
 from biharm.energy import critical_power
 from biharm.potentials import sample
+
+
+def readme_block(lang: str) -> str:
+    """The README's first fenced code block in lang."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return re.search(rf"```{lang}\n(.*?)```", text, re.S).group(1)
 
 
 def h2_distance(u: Field, v: Field) -> float:

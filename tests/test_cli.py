@@ -17,6 +17,7 @@ from biharm.blowup import load_sweep
 from biharm.cli import build_parser, main
 from biharm.groundstate import SOLVE_COUNTERS
 from biharm.potentials import sample
+from conftest import readme_block
 
 
 def run_cli(*argv):
@@ -71,6 +72,22 @@ def test_gn_reports_iteration_count(tmp_path):
     assert check["converged"] is False
     assert (f"n/2 check: quotient residual {check['quotient_grad']:.3e}, "
             "stopped unconverged") in text
+
+
+def test_gn_that_does_not_converge_exits_1_and_writes_nothing(tmp_path):
+    # the README config on 2D 64^2/12: the fixed point stalls at that
+    # grid's floor, well above the README's tol_grad
+    raw = json.loads(readme_block("json"))
+    raw["grid"] = {"d": 2, "n": 64, "half_width": 12.0}
+    raw["potential"]["center"] = [0.0, 0.0]
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(raw))
+    code, text = run_cli("--config", str(cfg), "--output",
+                         str(tmp_path / "run"), "gn")
+    assert code == 1, text
+    assert text == ("error: the fixed point did not converge; quotient "
+                    "residual 2.558e-05 above tol_grad 1.000e-06\n")
+    assert not (tmp_path / "run" / "gn.json").exists()
 
 
 def test_invalid_grid_rejected_before_any_output(tmp_path):
@@ -139,14 +156,18 @@ def test_legacy_precondition_and_restarts_keys_still_run(tmp_path):
     ({"gn_window": "false"}, "gn_window"),
     ({"monotone_gap": "no"}, "monotone_gap"),
     ({"gn_window": 0}, "gn_window"),
-    ({"h2_finall": 0.05}, "h2_finall")])
+    ({"h2_finall": 0.05}, "h2_finall"),
+    ({"h2_final": -0.05}, "h2_final"),
+    ({"energy_gap_tol": "0.1"}, "energy_gap_tol"),
+    (None, "'sweep' object")])
 def test_bad_sweep_checks_exit_2(tmp_path, artifact_dir, checks, named):
-    # a string flag must not switch a check on, and a misspelt key must not
-    # silently leave the default in force
+    # a string flag must not switch a check on, a misspelt key must not
+    # silently leave the default in force, and a tolerance is a positive
+    # number; with no sweep block at all (None) there is no schedule
+    sweep = {} if checks is None else {
+        "sweep": {"start": 0.5, "count": 2, "ratio": 0.5, "checks": checks}}
     cfg = write_config(tmp_path / "c.json", output_dir=str(tmp_path / "run"),
-                       gn={"artifact": str(artifact_dir / "gn")},
-                       sweep={"start": 0.5, "count": 2, "ratio": 0.5,
-                              "checks": checks})
+                       gn={"artifact": str(artifact_dir / "gn")}, **sweep)
     code, text = run_cli("--config", str(cfg), "sweep")
     assert code == 2
     assert text.startswith("config error: ")
@@ -1001,11 +1022,13 @@ def test_missing_command_exits_2_and_help_names_all_five(tmp_path, capsys):
                                     "1e999*astar", "-0.5*astar",
                                     "1.2.3*astar")),
     {"potential": {"family": "gaussian_well", "center": None}},
-    {"grid": {"d": 1, "n": 256, "half_width": 1e308}}])
+    {"grid": {"d": 1, "n": 256, "half_width": 1e308}},
+    {"solve": {}}, {"sweep": {"ratio": 1.0}}, {"sweep": {"ratio": 0.0}}])
 def test_bad_coupling_center_or_box_is_config_error(tmp_path, overrides):
     # what the README-config property test does not reach: the solve
-    # coupling, a null well centre, and a finite half_width whose node
-    # spacing overflows
+    # coupling or its absence, a null well centre, a finite half_width whose
+    # node spacing overflows, and a sweep ratio outside (0, 1), which every
+    # command reads
     cfg = write_config(tmp_path / "c.json", output_dir=str(tmp_path / "run"),
                        **{"solve": {"a": 4.0}, **overrides})
     code, text = run_cli("--config", str(cfg), "solve")

@@ -21,6 +21,7 @@ from biharm import (
     renormalize_mass,
     save_gn,
 )
+from biharm import gn
 from biharm.field import gaussian_mixture_field, random_smooth_field
 from biharm.gn import _petviashvili, _start
 from biharm.groundstate import InitSpec, initial_field
@@ -295,6 +296,24 @@ def test_the_gauge_start_saves_iterations_on_a_coarse_2d_grid():
     assert all(run.converged for run in runs)
     assert runs[0].iterations < runs[1].iterations, [
         run.iterations for run in runs]
+
+
+def test_compute_gn_translates_nothing_on_a_coarse_2d_grid(monkeypatch):
+    # the fixed point's iterate is exactly even, so its density centre is
+    # exactly the origin: normalize_gn dilates about it and moves nothing,
+    # and Q stays even to roundoff (a centre of 3e-8 dx would move it by
+    # 8e-9 off its mirror image)
+    centers = []
+
+    def spy(u, ell, center=0.0, to=0.0):
+        centers.append(np.broadcast_to(center, (u.grid.d,)).tolist())
+        return dilate(u, ell, center=center, to=to)
+
+    monkeypatch.setattr(gn, "dilate", spy)
+    Q = compute_gn(make_grid(2, 64, 12.0), SolveConfig(tol_grad=1e-4,
+                                                       max_iters=4000)).Q
+    assert centers == [[0.0, 0.0]]
+    assert np.abs(Q.values - reflect(Q).values).max() <= 1e-14
 
 
 @pytest.mark.parametrize("d,n,half_width", [(1, 512, 16.0), (2, 64, 12.0)])

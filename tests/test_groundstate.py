@@ -144,6 +144,19 @@ def test_floor_hit_at_initialization():
     assert res.breakdown.total < ENERGY_FLOOR
 
 
+def test_roundoff_stall_ends_max_iters_early():
+    # a tol_grad below the residual's roundoff floor: once neither the
+    # conjugate direction nor the reset to -P G finds an Armijo step, the
+    # solve stops MaxIters there (20 iterations, residual 1.5e-15), long
+    # before max_iters
+    g = make_grid(1, 128, 8.0)
+    cfg = SolveConfig(tol_grad=1e-15, max_iters=5000)
+    res = solve(g, GaussianWell(1.0), 5.0, cfg)
+    assert res.status is SolveStatus.MAX_ITERS
+    assert res.iterations < 100
+    assert res.grad_residual > cfg.tol_grad
+
+
 def test_gaussian_init_sits_at_potential_minimum():
     g = make_grid(1, 128, 8.0)
     V = GaussianWell(depth=1.0, width=1.0, center=(3.0,))

@@ -7,8 +7,6 @@ import copy
 import io
 import json
 import math
-import re
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +17,7 @@ from hypothesis.extra.numpy import arrays
 from biharm import Field, density_center, dilate, make_grid, translate
 from biharm.cli import main
 from biharm.field import random_smooth_field, read_snapshot, write_snapshot
+from conftest import readme_block
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
                              database=None)
@@ -124,16 +123,10 @@ def test_snapshot_round_trip_is_bit_exact(snapshot_dir, u):
         assert back.values.tobytes() == u.values.tobytes()
 
 
-def _readme_block(lang: str) -> str:
-    """The README's first fenced code block in lang."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    return re.search(rf"```{lang}\n(.*?)```", text, re.S).group(1)
-
-
 def test_readme_quickstart_runs_as_written(capsys):
     # the library quickstart, executed verbatim: a* on the README grid, a
     # ground state at 0.9 a*, and the 8-point sweep with its limit check
-    exec(_readme_block("python"), {})
+    exec(readme_block("python"), {})
     out = capsys.readouterr().out.splitlines()
     assert out[0].startswith("15.9166")
     assert out[1].startswith("SolveStatus.CONVERGED")
@@ -153,7 +146,7 @@ def _numeric_paths(node, path=()):
         yield from _numeric_paths(child, path + (key,))
 
 
-README_CONFIG = json.loads(_readme_block("json"))
+README_CONFIG = json.loads(readme_block("json"))
 NUMERIC_PATHS = list(_numeric_paths(README_CONFIG))
 NOT_A_FINITE_NUMBER = st.one_of(
     st.none(), st.lists(st.integers(), max_size=3),
