@@ -28,7 +28,7 @@ from .gn import GNResult
 from .grid import Grid
 from .groundstate import (SOLVE_COUNTERS, SolveConfig, SolveStatus,
                           _spd_solve, solve)
-from .potentials import ess_inf, potential_argmin
+from .potentials import potential_argmin
 
 __all__ = [
     "SweepRecord",
@@ -85,8 +85,22 @@ class SweepRecord:
     rescaled: Field | None = None
 
 
-_CSV_COLUMNS = ("a", "energy", "kinetic", "eps", "center", "h2_dist_to_Q",
-                "status", "resolved") + SOLVE_COUNTERS
+def _finite(text: str) -> float:
+    if not math.isfinite(val := float(text)):
+        raise ValueError(f"{text} is not finite")
+    return val
+
+
+# sweep.csv's columns in order, each read only as save_sweep writes it
+_CSV_READERS = {
+    "a": _finite, "energy": _finite, "kinetic": _finite, "eps": _finite,
+    "center": lambda text: tuple(map(_finite, text.split(";"))),
+    "h2_dist_to_Q": _finite,
+    "status": lambda text: SolveStatus(text).value,
+    "resolved": {"True": True, "False": False}.__getitem__,
+    **dict.fromkeys(SOLVE_COUNTERS, lambda text: int(text) if text else None),
+}
+_CSV_COLUMNS = tuple(_CSV_READERS)
 _NEWTON_MAX_STEPS = 20
 
 
@@ -248,8 +262,8 @@ def sweep(g: Grid, V, schedule, cfg: SolveConfig, gn: GNResult) -> list:
     return records
 
 
-def energy_limit_check(records, V, tol: float = 0.05):
-    """Gap between the last resolved energy and ess inf V, with a verdict.
+def energy_limit_check(records, floor: float, tol: float = 0.05):
+    """Gap of the last resolved energy to floor (ess inf V), with a verdict.
 
     Returns (gap, ok) where ok requires the gap under tol and the gaps of the
     last three resolved records strictly shrinking.  Needs at least three
@@ -258,9 +272,6 @@ def energy_limit_check(records, V, tol: float = 0.05):
     resolved = [r for r in records if r.resolved]
     if len(resolved) < 3:
         raise ValueError("need at least 3 resolved records to judge the limit")
-    grid = next((r.minimizer.grid for r in resolved if r.minimizer is not None),
-                None)
-    floor = ess_inf(V, grid)
     gaps = [abs(r.energy - floor) for r in resolved[-3:]]
     ok = gaps[0] > gaps[1] > gaps[2] and gaps[-1] < tol
     return gaps[-1], bool(ok)
@@ -323,22 +334,23 @@ def save_sweep(records, run_dir) -> Path:
 
 def load_sweep(path) -> list:
     """Read a sweep.csv written by save_sweep back into records, without
-    their fields; an empty counter cell reads as None, and a ValueError
-    names the columns the file lacks."""
+    their fields; an empty counter cell reads as None.  A ValueError names
+    the columns the file lacks, or the column and row (records count from
+    1) of a cell save_sweep does not write, such as a non-finite number."""
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.DictReader(fh, restval="")
         missing = [c for c in _CSV_COLUMNS
                    if c not in (reader.fieldnames or ())]
         if missing:
             raise ValueError(f"{path} lacks the columns {missing}")
-        return [SweepRecord(
-            a=float(row["a"]),
-            energy=float(row["energy"]),
-            kinetic=float(row["kinetic"]),
-            eps=float(row["eps"]),
-            center=tuple(float(c) for c in row["center"].split(";")),
-            h2_dist_to_Q=float(row["h2_dist_to_Q"]),
-            status=row["status"],
-            resolved=row["resolved"] == "True",
-            **{c: int(row[c]) if row[c] else None for c in SOLVE_COUNTERS},
-        ) for row in reader]
+        records = []
+        for row_no, row in enumerate(reader, 1):
+            values = {}
+            for column, read in _CSV_READERS.items():
+                try:
+                    values[column] = read(row[column])
+                except (KeyError, ValueError) as exc:
+                    raise ValueError(f"{path} row {row_no}: column {column!r} "
+                                     f"holds {row[column]!r}") from exc
+            records.append(SweepRecord(**values))
+        return records

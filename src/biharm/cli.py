@@ -12,6 +12,9 @@ its sweep.checks key, and `check` one per certificate of the stored gn
 artifact (Q's quotient is a*, Q is normalized, Q solves the Euler-Lagrange
 equation, no sampled field beats a*).  Only `gn` computes the artifact;
 every other command that needs it reads it and exits 2 when it is missing.
+A command raises ConfigError before it computes or writes anything, or
+returns its exit code, outputs and timings; `main` alone prints the `config
+error:` line of exit 2, times the command and writes manifest.json.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .blowup import (_validate_schedule, energy_limit_check,
 from .energy import el_residual, gn_quotient
 from .field import (bilap_energy, gaussian_mixture_field, l2_norm_sq,
                     lq_integral, random_smooth_field, write_snapshot)
-from .gn import compute_gn, load_gn, save_gn
+from .gn import _petviashvili, compute_gn, load_gn, save_gn
 from .grid import make_grid
 from .groundstate import (ENERGY_FLOOR, SOLVE_COUNTERS, InitSpec, SolveConfig,
                           SolveStatus, initial_field, solve,
@@ -214,36 +217,34 @@ def _report(rows, out) -> bool:
     return ok_all
 
 
-def _load_gn_artifact(cfg: RunConfig, out):
+def _load_gn_artifact(cfg: RunConfig):
+    """The stored gn artifact on the config's grid, or a ConfigError."""
     try:
         result = load_gn(cfg.gn_artifact)
     except (OSError, ValueError, KeyError) as exc:
-        print(f"error: cannot load GN artifact at {cfg.gn_artifact}: {exc}\n"
-              "run the 'gn' command first (or point gn.artifact at an "
-              "existing result)", file=out)
-        return None
-    gq = result.Q.grid
-    g = cfg.grid
+        raise ConfigError(f"cannot load GN artifact at {cfg.gn_artifact}: "
+                          f"{exc}\nrun the 'gn' command first (or point "
+                          "gn.artifact at an existing result)") from exc
+    gq, g = result.Q.grid, cfg.grid
     if gq != g:
-        print(f"error: GN artifact grid (d={gq.d} n={gq.n} "
-              f"half_width={gq.half_width}) does not match the config grid "
-              f"(d={g.d} n={g.n} half_width={g.half_width}); regenerate with "
-              "the 'gn' command", file=out)
-        return None
+        raise ConfigError(f"GN artifact grid (d={gq.d} n={gq.n} "
+                          f"half_width={gq.half_width}) does not match the "
+                          f"config grid (d={g.d} n={g.n} "
+                          f"half_width={g.half_width}); regenerate with the "
+                          "'gn' command")
     return result
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (exit code, files written, extra timings)
 
 
-def cmd_gn(cfg: RunConfig, out=sys.stdout) -> int:
-    t0 = time.perf_counter()
+def cmd_gn(cfg: RunConfig, out):
     try:
         result = compute_gn(cfg.grid, cfg=cfg.solver)
     except RuntimeError as exc:
         print(f"error: {exc}", file=out)
-        return EXIT_FAIL
+        return EXIT_FAIL, [], {}
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     base = cfg.output_dir / "gn"
     save_gn(result, base)
@@ -266,30 +267,22 @@ def cmd_gn(cfg: RunConfig, out=sys.stdout) -> int:
                  else "stopped unconverged")
         print(f"n/2 check: quotient residual {result.check_residual:.3e}, "
               f"{state}", file=out)
-    _write_manifest(cfg, [base.with_suffix(".bhf"), base.with_suffix(".json")],
-                    {**_timings(t0), "gn_s": result.seconds})
-    return EXIT_OK
+    return (EXIT_OK, [base.with_suffix(".bhf"), base.with_suffix(".json")],
+            {"gn_s": result.seconds})
 
 
-def cmd_solve(cfg: RunConfig, out=sys.stdout) -> int:
-    t0 = time.perf_counter()
-    profile = None
+def cmd_solve(cfg: RunConfig, out):
+    profile, a = None, cfg.coupling_literal
     if cfg.coupling_factor is not None or cfg.init.kind == "dilated_Q":
-        gn = _load_gn_artifact(cfg, out)
-        if gn is None:
-            return EXIT_CONFIG
+        gn = _load_gn_artifact(cfg)
         profile = gn.Q
-        a = (cfg.coupling_literal if cfg.coupling_factor is None
-             else cfg.coupling_factor * gn.a_star)
-    else:
-        a = cfg.coupling_literal
+        if cfg.coupling_factor is not None:
+            a = cfg.coupling_factor * gn.a_star
     try:
         start = initial_field(cfg.grid, cfg.potential, cfg.init, profile)
     except (OSError, ValueError) as exc:
         # only a file start can fail: missing, unreadable or on another grid
-        print(f"config error: cannot start from {cfg.init.path}: {exc}",
-              file=out)
-        return EXIT_CONFIG
+        raise ConfigError(f"cannot start from {cfg.init.path}: {exc}") from exc
     result = solve(cfg.grid, cfg.potential, a, cfg.solver, start=start)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     snap = cfg.output_dir / "solve.bhf"
@@ -322,23 +315,12 @@ def cmd_solve(cfg: RunConfig, out=sys.stdout) -> int:
     print(f"preconditioner: coarse step in "
           f"{result.iterations - result.coarse_fallbacks} of "
           f"{result.iterations} iterations, P alone in the rest", file=out)
-    _write_manifest(cfg, [snap, log, report], _timings(t0))
-    if result.status is SolveStatus.DIVERGED_BELOW_FLOOR:
-        print(f"grid energy fell below the floor {ENERGY_FLOOR:g}: expected "
-              "above a*, but node sums let grid-scale states reach it below "
-              "a* too", file=out)
-        return EXIT_WITNESS
-    return EXIT_OK
-
-
-def _timings(t0: float, records=None) -> dict:
-    """Wall seconds of the command since t0 and, for a sweep, of each
-    point's solve, for the manifest only: the command's other outputs stay
-    byte-for-byte reproducible."""
-    timings = {"command_s": time.perf_counter() - t0}
-    if records is not None:
-        timings["points_s"] = [r.seconds for r in records]
-    return timings
+    if result.status is not SolveStatus.DIVERGED_BELOW_FLOOR:
+        return EXIT_OK, [snap, log, report], {}
+    print(f"grid energy fell below the floor {ENERGY_FLOOR:g}: expected above "
+          "a*, but node sums let grid-scale states reach it below a* too",
+          file=out)
+    return EXIT_WITNESS, [snap, log, report], {}
 
 
 def _sweep_checks(cfg: RunConfig, records, resolved, gn, floor):
@@ -355,7 +337,7 @@ def _sweep_checks(cfg: RunConfig, records, resolved, gn, floor):
     gap = abs(resolved[-1].energy - floor)
     if cfg.check_monotone_gap:
         try:
-            ok = energy_limit_check(records, cfg.potential, tol=np.inf)[1]
+            ok = energy_limit_check(records, floor, tol=np.inf)[1]
             detail = (f"gap to ess inf V {gap:.4g}, "
                       f"{'' if ok else 'not '}shrinking over the last three "
                       "resolved records")
@@ -378,21 +360,17 @@ def _sweep_checks(cfg: RunConfig, records, resolved, gn, floor):
                f"{last:.6f}, window (0.95, 1.001)")
 
 
-def cmd_sweep(cfg: RunConfig, out=sys.stdout) -> int:
-    t0 = time.perf_counter()
-    gn = _load_gn_artifact(cfg, out)
-    if gn is None:
-        return EXIT_CONFIG
+def cmd_sweep(cfg: RunConfig, out):
+    gn = _load_gn_artifact(cfg)
     schedule = [gn.a_star * (1.0 - d)
                 for d in sorted(cfg.sweep_deltas, reverse=True)]
     try:
         _validate_schedule(schedule, gn.a_star)
     except ValueError as exc:
         # the smallest values of 1 - a/a* can round to a* itself
-        print(f"config error: sweep schedule: {exc}; sweep.start * "
-              "sweep.ratio**(count - 1) is too small to tell a from astar "
-              "in double precision", file=out)
-        return EXIT_CONFIG
+        raise ConfigError(f"sweep schedule: {exc}; sweep.start * "
+                          "sweep.ratio**(count - 1) is too small to tell a "
+                          "from astar in double precision") from exc
     records = sweep(cfg.grid, cfg.potential, schedule, cfg.solver, gn)
     csv_path = save_sweep(records, cfg.output_dir)
     print(f"wrote {csv_path} with {len(records)} records", file=out)
@@ -407,25 +385,20 @@ def cmd_sweep(cfg: RunConfig, out=sys.stdout) -> int:
               f"{abs(r.energy - floor):#.3g}  {r.eps:#.4g}  "
               f"{r.h2_dist_to_Q:#.4g}  {r.status}", file=out)
     ok = _report(_sweep_checks(cfg, records, resolved, gn, floor), out)
-    _write_manifest(cfg, [csv_path], _timings(t0, records))
-    return EXIT_OK if ok else EXIT_CHECK
+    return (EXIT_OK if ok else EXIT_CHECK, [csv_path],
+            {"points_s": [r.seconds for r in records]})
 
 
-def cmd_plotdata(cfg: RunConfig, out=sys.stdout) -> int:
-    t0 = time.perf_counter()
+def cmd_plotdata(cfg: RunConfig, out):
     csv_path = cfg.output_dir / "sweep.csv"
     if not csv_path.exists():
-        print(f"error: {csv_path} not found; run the 'sweep' command first",
-              file=out)
-        return EXIT_CONFIG
-    gn = _load_gn_artifact(cfg, out)
-    if gn is None:
-        return EXIT_CONFIG
+        raise ConfigError(f"{csv_path} not found; run the 'sweep' command "
+                          "first")
+    gn = _load_gn_artifact(cfg)
     try:
         records = load_sweep(csv_path)
     except ValueError as exc:
-        print(f"error: {exc}; rerun the 'sweep' command", file=out)
-        return EXIT_CONFIG
+        raise ConfigError(f"{exc}; rerun the 'sweep' command") from exc
     floor = ess_inf(cfg.potential, cfg.grid)
     cols = sweep_plot_columns(records, gn.a_star, floor)
     outputs = []
@@ -436,8 +409,7 @@ def cmd_plotdata(cfg: RunConfig, out=sys.stdout) -> int:
         path.write_text("\n".join(lines) + "\n")
         outputs.append(path)
         print(f"wrote {path} ({len(points)} points)", file=out)
-    _write_manifest(cfg, outputs, _timings(t0))
-    return EXIT_OK
+    return EXIT_OK, outputs, {}
 
 
 # ---------------------------------------------------------------------------
@@ -449,14 +421,23 @@ GN_BATTERY_FIELDS = 200
 
 def _certificates(gn, rng):
     """(row, ok, detail) for each certificate of the stored profile Q: its
-    quotient is the stored a*; it has the sharp normalization, unit mass,
-    |Lap Q|^2 and a* int Q^q, the last also the sidecar's stored
-    nonlinear_check; it solves the Euler-Lagrange equation with
-    two positive constants; and no sampled field beats a*, the certificate
-    that the stationary Q is the minimizer."""
+    quotient is the stored a* and its residual the stored quotient_grad; it
+    has the sharp normalization, unit mass, |Lap Q|^2 and a* int Q^q, the
+    last also the stored nonlinear_check; it solves the Euler-Lagrange
+    equation with two positive constants, the stored el_constants; and no
+    sampled field beats a*, the certificate that the stationary Q is the
+    minimizer.  A detail names a stored number that does not hold."""
     Q, a_star = gn.Q, gn.a_star
     rel = abs(gn_quotient(Q) - a_star) / a_star
-    yield "quotient", rel <= 1e-12, f"rel mismatch with a* {rel:.2e}"
+    detail = f"rel mismatch with a* {rel:.2e}"
+    # quotient_grad is the residual of the iterate before the gauge step; a
+    # stop rule Q meets at once has the fixed point only measure Q's residual
+    own = _petviashvili(Q.grid, Q, SolveConfig(sys.float_info.max)).residual
+    stored = 0.5 * own <= gn.quotient_residual <= 2.0 * own
+    if not stored:
+        detail += (f"; stored quotient_grad {gn.quotient_residual:.3e} is "
+                   f"not within a factor 2 of Q's residual {own:.3e}")
+    yield "quotient", rel <= 1e-12 and stored, detail
     check = a_star * lq_integral(Q)
     worst = max(abs(v - 1.0) for v in (l2_norm_sq(Q), bilap_energy(Q), check))
     detail = f"max deviation from 1 {worst:.2e}"
@@ -467,8 +448,14 @@ def _certificates(gn, rng):
                    f"is not a* int Q^q {check:.12g}")
     yield "normalization", worst <= 1e-8 and stored, detail
     c1, c2, res = el_residual(Q)
-    yield ("euler_lagrange", c1 > 0.0 and c2 > 0.0 and res <= 1e-6,
-           f"constants ({c1:.6g}, {c2:.6g}), rel residual {res:.2e}")
+    detail = f"constants ({c1:.6g}, {c2:.6g}), rel residual {res:.2e}"
+    # the sidecar's el_constants are this fit of the same Q, to roundoff
+    stored = len(gn.el_constants) == 2 and np.allclose(
+        gn.el_constants, (c1, c2), rtol=1e-12, atol=0.0)
+    if not stored:
+        detail += f"; stored el_constants {gn.el_constants} are not the fit's"
+    yield ("euler_lagrange", c1 > 0.0 and c2 > 0.0 and res <= 1e-6 and stored,
+           detail)
     worst = np.inf
     for k in range(GN_BATTERY_FIELDS):
         u = (gaussian_mixture_field(Q.grid, rng) if k % 2 == 0
@@ -478,18 +465,14 @@ def _certificates(gn, rng):
            f"min quotient {worst:.9g} vs a* {a_star:.9g}")
 
 
-def cmd_check(cfg: RunConfig, out=sys.stdout) -> int:
-    t0 = time.perf_counter()
-    gn = _load_gn_artifact(cfg, out)
-    if gn is None:
-        return EXIT_CONFIG
+def cmd_check(cfg: RunConfig, out):
+    gn = _load_gn_artifact(cfg)
     try:
         ok = _report(_certificates(gn, np.random.default_rng(cfg.seed)), out)
     except ValueError as exc:  # a zero or constant Q has no quotient or fit
         print(f"check FAIL: {exc}", file=out)
         ok = False
-    _write_manifest(cfg, [], _timings(t0))
-    return EXIT_OK if ok else EXIT_CHECK
+    return EXIT_OK if ok else EXIT_CHECK, [], {}
 
 
 # ---------------------------------------------------------------------------
@@ -533,20 +516,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None, out=sys.stdout) -> int:
-    """Parse argv, validate config, dispatch to the command; returns the
-    exit code.  Reports go to out."""
+    """Parse argv, validate config, dispatch to the command and write its
+    manifest (not on exits 1 and 2); returns the exit code, reports to out."""
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     overrides = {"seed": args.seed, "output": args.output}
     try:
-        raw = load_config(args.config)
-        cfg = RunConfig(raw, args.command, overrides)
+        cfg = RunConfig(load_config(args.config), args.command, overrides)
+        t0 = time.perf_counter()
+        code, outputs, timings = _COMMANDS[args.command](cfg, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=out)
         return EXIT_CONFIG
-    return _COMMANDS[args.command](cfg, out=out)
+    if code != EXIT_FAIL:
+        _write_manifest(cfg, outputs, {
+            "command_s": time.perf_counter() - t0, **timings})
+    return code
 
 
 if __name__ == "__main__":

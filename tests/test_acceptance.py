@@ -432,7 +432,8 @@ def test_criterion_09_blowup_sweep():
     "to 2^-14, where the gap is 0.042"))
 def test_criterion_09_energy_gap_reaches_floor():
     recs = _sweep(512)
-    gap, ok = energy_limit_check(recs, GaussianWell(1.0), tol=0.05)
+    gap, ok = energy_limit_check(
+        recs, ess_inf(GaussianWell(1.0), recs[0].minimizer.grid), tol=0.05)
     assert ok, f"final gap {gap:.4f}"
 
 

@@ -9,8 +9,8 @@ import pytest
 
 from biharm import (GaussianWell, Harmonic, ResolutionWarning, SolveConfig,
                     SolveResult, Sum, SweepRecord, Zero, blowup, compute_gn,
-                    energy_limit_check, gn_sequence_check, load_sweep,
-                    make_grid, read_snapshot, save_sweep, sweep,
+                    energy_limit_check, ess_inf, gn_sequence_check,
+                    load_sweep, make_grid, read_snapshot, save_sweep, sweep,
                     sweep_plot_columns)
 from biharm.blowup import _h2_after_best_shift
 from biharm.energy import critical_power, critical_shift
@@ -131,19 +131,19 @@ def test_sequence_check_needs_resolved_profiles(gn256):
         gn_sequence_check([bad], gn256)
 
 
-def test_energy_gap_verdicts(well_records):
-    V = GaussianWell(1.0)
-    gap, ok = energy_limit_check(well_records, V, tol=0.3)
+def test_energy_gap_verdicts(well_records, g256):
+    floor = ess_inf(GaussianWell(1.0), g256)
+    gap, ok = energy_limit_check(well_records, floor, tol=0.3)
     assert ok
     assert 0.0 < gap < 0.3
-    strict_gap, strict_ok = energy_limit_check(well_records, V, tol=0.01)
+    strict_gap, strict_ok = energy_limit_check(well_records, floor, tol=0.01)
     assert strict_gap == gap
     assert not strict_ok
 
 
-def test_energy_check_needs_three_resolved(well_records):
+def test_energy_check_needs_three_resolved(well_records, g256):
     with pytest.raises(ValueError, match="3 resolved"):
-        energy_limit_check(well_records[:2], GaussianWell(1.0))
+        energy_limit_check(well_records[:2], ess_inf(GaussianWell(1.0), g256))
 
 
 def test_energy_limit_without_potential(g256, gn256, solve_cfg):
@@ -197,7 +197,8 @@ def test_concentration_growth_warning(g256, gn256, solve_cfg, monkeypatch,
 def test_harmonic_gap_shrinks_toward_zero(g256, gn256, solve_cfg):
     schedule = [gn256.a_star * (1.0 - 2.0**-k) for k in (2, 4, 6)]
     records = sweep(g256, Harmonic(1.0), schedule, solve_cfg, gn256)
-    gap, ok = energy_limit_check(records, Harmonic(1.0), tol=1.0)
+    gap, ok = energy_limit_check(records, ess_inf(Harmonic(1.0), g256),
+                                 tol=1.0)
     assert ok
     assert gap < 0.5
 
@@ -217,7 +218,7 @@ def test_under_resolved_tail_is_flagged():
     assert r.eps < 4.0 * g.dx
     assert np.isfinite(r.h2_dist_to_Q)
     with pytest.raises(ValueError, match="3 resolved"):
-        energy_limit_check(records, GaussianWell(1.0))
+        energy_limit_check(records, ess_inf(GaussianWell(1.0), g))
 
 
 def test_solver_failures_are_recorded_not_raised(g256, gn256):
@@ -263,6 +264,41 @@ def test_hand_built_record_round_trips_through_csv(tmp_path):
                                   coarse_fallbacks=7)
     path = save_sweep([bare, counted], tmp_path / "run")
     assert load_sweep(path) == [bare, counted]
+
+
+@pytest.mark.parametrize("column, cell", [
+    ("energy", "nan"), ("eps", "inf"), ("center", "0.0;-inf"),
+    ("status", "Bogus"), ("resolved", "yes"), ("resolved", "")])
+def test_load_sweep_rejects_cells_save_sweep_never_writes(tmp_path, column,
+                                                          cell):
+    # a non-finite number, a status that is no SolveStatus value and a
+    # resolved other than True or False each name their column and row
+    rec = SweepRecord(a=1.0, energy=-0.5, kinetic=2.0, eps=2.0**-0.25,
+                      center=(0.1, 0.2), h2_dist_to_Q=0.01,
+                      status="Converged", resolved=True)
+    path = save_sweep([rec, dataclasses.replace(rec, a=1.5)],
+                      tmp_path / "run")
+    header, first, second = path.read_text().splitlines()
+    cells = second.split(",")
+    cells[header.split(",").index(column)] = cell
+    path.write_text("\n".join([header, first, ",".join(cells)]) + "\n")
+    with pytest.raises(ValueError, match=(f"row 2: column '{column}' holds "
+                                          f"'{cell}'")):
+        load_sweep(path)
+
+
+def test_energy_limit_check_on_records_read_back(tmp_path, g256, gn256,
+                                                 solve_cfg):
+    # records read back from sweep.csv carry no minimizer, and so no grid:
+    # the floor of a sum potential, which needs one, comes from the caller
+    V = Sum((GaussianWell(1.0, 1.0, (0.0,)), GaussianWell(1e-3, 1.0, (5.0,))))
+    schedule = [gn256.a_star * (1.0 - 2.0**-k) for k in (2, 4, 6)]
+    records = sweep(g256, V, schedule, solve_cfg, gn256)
+    floor = ess_inf(V, g256)
+    read = load_sweep(save_sweep(records, tmp_path / "run"))
+    assert [r.energy for r in read] == [r.energy for r in records]
+    gap, ok = energy_limit_check(read, floor, tol=0.3)
+    assert ok and gap == abs(records[-1].energy - floor)
 
 
 def test_solve_counters_are_the_solver_result_counters():

@@ -635,30 +635,45 @@ def test_check_batteries_pass_across_seeds(tmp_path, artifact_dir):
 
 
 @pytest.mark.parametrize("tamper, failing", [
-    pytest.param("scaled", ["normalization"], id="scaled"),
-    pytest.param("dilated", ["normalization", "euler_lagrange"],
+    # the stored el_constants are the fit of the Q gn wrote, and the stored
+    # quotient_grad is within a factor 2 of its residual
+    pytest.param("scaled", ["normalization", "euler_lagrange"], id="scaled"),
+    pytest.param("dilated", ["quotient", "normalization", "euler_lagrange"],
                  id="dilated"),
     # the stored nonlinear_check was a* int Q^q of the a* gn wrote
     pytest.param("a_star_moved", ["quotient", "normalization"],
                  id="a_star_moved"),
     pytest.param("nonlinear_check_moved", ["normalization"],
                  id="nonlinear_check_moved"),
+    pytest.param("quotient_grad_large", ["quotient"],
+                 id="quotient_grad_large"),
+    pytest.param("quotient_grad_small", ["quotient"],
+                 id="quotient_grad_small"),
+    pytest.param("el_constants_moved", ["euler_lagrange"],
+                 id="el_constants_moved"),
     pytest.param("zero", None, id="zero")])
 def test_check_flags_a_tampered_artifact(tmp_path, artifact_dir, tamper,
                                          failing):
     # a valid artifact altered after gn wrote it: Q scaled by 1.01, Q
     # dilated by 1.001, a* moved by 1e-9 relative, the stored
     # nonlinear_check moved by 1e-9 relative (still within 1e-8 of 1, but
-    # no longer a* int Q^q), and Q zeroed, which has no quotient at all
+    # no longer a* int Q^q), the stored quotient_grad set to 0.5 or 1e-20,
+    # the stored el_constants moved by 1e-9 relative, and Q zeroed, which
+    # has no quotient at all
     gn = load_gn(artifact_dir / "gn")
     sidecar = json.loads((artifact_dir / "gn.json").read_text())
     Q = {"scaled": gn.Q * 1.01, "dilated": dilate(gn.Q, 1.001),
-         "a_star_moved": gn.Q, "nonlinear_check_moved": gn.Q,
-         "zero": gn.Q * 0.0}[tamper]
+         "zero": gn.Q * 0.0}.get(tamper, gn.Q)
     if tamper == "a_star_moved":
         sidecar["a_star"] *= 1.0 + 1e-9
     if tamper == "nonlinear_check_moved":
         sidecar["residuals"]["nonlinear_check"] *= 1.0 + 1e-9
+    if tamper.startswith("quotient_grad"):
+        sidecar["residuals"]["quotient_grad"] = (
+            0.5 if tamper.endswith("large") else 1e-20)
+    if tamper == "el_constants_moved":
+        sidecar["el_constants"] = [c * (1.0 + 1e-9)
+                                   for c in sidecar["el_constants"]]
     write_snapshot(Q, tmp_path / "gn.bhf")
     (tmp_path / "gn.json").write_text(json.dumps(sidecar))
     cfg = write_config(tmp_path / "c.json", output_dir=str(tmp_path / "run"),
@@ -671,8 +686,12 @@ def test_check_flags_a_tampered_artifact(tmp_path, artifact_dir, tamper,
         rows = _check_rows(text)
         assert list(rows) == CHECK_ROWS
         assert [name for name, ok in rows.items() if not ok] == failing
-    if tamper == "nonlinear_check_moved":
-        assert "stored nonlinear_check" in text
+    named = {"nonlinear_check_moved": "stored nonlinear_check",
+             "quotient_grad_large": "stored quotient_grad",
+             "quotient_grad_small": "stored quotient_grad",
+             "el_constants_moved": "stored el_constants"}
+    if tamper in named:
+        assert named[tamper] in text
 
 
 def test_check_passes_on_a_2d_artifact_from_gn(tmp_path):
@@ -708,7 +727,7 @@ def test_check_rejects_an_unreadable_artifact(tmp_path):
                        gn={"artifact": str(tmp_path / "gn")})
     code, text = run_cli("--config", str(cfg), "check")
     assert code == 2
-    assert text.startswith(f"error: cannot load GN artifact at "
+    assert text.startswith(f"config error: cannot load GN artifact at "
                            f"{tmp_path / 'gn'}")
 
 
@@ -728,7 +747,7 @@ def test_corrupt_a_star_is_a_config_error(tmp_path, artifact_dir, command,
                        solve={"a": "0.5*astar"}, sweep={"count": 1})
     code, text = run_cli("--config", str(cfg), command)
     assert code == 2, text
-    assert text.startswith(f"error: cannot load GN artifact at "
+    assert text.startswith(f"config error: cannot load GN artifact at "
                            f"{tmp_path / 'gn'}")
     assert "a_star must be a finite positive number" in text
 
@@ -800,7 +819,7 @@ def test_a_gn_artifact_value_of_the_wrong_type_exits_2(
                        solve={"a": "0.5*astar"}, sweep={"count": 1})
     code, text = run_cli("--config", str(cfg), command)
     assert code == 2, text
-    assert text.startswith(f"error: cannot load GN artifact at "
+    assert text.startswith(f"config error: cannot load GN artifact at "
                            f"{tmp_path / 'gn'}")
 
 
@@ -838,7 +857,7 @@ def test_check_without_an_artifact_exits_2_and_points_at_gn(tmp_path):
                        gn={"artifact": str(tmp_path / "absent")})
     code, text = run_cli("--config", str(cfg), "check")
     assert code == 2
-    assert text.startswith(f"error: cannot load GN artifact at "
+    assert text.startswith(f"config error: cannot load GN artifact at "
                            f"{tmp_path / 'absent'}")
     assert "'gn' command" in text
     assert not (tmp_path / "run").exists()
@@ -933,6 +952,93 @@ def test_command_timings_go_to_the_manifest_only(tmp_path, artifact_dir):
         if scalars is not None:
             assert outputs[1] == outputs[0]
             assert all(key.encode() not in outputs[0] for key in keys)
+
+
+@pytest.mark.parametrize("case, named", [
+    *((f"{how}_artifact_{command}", "cannot load GN artifact at ")
+      for how in ("missing", "unreadable")
+      for command in ("solve", "sweep", "plotdata", "check")),
+    ("artifact_on_another_grid", "does not match the config grid"),
+    ("bad_file_start", "cannot start from "),
+    ("schedule_rounds_to_astar", "sweep schedule: "),
+    ("missing_sweep_csv", "not found; run the 'sweep' command first"),
+    ("malformed_sweep_csv", "lacks the columns"),
+    ("unknown_key", "unknown grid fields ['m']")])
+def test_every_exit_2_prints_config_error_and_writes_nothing(
+        tmp_path, artifact_dir, case, named):
+    # each condition that exits 2 is found before anything is computed or
+    # written: no output directory and no manifest.json appear (plotdata
+    # reads its sweep.csv from the output directory, which then exists
+    # before the run and is left as it was)
+    run = tmp_path / "run"
+    artifact = artifact_dir / "gn"
+    command, extra = "check", {}
+    if "_artifact_" in case:
+        how, command = case.split("_artifact_")
+        artifact = tmp_path / "gn"
+        if how == "unreadable":
+            (tmp_path / "gn.json").write_text("{not json")
+    elif case == "artifact_on_another_grid":
+        extra = {"grid": {"d": 1, "n": 128, "half_width": 16.0}}
+    elif case == "bad_file_start":
+        command = "solve"
+        extra = {"solver": {"init": {"kind": "file",
+                                     "path": str(tmp_path / "none.bhf")}}}
+    elif case == "schedule_rounds_to_astar":
+        command, extra = "sweep", {"sweep": {"count": 60}}
+    elif case == "unknown_key":
+        command = "gn"
+        extra = {"grid": {"d": 1, "n": 256, "half_width": 16.0, "m": 1}}
+    else:
+        command = "plotdata"
+    if command == "plotdata" and case != "missing_sweep_csv":
+        run.mkdir()
+        (run / "sweep.csv").write_text("a,energy\n1.0,-0.5\n")
+    before = sorted(run.iterdir()) if run.exists() else None
+    overrides = {"gn": {"artifact": str(artifact)},
+                 "solve": {"a": "0.5*astar"}, "sweep": {"count": 1}}
+    cfg = write_config(tmp_path / "c.json", output_dir=str(run),
+                       **{**overrides, **extra})
+    code, text = run_cli("--config", str(cfg), command)
+    assert code == 2, text
+    assert text.splitlines()[0].startswith("config error: ")
+    assert named in text
+    assert (sorted(run.iterdir()) if run.exists() else None) == before
+    assert not (run / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("case, expected", [
+    ("solve", 0), ("supercritical_solve", 3), ("failed_sweep_check", 4),
+    ("unconverged_gn", 1)])
+def test_manifest_is_written_on_every_exit_but_1(tmp_path, artifact_dir,
+                                                 case, expected):
+    run = tmp_path / "run"
+    command, extra = case.rsplit("_", 1)[-1], {}
+    if case == "solve":
+        extra = {"solve": {"a": 4.0}}
+    elif case == "supercritical_solve":  # acceptance criterion 08's run
+        extra = {"solver": {"tol_grad": 1e-6, "max_iters": 40000,
+                            "init": {"kind": "dilated_Q", "ell": 2.0}},
+                 "solve": {"a": "1.05*astar"}}
+    elif case == "failed_sweep_check":
+        command = "sweep"
+        extra = {"sweep": {"start": 0.5, "count": 3, "ratio": 0.5,
+                           "checks": {"h2_final": 1e-12}}}
+    else:  # the README's tol_grad is below 2D 64^2/12's floor
+        extra = {"grid": {"d": 2, "n": 64, "half_width": 12.0},
+                 "potential": {"family": "zero"}}
+    cfg = write_config(tmp_path / "c.json", output_dir=str(run),
+                       gn={"artifact": str(artifact_dir / "gn")}, **extra)
+    code, text = run_cli("--config", str(cfg), command)
+    assert code == expected, text
+    manifest = run / "manifest.json"
+    assert manifest.exists() == (expected != 1)
+    if expected != 1:
+        manifest = json.loads(manifest.read_text())
+        assert manifest["command"] == command
+        assert manifest["timings"]["command_s"] > 0.0
+        assert manifest["outputs"]
+        assert all(Path(p).exists() for p in manifest["outputs"])
 
 
 def test_same_seed_reproduces_scalars(tmp_path, artifact_dir):
