@@ -278,6 +278,9 @@ def cmd_solve(cfg: RunConfig, out):
         profile = gn.Q
         if cfg.coupling_factor is not None:
             a = cfg.coupling_factor * gn.a_star
+            if not math.isfinite(a):
+                raise ConfigError(f"coupling {cfg.raw['solve']['a']!r} "
+                                  f"overflows: a_star = {gn.a_star:.12g}")
     try:
         start = initial_field(cfg.grid, cfg.potential, cfg.init, profile)
     except (OSError, ValueError) as exc:
@@ -300,6 +303,7 @@ def cmd_solve(cfg: RunConfig, out):
         "mu": bd.mu,
         "grad_residual": result.grad_residual,
         **{c: getattr(result, c) for c in SOLVE_COUNTERS},
+        "coarse_half_grid": result.coarse_half_grid,
         "init": cfg.init.kind,
     }
     report = cfg.output_dir / "solve.json"
@@ -315,6 +319,8 @@ def cmd_solve(cfg: RunConfig, out):
     print(f"preconditioner: coarse step in "
           f"{result.iterations - result.coarse_fallbacks} of "
           f"{result.iterations} iterations, P alone in the rest", file=out)
+    print(f"coarse step on the n/2 grid in {result.coarse_half_grid} of "
+          f"those", file=out)
     if result.status is not SolveStatus.DIVERGED_BELOW_FLOOR:
         return EXIT_OK, [snap, log, report], {}
     print(f"grid energy fell below the floor {ENERGY_FLOOR:g}: expected above "
@@ -450,8 +456,7 @@ def _certificates(gn, rng):
     c1, c2, res = el_residual(Q)
     detail = f"constants ({c1:.6g}, {c2:.6g}), rel residual {res:.2e}"
     # the sidecar's el_constants are this fit of the same Q, to roundoff
-    stored = len(gn.el_constants) == 2 and np.allclose(
-        gn.el_constants, (c1, c2), rtol=1e-12, atol=0.0)
+    stored = np.allclose(gn.el_constants, (c1, c2), rtol=1e-12, atol=0.0)
     if not stored:
         detail += f"; stored el_constants {gn.el_constants} are not the fit's"
     yield ("euler_lagrange", c1 > 0.0 and c2 > 0.0 and res <= 1e-6 and stored,

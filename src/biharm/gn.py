@@ -371,6 +371,10 @@ def _gn_from_sidecar(sidecar, Q) -> GNResult:
         raise ValueError(f"resolutions must be [n, a_star] pairs: {pairs!r}")
     resolutions = tuple((_as_int({"n": n}, "n", json_int=True),
                          _as_float({"a_star": a}, "a_star")) for n, a in pairs)
+    el_constants = _as_floats(sidecar, "el_constants")
+    if len(el_constants) != 2:
+        raise ValueError(f"el_constants must be two numbers, got "
+                         f"{list(el_constants)!r}")
     residuals = _block(sidecar, "residuals", {"quotient_grad",
                                               "nonlinear_check"})
     # iterations, history and half_grid_check are absent from sidecars
@@ -384,7 +388,7 @@ def _gn_from_sidecar(sidecar, Q) -> GNResult:
         check_converged = _as_flag(check, "converged", None)
     return GNResult(a_star=float(a_star), Q=Q,
                     nonlinear_check=_as_float(residuals, "nonlinear_check"),
-                    el_constants=_as_floats(sidecar, "el_constants"),
+                    el_constants=el_constants,
                     resolutions=resolutions,
                     check_residual=check_residual,
                     check_converged=check_converged,

@@ -44,7 +44,9 @@ of x and the direction and of their transforms, with no FFT.  One
 iteration costs two real transforms, the forward one in the fused
 energy-and-gradient evaluation and the inverse of the preconditioned
 gradient, and in 2D the coarse step's three more: d inverse ones (the
-nodal translations) and one forward one (the dilation's spectrum).  Fields
+nodal translations) and one forward one (the dilation's spectrum), on the
+n/2 grid while the iterate is resolved there, at a quarter of the points
+(see _coarse_step), else on the solve's own grid.  Fields
 are built only on entry and return, and the arrays the loop writes are
 allocated once per call, one for each role, and reused, so the loop
 allocates no arrays of its own.  On the 1D grids an iteration's cost is
@@ -70,7 +72,7 @@ from .energy import (EnergyBreakdown, critical_power, critical_shift,
                      spectral_energy_and_gradient)
 from .field import (Field, _nonlinear_weight, dilate, read_snapshot,
                     renormalize_mass)
-from .grid import Grid
+from .grid import Grid, make_grid
 from .potentials import classify, potential_argmin, sample
 
 _ARMIJO = 1e-4
@@ -81,6 +83,9 @@ _STEP0, _GROW = 1.0, 1.3
 # square root of double's epsilon, well above the roundoff of sums of B's
 # size and the drift of the carried transform (about 1e-9 relative)
 _PIVOT_RTOL = 1.5e-8
+# the coarse step is formed on the n/2 grid while the share of the
+# iterate's L2 norm outside that grid's band is below this (see _coarse_step)
+_HALF_GRID_TAIL = 1e-4
 # solve stops with DivergedBelowFloor once the grid energy is below this.
 # Above a* the energy is unbounded below and passes it; below a* grid-scale
 # states pass it too, since the |u|^q term is a node sum, so it is no proof
@@ -145,16 +150,20 @@ class SolveResult:
     trials: int  # line-search trials: closed-form energy changes evaluated
     cg_restarts: int  # resets of the conjugate direction to -P G
     # real transforms the solver ran: 2 on entry, 2 per iteration (5 in 2D,
-    # with the coarse step's)
+    # with the coarse step's, on either grid)
     fft_calls: int
     # iterations that used P alone, without the coarse step: where A was not
     # positive definite, and every one where the step does not run, in 1D
     # and with a constant potential
     coarse_fallbacks: int
+    # iterations whose coarse step was formed on the n/2 grid (see
+    # _coarse_step); not one of SOLVE_COUNTERS, so sweep.csv does not carry it
+    coarse_half_grid: int
 
 
 # SolveResult's counters in its field order, the one list that SweepRecord,
-# sweep.csv and solve.json carry them by
+# sweep.csv and solve.json carry them by; solve.json also carries
+# coarse_half_grid
 SOLVE_COUNTERS = ("iterations", "backtracks", "trials", "cg_restarts",
                   "fft_calls", "coarse_fallbacks")
 
@@ -175,6 +184,16 @@ def initial_field(g: Grid, V, spec: InitSpec, profile: Field | None = None) -> F
     return dilate(profile, spec.ell, to=potential_argmin(V, g))
 
 
+def _coords(g: Grid, center) -> tuple:
+    """The dilation's coordinates about center, one broadcastable array per
+    axis: (L/pi) sin(pi (x_i - center_i) / L), x_i - center_i to third
+    order near center, and smooth across the box's edge, where x_i jumps."""
+    return tuple((g.half_width / np.pi
+                  * np.sin(np.pi / g.half_width * (g.axes[i] - center[i]))
+                  ).reshape((-1,) + (1,) * (g.d - 1 - i))
+                 for i in range(g.d))
+
+
 class _Workspace:
     """Every array one solve writes, each with its own memory, allocated
     once per call so that the loop allocates none of its own.
@@ -185,17 +204,13 @@ class _Workspace:
     the q/2 + 1 real rows of the line moments and half a half spectrum;
     rows, half and delta also serve as scratch.  Given a center, the coarse
     step runs: coords are its dilation's coordinates about center,
-    read-only, and z the d + 1 generators' spectra; else both are None.
+    read-only, z the d + 1 generators' spectra, and coarse the step's arrays
+    on the n/2 grid (None on a grid that cannot halve); else all three are
+    None.
     """
 
     def __init__(self, g: Grid, center=None):
-        # (L/pi) sin(pi (x_i - center_i) / L): x_i - center_i to third order
-        # near center, and smooth across the box's edge, where x_i jumps
-        self.coords = None if center is None else tuple(
-            (g.half_width / np.pi
-             * np.sin(np.pi / g.half_width * (g.axes[i] - center[i]))
-             ).reshape((-1,) + (1,) * (g.d - 1 - i))
-            for i in range(g.d))
+        self.coords = None if center is None else _coords(g, center)
         self.delta, self.pg, self.d = (np.empty(g.shape) for _ in range(3))
         # a tuple of views, as the loop indexes them often
         self.rows = tuple(np.empty((critical_power(g.d) // 2 + 1, *g.shape)))
@@ -204,6 +219,39 @@ class _Workspace:
         self.z = None if center is None else np.empty(
             (g.d + 1, *g.k_quad.shape), dtype=np.complex128)
         self.symbol = np.empty(g.k_quad.shape)
+        self.coarse = (None if center is None or g.n < 16
+                       else _HalfGrid(g, center))
+
+
+class _HalfGrid:
+    """The coarse step's arrays on the n/2 grid h (see _coarse_step), named
+    as _coarse_step reads them of a _Workspace.
+
+    x holds the iterate's values at h's nodes, every other node of g (the
+    index nodes picks them); X and ghat the iterate's and the gradient's
+    spectra truncated onto h's band, the wavenumbers below n/4 in magnitude
+    on every axis; coords, z, rows, delta and half serve the step as a
+    _Workspace's do.  blocks pairs each block of g's half spectrum inside
+    that band with its place in h's.  h's Nyquist row and column lie
+    outside it, and stay zero in X and ghat.
+    """
+
+    def __init__(self, g: Grid, center):
+        h = make_grid(g.d, g.n // 2, g.half_width)
+        self.grid = h
+        self.nodes = (slice(None, None, 2),) * g.d
+        self.coords = _coords(h, center)
+        self.x, self.delta = (np.empty(h.shape) for _ in range(2))
+        self.rows = tuple(np.empty((g.d + 2, *h.shape)))
+        self.X, self.ghat, self.half = (
+            np.zeros(h.k_quad.shape, dtype=np.complex128) for _ in range(3))
+        self.z = np.empty((g.d + 1, *h.k_quad.shape), dtype=np.complex128)
+        m = g.n // 4
+        low = (slice(0, m),) * g.d
+        # in 2D, g's rows of wavenumbers -(m-1)..-1 are h's rows m+1..2m-1
+        high = ((slice(1 - m, None), slice(0, m)),
+                (slice(m + 1, None), slice(0, m)))
+        self.blocks = ((low, low),) + ((high,) if g.d == 2 else ())
 
 
 def _monomials(x, d, rows) -> None:
@@ -382,6 +430,41 @@ def _coarse_step(g: Grid, x, X, mass: float, vvals, bd: EnergyBreakdown,
     definite, far from a minimizer, where the Hessian has directions of
     negative curvature, or when a pivot of A is within roundoff of zero
     against B's (see _spd_solve).  Z^ is left in ws.z for _precondition.
+
+    The step only has to be a good (d+1) x (d+1) Galerkin correction, so
+    _precondition forms it on the n/2 grid h, at about two thirds of the
+    cost (_precondition at solve_2d's state took 420 against 645 us on a
+    2-core x86 VM, BLAS on one thread, with 64^2 transforms and array
+    passes in place of 128^2), while the iterate is resolved there:
+    while the share of X's L2 norm outside h's band (every |k_i| below h's
+    Nyquist wavenumber), sqrt(1 - <X_h, X_h> / mass) for X truncated onto
+    that band, is below _HALF_GRID_TAIL = 1e-4.  g is then h, x the
+    iterate's nodal values at h's nodes, X and G^ its and the gradient's
+    spectra truncated onto h's band, and ws a _HalfGrid (see _restrict).
+    The samples of x, not the truncation's own nodal values, enter the
+    nodal sums: they spare a transform and differ by the folded tail, less
+    than 1e-4 of the norm.  _precondition applies the coefficients on the
+    solve's grid, the translations by their exact spectra i k_i X and the
+    dilation by its spectrum on h, zero-padded.  Otherwise the step is
+    formed on the solve's grid.  The tail of the final iterate, and the
+    iterations, on 128^2/12 at tol_grad 1e-6, with the step always on n
+    and with it on n/2 while resolved:
+
+        case                          tail     on n   n/2 while resolved
+        Harmonic(1), a = 30           1.3e-7   71     70, all on n/2
+        GaussianWell, a = 54          3.3e-6   7      8, all on n/2
+        GaussianWell, a = 56          3.7e-5   10     10, all on n/2
+        Harmonic(1), a = 57           8.8e-4   34     34, 5 on n/2
+        GaussianWell, a = 57.5        5.5e-3   27     31, 11 on n/2
+        GaussianWell at 0, a = 57.5   5.8e-3   25     28, 5 on n/2
+
+    (the wells a quarter node off the origin but for the last; at a = 40
+    and 50 the well keeps its 11 and 8 iterations, all on n/2).
+    In the last three the tail is above 1e-4 and rightly so: formed on h at
+    their final iterates, A is indefinite (its dilation entry -4.7, -84 and
+    -113), where on n it is positive definite.  At a = 56 the n/2 grid
+    moves A's translation diagonal by 2% (0.357 to 0.364), and no
+    iteration count moves.
     """
     dim, m = g.d, g.d + 1
     z, zr, tmp = ws.z, ws.rows[:m], ws.delta
@@ -427,20 +510,62 @@ def _coarse_step(g: Grid, x, X, mass: float, vvals, bd: EnergyBreakdown,
     return [sigma * (p - q) for p, q in zip(a_solved[0], cb)]
 
 
+def _restrict(g: Grid, x, X, mass: float, ghat, lv: _HalfGrid):
+    """Truncate X onto the n/2 grid's band, into lv.X, and return None when
+    the share of X's L2 norm outside the band is _HALF_GRID_TAIL or more.
+    Else also truncate ghat into lv.ghat and sample x at the n/2 grid's
+    nodes into lv.x, and return the mass of those samples there.  mass is
+    <x, x>, and the share is sqrt(1 - <lv.X, lv.X> / mass)."""
+    h, scale = lv.grid, 0.5**g.d  # the transforms are unnormalized
+    for src, dst in lv.blocks:
+        np.multiply(X[src], scale, out=lv.X[dst])
+    if h.parseval(lv.X, lv.X) < (1.0 - _HALF_GRID_TAIL**2) * mass:
+        return None
+    for src, dst in lv.blocks:
+        np.multiply(ghat[src], scale, out=lv.ghat[dst])
+    np.copyto(lv.x, x[lv.nodes])
+    xf = lv.x.ravel()
+    return h.cell * float(xf.dot(xf))
+
+
 def _precondition(g: Grid, x, X, mass: float, vvals, bd: EnergyBreakdown,
-                  sigma: float, ws: _Workspace) -> bool:
+                  sigma: float, ws: _Workspace):
     """Write the preconditioned gradient into ws.PG: P G, with
     P = sigma / (sigma + |k|^4), plus the coarse step's sum_i c_i Z_i (see
-    _coarse_step).  Returns False when it is P G alone: the workspace has
-    no generators (ws.z is None), or A is not positive definite."""
+    _coarse_step).  Returns the grid the step was formed on, g or its n/2
+    grid, or None when it is P G alone: the workspace has no generators
+    (ws.z is None), or A is not positive definite."""
     symbol = np.add(g.k_quad, sigma, out=ws.symbol)
     np.divide(sigma, symbol, out=symbol)
-    z, PG = ws.z, ws.PG
-    coef = (None if z is None
-            else _coarse_step(g, x, X, mass, vvals, bd, sigma, ws))
+    z, PG, lv = ws.z, ws.PG, ws.coarse
+    if z is None:
+        np.multiply(symbol, ws.ghat, out=PG)
+        return None
+    mass_h = None if lv is None else _restrict(g, x, X, mass, ws.ghat, lv)
+    if mass_h is not None:
+        step_grid = lv.grid
+        coef = _coarse_step(step_grid, lv.x, lv.X, mass_h, vvals[lv.nodes],
+                            bd, sigma, lv)
+    else:
+        step_grid = g
+        coef = _coarse_step(g, x, X, mass, vvals, bd, sigma, ws)
     if coef is None:
         np.multiply(symbol, ws.ghat, out=PG)
-        return False
+        return None
+    if step_grid is not g:
+        # the translations by their exact spectra i k_i X on g, the
+        # dilation by its spectrum on the n/2 grid, zero-padded
+        np.multiply(symbol, ws.ghat, out=PG)
+        for ik, ci in zip(g.ik, coef):
+            zi = np.multiply(ik, X, out=z[0])
+            zi *= ci
+            PG += zi
+        lam = lv.z[-1]
+        lam *= coef[-1] * 2.0**g.d
+        for src, dst in lv.blocks:
+            band = PG[src]
+            band += lam[dst]
+        return step_grid
     # sum_i c_i Z_i, the dilation's term first, then P G by way of the
     # spent z[0], so that P G's product is still in cache for its sum
     np.multiply(z[-1], coef[-1], out=PG)
@@ -448,7 +573,7 @@ def _precondition(g: Grid, x, X, mass: float, vvals, bd: EnergyBreakdown,
         zi *= ci
         PG += zi
     PG += np.multiply(symbol, ws.ghat, out=z[0])
-    return True
+    return g
 
 
 def _armijo(phi, slope: float, step: float):
@@ -503,7 +628,8 @@ def solve(g: Grid, V, a: float, cfg: SolveConfig = SolveConfig(), *,
     potential is constant (the dilation is centred on its minimum, and
     with V = 0 the step took 161 iterations at a = 50 on 128^2/12 where P
     alone takes 107), and when the Hessian on that span is not positive
-    definite; SolveResult.coarse_fallbacks counts those iterations.  Trial
+    definite; SolveResult.coarse_fallbacks counts those iterations, and
+    coarse_half_grid those whose step was formed on the n/2 grid.  Trial
     states are u + t d renormalized to unit mass.  The line search (the
     first trial step is 1, each later one starts at the last accepted step
     times 1.3) steps to the minimizer of the quadratic through each trial's
@@ -580,6 +706,7 @@ def solve(g: Grid, V, a: float, cfg: SolveConfig = SolveConfig(), *,
 
     step = _STEP0
     it = backtracks = trials = cg_restarts = coarse_fallbacks = 0
+    coarse_half_grid = 0
     gpg_prev = None  # <G, P G> of the last accepted step
     while status is None and it < cfg.max_iters:
         # sigma = c1 kinetic: the multiplier is -c1 (kinetic + potential)
@@ -593,8 +720,9 @@ def solve(g: Grid, V, a: float, cfg: SolveConfig = SolveConfig(), *,
             gpg_cross = g.parseval(ghat, ws.PG)
             dx_prev = inner(d, x)
         mass = inner(x, x)
-        if not _precondition(g, x, X, mass, vvals, bd, sigma, ws):
-            coarse_fallbacks += 1
+        step_grid = _precondition(g, x, X, mass, vvals, bd, sigma, ws)
+        coarse_fallbacks += step_grid is None
+        coarse_half_grid += step_grid is not None and step_grid is not g
         PG = ws.PG
         pg = g.inverse(PG, out=ws.pg)
         fft_calls += 1 + (g.d + 1) * coarse
@@ -649,7 +777,8 @@ def solve(g: Grid, V, a: float, cfg: SolveConfig = SolveConfig(), *,
                        history=tuple(history),
                        backtracks=backtracks, trials=trials,
                        cg_restarts=cg_restarts,
-                       fft_calls=fft_calls, coarse_fallbacks=coarse_fallbacks)
+                       fft_calls=fft_calls, coarse_fallbacks=coarse_fallbacks,
+                       coarse_half_grid=coarse_half_grid)
 
 
 def write_iteration_log(result: SolveResult, path) -> None:

@@ -391,6 +391,8 @@ def test_solve_reports_line_search_counters(tmp_path):
     # iteration, and every iteration on P alone
     assert report["fft_calls"] == 2 + 2 * report["iterations"]
     assert report["coarse_fallbacks"] == report["iterations"]
+    assert report["coarse_half_grid"] == 0
+    assert "coarse step on the n/2 grid in 0 of those" in text
 
 
 def test_solve_counts_the_coarse_step_on_a_2d_constant_potential(tmp_path):
@@ -409,6 +411,27 @@ def test_solve_counts_the_coarse_step_on_a_2d_constant_potential(tmp_path):
     assert report["coarse_fallbacks"] == report["iterations"]
     assert (f"preconditioner: coarse step in 0 of {report['iterations']} "
             "iterations, P alone in the rest") in text
+
+
+def test_solve_reports_the_coarse_steps_on_the_half_grid(tmp_path):
+    # the benchmark's 2D solve forms every coarse step on the n/2 grid, and
+    # solve.json and the printout say so, on a line of its own
+    g = make_grid(2, 128, 12.0)
+    cfg = write_config(tmp_path / "c.json", output_dir=str(tmp_path / "run"),
+                       grid={"d": 2, "n": 128, "half_width": 12.0},
+                       potential={"family": "gaussian_well", "depth": 1.0,
+                                  "width": 1.0,
+                                  "center": [g.dx / 4.0, -g.dx / 4.0]},
+                       solve={"a": 56.0})
+    code, text = run_cli("--config", str(cfg), "solve")
+    assert code == 0, text
+    report = json.loads((tmp_path / "run" / "solve.json").read_text())
+    assert report["coarse_fallbacks"] == 0
+    assert report["coarse_half_grid"] == report["iterations"] > 0
+    assert (f"preconditioner: coarse step in {report['iterations']} of "
+            f"{report['iterations']} iterations, P alone in the rest\n"
+            f"coarse step on the n/2 grid in {report['iterations']} of "
+            "those\n") in text
 
 
 @pytest.mark.parametrize("init,kind", [(None, "gaussian"),
@@ -821,6 +844,42 @@ def test_a_gn_artifact_value_of_the_wrong_type_exits_2(
     assert code == 2, text
     assert text.startswith(f"config error: cannot load GN artifact at "
                            f"{tmp_path / 'gn'}")
+
+
+@pytest.mark.parametrize("command", ["solve", "check"])
+def test_three_el_constants_are_a_malformed_sidecar(tmp_path, artifact_dir,
+                                                    command):
+    # the Euler-Lagrange fit has two constants: a third number is no
+    # artifact gn writes, and both commands reject it as they do a NaN,
+    # before any work, rather than solve running on it and check failing
+    # its euler_lagrange row
+    sidecar = json.loads((artifact_dir / "gn.json").read_text())
+    sidecar["el_constants"].append(1.0)
+    (tmp_path / "gn.json").write_text(json.dumps(sidecar))
+    (tmp_path / "gn.bhf").write_bytes((artifact_dir / "gn.bhf").read_bytes())
+    run = tmp_path / "run"
+    cfg = write_config(tmp_path / "c.json", output_dir=str(run),
+                       gn={"artifact": str(tmp_path / "gn")},
+                       solve={"a": "0.5*astar"})
+    code, text = run_cli("--config", str(cfg), command)
+    assert code == 2, text
+    assert text.startswith(f"config error: cannot load GN artifact at "
+                           f"{tmp_path / 'gn'}")
+    assert "el_constants must be two numbers" in text
+    assert not (run / "manifest.json").exists()
+
+
+def test_an_overflowing_coupling_is_a_config_error(tmp_path, artifact_dir):
+    # 1e308 is a finite factor, but its product with a* is not: solve
+    # exits 2 naming the coupling, before it computes or writes anything
+    run = tmp_path / "run"
+    cfg = write_config(tmp_path / "c.json", output_dir=str(run),
+                       gn={"artifact": str(artifact_dir / "gn")},
+                       solve={"a": "1e308*astar"})
+    code, text = run_cli("--config", str(cfg), "solve")
+    assert code == 2, text
+    assert text.startswith("config error: coupling '1e308*astar' overflows")
+    assert not run.exists()
 
 
 @pytest.mark.parametrize("command", ["gn", "solve", "sweep"])

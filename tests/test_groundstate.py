@@ -14,7 +14,8 @@ from biharm.gn import compute_gn
 from biharm.grid import make_grid, quadrature
 from biharm.groundstate import (ENERGY_FLOOR, SOLVE_COUNTERS, InitSpec,
                                 SolveConfig, SolveStatus, _armijo,
-                                _coarse_step, _line, _spd_solve, _Workspace,
+                                _coarse_step, _line, _precondition,
+                                _restrict, _spd_solve, _Workspace,
                                 initial_field, potential_argmin, solve,
                                 write_iteration_log)
 from biharm.potentials import GaussianWell, Harmonic, PowerWell, Zero, sample
@@ -300,7 +301,8 @@ def test_cg_counters_are_pinned():
 def test_2d_harmonic_cold_solve_iterations():
     # the preconditioner's shift c1 * kinetic, the fixed point's operator at
     # the iterate's scale, takes the default start to the minimizer in 76
-    # iterations, 71 with the coarse step; the shift kinetic alone took 110
+    # iterations, 70 with the coarse step (71 with the step never on the n/2
+    # grid); the shift kinetic alone took 110
     g = make_grid(2, 128, 12.0)
     res = solve(g, Harmonic(1.0), 30.0,
                 SolveConfig(tol_grad=1e-6, max_iters=40000))
@@ -323,7 +325,8 @@ def test_benchmark_2d_solve_iterations(signs):
 
 def test_2d_solve_near_the_threshold_iterations():
     # at a = 57.5, just below a* = 57.58 on this grid, the coarse step
-    # takes the solve from 284 iterations with P alone to 26
+    # takes the solve from 284 iterations with P alone to 31 (27 with the
+    # step never on the n/2 grid)
     g = make_grid(2, 128, 12.0)
     V = GaussianWell(1.0, 1.0, (g.dx / 4.0, -g.dx / 4.0))
     res = solve(g, V, 57.5, SolveConfig(tol_grad=1e-6, max_iters=40000))
@@ -417,16 +420,125 @@ def test_coarse_step_matches_dense_reference(iters, band_limited):
     assert np.max(np.abs(np.array(coef) - ref)) <= 1e-9 * np.max(np.abs(ref))
 
 
+def _truncated(g, h, spectrum):
+    # the half spectrum on g truncated onto the wavenumbers below h's
+    # Nyquist on every axis, as a half spectrum on h (the transforms are
+    # unnormalized, so it is scaled by 2^-d)
+    m = h.n // 2
+    out = np.zeros(h.k_quad.shape, dtype=np.complex128)
+    out[:m, :m] = spectrum[:m, :m] / 4.0
+    out[m + 1:, :m] = spectrum[1 - m:, :m] / 4.0
+    return out
+
+
+@pytest.mark.parametrize("iters", [1, 4, 10])
+def test_half_grid_coarse_step_matches_dense_reference(iters):
+    # on the benchmark's problem the coarse step is formed on the n/2 grid
+    # h from the first iteration on: its coefficients against the dense
+    # reference on h, from Field-level operators, for the iterate's samples
+    # at h's nodes (the nodal weight and the dilation's projection) and its
+    # spectrum and gradient truncated onto h's band (the generators and
+    # Z^T G); and the preconditioned gradient against P G plus the
+    # reference coefficients on the exact translations i k_i X and the
+    # dilation's spectrum on h, zero-padded onto g (measured agreement:
+    # 2e-14 relative at most, for both)
+    g, V, a, _ = _well_2d()
+    h = make_grid(2, g.n // 2, g.half_width)
+    q = critical_power(2)
+    u = solve(g, V, a, SolveConfig(tol_grad=1e-12, max_iters=iters)).minimizer
+    x, X = u.values, u.hat
+    vvals = sample(V, g).values
+    center = potential_argmin(V, g)
+    ws = _Workspace(g, center)
+    bd, ghat, _ = spectral_energy_and_gradient(
+        g, x, X, vvals, a, ws.ghat, (ws.rows[0], ws.rows[1], ws.half))
+    sigma = max(1.0, critical_shift(2) * bd.kinetic)
+    mass = quadrature(g, x * x)
+    assert _precondition(g, x, X, mass, vvals, bd, sigma, ws) == h
+    correction = ws.PG - sigma / (sigma + g.k_quad) * ghat
+    lv = ws.coarse
+    mass_h = _restrict(g, x, X, mass, ghat, lv)
+    coef = _coarse_step(h, lv.x, lv.X, mass_h, sample(V, h).values, bd,
+                        sigma, lv)
+    assert coef is not None
+
+    us = Field(h, x[::2, ::2])
+    Xt = _truncated(g, h, X)
+    grads = [Field(h, h.inverse(ik * Xt)) for ik in h.ik]
+    s = [h.half_width / np.pi * np.sin(np.pi / h.half_width * (m - c))
+         for m, c in zip(h.meshes(), center)]
+    lam = Field(h, sum(si * gi.values for si, gi in zip(s, grads)))
+    lam = lam - us * (quadrature(h, lam.values * us.values) / l2_norm_sq(us))
+    z = grads + [lam]
+    weight = (sample(V, h).values - bd.mu
+              - 0.5 * a * q * (q - 1) * us.values ** (q - 2))
+    grad = h.inverse(_truncated(g, h, ghat))
+
+    def gram(op):
+        return np.array([[quadrature(h, zi.values * op(zj)) for zj in z]
+                         for zi in z])
+
+    a_ref = gram(lambda zj: bilap_apply(zj).values + weight * zj.values)
+    b_ref = gram(lambda zj: bilap_apply(zj).values + sigma * zj.values)
+    r = np.array([quadrature(h, zi.values * grad) for zi in z])
+    ref = sigma * (np.linalg.solve(a_ref, r) - np.linalg.solve(b_ref, r))
+    assert np.max(np.abs(np.array(coef) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    padded = np.zeros_like(X)
+    m = h.n // 2
+    padded[:m, :m] = 4.0 * lam.hat[:m, :m]
+    padded[1 - m:, :m] = 4.0 * lam.hat[m + 1:, :m]
+    ref_correction = ref[-1] * padded + sum(
+        ci * ik * X for ci, ik in zip(ref, g.ik))
+    assert np.max(np.abs(correction - ref_correction)) <= (
+        1e-12 * np.max(np.abs(ref_correction)))
+
+
+def test_coarse_step_grid_follows_the_spectral_tail():
+    # the step is formed on the n/2 grid while the iterate's L2 norm
+    # outside that grid's band is below 1e-4 of it: at the benchmark's
+    # minimizer it is 3.7e-5, at a = 57.5 on the same grid 5.5e-3, where an
+    # A formed on n/2 is indefinite
+    g, V, _, _ = _well_2d()
+    ws = _Workspace(g, potential_argmin(V, g))
+    cfg = SolveConfig(tol_grad=1e-6, max_iters=40000)
+    for a, takes_half in ((56.0, True), (57.5, False)):
+        res = solve(g, V, a, cfg)
+        x = res.minimizer.values
+        mass = quadrature(g, x * x)
+        ghat = res.minimizer.hat.copy()  # any gradient: the tail is X's
+        assert (_restrict(g, x, res.minimizer.hat, mass, ghat, ws.coarse)
+                is not None) is takes_half
+        if takes_half:  # every iteration of the benchmark's solve
+            assert res.coarse_half_grid == res.iterations
+        else:  # the early, smooth iterates only
+            assert 0 < res.coarse_half_grid < res.iterations
+
+
+def test_a_grid_that_cannot_halve_forms_the_coarse_step_on_itself():
+    # n = 8 is the smallest grid: there is no n/2 grid to form the step on
+    g = make_grid(2, 8, 4.0)
+    V = GaussianWell(1.0, 1.0, (0.0, 0.0))
+    assert _Workspace(g, potential_argmin(V, g)).coarse is None
+    res = solve(g, V, 20.0, SolveConfig(tol_grad=1e-6, max_iters=200))
+    assert res.coarse_half_grid == 0
+    assert res.coarse_fallbacks < res.iterations
+
+
 @pytest.mark.parametrize("d", [1, 2])
 def test_workspace_arrays_share_no_memory(d):
-    # one array per role: the coarse step's generators, P G's nodal values
-    # and the accepted step each own their memory, with or without the step
+    # one array per role: the coarse step's generators, on either grid, P
+    # G's nodal values and the accepted step each own their memory, with
+    # or without the step
     g = make_grid(d, 32, 8.0)
     for center in (None, (0.0,) * d):
+        ws = _Workspace(g, center)
+        assert (ws.coarse is None) is (center is None)
         arrays = []
-        for val in vars(_Workspace(g, center)).values():
+        for val in [*vars(ws).values(),
+                    *(() if ws.coarse is None else vars(ws.coarse).values())]:
             arrays.extend(val if isinstance(val, tuple) else [val])
-        arrays = [arr for arr in arrays if arr is not None]
+        arrays = [arr for arr in arrays if isinstance(arr, np.ndarray)]
         for i, arr in enumerate(arrays):
             for other in arrays[i + 1:]:
                 assert not np.shares_memory(arr, other)
