@@ -91,6 +91,16 @@ def _finite(text: str) -> float:
     return val
 
 
+def _counter(text: str) -> int | None:
+    """A counter cell as save_sweep writes it: empty, or the digits of a
+    nonnegative int, with no sign, space, underscore or non-ASCII digit."""
+    if not text:
+        return None
+    if (val := int(text)) < 0 or str(val) != text:
+        raise ValueError(f"{text!r} is not a counter")
+    return val
+
+
 # sweep.csv's columns in order, each read only as save_sweep writes it
 _CSV_READERS = {
     "a": _finite, "energy": _finite, "kinetic": _finite, "eps": _finite,
@@ -98,7 +108,7 @@ _CSV_READERS = {
     "h2_dist_to_Q": _finite,
     "status": lambda text: SolveStatus(text).value,
     "resolved": {"True": True, "False": False}.__getitem__,
-    **dict.fromkeys(SOLVE_COUNTERS, lambda text: int(text) if text else None),
+    **dict.fromkeys(SOLVE_COUNTERS, _counter),
 }
 _CSV_COLUMNS = tuple(_CSV_READERS)
 _NEWTON_MAX_STEPS = 20

@@ -181,7 +181,17 @@ class RunConfig:
         if not 0.0 < ratio < 1.0:
             raise ConfigError("sweep.ratio must lie in (0, 1) so the "
                               "schedule climbs toward astar")
-        self.sweep_deltas = [start * ratio**k for k in range(count)]
+        # the schedule's last 1 - a/a*; where 1 minus it rounds to 1, a* (1 -
+        # delta) is a* for every a*, so the schedule is rejected here, for
+        # every command, without being built (cmd_sweep builds it)
+        last = start * ratio ** (count - 1)
+        if 1.0 - last == 1.0:
+            raise ConfigError(f"sweep schedule: sweep.count {count} takes "
+                              f"1 - a/a* down to {last:.3g}, too small for a "
+                              "to differ from astar in double precision; "
+                              "lower sweep.count")
+        self.sweep_start, self.sweep_ratio, self.sweep_count = (
+            start, ratio, count)
         self.check_h2_final = _as_tolerance(checks, "h2_final", 0.05)
         self.check_energy_gap_tol = _as_tolerance(checks, "energy_gap_tol",
                                                   None)
@@ -368,8 +378,8 @@ def _sweep_checks(cfg: RunConfig, records, resolved, gn, floor):
 
 def cmd_sweep(cfg: RunConfig, out):
     gn = _load_gn_artifact(cfg)
-    schedule = [gn.a_star * (1.0 - d)
-                for d in sorted(cfg.sweep_deltas, reverse=True)]
+    schedule = [gn.a_star * (1.0 - cfg.sweep_start * cfg.sweep_ratio**k)
+                for k in range(cfg.sweep_count)]
     try:
         _validate_schedule(schedule, gn.a_star)
     except ValueError as exc:

@@ -15,11 +15,14 @@ in 2D on 128^2/12 at a = 56).  The coarse step replaces the first level's
 action on their span by the Newton step there (deflation; Nicolaides, SIAM
 J. Numer. Anal. 24, 1987; Tang, Nabben, Vuik & Erlangga, J. Sci. Comput.
 39, 2009), and it falls back to the first level alone wherever the Hessian
-on the span is not positive definite, or not distinguishably so.  It runs
-in 2D only, and only on a potential that is not constant, whose minimum
-the dilation is centred on.  On the 1D grids an iteration is about a
-hundred microseconds of small array calls, and on warm-started sweeps the
-step cost more than the iterations it saved.  The line search fits a
+on the span is not positive definite, or not distinguishably so.  It is
+formed on the coarsest grid that resolves the iterate, the n/2 grid or
+the solve's own, and applied on the solve's grid the same way from
+either (see _precondition).  It runs in 2D only, and only on a potential
+that is not constant, whose minimum the dilation is centred on.  On the
+1D grids an iteration is about a hundred microseconds of small array
+calls, and on warm-started sweeps the step cost more than the iterations
+it saved.  The line search fits a
 quadratic to each trial's energy change and the slope at zero, and steps
 to the quadratic's minimizer: after a failed trial, and once more after a
 passing one, so each step roughly minimizes the energy along its
@@ -44,9 +47,8 @@ of x and the direction and of their transforms, with no FFT.  One
 iteration costs two real transforms, the forward one in the fused
 energy-and-gradient evaluation and the inverse of the preconditioned
 gradient, and in 2D the coarse step's three more: d inverse ones (the
-nodal translations) and one forward one (the dilation's spectrum), on the
-n/2 grid while the iterate is resolved there, at a quarter of the points
-(see _coarse_step), else on the solve's own grid.  Fields
+nodal translations) and one forward one (the dilation's spectrum), on
+the grid the step is formed on (on n/2, a quarter of the points).  Fields
 are built only on entry and return, and the arrays the loop writes are
 allocated once per call, one for each role, and reused, so the loop
 allocates no arrays of its own.  On the 1D grids an iteration's cost is
@@ -202,56 +204,67 @@ class _Workspace:
     step's enter the next beta, read before the iteration writes over them.
     ghat is the gradient spectrum, delta and dhat the accepted step, rows
     the q/2 + 1 real rows of the line moments and half a half spectrum;
-    rows, half and delta also serve as scratch.  Given a center, the coarse
-    step runs: coords are its dilation's coordinates about center,
-    read-only, z the d + 1 generators' spectra, and coarse the step's arrays
-    on the n/2 grid (None on a grid that cannot halve); else all three are
-    None.
+    rows, half and delta also serve as scratch.  levels are the grids the
+    coarse step can be formed on, coarsest first (see _precondition): given
+    a center, the n/2 grid when g can halve and g itself; else none, and
+    the step does not run.
     """
 
     def __init__(self, g: Grid, center=None):
-        self.coords = None if center is None else _coords(g, center)
         self.delta, self.pg, self.d = (np.empty(g.shape) for _ in range(3))
         # a tuple of views, as the loop indexes them often
         self.rows = tuple(np.empty((critical_power(g.d) // 2 + 1, *g.shape)))
         self.dhat, self.half, self.PG, self.ghat, self.D = (
             np.empty(g.k_quad.shape, dtype=np.complex128) for _ in range(5))
-        self.z = None if center is None else np.empty(
-            (g.d + 1, *g.k_quad.shape), dtype=np.complex128)
         self.symbol = np.empty(g.k_quad.shape)
-        self.coarse = (None if center is None or g.n < 16
-                       else _HalfGrid(g, center))
+        self.levels = ()
+        if center is not None:
+            # make_grid's smallest grid is n = 8
+            grids = (g,) if g.n < 16 else (
+                make_grid(g.d, g.n // 2, g.half_width), g)
+            self.levels = tuple(_Level(g, h, center, self) for h in grids)
 
 
-class _HalfGrid:
-    """The coarse step's arrays on the n/2 grid h (see _coarse_step), named
-    as _coarse_step reads them of a _Workspace.
+class _Level:
+    """One grid the coarse step can be formed on, and the arrays the step
+    writes there, named as _coarse_step reads them: coords the dilation's
+    coordinates about the center, read-only, z the d + 1 generators'
+    spectra, rows, delta and half scratch.  blocks pairs each block of g's
+    half spectrum that the level's band holds with its place in the
+    level's, and scale is the ratio of g's unnormalized transforms to the
+    level's: _restrict truncates through them, and _precondition scales the
+    dilation's spectrum into P G through them.
 
-    x holds the iterate's values at h's nodes, every other node of g (the
-    index nodes picks them); X and ghat the iterate's and the gradient's
-    spectra truncated onto h's band, the wavenumbers below n/4 in magnitude
-    on every axis; coords, z, rows, delta and half serve the step as a
-    _Workspace's do.  blocks pairs each block of g's half spectrum inside
-    that band with its place in h's.  h's Nyquist row and column lie
-    outside it, and stay zero in X and ghat.
+    On g itself the level borrows the workspace's rows, delta and half, its
+    only block is the whole spectrum, and scale is 1.  On the n/2 grid h,
+    the band is the wavenumbers below n/4 in magnitude on every axis, scale
+    is 2^d, x holds the iterate's values at h's nodes, every other node of
+    g (the index nodes picks them), and X and ghat the iterate's and the
+    gradient's spectra truncated onto the band.  h's Nyquist row and column
+    lie outside it, and stay zero in X and ghat.
     """
 
-    def __init__(self, g: Grid, center):
-        h = make_grid(g.d, g.n // 2, g.half_width)
+    def __init__(self, g: Grid, h: Grid, center, ws: _Workspace):
         self.grid = h
-        self.nodes = (slice(None, None, 2),) * g.d
         self.coords = _coords(h, center)
+        self.z = np.empty((g.d + 1, *h.k_quad.shape), dtype=np.complex128)
+        if h is g:
+            self.rows, self.delta, self.half = ws.rows, ws.delta, ws.half
+            whole = (slice(None),) * g.d
+            self.blocks, self.scale = ((whole, whole),), 1.0
+            return
+        self.nodes = (slice(None, None, 2),) * g.d
         self.x, self.delta = (np.empty(h.shape) for _ in range(2))
         self.rows = tuple(np.empty((g.d + 2, *h.shape)))
         self.X, self.ghat, self.half = (
             np.zeros(h.k_quad.shape, dtype=np.complex128) for _ in range(3))
-        self.z = np.empty((g.d + 1, *h.k_quad.shape), dtype=np.complex128)
-        m = g.n // 4
+        m = h.n // 2
         low = (slice(0, m),) * g.d
         # in 2D, g's rows of wavenumbers -(m-1)..-1 are h's rows m+1..2m-1
         high = ((slice(1 - m, None), slice(0, m)),
                 (slice(m + 1, None), slice(0, m)))
         self.blocks = ((low, low),) + ((high,) if g.d == 2 else ())
+        self.scale = 2.0**g.d
 
 
 def _monomials(x, d, rows) -> None:
@@ -399,8 +412,8 @@ def _spd_solve(m, r, ref=None):
     return r, pivots
 
 
-def _coarse_step(g: Grid, x, X, mass: float, vvals, bd: EnergyBreakdown,
-                 sigma: float, ws: _Workspace):
+def _coarse_step(g: Grid, x, X, ghat, mass: float, vvals,
+                 bd: EnergyBreakdown, sigma: float, lv: _Level):
     """The coarse step of the two-level preconditioner: the coefficients c
     of the generators Z of translation and dilation, or None.
 
@@ -408,7 +421,7 @@ def _coarse_step(g: Grid, x, X, mass: float, vvals, bd: EnergyBreakdown,
     one inverse transform each) and the dilation Lambda x = s . grad x +
     (d/2) x projected onto the tangent space at x, which leaves s . grad x
     less its component along x (nodal, spectrum by one forward transform).
-    s = ws.coords is the coordinate about the potential's minimum, where
+    s = lv.coords is the coordinate about the potential's minimum, where
     minimizers concentrate, made smooth and periodic.  The plain coordinate
     jumps at the box's edge, and |k|^4 amplifies the Gibbs tail of that
     jump: with it, gradient residuals rose to about 10 within a solve, and
@@ -422,65 +435,50 @@ def _coarse_step(g: Grid, x, X, mass: float, vvals, bd: EnergyBreakdown,
 
     and P G + sum_i c_i Z_i replaces P's action on span Z by the Newton step
     there, on P's scale.  The Gram, kinetic and gradient sums are Parseval
-    sums of Z^ with Z^, |k|^4 Z^ and G^, the potential and nonlinear ones
-    nodal inner products, each symmetric matrix's upper triangle only, and
-    the (d+1) x (d+1) systems are solved in Python floats; numpy's
+    sums of Z^ with Z^, |k|^4 Z^ and G^ = ghat, the potential and nonlinear
+    ones nodal inner products, each symmetric matrix's upper triangle only,
+    and the (d+1) x (d+1) systems are solved in Python floats; numpy's
     matrix products would cost about 10 us a call at this size, and BLAS
     its work buffers.  mass is <x, x>.  None when A is not positive
     definite, far from a minimizer, where the Hessian has directions of
     negative curvature, or when a pivot of A is within roundoff of zero
-    against B's (see _spd_solve).  Z^ is left in ws.z for _precondition.
+    against B's (see _spd_solve).  Z^ is left in lv.z for _precondition.
 
     The step only has to be a good (d+1) x (d+1) Galerkin correction, so
     _precondition forms it on the n/2 grid h, at about two thirds of the
     cost (_precondition at solve_2d's state took 420 against 645 us on a
-    2-core x86 VM, BLAS on one thread, with 64^2 transforms and array
-    passes in place of 128^2), while the iterate is resolved there:
-    while the share of X's L2 norm outside h's band (every |k_i| below h's
-    Nyquist wavenumber), sqrt(1 - <X_h, X_h> / mass) for X truncated onto
-    that band, is below _HALF_GRID_TAIL = 1e-4.  g is then h, x the
-    iterate's nodal values at h's nodes, X and G^ its and the gradient's
-    spectra truncated onto h's band, and ws a _HalfGrid (see _restrict).
-    The samples of x, not the truncation's own nodal values, enter the
-    nodal sums: they spare a transform and differ by the folded tail, less
-    than 1e-4 of the norm.  _precondition applies the coefficients on the
-    solve's grid, the translations by their exact spectra i k_i X and the
-    dilation by its spectrum on h, zero-padded.  Otherwise the step is
-    formed on the solve's grid.  The tail of the final iterate, and the
-    iterations, on 128^2/12 at tol_grad 1e-6, with the step always on n
-    and with it on n/2 while resolved:
-
-        case                          tail     on n   n/2 while resolved
-        Harmonic(1), a = 30           1.3e-7   71     70, all on n/2
-        GaussianWell, a = 54          3.3e-6   7      8, all on n/2
-        GaussianWell, a = 56          3.7e-5   10     10, all on n/2
-        Harmonic(1), a = 57           8.8e-4   34     34, 5 on n/2
-        GaussianWell, a = 57.5        5.5e-3   27     31, 11 on n/2
-        GaussianWell at 0, a = 57.5   5.8e-3   25     28, 5 on n/2
-
-    (the wells a quarter node off the origin but for the last; at a = 40
-    and 50 the well keeps its 11 and 8 iterations, all on n/2).
-    In the last three the tail is above 1e-4 and rightly so: formed on h at
-    their final iterates, A is indefinite (its dilation entry -4.7, -84 and
-    -113), where on n it is positive definite.  At a = 56 the n/2 grid
-    moves A's translation diagonal by 2% (0.357 to 0.364), and no
-    iteration count moves.
+    2-core x86 VM, BLAS on one thread), while the iterate is resolved
+    there: while the share of X's L2 norm outside h's band (every |k_i|
+    below h's Nyquist wavenumber), sqrt(1 - <X_h, X_h> / mass) for X
+    truncated onto that band, is below _HALF_GRID_TAIL = 1e-4.  g is then
+    h, x the iterate's values at h's nodes, and X and ghat its and the
+    gradient's spectra truncated onto h's band (see _restrict).  The
+    samples of x, not the truncation's own nodal values, enter the nodal
+    sums: they spare a transform and differ by the folded tail, less than
+    1e-4 of the norm.  Otherwise the step is formed on the solve's grid.
+    On 128^2/12 at tol_grad 1e-6 the final iterate's tail is 1.3e-7 for
+    Harmonic(1) at a = 30 and 3.3e-6 and 3.7e-5 for the well a quarter
+    node off the origin at a = 54 and 56, but 8.8e-4 for Harmonic(1) at
+    a = 57, and 5.5e-3 and 5.8e-3 for the well at a = 57.5, off the origin
+    and at it.  Those last three are above 1e-4 and rightly so: formed on
+    h at their final iterates, A is indefinite (its dilation entry -4.7,
+    -84 and -113), where on the solve's grid it is positive definite.
     """
     dim, m = g.d, g.d + 1
-    z, zr, tmp = ws.z, ws.rows[:m], ws.delta
+    z, zr, tmp = lv.z, lv.rows[:m], lv.delta
     for i in range(dim):
         np.multiply(g.ik[i], X, out=z[i])
         g.inverse(z[i], out=zr[i])
-    lam = np.multiply(ws.coords[0], zr[0], out=zr[dim])
+    lam = np.multiply(lv.coords[0], zr[0], out=zr[dim])
     for i in range(1, dim):
-        lam += np.multiply(ws.coords[i], zr[i], out=tmp)
+        lam += np.multiply(lv.coords[i], zr[i], out=tmp)
     lam -= np.multiply(x, float(lam.ravel().dot(x.ravel())) * g.cell / mass,
                        out=tmp)
     g.forward(lam, out=z[dim])
     # A's nodal part, with the Hessian's weight V - (a q (q-1)/2) x^(q-2);
     # mu enters with the Gram sums.  Upper triangles first, mirrored below
     # with the spectral sums.
-    weight = np.multiply(x, x, out=ws.rows[-1])
+    weight = np.multiply(x, x, out=lv.rows[-1])
     _nonlinear_weight(weight, out=weight)
     weight *= -0.5 * bd.a * bd.q * (bd.q - 1)
     weight += vvals
@@ -494,12 +492,12 @@ def _coarse_step(g: Grid, x, X, mass: float, vvals, bd: EnergyBreakdown,
     b_mat = [[0.0] * m for _ in range(m)]
     r = []
     for j in range(m):
-        k4z = np.multiply(g.k_quad_complex, z[j], out=ws.half)
+        k4z = np.multiply(g.k_quad_complex, z[j], out=lv.half)
         for i in range(j + 1):
             gram, kin = g.parseval(z[i], z[j]), g.parseval(z[i], k4z)
             a_mat[i][j] = a_mat[j][i] = a_mat[i][j] + kin - bd.mu * gram
             b_mat[i][j] = b_mat[j][i] = kin + sigma * gram
-        r.append(g.parseval(z[j], ws.ghat))
+        r.append(g.parseval(z[j], ghat))
     b_solved = _spd_solve(b_mat, r)
     if b_solved is None:
         return None
@@ -510,70 +508,61 @@ def _coarse_step(g: Grid, x, X, mass: float, vvals, bd: EnergyBreakdown,
     return [sigma * (p - q) for p, q in zip(a_solved[0], cb)]
 
 
-def _restrict(g: Grid, x, X, mass: float, ghat, lv: _HalfGrid):
-    """Truncate X onto the n/2 grid's band, into lv.X, and return None when
-    the share of X's L2 norm outside the band is _HALF_GRID_TAIL or more.
-    Else also truncate ghat into lv.ghat and sample x at the n/2 grid's
-    nodes into lv.x, and return the mass of those samples there.  mass is
-    <x, x>, and the share is sqrt(1 - <lv.X, lv.X> / mass)."""
-    h, scale = lv.grid, 0.5**g.d  # the transforms are unnormalized
+def _restrict(g: Grid, x, X, ghat, mass: float, vvals, lv: _Level):
+    """The iterate x, X, the gradient ghat, the mass <x, x> and the sampled
+    potential vvals on lv's grid, in that order, or None when the iterate
+    is not resolved there.  On g itself they are the loop's own arrays.  On
+    the n/2 grid, X is truncated onto its band, into lv.X, and the share of
+    X's L2 norm outside the band, sqrt(1 - <lv.X, lv.X> / mass), must be
+    below _HALF_GRID_TAIL; then ghat is truncated into lv.ghat and x and
+    vvals are sampled at the n/2 grid's nodes, x into lv.x."""
+    h = lv.grid
+    if h is g:
+        return x, X, ghat, mass, vvals
     for src, dst in lv.blocks:
-        np.multiply(X[src], scale, out=lv.X[dst])
+        np.multiply(X[src], 1.0 / lv.scale, out=lv.X[dst])
     if h.parseval(lv.X, lv.X) < (1.0 - _HALF_GRID_TAIL**2) * mass:
         return None
     for src, dst in lv.blocks:
-        np.multiply(ghat[src], scale, out=lv.ghat[dst])
+        np.multiply(ghat[src], 1.0 / lv.scale, out=lv.ghat[dst])
     np.copyto(lv.x, x[lv.nodes])
     xf = lv.x.ravel()
-    return h.cell * float(xf.dot(xf))
+    return lv.x, lv.X, lv.ghat, h.cell * float(xf.dot(xf)), vvals[lv.nodes]
 
 
 def _precondition(g: Grid, x, X, mass: float, vvals, bd: EnergyBreakdown,
                   sigma: float, ws: _Workspace):
     """Write the preconditioned gradient into ws.PG: P G, with
     P = sigma / (sigma + |k|^4), plus the coarse step's sum_i c_i Z_i (see
-    _coarse_step).  Returns the grid the step was formed on, g or its n/2
-    grid, or None when it is P G alone: the workspace has no generators
-    (ws.z is None), or A is not positive definite."""
+    _coarse_step).  The step is formed on the first of ws.levels that
+    resolves the iterate (see _restrict), and applied on g: the
+    translations by their exact spectra i k_i X, the dilation by its
+    spectrum on the level, scaled into P G's spectrum through the level's
+    blocks.  Returns the grid the step was formed on, or None when it is
+    P G alone: the workspace has no levels, or A is not positive
+    definite."""
     symbol = np.add(g.k_quad, sigma, out=ws.symbol)
     np.divide(sigma, symbol, out=symbol)
-    z, PG, lv = ws.z, ws.PG, ws.coarse
-    if z is None:
-        np.multiply(symbol, ws.ghat, out=PG)
-        return None
-    mass_h = None if lv is None else _restrict(g, x, X, mass, ws.ghat, lv)
-    if mass_h is not None:
-        step_grid = lv.grid
-        coef = _coarse_step(step_grid, lv.x, lv.X, mass_h, vvals[lv.nodes],
-                            bd, sigma, lv)
+    PG = np.multiply(symbol, ws.ghat, out=ws.PG)
+    for lv in ws.levels:
+        state = _restrict(g, x, X, ws.ghat, mass, vvals, lv)
+        if state is not None:
+            break
     else:
-        step_grid = g
-        coef = _coarse_step(g, x, X, mass, vvals, bd, sigma, ws)
-    if coef is None:
-        np.multiply(symbol, ws.ghat, out=PG)
         return None
-    if step_grid is not g:
-        # the translations by their exact spectra i k_i X on g, the
-        # dilation by its spectrum on the n/2 grid, zero-padded
-        np.multiply(symbol, ws.ghat, out=PG)
-        for ik, ci in zip(g.ik, coef):
-            zi = np.multiply(ik, X, out=z[0])
-            zi *= ci
-            PG += zi
-        lam = lv.z[-1]
-        lam *= coef[-1] * 2.0**g.d
-        for src, dst in lv.blocks:
-            band = PG[src]
-            band += lam[dst]
-        return step_grid
-    # sum_i c_i Z_i, the dilation's term first, then P G by way of the
-    # spent z[0], so that P G's product is still in cache for its sum
-    np.multiply(z[-1], coef[-1], out=PG)
-    for zi, ci in zip(z[:-1], coef):
+    coef = _coarse_step(lv.grid, *state, bd, sigma, lv)
+    if coef is None:
+        return None
+    for ik, ci in zip(g.ik, coef):
+        zi = np.multiply(ik, X, out=ws.half)
         zi *= ci
         PG += zi
-    PG += np.multiply(symbol, ws.ghat, out=z[0])
-    return g
+    lam = lv.z[-1]
+    lam *= coef[-1] * lv.scale
+    for src, dst in lv.blocks:
+        band = PG[src]
+        band += lam[dst]
+    return lv.grid
 
 
 def _armijo(phi, slope: float, step: float):
@@ -692,8 +681,10 @@ def solve(g: Grid, V, a: float, cfg: SolveConfig = SolveConfig(), *,
     # it saves.  Its dilation is centred on the potential's minimum, which
     # a constant V does not have: there the step's generators carry no
     # soft mode, and P alone takes fewer iterations
-    coarse = g.d > 1 and bool(vvals.max() > vvals.min())
-    ws = _Workspace(g, potential_argmin(V, g) if coarse else None)
+    ws = _Workspace(g, potential_argmin(V, g)
+                    if g.d > 1 and vvals.max() > vvals.min() else None)
+    # the coarse step's d + 1 transforms, on whichever level it is formed
+    step_ffts = (g.d + 1) * bool(ws.levels)
     work = (ws.rows[0], ws.rows[1], ws.half)
     d, D = ws.d, ws.D
     x = u.values.copy()
@@ -725,7 +716,7 @@ def solve(g: Grid, V, a: float, cfg: SolveConfig = SolveConfig(), *,
         coarse_half_grid += step_grid is not None and step_grid is not g
         PG = ws.PG
         pg = g.inverse(PG, out=ws.pg)
-        fft_calls += 1 + (g.d + 1) * coarse
+        fft_calls += 1 + step_ffts
         gpg = g.parseval(ghat, PG)
         pgx = inner(pg, x)
         # candidate directions beta d_prev - P G - c x, with c projecting

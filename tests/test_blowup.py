@@ -1,6 +1,7 @@
 """Sweep diagnostics along couplings climbing toward the critical constant."""
 
 import dataclasses
+import re
 import sys
 import warnings
 
@@ -268,11 +269,16 @@ def test_hand_built_record_round_trips_through_csv(tmp_path):
 
 @pytest.mark.parametrize("column, cell", [
     ("energy", "nan"), ("eps", "inf"), ("center", "0.0;-inf"),
-    ("status", "Bogus"), ("resolved", "yes"), ("resolved", "")])
+    ("status", "Bogus"), ("resolved", "yes"), ("resolved", ""),
+    ("iterations", "-3"), ("backtracks", " 7"), ("trials", "+7"),
+    ("cg_restarts", "1_0"), ("fft_calls", "\u0663")])
 def test_load_sweep_rejects_cells_save_sweep_never_writes(tmp_path, column,
                                                           cell):
-    # a non-finite number, a status that is no SolveStatus value and a
-    # resolved other than True or False each name their column and row
+    # a non-finite number, a status that is no SolveStatus value, a
+    # resolved other than True or False, and a counter that int() reads
+    # but save_sweep never writes (a negative count, a sign, a space, an
+    # underscore, a non-ASCII digit: U+0663 is ARABIC-INDIC DIGIT THREE)
+    # each name their column and row
     rec = SweepRecord(a=1.0, energy=-0.5, kinetic=2.0, eps=2.0**-0.25,
                       center=(0.1, 0.2), h2_dist_to_Q=0.01,
                       status="Converged", resolved=True)
@@ -282,8 +288,8 @@ def test_load_sweep_rejects_cells_save_sweep_never_writes(tmp_path, column,
     cells = second.split(",")
     cells[header.split(",").index(column)] = cell
     path.write_text("\n".join([header, first, ",".join(cells)]) + "\n")
-    with pytest.raises(ValueError, match=(f"row 2: column '{column}' holds "
-                                          f"'{cell}'")):
+    with pytest.raises(ValueError, match=re.escape(
+            f"row 2: column '{column}' holds {cell!r}")):
         load_sweep(path)
 
 

@@ -1020,6 +1020,11 @@ def test_command_timings_go_to_the_manifest_only(tmp_path, artifact_dir):
     ("artifact_on_another_grid", "does not match the config grid"),
     ("bad_file_start", "cannot start from "),
     ("schedule_rounds_to_astar", "sweep schedule: "),
+    # at ratio 0.5 every 1 - a/a* past about 1075 points is 0.0, so a
+    # would be a*: rejected whatever the command, gn too, which never
+    # sweeps, without building the schedule
+    *((f"long_schedule_{command}", "sweep schedule: sweep.count 2000 ")
+      for command in ("gn", "sweep")),
     ("missing_sweep_csv", "not found; run the 'sweep' command first"),
     ("malformed_sweep_csv", "lacks the columns"),
     ("unknown_key", "unknown grid fields ['m']")])
@@ -1045,6 +1050,9 @@ def test_every_exit_2_prints_config_error_and_writes_nothing(
                                      "path": str(tmp_path / "none.bhf")}}}
     elif case == "schedule_rounds_to_astar":
         command, extra = "sweep", {"sweep": {"count": 60}}
+    elif case.startswith("long_schedule_"):
+        command = case.rsplit("_", 1)[1]
+        extra = {"sweep": {"count": 2000}}
     elif case == "unknown_key":
         command = "gn"
         extra = {"grid": {"d": 1, "n": 256, "half_width": 16.0, "m": 1}}

@@ -367,20 +367,60 @@ def test_coarse_system_rejects_roundoff_pivots():
     assert c == pytest.approx([0.5e6 + 0.5, -1e6], rel=1e-8)
 
 
+def _truncated(g, h, spectrum):
+    # the half spectrum on g truncated onto the wavenumbers below h's
+    # Nyquist on every axis, as a half spectrum on h (the transforms are
+    # unnormalized, so it is scaled by 2^-d); on g itself, unchanged
+    if h is g:
+        return spectrum
+    m = h.n // 2
+    out = np.zeros(h.k_quad.shape, dtype=np.complex128)
+    out[:m, :m] = spectrum[:m, :m] / 4.0
+    out[m + 1:, :m] = spectrum[1 - m:, :m] / 4.0
+    return out
+
+
+def _padded(g, h, spectrum):
+    # a half spectrum on h zero-padded onto g's, scaled by 2^d; on g itself,
+    # unchanged
+    if h is g:
+        return spectrum
+    m = h.n // 2
+    out = np.zeros(g.k_quad.shape, dtype=np.complex128)
+    out[:m, :m] = 4.0 * spectrum[:m, :m]
+    out[1 - m:, :m] = 4.0 * spectrum[m + 1:, :m]
+    return out
+
+
 # Grid.ik is zero at the Nyquist wavenumber, so the generators' spectra
 # i k_i X hold only what their nodal values hold, and the step's spectral
 # and nodal sums agree on a raw iterate as on a band-limited one (with the
 # Nyquist entries kept, they parted by 1e-4 relative after 3 iterations on
-# 64^2/12)
-@pytest.mark.parametrize("iters, band_limited", [
-    (1, True), (3, True), (6, True), (3, False)])
-def test_coarse_step_matches_dense_reference(iters, band_limited):
-    # the coarse step's coefficients against the dense (d+1) x (d+1)
-    # reference built from Field-level operators on the generators Z:
+# 64^2/12).  On the benchmark's problem, 128^2/12, the step is formed on the
+# n/2 grid from the first iteration on.
+@pytest.mark.parametrize("level, iters, band_limited", [
+    pytest.param(-1, 1, True, id="1-True"),
+    pytest.param(-1, 3, True, id="3-True"),
+    pytest.param(-1, 6, True, id="6-True"),
+    pytest.param(-1, 3, False, id="3-False"),
+    pytest.param(0, 1, False, id="half-1"),
+    pytest.param(0, 4, False, id="half-4"),
+    pytest.param(0, 10, False, id="half-10")])
+def test_coarse_step_matches_dense_reference(level, iters, band_limited):
+    # the coarse step's coefficients on a level, the solve's grid g (-1, on
+    # 64^2/12) or its n/2 grid (0, on 128^2/12), against the dense
+    # (d+1) x (d+1) reference built from Field-level operators on the
+    # level's grid h, for the iterate's samples at h's nodes (the nodal
+    # weight and the dilation's projection) and its spectrum and gradient
+    # truncated onto h's band (the generators and Z^T G):
     # A = Z^T (Lap^2 + V - mu - (a q (q-1)/2) x^(q-2)) Z,
-    # B = Z^T (Lap^2 + sigma) Z, r = Z^T G and c = sigma (A^-1 - B^-1) r
-    # (measured agreement: 1.9e-11 relative at most)
-    g = make_grid(2, 64, 12.0)
+    # B = Z^T (Lap^2 + sigma) Z, r = Z^T G and c = sigma (A^-1 - B^-1) r;
+    # and the preconditioned gradient against P G plus the reference
+    # coefficients on the exact translations i k_i X and the dilation's
+    # spectrum on h, zero-padded onto g.  The step's inputs G and mu are the
+    # solver's own on both levels (measured agreement: 3.1e-14 relative at
+    # most, for both)
+    g = make_grid(2, 64 if level == -1 else 128, 12.0)
     V = GaussianWell(1.0, 1.0, (g.dx / 4.0, -g.dx / 4.0))
     a, q = 56.0, critical_power(2)
     u = solve(g, V, a, SolveConfig(tol_grad=1e-12, max_iters=iters)).minimizer
@@ -392,79 +432,22 @@ def test_coarse_step_matches_dense_reference(iters, band_limited):
     vvals = sample(V, g).values
     center = potential_argmin(V, g)
     ws = _Workspace(g, center)
-    bd, _, _ = spectral_energy_and_gradient(
-        g, x, X, vvals, a, ws.ghat, (ws.rows[0], ws.rows[1], ws.half))
-    sigma = max(1.0, critical_shift(2) * bd.kinetic)
-    mass = quadrature(g, x * x)
-    coef = _coarse_step(g, x, X, mass, vvals, bd, sigma, ws)
-    assert coef is not None
-
-    grads = [Field(g, g.inverse(ik * u.hat)) for ik in g.ik]
-    s = [g.half_width / np.pi * np.sin(np.pi / g.half_width * (m - c))
-         for m, c in zip(g.meshes(), center)]
-    lam = Field(g, sum(si * gi.values for si, gi in zip(s, grads)))
-    lam = lam - u * (quadrature(g, lam.values * x) / mass)
-    z = grads + [lam]
-    mu = energy(u, V, a).mu
-    weight = vvals - mu - 0.5 * a * q * (q - 1) * x ** (q - 2)
-    grad = constrained_gradient(u, V, a).values
-
-    def gram(op):
-        return np.array([[quadrature(g, zi.values * op(zj)) for zj in z]
-                         for zi in z])
-
-    a_ref = gram(lambda zj: bilap_apply(zj).values + weight * zj.values)
-    b_ref = gram(lambda zj: bilap_apply(zj).values + sigma * zj.values)
-    r = np.array([quadrature(g, zi.values * grad) for zi in z])
-    ref = sigma * (np.linalg.solve(a_ref, r) - np.linalg.solve(b_ref, r))
-    assert np.max(np.abs(np.array(coef) - ref)) <= 1e-9 * np.max(np.abs(ref))
-
-
-def _truncated(g, h, spectrum):
-    # the half spectrum on g truncated onto the wavenumbers below h's
-    # Nyquist on every axis, as a half spectrum on h (the transforms are
-    # unnormalized, so it is scaled by 2^-d)
-    m = h.n // 2
-    out = np.zeros(h.k_quad.shape, dtype=np.complex128)
-    out[:m, :m] = spectrum[:m, :m] / 4.0
-    out[m + 1:, :m] = spectrum[1 - m:, :m] / 4.0
-    return out
-
-
-@pytest.mark.parametrize("iters", [1, 4, 10])
-def test_half_grid_coarse_step_matches_dense_reference(iters):
-    # on the benchmark's problem the coarse step is formed on the n/2 grid
-    # h from the first iteration on: its coefficients against the dense
-    # reference on h, from Field-level operators, for the iterate's samples
-    # at h's nodes (the nodal weight and the dilation's projection) and its
-    # spectrum and gradient truncated onto h's band (the generators and
-    # Z^T G); and the preconditioned gradient against P G plus the
-    # reference coefficients on the exact translations i k_i X and the
-    # dilation's spectrum on h, zero-padded onto g (measured agreement:
-    # 2e-14 relative at most, for both)
-    g, V, a, _ = _well_2d()
-    h = make_grid(2, g.n // 2, g.half_width)
-    q = critical_power(2)
-    u = solve(g, V, a, SolveConfig(tol_grad=1e-12, max_iters=iters)).minimizer
-    x, X = u.values, u.hat
-    vvals = sample(V, g).values
-    center = potential_argmin(V, g)
-    ws = _Workspace(g, center)
     bd, ghat, _ = spectral_energy_and_gradient(
         g, x, X, vvals, a, ws.ghat, (ws.rows[0], ws.rows[1], ws.half))
     sigma = max(1.0, critical_shift(2) * bd.kinetic)
     mass = quadrature(g, x * x)
-    assert _precondition(g, x, X, mass, vvals, bd, sigma, ws) == h
-    correction = ws.PG - sigma / (sigma + g.k_quad) * ghat
-    lv = ws.coarse
-    mass_h = _restrict(g, x, X, mass, ghat, lv)
-    coef = _coarse_step(h, lv.x, lv.X, mass_h, sample(V, h).values, bd,
+    lv = ws.levels[level]
+    h = lv.grid
+    coef = _coarse_step(h, *_restrict(g, x, X, ghat, mass, vvals, lv), bd,
                         sigma, lv)
     assert coef is not None
+    # the levels from lv on, so that the step is formed on lv
+    ws.levels = ws.levels[level:]
+    assert _precondition(g, x, X, mass, vvals, bd, sigma, ws) is h
+    correction = ws.PG - sigma / (sigma + g.k_quad) * ghat
 
-    us = Field(h, x[::2, ::2])
-    Xt = _truncated(g, h, X)
-    grads = [Field(h, h.inverse(ik * Xt)) for ik in h.ik]
+    us = u if h is g else Field(h, x[::2, ::2])
+    grads = [Field(h, h.inverse(ik * _truncated(g, h, X))) for ik in h.ik]
     s = [h.half_width / np.pi * np.sin(np.pi / h.half_width * (m - c))
          for m, c in zip(h.meshes(), center)]
     lam = Field(h, sum(si * gi.values for si, gi in zip(s, grads)))
@@ -484,11 +467,7 @@ def test_half_grid_coarse_step_matches_dense_reference(iters):
     ref = sigma * (np.linalg.solve(a_ref, r) - np.linalg.solve(b_ref, r))
     assert np.max(np.abs(np.array(coef) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-    padded = np.zeros_like(X)
-    m = h.n // 2
-    padded[:m, :m] = 4.0 * lam.hat[:m, :m]
-    padded[1 - m:, :m] = 4.0 * lam.hat[m + 1:, :m]
-    ref_correction = ref[-1] * padded + sum(
+    ref_correction = ref[-1] * _padded(g, h, lam.hat) + sum(
         ci * ik * X for ci, ik in zip(ref, g.ik))
     assert np.max(np.abs(correction - ref_correction)) <= (
         1e-12 * np.max(np.abs(ref_correction)))
@@ -498,17 +477,22 @@ def test_coarse_step_grid_follows_the_spectral_tail():
     # the step is formed on the n/2 grid while the iterate's L2 norm
     # outside that grid's band is below 1e-4 of it: at the benchmark's
     # minimizer it is 3.7e-5, at a = 57.5 on the same grid 5.5e-3, where an
-    # A formed on n/2 is indefinite
+    # A formed on n/2 is indefinite; the solve's own grid takes any iterate,
+    # as the loop's own arrays
     g, V, _, _ = _well_2d()
-    ws = _Workspace(g, potential_argmin(V, g))
+    vvals = sample(V, g).values
+    half, full = _Workspace(g, potential_argmin(V, g)).levels
+    assert half.grid.n == g.n // 2 and full.grid is g
     cfg = SolveConfig(tol_grad=1e-6, max_iters=40000)
     for a, takes_half in ((56.0, True), (57.5, False)):
         res = solve(g, V, a, cfg)
-        x = res.minimizer.values
+        x, X = res.minimizer.values, res.minimizer.hat
         mass = quadrature(g, x * x)
-        ghat = res.minimizer.hat.copy()  # any gradient: the tail is X's
-        assert (_restrict(g, x, res.minimizer.hat, mass, ghat, ws.coarse)
+        ghat = X.copy()  # any gradient: the tail is X's
+        assert (_restrict(g, x, X, ghat, mass, vvals, half)
                 is not None) is takes_half
+        own = _restrict(g, x, X, ghat, mass, vvals, full)
+        assert all(p is q for p, q in zip(own, (x, X, ghat, mass, vvals)))
         if takes_half:  # every iteration of the benchmark's solve
             assert res.coarse_half_grid == res.iterations
         else:  # the early, smooth iterates only
@@ -519,7 +503,8 @@ def test_a_grid_that_cannot_halve_forms_the_coarse_step_on_itself():
     # n = 8 is the smallest grid: there is no n/2 grid to form the step on
     g = make_grid(2, 8, 4.0)
     V = GaussianWell(1.0, 1.0, (0.0, 0.0))
-    assert _Workspace(g, potential_argmin(V, g)).coarse is None
+    levels = _Workspace(g, potential_argmin(V, g)).levels
+    assert [lv.grid for lv in levels] == [g]
     res = solve(g, V, 20.0, SolveConfig(tol_grad=1e-6, max_iters=200))
     assert res.coarse_half_grid == 0
     assert res.coarse_fallbacks < res.iterations
@@ -527,18 +512,21 @@ def test_a_grid_that_cannot_halve_forms_the_coarse_step_on_itself():
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_workspace_arrays_share_no_memory(d):
-    # one array per role: the coarse step's generators, on either grid, P
+    # one array per role: the coarse step's generators, on either level, P
     # G's nodal values and the accepted step each own their memory, with
-    # or without the step
+    # or without the step; the level on the solve's own grid borrows the
+    # workspace's scratch, the very arrays rather than others on their
+    # memory
     g = make_grid(d, 32, 8.0)
     for center in (None, (0.0,) * d):
         ws = _Workspace(g, center)
-        assert (ws.coarse is None) is (center is None)
+        assert (ws.levels == ()) is (center is None)
         arrays = []
         for val in [*vars(ws).values(),
-                    *(() if ws.coarse is None else vars(ws.coarse).values())]:
+                    *(v for lv in ws.levels for v in vars(lv).values())]:
             arrays.extend(val if isinstance(val, tuple) else [val])
-        arrays = [arr for arr in arrays if isinstance(arr, np.ndarray)]
+        arrays = list({id(arr): arr for arr in arrays
+                       if isinstance(arr, np.ndarray)}.values())
         for i, arr in enumerate(arrays):
             for other in arrays[i + 1:]:
                 assert not np.shares_memory(arr, other)
