@@ -13,6 +13,7 @@ from .field import (
     lq_integral,
     read_snapshot,
     renormalize_mass,
+    spectral_tail,
     translate,
     write_snapshot,
 )
@@ -71,6 +72,7 @@ __all__ = [
     "Field", "ResolutionWarning",
     "l2_norm_sq", "bilap_energy", "h2_norm_sq", "lq_integral", "bilap_apply",
     "dilate", "renormalize_mass", "translate", "density_center",
+    "spectral_tail",
     "read_snapshot", "write_snapshot",
     "Zero", "Harmonic", "GaussianWell", "PowerWell", "Sum",
     "sample", "ess_inf", "classify", "level_split", "sobolev_lower_bound",

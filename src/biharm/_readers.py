@@ -14,8 +14,13 @@ class ConfigError(ValueError):
 
 
 def _is_finite_number(val) -> bool:
-    return (not isinstance(val, bool) and isinstance(val, (int, float))
-            and math.isfinite(val))
+    """A JSON number that is a finite float: an integer beyond float range,
+    which math.isfinite cannot convert, is not one."""
+    try:
+        return (not isinstance(val, bool) and isinstance(val, (int, float))
+                and math.isfinite(val))
+    except OverflowError:
+        return False
 
 
 def _as_int(obj, key, default=None, minimum=None, json_int=False):

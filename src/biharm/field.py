@@ -101,6 +101,25 @@ def h2_norm_sq(u: Field) -> float:
     return l2_norm_sq(u) + bilap_energy(u)
 
 
+def spectral_tail(u: Field) -> float:
+    """max |u^| over the half-spectrum modes with |k_i| >= 0.75 k_max on some
+    axis, relative to max |u^|: the decay of the coefficients into the top
+    quarter of the band, which estimates the truncation error of the grid
+    (Boyd, Chebyshev and Fourier Spectral Methods, 2001).  It reads the
+    cached spectrum u.hat.  It says nothing about the box: a field cut off
+    by the periodic boundary can have a small tail."""
+    g = u.grid
+    mag = np.abs(u.hat)
+    peak = mag.max()
+    if peak == 0.0:
+        raise ValueError("the zero field has no spectral tail")
+    # |j| of k_j = pi j / half_width along an axis, exact in floats
+    top = np.abs(np.fft.fftfreq(g.n, 1.0 / g.n)) >= 0.75 * (g.n // 2)
+    cols = top[:g.n // 2 + 1]
+    mask = cols if g.d == 1 else top[:, None] | cols[None, :]
+    return float(mag[mask].max() / peak)
+
+
 def _nonlinear_weight(sq: np.ndarray, out: np.ndarray | None = None
                       ) -> np.ndarray:
     """x^(q-2) from sq = x^2, at the critical power q of sq's dimension.

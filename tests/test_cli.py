@@ -12,7 +12,8 @@ import pytest
 
 import biharm
 from biharm import (Field, SolveConfig, compute_gn, dilate, load_gn,
-                    make_grid, save_gn, write_snapshot)
+                    make_grid, read_snapshot, save_gn, spectral_tail,
+                    write_snapshot)
 from biharm.blowup import load_sweep
 from biharm.cli import build_parser, main
 from biharm.groundstate import SOLVE_COUNTERS
@@ -66,12 +67,12 @@ def test_gn_reports_iteration_count(tmp_path):
     assert code == 0, text
     sidecar = json.loads((tmp_path / "run" / "gn.json").read_text())
     assert isinstance(sidecar["iterations"], int) and sidecar["iterations"] > 0
-    assert f"iterations = {sidecar['iterations']}" in text
-    # the n/2 run on 128/16 settles at that grid's floor, above tol_grad
-    check = sidecar["half_grid_check"]
-    assert check["converged"] is False
-    assert (f"n/2 check: quotient residual {check['quotient_grad']:.3e}, "
-            "stopped unconverged") in text
+    assert f"iterations = {sidecar['iterations']}\n" in text
+    # the resolution evidence is Q's own spectral tail, recomputed from the
+    # stored profile, and is not stored in the sidecar
+    Q = read_snapshot(tmp_path / "run" / "gn.bhf")
+    assert f"spectral tail = {spectral_tail(Q):.3e}\n" in text
+    assert "tail" not in json.dumps(sidecar)
 
 
 def test_gn_that_does_not_converge_exits_1_and_writes_nothing(tmp_path):
@@ -785,25 +786,16 @@ def test_corrupt_a_star_is_a_config_error(tmp_path, artifact_dir, command,
     # each value has its own type, element by element: a string is no
     # list, and 7.5, "7" or true no iteration count
     ("sidecar", lambda s: {**s, "el_constants": "ab"}),
-    ("sidecar", lambda s: {**s, "resolutions": "xy"}),
-    ("sidecar", lambda s: {**s, "resolutions": [[128.0, 15.9]]}),
     ("sidecar", lambda s: {**s, "history": "12"}),
     ("sidecar", lambda s: {**s, "iterations": "7"}),
     ("sidecar", lambda s: {**s, "iterations": 7.5}),
     ("sidecar", lambda s: {**s, "iterations": True}),
-    ("sidecar", lambda s: {**s, "half_grid_check": {
-        "quotient_grad": "1e-2", "converged": False}}),
-    ("sidecar", lambda s: {**s, "half_grid_check": {
-        "quotient_grad": 1e-2, "converged": "false"}}),
     # json writes and reads NaN and Infinity, which are no numbers
     *(("sidecar", corrupt) for bad in (math.nan, math.inf) for corrupt in (
         lambda s, bad=bad: {**s, "el_constants": [bad, 1.0]},
         lambda s, bad=bad: {**s, "residuals": {**s["residuals"],
                                                "quotient_grad": bad}},
-        lambda s, bad=bad: {**s, "resolutions": [[128, bad], [256, 1.0]]},
         lambda s, bad=bad: {**s, "history": [1.0, bad]},
-        lambda s, bad=bad: {**s, "half_grid_check": {
-            "quotient_grad": bad, "converged": True}},
         lambda s, bad=bad: {**s, "residuals": {**s["residuals"],
                                                "nonlinear_check": bad}})),
     ("sidecar", lambda s: {**s, "residuals": {
@@ -815,12 +807,10 @@ def test_corrupt_a_star_is_a_config_error(tmp_path, artifact_dir, command,
     ("header", lambda h: {**h, "count": str(h["count"])})],
     ids=["el_constants_null", "residuals_null", "sidecar_a_list",
          "header_d_null", "header_a_list", "el_constants_a_string",
-         "resolutions_a_string", "resolutions_float_n", "history_a_string",
+         "history_a_string",
          "iterations_a_string", "iterations_a_float", "iterations_a_bool",
-         "half_grid_residual_a_string", "half_grid_converged_a_string",
          *(f"{key}_{name}" for name in ("NaN", "Infinity") for key in (
-             "el_constants", "residuals.quotient_grad", "resolutions",
-             "history", "half_grid_check.quotient_grad",
+             "el_constants", "residuals.quotient_grad", "history",
              "residuals.nonlinear_check")),
          "residuals.nonlinear_check_a_string", "header_d_a_bool",
          "header_n_a_fraction",
@@ -844,6 +834,37 @@ def test_a_gn_artifact_value_of_the_wrong_type_exits_2(
     assert code == 2, text
     assert text.startswith(f"config error: cannot load GN artifact at "
                            f"{tmp_path / 'gn'}")
+
+
+@pytest.mark.parametrize("case", [
+    "sweep.count", "grid.n", "seed", "sidecar.iterations", "header.count"])
+def test_an_integer_beyond_float_range_exits_2(tmp_path, artifact_dir, case):
+    # 10^400 is a JSON integer that no float holds: each reader rejects it
+    # by name, as it does a NaN, rather than raise OverflowError
+    huge = 10**400
+    config = {"sweep.count": {"sweep": {"count": huge}},
+              "grid.n": {"grid": {"d": 1, "n": huge, "half_width": 16.0}},
+              "seed": {"seed": huge}}
+    if case in config:
+        command, overrides = "gn", config[case]
+    else:
+        command, overrides = "check", {"gn": {"artifact": str(tmp_path / "gn")}}
+        sidecar = json.loads((artifact_dir / "gn.json").read_text())
+        header, payload = (artifact_dir / "gn.bhf").read_bytes().split(
+            b"\n", 1)
+        header = json.loads(header)
+        part, key = case.split(".")
+        (sidecar if part == "sidecar" else header)[key] = huge
+        (tmp_path / "gn.json").write_text(json.dumps(sidecar))
+        (tmp_path / "gn.bhf").write_bytes(json.dumps(header).encode() + b"\n"
+                                          + payload)
+    run = tmp_path / "run"
+    cfg = write_config(tmp_path / "c.json", output_dir=str(run), **overrides)
+    code, text = run_cli("--config", str(cfg), command)
+    assert code == 2, text
+    assert text.splitlines()[0].startswith("config error: ")
+    assert repr(case.rsplit(".", 1)[-1]) in text
+    assert not (run / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("command", ["solve", "check"])

@@ -22,6 +22,7 @@ from biharm import (
     make_grid,
     read_snapshot,
     renormalize_mass,
+    spectral_tail,
     translate,
     write_snapshot,
 )
@@ -79,6 +80,28 @@ def test_bilap_apply_on_cosine_mode(g1):
 
 def test_hat_is_cached(gauss1):
     assert gauss1.hat is gauss1.hat
+
+
+def _plane_wave(g, modes):
+    """cos(k . x) at the signed wavenumber index modes[i] on axis i."""
+    return np.cos(sum(np.pi * j / g.half_width * x
+                      for j, x in zip(modes, g.meshes())))
+
+
+# on n = 64 the top quarter of the band is |j| >= 24 on an axis
+@pytest.mark.parametrize("low, top", [
+    ((5,), (27,)), ((5, 2), (27, 3)), ((5, 2), (3, 27)), ((5, 2), (-24, 7))])
+def test_spectral_tail_reads_the_top_quarter_of_the_band(low, top):
+    g = make_grid(len(low), 64, 8.0)
+    wave = _plane_wave(g, low)
+    assert spectral_tail(Field(g, wave)) <= 1e-15
+    mixed = Field(g, wave + 1e-3 * _plane_wave(g, top))
+    assert_allclose(spectral_tail(mixed), 1e-3, rtol=1e-12)
+
+
+def test_spectral_tail_of_the_zero_field_raises(g1):
+    with pytest.raises(ValueError, match="zero field"):
+        spectral_tail(Field(g1, np.zeros(g1.shape)))
 
 
 # -- dilation ----------------------------------------------------------------

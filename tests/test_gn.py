@@ -20,6 +20,7 @@ from biharm import (
     normalize_to_el,
     renormalize_mass,
     save_gn,
+    spectral_tail,
 )
 from biharm import gn
 from biharm.field import gaussian_mixture_field, random_smooth_field
@@ -90,11 +91,18 @@ def test_quotient_minimality_battery(gn256):
         assert gn_quotient(u) >= floor
 
 
-def test_resolution_cross_check(gn256):
-    (n_half, a_half), (n_full, a_full) = gn256.resolutions
-    assert (n_half, n_full) == (128, 256)
-    assert a_full == gn256.a_star
-    assert abs(a_half - a_full) <= 1e-6 * a_full
+@pytest.mark.parametrize("d, n, half_width, tol_grad", [
+    (1, 256, 24.0, 3e-7), (2, 64, 12.0, 1e-4)])
+def test_spectral_tail_bounds_the_change_when_n_doubles(d, n, half_width,
+                                                        tol_grad):
+    # Q's tail at n bounds the grid's error in a_star: on these grids the
+    # change when n doubles is 1.6e-11 (tail 3.2e-7) and 1.8e-8 (tail 1.2e-5)
+    cfg = SolveConfig(tol_grad=tol_grad, max_iters=8000)
+    coarse, fine = (compute_gn(make_grid(d, m, half_width), cfg)
+                    for m in (n, 2 * n))
+    change = abs(fine.a_star - coarse.a_star) / coarse.a_star
+    tail = spectral_tail(coarse.Q)
+    assert change <= tail, (change, tail)
 
 
 def test_reference_fixture_regression(gn256, reference):
@@ -189,7 +197,6 @@ def test_save_load_roundtrip(tmp_path, gn256):
     assert np.array_equal(back.Q.values, gn256.Q.values)
     assert back.el_constants == tuple(gn256.el_constants)
     assert abs(back.nonlinear_check - gn256.nonlinear_check) < 1e-12
-    assert back.resolutions == gn256.resolutions
 
     sidecar = json.loads((tmp_path / "profile.json").read_text())
     sidecar["n"] = 128
@@ -356,13 +363,12 @@ def test_default_2d_raises_naming_tol_grad():
 
 def test_iterations_counted_and_saved(tmp_path, gn256):
     assert isinstance(gn256.iterations, int) and gn256.iterations > 0
-    # the count includes the n/2 cross-check run: it exceeds that of the
-    # fixed point alone from compute_gn's start
+    # compute_gn runs the fixed point once, from its own start
     g = gn256.Q.grid
     alone = _petviashvili(g, _start(g),
                           SolveConfig(tol_grad=3e-7, max_iters=8000))
     assert alone.converged
-    assert gn256.iterations > alone.iterations
+    assert gn256.iterations == alone.iterations
     save_gn(gn256, tmp_path / "profile")
     sidecar = json.loads((tmp_path / "profile.json").read_text())
     assert sidecar["iterations"] == gn256.iterations
@@ -402,31 +408,24 @@ def test_residual_path_saved_and_time_kept_out_of_the_sidecar(tmp_path,
     assert back.seconds is None
 
 
-def test_half_grid_check_records_an_unconverged_run(tmp_path):
-    # on 2D 128^2/16 the main run converges, while the n/2 run on 64^2/16
-    # (dx = 0.5) settles at that grid's floor, residual 1.8e-2: the quotient
-    # it reports is flagged, in the result and in the sidecar
-    r = compute_gn(make_grid(2, 128, 16.0))
-    assert r.quotient_residual <= 3e-7
-    assert r.check_converged is False
-    assert r.check_residual > 1e-3
-    save_gn(r, tmp_path / "profile")
-    sidecar = json.loads((tmp_path / "profile.json").read_text())
-    assert sidecar["half_grid_check"] == {"quotient_grad": r.check_residual,
-                                          "converged": False}
-    back = load_gn(tmp_path / "profile")
-    assert (back.check_residual, back.check_converged) == (
-        r.check_residual, False)
-
-
-def test_load_accepts_sidecar_without_half_grid_check(tmp_path, gn256):
+def test_load_accepts_sidecar_with_the_retired_keys(tmp_path, gn256):
+    # sidecars written before compute_gn dropped its n/2 re-run carry
+    # resolutions and half_grid_check; they load, whatever the values, and
+    # nothing reads them
     save_gn(gn256, tmp_path / "profile")
     sidecar = json.loads((tmp_path / "profile.json").read_text())
-    del sidecar["half_grid_check"]
-    (tmp_path / "profile.json").write_text(json.dumps(sidecar))
-    back = load_gn(tmp_path / "profile")
-    assert back.check_residual is None and back.check_converged is None
-    assert back.a_star == gn256.a_star
+    assert "resolutions" not in sidecar and "half_grid_check" not in sidecar
+    for resolutions, half_grid_check in [
+            ([[128, 15.9], [256, 15.9]],
+             {"quotient_grad": 1e-2, "converged": False}),
+            (None, None),
+            ("xy", {"quotient_grad": "nan", "converged": "false"})]:
+        sidecar.update(resolutions=resolutions,
+                       half_grid_check=half_grid_check)
+        (tmp_path / "profile.json").write_text(json.dumps(sidecar))
+        back = load_gn(tmp_path / "profile")
+        assert back.a_star == gn256.a_star
+        assert back.iterations == gn256.iterations
 
 
 def test_load_accepts_sidecar_without_history(tmp_path, gn256):
